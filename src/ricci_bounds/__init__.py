@@ -19,7 +19,7 @@ from .jump_process import (JumpProcessConfig, poissonian_tail_bound,
                            transform_I_quadrature)
 from .stepfun import StepFunction
 from .transport import (DiscreteMeasure, TransportCertificate,
-                        stochastic_dominance_check, w1_flow,
+                        stochastic_dominance_check, w1_flow, w1_flow_batch,
                         w1_flow_certified, w1_line, w1_to_point)
 
 __version__ = "0.1.0"
@@ -37,6 +37,6 @@ __all__ = [
     "stationary_log_G", "stationary_power", "stochastic_dominance_check",
     "subgaussian_s2", "tail_comparison", "tail_shape_witness",
     "theorem1_params", "transform_I", "transform_I_quadrature",
-    "truncation_audit", "tv_distance", "w1_flow", "w1_flow_certified",
-    "w1_line", "w1_to_point",
+    "truncation_audit", "tv_distance", "w1_flow", "w1_flow_batch",
+    "w1_flow_certified", "w1_line", "w1_to_point",
 ]

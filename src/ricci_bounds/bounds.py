@@ -28,6 +28,14 @@ from .errors import (EmptyAnnulusError, InadmissibleParamsError,
 LN2 = math.log(2.0)
 
 
+def _exp_or_inf(ln_value: float) -> float:
+    """exp(ln_value) for a reported constant; +inf past the float range."""
+    try:
+        return math.exp(ln_value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """A candidate (alpha, d0) pair with its admissibility breakdown.
@@ -159,7 +167,7 @@ def admissibility(profile: CurvatureProfile, alpha: float, d0: float,
     if c3:
         ln_c = ln_C_alpha_d0(profile, alpha, d0)
         c4 = ln_c < 0.0
-        c_val = math.exp(ln_c)
+        c_val = _exp_or_inf(ln_c)
     else:
         c4 = False
         c_val = math.inf
@@ -203,8 +211,8 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
     values = np.exp(ln_vals)
     return TailCurve(levels=levels, values=values, kind="theorem_princ",
                      meta={"alpha": alpha, "d0": d0, "ln_prefactor": ln_pref,
-                           "C": math.exp(ln_c),
-                           "Cprime": math.exp(ln_Cprime_alpha_d0(profile, alpha, d0)),
+                           "C": _exp_or_inf(ln_c),
+                           "Cprime": _exp_or_inf(ln_Cprime_alpha_d0(profile, alpha, d0)),
                            "exceeds_one": bool(np.any(values > 1.0))})
 
 

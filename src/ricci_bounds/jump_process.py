@@ -172,11 +172,17 @@ def tail_shape_witness(samples: np.ndarray, levels) -> dict:
     Levels with zero observed mass are dropped (their -ln is undefined);
     the returned dict reports both normalized series, the signed relative
     drift of each across the usable range, and the max/min variation.
+    Levels must exceed 1 (l ln l must be positive), and at least one level
+    must carry observed mass; otherwise ValueError.
     """
+    levels = np.asarray(levels, dtype=float)
+    if np.any(levels <= 1):
+        raise ValueError("the witness needs levels l > 1 (l ln l must be positive)")
     probs, counts = empirical_tail_probs(samples, levels)
-    usable = [(float(l), p) for l, p, c in
-              zip(np.asarray(levels, float), probs, counts) if c > 0]
-    dropped = [float(l) for l, c in zip(np.asarray(levels, float), counts) if c == 0]
+    if not np.any(counts):
+        raise ValueError("no sample reaches any level; every level would be dropped")
+    usable = [(float(l), p) for l, p, c in zip(levels, probs, counts) if c > 0]
+    dropped = [float(l) for l, c in zip(levels, counts) if c == 0]
     ls = np.array([l for l, _ in usable])
     neg_log = -np.log(np.array([p for _, p in usable]))
     quad_ratio = neg_log / ls**2

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from ricci_bounds import MetricChain, build_mmk_chain
 
@@ -46,3 +47,42 @@ def write_chain_json(path, points, dist, kernel, origin=None):
         doc["origin"] = origin
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def cube_chain(bits, p):
+    """Biased resampling chain on {0,1}^bits under the Hamming metric.
+
+    One step picks a coordinate uniformly and redraws it from Bernoulli(p);
+    coarse Ricci curvature is exactly 1/bits for every p (Ollivier, JFA 2009).
+    """
+    n = 1 << bits
+    states = np.arange(n)
+    flips = states[:, None] ^ states[None, :]
+    dist = np.array([[bin(int(f)).count("1") for f in row] for row in flips],
+                    dtype=float)
+    kernel = np.zeros((n, n))
+    for x in range(n):
+        for i in range(bits):
+            flip = (1.0 - p) if (x >> i) & 1 else p   # the redrawn bit changes
+            kernel[x, x ^ (1 << i)] = flip / bits
+            kernel[x, x] += (1.0 - flip) / bits
+    return MetricChain(points=tuple(format(x, f"0{bits}b") for x in range(n)),
+                       dist=dist, kernel=kernel, origin_hint=0)
+
+
+def random_graph_chain(rng, n_points=12, max_support=6):
+    """Shortest-path metric of a random weighted graph (not a line metric),
+    with kernel rows on ragged random supports of 1..max_support points."""
+    weights = np.triu(rng.integers(1, 4, size=(n_points, n_points)).astype(float), 1)
+    keep = np.triu(rng.random((n_points, n_points)) < 0.35, 1)
+    keep[np.arange(n_points - 1), np.arange(1, n_points)] = True   # a spanning path
+    graph = np.where(keep, weights, 0.0)
+    dist = shortest_path(graph + graph.T, directed=False)
+    kernel = np.zeros((n_points, n_points))
+    for x in range(n_points):
+        support = rng.choice(n_points, size=rng.integers(1, max_support + 1),
+                             replace=False)
+        w = rng.random(support.size) + 0.05
+        kernel[x, support] = w / w.sum()
+    return MetricChain(points=tuple(f"v{i}" for i in range(n_points)),
+                       dist=dist, kernel=kernel)

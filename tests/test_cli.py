@@ -135,3 +135,19 @@ def test_profile_json_is_reloadable(tmp_path):
     doc = json.loads((out / "profile.json").read_text())
     assert doc["rho"] == pytest.approx(1 / 15, abs=1e-12)
     assert doc["envelope"]["breakpoints"][0] == 0.0
+
+
+def test_example_ou_grid_at_alpha_half_reports_infinite_C(tmp_path, capsys):
+    # the grid meets (alpha, d0) pairs whose ln C exceeds the float range;
+    # their report carries C = inf instead of raising OverflowError
+    code = run_cli(["example-ou", "--alpha", "0.5", "--strategy", "grid",
+                    "--out", str(tmp_path / "ou")])
+    assert code == 0
+    assert "verdict: PASS" in capsys.readouterr().out
+
+
+def test_sweep_grid_at_alpha_half_reports_argmin(tmp_path, capsys):
+    code = run_cli(["sweep", "--alpha", "0.5", "--epsilons", "1:6:0.5",
+                    "--strategy", "grid", "--out", str(tmp_path / "sweep")])
+    assert code == 0
+    assert "argmin epsilon: 1.0" in capsys.readouterr().out

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from ricci_bounds import (attraction_rho, build_discrete_ou_chain,
+from ricci_bounds import (MetricChain, attraction_rho, build_discrete_ou_chain,
                           curvature_envelope,
                           curvature_profile, kappa_pair, local_curvature,
                           subgaussian_s2, w1_to_point)
+from ricci_bounds import curvature
 from ricci_bounds.errors import DegenerateKernelError, EmptyAnnulusError
 
-from conftest import line_chain
+from conftest import cube_chain, line_chain, random_graph_chain
 
 
 def mmk_kappa_closed_form(n0, k, x, y):
@@ -67,6 +68,33 @@ def test_local_curvature_ou_near_alpha():
     chain = build_discrete_ou_chain(0.5, 10.0, 0.05)
     kloc = local_curvature(chain, 0.5)
     assert np.max(np.abs(kloc - 0.5)) <= 2 * 0.05
+
+
+@pytest.mark.parametrize("p", [0.2, 0.7])
+def test_local_curvature_cube_is_one_over_n(p):
+    # non-line metric: every pair goes through the batched certified LP
+    chain = cube_chain(3, p)
+    assert chain.coords is None
+    kloc = local_curvature(chain, 1.0)
+    np.testing.assert_allclose(kloc, 1 / 3, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("batch_vars", [None, 7])
+@pytest.mark.parametrize("eps", [3.0, 5.0])
+def test_local_curvature_graph_matches_pair_minimum(monkeypatch, batch_vars, eps):
+    if batch_vars is not None:       # many small LP batches instead of one
+        monkeypatch.setattr(curvature, "LP_BATCH_VARS", batch_vars)
+    base = random_graph_chain(np.random.default_rng(8))
+    kernel = base.kernel.copy()
+    x0, y0 = np.argwhere((base.dist > 0) & (base.dist <= 3.0))[0]
+    kernel[y0] = kernel[x0]          # identical rows: W1 = 0, kappa = 1
+    chain = MetricChain(points=base.points, dist=base.dist, kernel=kernel)
+    kloc = local_curvature(chain, eps)
+    for x in range(chain.n):
+        ball = [y for y in range(chain.n) if 0 < chain.dist[x, y] <= eps]
+        ref = min(kappa_pair(chain, x, y) for y in ball)
+        assert kloc[x] == pytest.approx(ref, abs=1e-9), x
+    assert kappa_pair(chain, int(x0), int(y0)) == 1.0
 
 
 def test_local_curvature_warns_on_isolated_points():

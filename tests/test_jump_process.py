@@ -187,3 +187,15 @@ def test_empirical_tail_probs_counts():
     probs, counts = empirical_tail_probs(np.array([0.5, 1.5, 2.5, 3.5]), [1.0, 3.0])
     np.testing.assert_array_equal(counts, [3, 1])
     np.testing.assert_allclose(probs, [0.75, 0.25])
+
+
+def test_witness_rejects_levels_at_or_below_one():
+    with pytest.raises(ValueError, match="l > 1"):
+        tail_shape_witness(np.array([0.5, 1.5]), [1.0])
+    with pytest.raises(ValueError, match="l > 1"):
+        tail_shape_witness(np.array([0.5, 1.5, 2.5]), [0.5, 2.0])
+
+
+def test_witness_rejects_all_levels_dropped():
+    with pytest.raises(ValueError, match="every level would be dropped"):
+        tail_shape_witness(np.array([0.5, 1.5]), [3.0])

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance as scipy_w1
 
-from ricci_bounds import (DiscreteMeasure, stochastic_dominance_check, w1_flow,
-                          w1_flow_certified, w1_line)
+from ricci_bounds import (DiscreteMeasure, MetricChain, stochastic_dominance_check,
+                          w1_flow, w1_flow_batch, w1_flow_certified, w1_line)
+from ricci_bounds import transport
 from ricci_bounds.errors import TransportError
 
-from conftest import line_chain
+from conftest import line_chain, random_graph_chain
 
 
 def measure(support, weights):
@@ -116,6 +117,75 @@ def test_flow_on_nonline_metric():
     mu = measure([0], [1.0])
     nu = measure([1, 3], [0.5, 0.5])
     assert w1_flow(mu, nu, chain) == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------------------ batched LP
+
+def random_pairs(rng, n_points, count, max_support=6):
+    def rand_measure():
+        support = rng.choice(n_points, size=rng.integers(1, max_support + 1),
+                             replace=False)
+        weights = rng.random(support.size) + 0.05
+        return measure(support, weights / weights.sum())
+    return [(rand_measure(), rand_measure()) for _ in range(count)]
+
+
+def test_batch_matches_per_pair_solves():
+    rng = np.random.default_rng(5)
+    chain = random_graph_chain(rng)
+    pairs = random_pairs(rng, chain.n, 12)
+    pairs.insert(4, (pairs[0][0], pairs[0][0]))        # identical measures
+    sizes = {(mu.support.size, nu.support.size) for mu, nu in pairs}
+    assert len(sizes) > 3                               # ragged blocks
+    batch = w1_flow_batch(pairs, chain)
+    assert len(batch) == len(pairs)
+    assert batch[4].value == 0.0
+    for (mu, nu), cert in zip(pairs, batch):
+        single = w1_flow_certified(mu, nu, chain)
+        assert cert.value == pytest.approx(single.value, abs=1e-12)
+        assert cert.plan.shape == single.plan.shape == (mu.support.size, nu.support.size)
+        np.testing.assert_array_equal(cert.union_support, single.union_support)
+        assert cert.duality_gap <= transport.CERT_TOL
+        assert 0.0 <= cert.lipschitz_defect <= transport.CERT_TOL
+        np.testing.assert_allclose(cert.plan.sum(axis=1), mu.weights, atol=1e-9)
+        np.testing.assert_allclose(cert.plan.sum(axis=0), nu.weights, atol=1e-9)
+
+
+def test_batch_of_nothing_solves_nothing(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no LP expected")
+    monkeypatch.setattr(transport, "linprog", no_solve)
+    chain = random_graph_chain(np.random.default_rng(1))
+    mu = measure([0, 2], [0.5, 0.5])
+    assert w1_flow_batch([], chain) == []
+    assert w1_flow_batch([(mu, mu)], chain)[0].value == 0.0
+
+
+def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
+    # a 4-cycle: pair 1 moves half of nu's mass from a to c (W1 = 1), and
+    # zero duals on its nu rows leave a potential that vanishes on nu's
+    # support, so its dual value drops to 0 while its neighbours stay exact
+    dist = np.array([[0, 1, 2, 1],
+                     [1, 0, 1, 2],
+                     [2, 1, 0, 1],
+                     [1, 2, 1, 0]], dtype=float)
+    chain = MetricChain(points=("a", "b", "c", "d"), dist=dist,
+                        kernel=np.full((4, 4), 0.25))
+    pairs = [(measure([0], [1.0]), measure([1, 3], [0.5, 0.5])),
+             (measure([0], [1.0]), measure([0, 2], [0.5, 0.5])),
+             (measure([1, 2], [0.5, 0.5]), measure([3], [1.0]))]
+    assert [c.value for c in w1_flow_batch(pairs, chain)] == pytest.approx([1.0, 1.0, 1.5])
+    nu_rows = slice(4, 6)   # block 0 holds rows 0-2, block 1's mu row is row 3
+    real = transport.linprog
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.eqlin.marginals[nu_rows] = 0.0
+        return res
+
+    monkeypatch.setattr(transport, "linprog", corrupted)
+    with pytest.raises(TransportError, match=r"^pair 1: duality certificate failed"):
+        w1_flow_batch(pairs, chain)
 
 
 # ------------------------------------------------------------- dominance
