@@ -15,8 +15,7 @@ from .equilibrium import (StationaryResult, empirical_tail,
 from .jump_process import (JumpProcessConfig, poissonian_tail_bound,
                            simulate_paths, stationary_laplace_G,
                            stationary_log_G, tail_comparison,
-                           tail_shape_witness, transform_I,
-                           transform_I_quadrature)
+                           tail_shape_witness, transform_I)
 from .stepfun import StepFunction
 from .transport import (DiscreteMeasure, TransportCertificate,
                         stochastic_dominance_check, w1_flow, w1_flow_batch,
@@ -36,7 +35,6 @@ __all__ = [
     "stationary_birth_death", "stationary_cesaro", "stationary_laplace_G",
     "stationary_log_G", "stationary_power", "stochastic_dominance_check",
     "subgaussian_s2", "tail_comparison", "tail_shape_witness",
-    "theorem1_params", "transform_I", "transform_I_quadrature",
-    "truncation_audit", "tv_distance", "w1_flow", "w1_flow_batch",
-    "w1_flow_certified", "w1_line", "w1_to_point",
+    "theorem1_params", "transform_I", "truncation_audit", "tv_distance",
+    "w1_flow", "w1_flow_batch", "w1_flow_certified", "w1_line", "w1_to_point",
 ]

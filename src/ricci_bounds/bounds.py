@@ -12,9 +12,8 @@ form; quadrature exists only as a test-side oracle.
 """
 from __future__ import annotations
 
+import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -34,6 +33,13 @@ def _exp_or_inf(ln_value: float) -> float:
         return math.exp(ln_value)
     except OverflowError:
         return math.inf
+
+
+def _ln_one_minus_exp(x: float) -> float:
+    """ln(1 - e^x) for x < 0, also where e^x rounds to 1."""
+    if math.exp(x) == 1.0:
+        return math.log(-math.expm1(x))
+    return math.log1p(-math.exp(x))
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ def ln_C_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
 
 def C_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
     """C_{alpha,d0} = exp(-alpha F(d0)^2 (1 - alpha s^2 / (2(1 - alpha s^2 K(d0))))) / sqrt(1 - alpha s^2 K(d0))."""
-    return math.exp(ln_C_alpha_d0(profile, alpha, d0))
+    return _exp_or_inf(ln_C_alpha_d0(profile, alpha, d0))
 
 
 def ln_Cprime_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
@@ -148,7 +154,16 @@ def ln_Cprime_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> fl
 
 def Cprime_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
     """C'_{alpha,d0} >= 1; equals 1 whenever J(x0) + eps <= d0 - F(d0) or alpha = 0."""
-    return math.exp(ln_Cprime_alpha_d0(profile, alpha, d0))
+    return _exp_or_inf(ln_Cprime_alpha_d0(profile, alpha, d0))
+
+
+def ln_prefactor(profile: CurvatureProfile, alpha: float, d0: float) -> float:
+    """ln(C' C / (1 - C)) of the general bound; +inf where ln C >= 0."""
+    ln_c = ln_C_alpha_d0(profile, alpha, d0)
+    if ln_c >= 0:
+        return math.inf
+    return (ln_Cprime_alpha_d0(profile, alpha, d0) + ln_c
+            - _ln_one_minus_exp(ln_c))
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +217,31 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
     if levels.size and float(levels.min()) < params.d0 - 1e-9:
         raise ValueError(f"levels must be >= d0 = {params.d0}")
     alpha, d0 = params.alpha, params.d0
-    ln_c = ln_C_alpha_d0(profile, alpha, d0)
-    ln_pref = (ln_Cprime_alpha_d0(profile, alpha, d0) + ln_c
-               - math.log1p(-math.exp(ln_c)))
+    ln_pref = ln_prefactor(profile, alpha, d0)
     phi_d0 = phi_of(profile, d0)
     ln_vals = np.array([ln_pref - alpha * (phi_of(profile, l) - phi_d0)
                         for l in levels])
     values = np.exp(ln_vals)
     return TailCurve(levels=levels, values=values, kind="theorem_princ",
                      meta={"alpha": alpha, "d0": d0, "ln_prefactor": ln_pref,
-                           "C": _exp_or_inf(ln_c),
-                           "Cprime": _exp_or_inf(ln_Cprime_alpha_d0(profile, alpha, d0)),
+                           "C": C_alpha_d0(profile, alpha, d0),
+                           "Cprime": Cprime_alpha_d0(profile, alpha, d0),
                            "exceeds_one": bool(np.any(values > 1.0))})
 
 
-def theorem1_params(profile: CurvatureProfile, strategy: str = "paper_default") -> BoundParams:
-    """The fixed choice alpha = 1/(2 s^2), d0 = 2*eps + ln(2) s^2 / rho."""
+def paper_default_d0(profile: CurvatureProfile) -> float:
+    """d0 = 2*eps + ln(2) s^2 / rho of the fixed-parameter theorem."""
     if profile.rho <= 0:
         raise NoAttractivePointError(
             f"rho = {profile.rho:.6g} <= 0: no attractive point at eps = "
             f"{profile.epsilon}; increase eps or abort")
+    return 2.0 * profile.epsilon + LN2 * profile.s2 / profile.rho
+
+
+def theorem1_params(profile: CurvatureProfile, strategy: str = "paper_default") -> BoundParams:
+    """The fixed choice alpha = 1/(2 s^2), d0 = 2*eps + ln(2) s^2 / rho."""
+    d0 = paper_default_d0(profile)
     alpha = 1.0 / (2.0 * profile.s2)
-    d0 = 2.0 * profile.epsilon + LN2 * profile.s2 / profile.rho
     # holds automatically (kappa <= 1 pointwise), asserted rather than assumed
     assert float(profile.envelope(d0)) <= 1.0 + 1e-12
     return admissibility(profile, alpha, d0, strategy=strategy)
@@ -231,20 +249,16 @@ def theorem1_params(profile: CurvatureProfile, strategy: str = "paper_default") 
 
 def ln_C0_of(profile: CurvatureProfile) -> float:
     """log of the closed-form constant in the fixed-parameter tail bound."""
-    if profile.rho <= 0:
-        raise NoAttractivePointError(
-            f"rho = {profile.rho:.6g} <= 0: no attractive point at eps = "
-            f"{profile.epsilon}; increase eps or abort")
+    d0 = paper_default_d0(profile)
     s2, rho, eps = profile.s2, profile.rho, profile.epsilon
-    d0 = 2.0 * eps + LN2 * s2 / rho
     numerator = ((3.0 * eps / (2.0 * s2)) * max(3.0 * eps, rho + LN2 * s2 / rho)
                  - rho * rho / (4.0 * s2)
                  + Phi_of(profile, d0) / (2.0 * s2))
-    return numerator - math.log1p(-math.exp(-rho * rho / (4.0 * s2)))
+    return numerator - _ln_one_minus_exp(-rho * rho / (4.0 * s2))
 
 
 def C0_of(profile: CurvatureProfile) -> float:
-    return math.exp(ln_C0_of(profile))
+    return _exp_or_inf(ln_C0_of(profile))
 
 
 def bound_theorem1(profile: CurvatureProfile, levels: Sequence[float]) -> TailCurve:
@@ -264,7 +278,7 @@ def bound_theorem1(profile: CurvatureProfile, levels: Sequence[float]) -> TailCu
     values = np.exp([ln_c0 - Phi_of(profile, l) / (2.0 * s2) for l in levels])
     return TailCurve(levels=levels, values=np.asarray(values), kind="theorem1",
                      meta={"alpha": params.alpha, "d0": params.d0,
-                           "C0": math.exp(ln_c0) if ln_c0 < 700 else math.inf,
+                           "C0": _exp_or_inf(ln_c0),
                            "ln_C0": ln_c0, "params": params,
                            "exceeds_one": bool(np.any(np.asarray(values) > 1.0))})
 
@@ -278,13 +292,6 @@ def _alpha_grid(profile: CurvatureProfile, d0: float, count: int) -> np.ndarray:
     kd0 = float(profile.envelope(d0))
     a_max = 2.0 / s2 if kd0 <= 0 else min(1.0 / (s2 * kd0), 2.0 / s2)
     return np.geomspace(a_max / 1000.0, a_max * (1.0 - 1e-9), count)
-
-
-def _ln_bound_at(profile, alpha, d0, level):
-    ln_c = ln_C_alpha_d0(profile, alpha, d0)
-    return (ln_Cprime_alpha_d0(profile, alpha, d0) + ln_c
-            - math.log1p(-math.exp(ln_c))
-            - alpha * (phi_of(profile, level) - phi_of(profile, d0)))
 
 
 def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
@@ -304,10 +311,7 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
       log prefactor ln(C' C / (1 - C)) over alpha by golden section -- valid
       because ln C is convex in alpha and the extra terms preserve convexity.
     """
-    if profile.rho <= 0:
-        raise NoAttractivePointError(
-            f"rho = {profile.rho:.6g} <= 0: no attractive point at eps = "
-            f"{profile.epsilon}; increase eps or abort")
+    default_d0 = paper_default_d0(profile)
     if strategy == "paper_default":
         params = theorem1_params(profile, strategy="paper_default")
         if not params.admissible:
@@ -317,17 +321,9 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
         return params
 
     if strategy == "alpha_convexity":
-        d0 = fixed_d0 if fixed_d0 is not None else (
-            2.0 * profile.epsilon + LN2 * profile.s2 / profile.rho)
+        d0 = fixed_d0 if fixed_d0 is not None else default_d0
         lo, hi = 0.0, float(_alpha_grid(profile, d0, 2)[-1])
-
-        def objective(a):
-            ln_c = ln_C_alpha_d0(profile, a, d0)
-            if ln_c >= 0:
-                return math.inf
-            return (ln_Cprime_alpha_d0(profile, a, d0) + ln_c
-                    - math.log1p(-math.exp(ln_c)))
-
+        objective = functools.partial(ln_prefactor, profile, d0=d0)
         probe = np.linspace(lo + (hi - lo) * 1e-4, hi * (1 - 1e-9), 64)
         finite = [a for a in probe if objective(a) < math.inf]
         if not finite:
@@ -364,14 +360,13 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
     if strategy != "grid":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    default = theorem1_params(profile)
     if reference_level is None:
-        reference_level = 2.0 * default.d0
+        reference_level = 2.0 * default_d0
     if d0_range is None:
         d0_range = (2.0 * profile.epsilon,
                     2.0 * profile.epsilon + 10.0 * (profile.rho + profile.s2 / profile.rho))
     d0_values = list(np.linspace(d0_range[0], d0_range[1], n_d0))
-    d0_values.append(default.d0)
+    d0_values.append(default_d0)
     best = None
     failures = []
     phi_ref = phi_of(profile, reference_level)
@@ -385,9 +380,7 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
             if not params.admissible:
                 failures.append(params.admissibility_report)
                 continue
-            ln_c = ln_C_alpha_d0(profile, alpha, d0)
-            val = (ln_Cprime_alpha_d0(profile, alpha, d0) + ln_c
-                   - math.log1p(-math.exp(ln_c)) - alpha * (phi_ref - phi_d0))
+            val = ln_prefactor(profile, alpha, d0) - alpha * (phi_ref - phi_d0)
             if best is None or val < best[0]:
                 best = (val, params)
     if best is None:
@@ -421,13 +414,6 @@ class SweepResult:
     argmin_epsilon: Optional[float]
 
 
-def _max_workers() -> int:
-    env = os.environ.get("RICCI_BOUND_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
                   reference_level: float, strategy: str = "grid",
                   s2_method: str = "hoeffding_support",
@@ -438,8 +424,7 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
     Each row records rho, an envelope summary, and the best bound value at
     the reference level under the chosen search strategy.  Epsilons with an
     empty annulus (or that break the eps-geodesic property) are skipped with
-    a note.  Rows evaluate independently on a small thread pool capped by
-    RICCI_BOUND_THREADS.
+    a note.  Rows are evaluated one after another, in the order given.
     """
 
     def one(eps: float) -> SweepRow:
@@ -469,14 +454,13 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
             return SweepRow(eps, profile.rho, float(profile.envelope.values.max()),
                             profile.envelope.support_end(), params, math.inf,
                             note="d0 beyond reference level")
-        val = math.exp(_ln_bound_at(profile, params.alpha, params.d0,
-                                    reference_level))
+        val = _exp_or_inf(ln_prefactor(profile, params.alpha, params.d0)
+                          - params.alpha * (phi_of(profile, reference_level)
+                                            - phi_of(profile, params.d0)))
         return SweepRow(eps, profile.rho, float(profile.envelope.values.max()),
                         profile.envelope.support_end(), params, val)
 
-    eps_list = list(epsilons)
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        rows = list(pool.map(one, eps_list))
+    rows = [one(eps) for eps in epsilons]
     usable = [r for r in rows if math.isfinite(r.bound_at_reference)]
     argmin = min(usable, key=lambda r: r.bound_at_reference).epsilon if usable else None
     return SweepResult(rows=rows, reference_level=reference_level,

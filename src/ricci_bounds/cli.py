@@ -49,7 +49,6 @@ EXIT_BAD_INPUT = 3
 class RunConfig:
     command: str
     out_dir: Path
-    fmt: str
     chain_file: Optional[str] = None
     n0: Optional[int] = None
     k: Optional[int] = None
@@ -215,10 +214,9 @@ def cmd_curvature(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
     profile = _profile(cfg, chain)
     _write_json(cfg.out_dir / "profile.json", profile.as_dict())
-    if cfg.fmt == "csv":
-        env = profile.envelope
-        _write_csv(cfg.out_dir / "envelope.csv", ["r", "K"],
-                   list(zip(env.breakpoints, env.values)))
+    env = profile.envelope
+    _write_csv(cfg.out_dir / "envelope.csv", ["r", "K"],
+               list(zip(env.breakpoints, env.values)))
     print(f"profile: eps={profile.epsilon} rho={profile.rho:.12g} "
           f"j0={profile.j0:.12g} s2={profile.s2:.12g}")
     return EXIT_PASS
@@ -367,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--horizon", type=float, default=25.0)
     parser.add_argument("--dump-samples", action="store_true")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     return parser
 
 
@@ -389,7 +386,7 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, out_dir=Path(args.out), fmt=args.fmt,
+    cfg = RunConfig(command=args.command, out_dir=Path(args.out),
                     chain_file=args.chain_file, n0=args.n0, k=args.k,
                     trunc=args.trunc, alpha=args.alpha, grid_step=args.grid_step,
                     grid_width=args.grid_width, epsilon=args.epsilon,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.stats import beta as _beta
 
 _CHUNK = 200_000
@@ -74,13 +73,6 @@ def transform_I(lam: float, tol: float = 1e-12) -> float:
         if n > 10_000:
             raise RuntimeError("series did not converge (|lambda| too large?)")
     return total
-
-
-def transform_I_quadrature(lam: float) -> float:
-    """Oracle: I(lambda) = int_0^lambda (e^z - 1)/z dz by adaptive quadrature."""
-    val, _ = quad(lambda z: np.expm1(z) / z if z != 0.0 else 1.0, 0.0, lam,
-                  limit=200)
-    return float(val)
 
 
 def stationary_log_G(lam: float, alpha: float) -> float:

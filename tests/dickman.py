@@ -5,7 +5,8 @@ e^{-gamma} rho(u) on u >= 0, where rho is the Dickman function (Dickman 1930;
 de Bruijn 1951): rho = 1 on [0, 1] and u rho'(u) = -rho(u - 1) for u > 1.
 Its Laplace transform E[e^{lambda X}] is exp(I(lambda)), the package's
 `transform_I`.  This module is a test oracle: it tabulates rho on a fine
-grid and derives tails, moments and the log-Laplace transform from the table.
+grid and derives tails, moments and the log-Laplace transform from the table,
+and it evaluates I(lambda) itself by quadrature.
 
 Scheme.  Integrating u rho'(u) = -rho(u - 1) gives the equivalent form
 u rho(u) = int_{u-1}^u rho(t) dt.  The integral is taken by the trapezoid
@@ -24,6 +25,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import quad
 
 EULER_GAMMA = 0.5772156649015329
 STEPS_PER_UNIT = 1000  # coarse step h = 1e-3; the fine run uses h/2
@@ -98,3 +100,10 @@ def dickman_log_laplace(lam: float) -> float:
     lambda <= 2; e^{lambda u} rho(u) peaks where u ln u is about e^lambda.
     """
     return -EULER_GAMMA + math.log(_integral(lambda u: np.exp(lam * u)))
+
+
+def transform_I_quadrature(lam: float) -> float:
+    """I(lambda) = int_0^lambda (e^z - 1)/z dz by adaptive quadrature."""
+    val, _ = quad(lambda z: np.expm1(z) / z if z != 0.0 else 1.0, 0.0, lam,
+                  limit=200)
+    return float(val)

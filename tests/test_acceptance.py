@@ -18,14 +18,13 @@ from ricci_bounds import (DiscreteMeasure, JumpProcessConfig, attraction_rho,
                           stationary_cesaro, stationary_power,
                           stochastic_dominance_check, subgaussian_s2,
                           tail_comparison, tail_shape_witness, theorem1_params,
-                          transform_I, transform_I_quadrature,
-                          truncation_audit, tv_distance, w1_flow_certified,
-                          w1_line, local_curvature)
+                          transform_I, truncation_audit, tv_distance,
+                          w1_flow_certified, w1_line, local_curvature)
 from ricci_bounds.bounds import C_alpha_d0, ln_C_alpha_d0
 from ricci_bounds.jump_process import empirical_tail_probs
 
 from conftest import line_chain
-from dickman import dickman_tail
+from dickman import dickman_tail, transform_I_quadrature
 
 
 def report(criterion, ok, detail):

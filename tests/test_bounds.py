@@ -9,7 +9,10 @@ from ricci_bounds import (C0_of, C_alpha_d0, Cprime_alpha_d0, CurvatureProfile,
                           epsilon_sweep, phi_of, search_params,
                           stationary_birth_death, empirical_tail,
                           theorem1_params)
-from ricci_bounds.bounds import admissibility, ln_C_alpha_d0
+from ricci_bounds.bounds import (_ln_one_minus_exp, admissibility,
+                                 ln_C0_of, ln_C_alpha_d0, ln_Cprime_alpha_d0,
+                                 ln_prefactor, paper_default_d0)
+from ricci_bounds.chain_model import build_discrete_ou_chain
 from ricci_bounds.errors import (InadmissibleParamsError, InfeasibleSearchError,
                                  NoAttractivePointError)
 
@@ -165,6 +168,47 @@ def test_Cprime_paper_default_bound(mmk_2_4):
     assert ln_cp <= cap + 1e-12
 
 
+def test_C_past_float_range_is_inf():
+    # the example-ou --alpha 0.5 profile, at a grid candidate with ln C = 4.2e9
+    chain = build_discrete_ou_chain(0.5, 10.0, 0.05)
+    prof = curvature_profile(chain, 3.0, origin=chain.origin_hint,
+                             s2_method="gaussian_variance")
+    assert ln_C_alpha_d0(prof, 1.999999998, 6.0) > 1e9
+    assert C_alpha_d0(prof, 1.999999998, 6.0) == math.inf
+
+
+def test_Cprime_past_float_range_is_inf():
+    prof = synthetic_profile(rho=0.3, j0=2000.0)
+    assert ln_Cprime_alpha_d0(prof, 2.0, 2.0) == pytest.approx(1199.58, rel=1e-12)
+    assert Cprime_alpha_d0(prof, 2.0, 2.0) == math.inf
+
+
+def test_C0_past_float_range_is_inf():
+    prof = synthetic_profile(rho=1e-3)
+    assert ln_C0_of(prof) > 1000.0
+    assert C0_of(prof) == math.inf
+
+
+def test_ln_one_minus_exp_keeps_bits_and_resolves_tiny_arguments():
+    for x in (-1e-3, -0.5, -3.0, -40.0):
+        assert _ln_one_minus_exp(x) == math.log1p(-math.exp(x))
+    # e^x rounds to 1 here, where log1p(-e^x) would be log1p(-1)
+    assert _ln_one_minus_exp(-9e-18) == pytest.approx(math.log(9e-18), rel=1e-15)
+
+
+def test_ln_prefactor_is_inf_where_C_is_at_least_one():
+    prof = synthetic_profile(rho=0.01, k_const=0.5)
+    assert ln_C_alpha_d0(prof, 1.0, 2.0) >= 0
+    assert ln_prefactor(prof, 1.0, 2.0) == math.inf
+
+
+def test_paper_default_d0():
+    assert paper_default_d0(synthetic_profile(eps=1.5, rho=0.25, s2=2.0)) == \
+        pytest.approx(3.0 + math.log(2) * 8.0)
+    with pytest.raises(NoAttractivePointError, match="no attractive point"):
+        paper_default_d0(synthetic_profile(rho=0.0))
+
+
 # ------------------------------------------------------------ bound curves
 
 def test_princ_at_d0_is_prefactor():
@@ -175,6 +219,15 @@ def test_princ_at_d0_is_prefactor():
     c = C_alpha_d0(prof, 1.0, 3.0)
     cp = Cprime_alpha_d0(prof, 1.0, 3.0)
     assert curve.values[0] == pytest.approx(cp * c / (1 - c), rel=1e-12)
+
+
+def test_princ_with_C_rounding_to_one():
+    # ln C = -9e-18: admissible, though exp(ln C) rounds to 1
+    prof = synthetic_profile(rho=0.3, k_const=0.0)
+    params = admissibility(prof, 1e-16, 3.0)
+    assert params.admissible
+    curve = bound_princ(prof, params, [3.0])
+    assert curve.values[0] == pytest.approx(1 / 9e-18, rel=1e-12)
 
 
 def test_princ_zero_curvature_is_exponential():
@@ -219,6 +272,26 @@ def test_theorem1_quadratic_log_bound_for_constant_envelope():
     curve = bound_theorem1(prof, levels)
     coeffs = np.polyfit(levels, -np.log(curve.values), 2)
     assert coeffs[0] == pytest.approx(c / (4 * prof.s2), rel=1e-9)
+
+
+def test_theorem1_with_rho_squared_below_rounding():
+    # rho^2 / 4 = 2.5e-19: exp(-rho^2 / 4) rounds to 1 inside ln C0
+    prof = synthetic_profile(rho=1e-9, k_const=0.0)
+    d0 = paper_default_d0(prof)
+    with np.errstate(over="ignore"):
+        curve = bound_theorem1(prof, [2 * d0])
+    numerator = 1.5 * (1e-9 + math.log(2) * 1e9) - 2.5e-19 + 1e-9 * d0 / 2
+    assert curve.meta["ln_C0"] == pytest.approx(numerator - math.log(2.5e-19),
+                                                abs=1e-6)
+    assert curve.meta["C0"] == math.inf
+
+
+def test_theorem1_meta_C0_up_to_the_float_range():
+    prof = synthetic_profile(rho=1.5e-3, k_const=0.0)
+    ln_c0 = ln_C0_of(prof)
+    assert 700 < ln_c0 < 709
+    curve = bound_theorem1(prof, [2 * paper_default_d0(prof)])
+    assert curve.meta["C0"] == math.exp(ln_c0)
 
 
 def test_theorem1_requires_attractive_point():

@@ -113,7 +113,7 @@ def test_bad_input_exit_3(tmp_path):
 def test_curvature_bound_stationary_commands(tmp_path):
     out = tmp_path / "pieces"
     assert run_cli(["curvature", "--n0", "2", "--k", "4", "--trunc", "40",
-                    "--epsilon", "1", "--format", "csv", "--out", str(out)]) == 0
+                    "--epsilon", "1", "--out", str(out)]) == 0
     assert (out / "profile.json").exists()
     assert (out / "envelope.csv").exists()
     assert run_cli(["bound", "--n0", "2", "--k", "4", "--trunc", "40",

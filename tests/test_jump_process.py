@@ -6,14 +6,13 @@ import pytest
 from ricci_bounds import (JumpProcessConfig, poissonian_tail_bound,
                           simulate_paths, stationary_laplace_G,
                           stationary_log_G, tail_comparison,
-                          tail_shape_witness, transform_I,
-                          transform_I_quadrature)
+                          tail_shape_witness, transform_I)
 from ricci_bounds.jump_process import (clopper_pearson_upper,
                                        empirical_tail_probs,
                                        stationary_laplace_G_T,
                                        stationary_log_G_T)
 
-from dickman import dickman_tail
+from dickman import dickman_tail, transform_I_quadrature
 
 
 # ----------------------------------------------------------------- config
