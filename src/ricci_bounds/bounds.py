@@ -25,6 +25,7 @@ from .errors import (EmptyAnnulusError, InadmissibleParamsError,
                      InfeasibleSearchError, NoAttractivePointError)
 
 LN2 = math.log(2.0)
+GRID_POINTS = 32  # grid search: d0 values, and alpha values per d0
 
 
 def _exp_or_inf(ln_value: float) -> float:
@@ -36,7 +37,9 @@ def _exp_or_inf(ln_value: float) -> float:
 
 
 def _ln_one_minus_exp(x: float) -> float:
-    """ln(1 - e^x) for x < 0, also where e^x rounds to 1."""
+    """ln(1 - e^x) for x <= 0, also where e^x rounds to 1; -inf at x == 0."""
+    if x == 0.0:
+        return -math.inf
     if math.exp(x) == 1.0:
         return math.log(-math.expm1(x))
     return math.log1p(-math.exp(x))
@@ -297,15 +300,14 @@ def _alpha_grid(profile: CurvatureProfile, d0: float, count: int) -> np.ndarray:
 def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
                   reference_level: Optional[float] = None,
                   d0_range: Optional[tuple] = None,
-                  fixed_d0: Optional[float] = None,
-                  n_alpha: int = 32, n_d0: int = 32) -> BoundParams:
+                  fixed_d0: Optional[float] = None) -> BoundParams:
     """Choose (alpha, d0).
 
     paper_default: alpha = 1/(2 s^2), d0 = 2*eps + ln(2) s^2 / rho.
-    grid: minimize the raw bound at `reference_level` over a lattice of 32
-      geometric alpha values per d0 (capped at min(1/(s^2 K(d0)), 2/s^2)) and
-      32 linear d0 values on [2*eps, 2*eps + 10(rho + s^2/rho)] (override with
-      `d0_range`); the paper-default point is always included; only admissible
+    grid: minimize the raw bound at `reference_level` over a lattice of
+      GRID_POINTS geometric alpha values per d0 (capped at min(1/(s^2 K(d0)),
+      2/s^2)) and GRID_POINTS linear d0 values on [2*eps, 2*eps + 10(rho +
+      s^2/rho)] (override with `d0_range`); the paper-default point is always included; only admissible
       pairs with d0 <= reference_level compete.
     alpha_convexity: fix d0 (paper default unless `fixed_d0`) and minimize the
       log prefactor ln(C' C / (1 - C)) over alpha by golden section -- valid
@@ -365,7 +367,7 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
     if d0_range is None:
         d0_range = (2.0 * profile.epsilon,
                     2.0 * profile.epsilon + 10.0 * (profile.rho + profile.s2 / profile.rho))
-    d0_values = list(np.linspace(d0_range[0], d0_range[1], n_d0))
+    d0_values = list(np.linspace(d0_range[0], d0_range[1], GRID_POINTS))
     d0_values.append(default_d0)
     best = None
     failures = []
@@ -375,7 +377,7 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
             failures.append({"d0": d0, "reason": "d0 beyond reference level"})
             continue
         phi_d0 = phi_of(profile, d0)
-        for alpha in _alpha_grid(profile, d0, n_alpha):
+        for alpha in _alpha_grid(profile, d0, GRID_POINTS):
             params = admissibility(profile, float(alpha), float(d0), strategy="grid")
             if not params.admissible:
                 failures.append(params.admissibility_report)
@@ -417,8 +419,7 @@ class SweepResult:
 def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
                   reference_level: float, strategy: str = "grid",
                   s2_method: str = "hoeffding_support",
-                  s2_value: Optional[float] = None,
-                  check_geodesic: bool = True) -> SweepResult:
+                  s2_value: Optional[float] = None) -> SweepResult:
     """Run the full pipeline per eps and expose the rho/curvature trade-off.
 
     Each row records rho, an envelope summary, and the best bound value at
@@ -428,11 +429,9 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
     """
 
     def one(eps: float) -> SweepRow:
-        if check_geodesic:
-            rep = check_epsilon_geodesic(chain, eps)
-            if not rep.is_geodesic:
-                return SweepRow(eps, math.nan, math.nan, math.nan, None,
-                                math.inf, note="not eps-geodesic")
+        if not check_epsilon_geodesic(chain, eps).is_geodesic:
+            return SweepRow(eps, math.nan, math.nan, math.nan, None,
+                            math.inf, note="not eps-geodesic")
         try:
             profile = curvature_profile(chain, eps, origin=origin,
                                         s2_method=s2_method, s2_value=s2_value)

@@ -1,9 +1,9 @@
 """Finite metric spaces carrying Markov kernels, plus the example chain builders.
 
 A MetricChain is the universal input object: an ordered point set, a full
-distance matrix, and a row-stochastic transition kernel.  Chains built on a
-subset of the real line also carry per-point coordinates, which unlocks the
-closed-form line transport used by the curvature sweep.
+distance matrix, and a row-stochastic transition kernel.  Chains on a subset
+of the real line, built or loaded, also carry per-point coordinates, which
+unlock the closed-form line transport used by the curvature sweep.
 """
 from __future__ import annotations
 

@@ -19,8 +19,8 @@ import numpy as np
 from .chain_model import MetricChain
 from .errors import DegenerateKernelError, EmptyAnnulusError
 from .stepfun import StepFunction
-from .transport import (DiscreteMeasure, w1_flow, w1_flow_batch, w1_line,
-                        w1_to_point)
+from .transport import DiscreteMeasure, w1_flow, w1_flow_batch, w1_to_point
+from .transport import w1_line  # noqa: F401  bench/tracing.py patches it here
 
 ANNULUS_TOL = 1e-12
 # Transport variables per block-diagonal LP on non-line metrics.  HiGHS's
@@ -64,41 +64,43 @@ def kappa_pair(chain: MetricChain, x: int, y: int) -> float:
     return 1.0 - w1_flow(mu, nu, chain) / chain.dist[x, y]
 
 
-def _is_uniform_grid(coords: np.ndarray) -> bool:
-    steps = np.diff(coords)
-    return steps.size > 0 and np.all(steps > 0) and np.ptp(steps) <= 1e-9 * steps[0]
+def _local_curvature_line(chain: MetricChain, epsilon: float) -> np.ndarray:
+    """K_eps on a line metric by the CDF identity, one offset at a time.
 
-
-def _local_curvature_uniform_line(chain: MetricChain, epsilon: float) -> np.ndarray:
-    """Batched K_eps on a uniform line grid via the CDF identity, one offset at a time."""
-    coords = chain.coords
-    step = coords[1] - coords[0]
-    max_off = int(np.floor(epsilon / step + 1e-9))
+    In coordinate order d grows with the offset, so the scan stops at the
+    first offset whose pairs all lie outside the eps-ball.
+    """
     n = chain.n
-    cdf = np.cumsum(chain.kernel, axis=1)
-    gaps = np.diff(coords)
+    order = np.argsort(chain.coords, kind="stable")
+    gaps = np.diff(chain.coords[order])
+    cdf = chain.kernel[np.ix_(order, order)]
+    np.cumsum(cdf, axis=1, out=cdf)
     kloc = np.full(n, np.inf)
-    for off in range(1, max_off + 1):
+    for off in range(1, n):
+        d = chain.dist[order[:-off], order[off:]]
+        near = d <= epsilon + ANNULUS_TOL
+        if not near.any():
+            break
         w1 = np.abs(cdf[:-off] - cdf[off:])[:, :-1] @ gaps
-        kap = 1.0 - w1 / (coords[off:] - coords[:-off])
+        # pairs outside the ball, or at distance 0, impose nothing: ratio -inf
+        kap = 1.0 - np.divide(w1, d, out=np.full(n - off, -np.inf),
+                              where=near & (d > 0))
         np.minimum(kloc[: n - off], kap, out=kloc[: n - off])
         np.minimum(kloc[off:], kap, out=kloc[off:])
-    return kloc
+    return kloc[np.argsort(order)]
 
 
-def _local_curvature_generic(chain: MetricChain, epsilon: float) -> np.ndarray:
+def _local_curvature_lp(chain: MetricChain, epsilon: float) -> np.ndarray:
+    """K_eps from certified transport LPs, solved in block-diagonal batches."""
     d = chain.dist
     xs, ys = np.nonzero(np.triu((d > 0) & (d <= epsilon + ANNULUS_TOL)))
     rows = [DiscreteMeasure.from_vector(chain.kernel[i]) for i in range(chain.n)]
     pairs = [(rows[x], rows[y]) for x, y in zip(xs, ys)]
-    if chain.coords is not None:
-        w1 = [w1_line(mu, nu, chain.coords) for mu, nu in pairs]
-    else:
-        # a pair joins the batch in which its running variable count ends
-        n_vars = np.cumsum([mu.support.size * nu.support.size for mu, nu in pairs])
-        cuts = np.flatnonzero(np.diff(n_vars // LP_BATCH_VARS)) + 1
-        w1 = [cert.value for batch in np.split(np.arange(len(pairs)), cuts)
-              for cert in w1_flow_batch([pairs[k] for k in batch], chain)]
+    # a pair joins the batch in which its running variable count ends
+    n_vars = np.cumsum([mu.support.size * nu.support.size for mu, nu in pairs])
+    cuts = np.flatnonzero(np.diff(n_vars // LP_BATCH_VARS)) + 1
+    w1 = [cert.value for batch in np.split(np.arange(len(pairs)), cuts)
+          for cert in w1_flow_batch([pairs[k] for k in batch], chain)]
     kap = 1.0 - np.asarray(w1, dtype=float) / d[xs, ys]
     kloc = np.full(chain.n, np.inf)
     np.minimum.at(kloc, xs, kap)
@@ -111,19 +113,19 @@ def local_curvature(chain: MetricChain, epsilon: float) -> np.ndarray:
 
     Points whose eps-ball is empty get +inf (the infimum over an empty set)
     and a loud warning: that usually means eps is below the discretization
-    scale.  On uniform line grids, W1 between kernel rows is evaluated with
-    the exact CDF identity (cross-validated against the flow solver in the
-    test suite); on other line chains each pair uses the exact line formula;
-    otherwise the pairs go through the certified solver in block-diagonal
-    batches of about LP_BATCH_VARS variables, each pair with its own duality
-    certificate.
+    scale.  Two routes: every chain with coords (a line metric, built or
+    loaded, uniform or not) takes the exact CDF identity over the points in
+    coordinate order, cross-validated against the certified LP in the test
+    suite; every other chain sends its pairs through the certified solver in
+    block-diagonal batches of about LP_BATCH_VARS variables, each pair with
+    its own duality certificate.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if chain.coords is not None and _is_uniform_grid(chain.coords):
-        kloc = _local_curvature_uniform_line(chain, epsilon)
+    if chain.coords is not None:
+        kloc = _local_curvature_line(chain, epsilon)
     else:
-        kloc = _local_curvature_generic(chain, epsilon)
+        kloc = _local_curvature_lp(chain, epsilon)
     isolated = np.isinf(kloc)
     if np.any(isolated):
         warnings.warn(

@@ -116,7 +116,6 @@ def empirical_tail(result: StationaryResult, chain: MetricChain, origin: int,
                      meta={"method": result.method, "origin": int(origin)})
 
 
-def truncation_audit(result: StationaryResult, top_states: int = 10,
-                     threshold: float = 1e-10) -> bool:
-    """True iff the stationary mass of the last `top_states` states is below threshold."""
-    return float(result.distribution[-top_states:].sum()) < threshold
+def truncation_audit(result: StationaryResult) -> bool:
+    """True iff the last 10 states carry < 1e-10 stationary mass: a negligible cut-off tail."""
+    return float(result.distribution[-10:].sum()) < 1e-10

@@ -47,9 +47,9 @@ class DiscreteMeasure:
         weights.setflags(write=False)
 
     @classmethod
-    def from_vector(cls, vec, keep_zeros: bool = False) -> "DiscreteMeasure":
+    def from_vector(cls, vec) -> "DiscreteMeasure":
         vec = np.asarray(vec, dtype=float)
-        idx = np.arange(vec.size) if keep_zeros else np.nonzero(vec)[0]
+        idx = np.nonzero(vec)[0]
         return cls(support=idx, weights=vec[idx])
 
     @classmethod

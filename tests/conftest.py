@@ -86,3 +86,16 @@ def random_graph_chain(rng, n_points=12, max_support=6):
         kernel[x, support] = w / w.sum()
     return MetricChain(points=tuple(f"v{i}" for i in range(n_points)),
                        dist=dist, kernel=kernel)
+
+
+def irregular_line_chain(rng, n_points=12, max_support=5):
+    """Line chain on irregularly spaced points listed in shuffled order, with
+    kernel rows on ragged random supports of 1..max_support points."""
+    coords = rng.permutation(np.cumsum(rng.uniform(0.3, 2.0, n_points)))
+    kernel = np.zeros((n_points, n_points))
+    for x in range(n_points):
+        support = rng.choice(n_points, size=rng.integers(1, max_support + 1),
+                             replace=False)
+        w = rng.random(support.size) + 0.05
+        kernel[x, support] = w / w.sum()
+    return line_chain(coords, kernel)

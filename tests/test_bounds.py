@@ -196,6 +196,14 @@ def test_ln_one_minus_exp_keeps_bits_and_resolves_tiny_arguments():
     assert _ln_one_minus_exp(-9e-18) == pytest.approx(math.log(9e-18), rel=1e-15)
 
 
+def test_C0_is_inf_where_rho_squared_underflows():
+    # rho^2 / (4 s^2) underflows to 0, so ln(1 - e^-0) must read -inf
+    assert _ln_one_minus_exp(-0.0) == -math.inf
+    prof = synthetic_profile(rho=1e-170)
+    assert ln_C0_of(prof) == math.inf
+    assert C0_of(prof) == math.inf
+
+
 def test_ln_prefactor_is_inf_where_C_is_at_least_one():
     prof = synthetic_profile(rho=0.01, k_const=0.5)
     assert ln_C_alpha_d0(prof, 1.0, 2.0) >= 0

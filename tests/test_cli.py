@@ -91,6 +91,18 @@ def test_verify_zero_curvature_chain_log_linear(tmp_path):
     np.testing.assert_allclose(slopes, slopes[0], atol=1e-9)
 
 
+def test_verify_loaded_chain_skips_truncation_audit(tmp_path, capsys):
+    # a JSON chain was never truncated by the CLI; its last states may carry
+    # real stationary mass without any bound being violated
+    chain = biased_reflecting_walk(8, 1 / 3)
+    path = write_chain_json(tmp_path / "walk8.json", chain.points, chain.dist,
+                            chain.kernel, origin=0)
+    code = run_cli(["verify", "--chain", str(path), "--epsilon", "1",
+                    "--out", str(tmp_path / "v")])
+    assert "verdict: PASS (dominated=True" in capsys.readouterr().out
+    assert code == 0
+
+
 def test_verify_exit_2_when_not_attractive(tmp_path):
     # drift away from the origin: rho <= 0, the theorems say nothing
     chain = biased_reflecting_walk(40, 2 / 3)

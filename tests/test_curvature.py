@@ -4,12 +4,13 @@ from scipy.special import erf
 
 from ricci_bounds import (MetricChain, attraction_rho, build_discrete_ou_chain,
                           curvature_envelope,
-                          curvature_profile, kappa_pair, local_curvature,
-                          subgaussian_s2, w1_to_point)
+                          curvature_profile, kappa_pair, load_chain,
+                          local_curvature, subgaussian_s2, w1_to_point)
 from ricci_bounds import curvature
 from ricci_bounds.errors import DegenerateKernelError, EmptyAnnulusError
 
-from conftest import cube_chain, line_chain, random_graph_chain
+from conftest import (cube_chain, irregular_line_chain, line_chain,
+                      random_graph_chain, write_chain_json)
 
 
 def mmk_kappa_closed_form(n0, k, x, y):
@@ -52,16 +53,28 @@ def test_local_curvature_mmk_plateau_and_zero(mmk_2_4):
     np.testing.assert_allclose(kloc[4:-1], 0.0, atol=1e-12)      # k <= n < trunc
 
 
-def test_local_curvature_matches_pair_route(mmk_5_10):
-    eps = 3.0
-    kloc = local_curvature(mmk_5_10, eps)
-    rng = np.random.default_rng(4)
-    for x in rng.choice(mmk_5_10.n - 4, size=6, replace=False):
-        x = int(x)
-        ball = [y for y in range(mmk_5_10.n)
-                if 0 < abs(y - x) <= eps]
-        ref = min(kappa_pair(mmk_5_10, x, y) for y in ball)
-        assert kloc[x] == pytest.approx(ref, abs=1e-9)
+@pytest.mark.parametrize("source", ["built", "loaded", "irregular"])
+def test_local_curvature_matches_pair_route(mmk_5_10, tmp_path, source):
+    # the CDF route against the minimum of the certified LP over each ball
+    if source == "irregular":
+        chain = irregular_line_chain(np.random.default_rng(0))
+        eps = float(chain.dist[1, 5])      # the pair (1, 5) sits on the ball's edge
+        xs = range(chain.n)
+    else:
+        chain = mmk_5_10
+        if source == "loaded":             # inferred coords decrease with the index
+            chain = load_chain(write_chain_json(tmp_path / "mmk.json", chain.points,
+                                                chain.dist, chain.kernel))
+            assert chain.coords[0] > chain.coords[-1]
+        eps = 3.0
+        xs = np.random.default_rng(4).choice(chain.n - 4, size=6, replace=False)
+    kloc = local_curvature(chain, eps)
+    for x in map(int, xs):
+        ball = [y for y in range(chain.n) if 0 < chain.dist[x, y] <= eps]
+        ref = min(kappa_pair(chain, x, y) for y in ball)
+        assert kloc[x] == pytest.approx(ref, abs=1e-9), x
+    if source == "irregular":              # and that edge pair sets K_eps at 1
+        assert kloc[1] == pytest.approx(kappa_pair(chain, 1, 5), abs=1e-9)
 
 
 def test_local_curvature_ou_near_alpha():
