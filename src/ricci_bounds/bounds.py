@@ -278,7 +278,8 @@ def bound_theorem1(profile: CurvatureProfile, levels: Sequence[float]) -> TailCu
         raise ValueError(f"levels must be > d0 = {params.d0}")
     ln_c0 = ln_C0_of(profile)
     s2 = profile.s2
-    values = np.exp([ln_c0 - Phi_of(profile, l) / (2.0 * s2) for l in levels])
+    with np.errstate(over="ignore"):  # past the float range the bound is +inf
+        values = np.exp([ln_c0 - Phi_of(profile, l) / (2.0 * s2) for l in levels])
     return TailCurve(levels=levels, values=np.asarray(values), kind="theorem1",
                      meta={"alpha": params.alpha, "d0": params.d0,
                            "C0": _exp_or_inf(ln_c0),
@@ -417,9 +418,7 @@ class SweepResult:
 
 
 def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
-                  reference_level: float, strategy: str = "grid",
-                  s2_method: str = "hoeffding_support",
-                  s2_value: Optional[float] = None) -> SweepResult:
+                  reference_level: float, strategy: str = "grid") -> SweepResult:
     """Run the full pipeline per eps and expose the rho/curvature trade-off.
 
     Each row records rho, an envelope summary, and the best bound value at
@@ -433,8 +432,7 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
             return SweepRow(eps, math.nan, math.nan, math.nan, None,
                             math.inf, note="not eps-geodesic")
         try:
-            profile = curvature_profile(chain, eps, origin=origin,
-                                        s2_method=s2_method, s2_value=s2_value)
+            profile = curvature_profile(chain, eps, origin=origin)
         except EmptyAnnulusError:
             return SweepRow(eps, math.nan, math.nan, math.nan, None,
                             math.inf, note="empty annulus")

@@ -132,9 +132,6 @@ def _default_epsilon(cfg: RunConfig, chain: MetricChain) -> float:
         # scale that balances rho against d0 for the Gaussian autoregression
         return float((np.sqrt(2 * np.log(2) * cfg.alpha) + np.sqrt(8 / np.pi))
                      / cfg.alpha)
-    if chain.coords is not None:
-        steps = np.diff(np.sort(chain.coords))
-        return float(steps[steps > 0].min())
     return float(np.min(chain.dist[chain.dist > 0]))
 
 
@@ -148,9 +145,7 @@ def _profile(cfg: RunConfig, chain: MetricChain):
         raise ChainValidationError(
             f"chain is not {eps}-geodesic (witness pair {rep.witness_failure}); "
             "increase --epsilon")
-    s2_method = "gaussian_variance" if chain.gaussian_variance is not None \
-        else "hoeffding_support"
-    return curvature_profile(chain, eps, origin=origin, s2_method=s2_method)
+    return curvature_profile(chain, eps, origin=origin)
 
 
 def _stationary(chain: MetricChain):
@@ -312,11 +307,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     ref = cfg.reference_level
     if ref is None:
         ref = 3.0 * float(np.median(eps_list)) + 2.0 * float(chain.dist[origin].max()) / 3.0
-    s2_method = "gaussian_variance" if chain.gaussian_variance is not None \
-        else "hoeffding_support"
     result = bounds_mod.epsilon_sweep(chain, origin, eps_list, ref,
-                                      strategy=STRATEGY_MAP[cfg.strategy],
-                                      s2_method=s2_method)
+                                      strategy=STRATEGY_MAP[cfg.strategy])
     _write_csv(cfg.out_dir / "sweep.csv",
                ["epsilon", "rho", "envelope_max", "envelope_support_end",
                 "alpha", "d0", "bound_at_reference", "note"],

@@ -82,9 +82,8 @@ def _local_curvature_line(chain: MetricChain, epsilon: float) -> np.ndarray:
         if not near.any():
             break
         w1 = np.abs(cdf[:-off] - cdf[off:])[:, :-1] @ gaps
-        # pairs outside the ball, or at distance 0, impose nothing: ratio -inf
-        kap = 1.0 - np.divide(w1, d, out=np.full(n - off, -np.inf),
-                              where=near & (d > 0))
+        # pairs outside the ball impose nothing: ratio -inf
+        kap = 1.0 - np.divide(w1, d, out=np.full(n - off, -np.inf), where=near)
         np.minimum(kloc[: n - off], kap, out=kloc[: n - off])
         np.minimum(kloc[off:], kap, out=kloc[off:])
     return kloc[np.argsort(order)]
@@ -187,41 +186,30 @@ def attraction_rho(chain: MetricChain, epsilon: float, origin: int) -> float:
     return float(drifts.min())
 
 
-def subgaussian_s2(chain: MetricChain, method: str = "hoeffding_support",
-                   value: Optional[float] = None) -> float:
+def subgaussian_s2(chain: MetricChain) -> float:
     """Sub-Gaussian constant s^2 valid for every kernel row.
 
-    hoeffding_support: max over rows of (support diameter)^2 / 4 -- the range
-    of a 1-Lipschitz function on the support is at most its metric diameter,
-    so this is the tightest generic Hoeffding constant on a finite chain.
-    gaussian_variance: the variance declared by a Gaussian builder.
-    user_supplied: pass-through of `value`.
+    The variance declared by a Gaussian builder when the chain has one; else
+    the Hoeffding support bound, max over rows of (support diameter)^2 / 4 --
+    the range of a 1-Lipschitz function on the support is at most its metric
+    diameter, so this is the tightest generic Hoeffding constant on a finite
+    chain.
     """
-    if method == "hoeffding_support":
-        s2 = 0.0
-        for i in range(chain.n):
-            supp = np.nonzero(chain.kernel[i])[0]
-            diam = float(chain.dist[np.ix_(supp, supp)].max())
-            s2 = max(s2, diam * diam / 4.0)
-        if s2 <= 0:
-            raise DegenerateKernelError(
-                "every kernel row is a point mass; s^2 = 0 is degenerate")
-        return s2
-    if method == "gaussian_variance":
-        if chain.gaussian_variance is None:
-            raise ValueError("chain was not built with a declared Gaussian variance")
+    if chain.gaussian_variance is not None:
         return float(chain.gaussian_variance)
-    if method == "user_supplied":
-        if value is None or value <= 0:
-            raise ValueError("user_supplied requires a positive value")
-        return float(value)
-    raise ValueError(f"unknown s2 method {method!r}")
+    s2 = 0.0
+    for i in range(chain.n):
+        supp = np.nonzero(chain.kernel[i])[0]
+        diam = float(chain.dist[np.ix_(supp, supp)].max())
+        s2 = max(s2, diam * diam / 4.0)
+    if s2 <= 0:
+        raise DegenerateKernelError(
+            "every kernel row is a point mass; s^2 = 0 is degenerate")
+    return s2
 
 
 def curvature_profile(chain: MetricChain, epsilon: float,
                       origin: Optional[int] = None,
-                      s2_method: str = "hoeffding_support",
-                      s2_value: Optional[float] = None,
                       kappa_local: Optional[np.ndarray] = None) -> CurvatureProfile:
     """Assemble the full curvature profile at one (eps, origin) choice."""
     if origin is None:
@@ -233,7 +221,7 @@ def curvature_profile(chain: MetricChain, epsilon: float,
     envelope = curvature_envelope(chain, epsilon, origin, kappa_local)
     rho = attraction_rho(chain, epsilon, origin)
     j0 = w1_to_point(chain, origin, origin)
-    s2 = subgaussian_s2(chain, method=s2_method, value=s2_value)
+    s2 = subgaussian_s2(chain)
     return CurvatureProfile(epsilon=float(epsilon), origin=int(origin),
                             kappa_local=kappa_local,
                             isolated=np.isinf(kappa_local),

@@ -99,3 +99,27 @@ def irregular_line_chain(rng, n_points=12, max_support=5):
         w = rng.random(support.size) + 0.05
         kernel[x, support] = w / w.sum()
     return line_chain(coords, kernel)
+
+
+def metric_chain(dist):
+    """A chain on the given distance matrix with the identity kernel."""
+    dist = np.asarray(dist, dtype=float)
+    return MetricChain(points=tuple(str(i) for i in range(len(dist))),
+                       dist=dist, kernel=np.eye(len(dist)))
+
+
+def worst_triangle_violation(d):
+    """max over (i, k, j) of d(i,j) - d(i,k) - d(k,j), by a loop over k."""
+    worst = 0.0
+    for k in range(len(d)):
+        worst = max(worst, float((d - (d[:, k][:, None] + d[k, :][None, :])).max()))
+    return worst
+
+
+def floyd_warshall(d, eps):
+    """Shortest paths over the pairs at distance <= eps (+1e-12), by Floyd-Warshall."""
+    sp = np.where((d <= eps + 1e-12) & (d > 0), d, np.inf)
+    np.fill_diagonal(sp, 0.0)
+    for k in range(len(d)):
+        sp = np.minimum(sp, sp[:, k][:, None] + sp[k, :][None, :])
+    return sp

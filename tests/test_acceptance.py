@@ -216,7 +216,7 @@ def test_criterion_5_ou_gaussian_coefficient():
     start = time.perf_counter()
     alpha, width, step, eps = 0.5, 10.0, 0.05, 3.0
     chain = build_discrete_ou_chain(alpha, width, step)
-    profile = curvature_profile(chain, eps, s2_method="gaussian_variance")
+    profile = curvature_profile(chain, eps)
     env_dev = float(np.max(np.abs(profile.envelope.values - alpha)))
 
     params = theorem1_params(profile)
@@ -354,8 +354,7 @@ def test_criterion_8_structural_properties(mmk_2_4, mmk_5_10):
     details = []
 
     prof_q = curvature_profile(mmk_5_10, 1.0)
-    prof_g = curvature_profile(build_discrete_ou_chain(0.5, 8.0, 0.1), 2.0,
-                               s2_method="gaussian_variance")
+    prof_g = curvature_profile(build_discrete_ou_chain(0.5, 8.0, 0.1), 2.0)
     worst_second_diff = np.inf
     for prof, d0s in ((prof_q, (2.5, 4.0, 8.0)), (prof_g, (4.0, 6.0))):
         for d0 in d0s:

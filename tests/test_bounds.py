@@ -171,8 +171,7 @@ def test_Cprime_paper_default_bound(mmk_2_4):
 def test_C_past_float_range_is_inf():
     # the example-ou --alpha 0.5 profile, at a grid candidate with ln C = 4.2e9
     chain = build_discrete_ou_chain(0.5, 10.0, 0.05)
-    prof = curvature_profile(chain, 3.0, origin=chain.origin_hint,
-                             s2_method="gaussian_variance")
+    prof = curvature_profile(chain, 3.0, origin=chain.origin_hint)
     assert ln_C_alpha_d0(prof, 1.999999998, 6.0) > 1e9
     assert C_alpha_d0(prof, 1.999999998, 6.0) == math.inf
 
@@ -282,12 +281,13 @@ def test_theorem1_quadratic_log_bound_for_constant_envelope():
     assert coeffs[0] == pytest.approx(c / (4 * prof.s2), rel=1e-9)
 
 
+@pytest.mark.filterwarnings("error")   # values past the float range: inf, no warning
 def test_theorem1_with_rho_squared_below_rounding():
     # rho^2 / 4 = 2.5e-19: exp(-rho^2 / 4) rounds to 1 inside ln C0
     prof = synthetic_profile(rho=1e-9, k_const=0.0)
     d0 = paper_default_d0(prof)
-    with np.errstate(over="ignore"):
-        curve = bound_theorem1(prof, [2 * d0])
+    curve = bound_theorem1(prof, [2 * d0])
+    assert curve.values[0] == math.inf
     numerator = 1.5 * (1e-9 + math.log(2) * 1e9) - 2.5e-19 + 1e-9 * d0 / 2
     assert curve.meta["ln_C0"] == pytest.approx(numerator - math.log(2.5e-19),
                                                 abs=1e-6)

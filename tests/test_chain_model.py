@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_bounds import (build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain, w1_line,
                           DiscreteMeasure)
+from ricci_bounds import chain_model
 from ricci_bounds.errors import ChainFormatError, ChainValidationError
 
-from conftest import line_chain, write_chain_json
+from conftest import (floyd_warshall, irregular_line_chain, line_chain,
+                      metric_chain, random_graph_chain, worst_triangle_violation,
+                      write_chain_json)
 
 
 # ---------------------------------------------------------------- M/M/k
@@ -143,6 +148,70 @@ def test_load_chain_triangle_error(tmp_path):
         load_chain(path)
 
 
+def test_load_chain_rejects_distinct_points_at_distance_0(tmp_path):
+    # a graph of positive distances alone would miss the violation 5 > 0 + 1
+    dist = [[0, 0, 5], [0, 0, 1], [5, 1, 0]]
+    kernel = np.full((3, 3), 1 / 3)
+    path = write_chain_json(tmp_path / "zero.json", ["a", "b", "c"], dist, kernel)
+    with pytest.raises(ChainValidationError, match="distinct points 'a' and 'b'"):
+        load_chain(path)
+
+
+def test_triangle_path_metric_needs_complete_graph(monkeypatch):
+    # d = 2, 2, 3: the distance-2 graph gives 4 for the distance-3 pair
+    thresholds = []
+    shortest_paths = chain_model._shortest_paths
+    monkeypatch.setattr(chain_model, "_shortest_paths",
+                        lambda d, t: thresholds.append(t) or shortest_paths(d, t))
+    metric_chain([[0, 2, 3], [2, 0, 2], [3, 2, 0]]).check_triangle_inequality()
+    assert thresholds == [2.0, 3.0]
+
+
+def test_triangle_violation_along_three_hop_path():
+    # path edges 0-1-2-3 of length 1, every other distance 10
+    d = np.full((4, 4), 10.0)
+    np.fill_diagonal(d, 0.0)
+    for i in range(3):
+        d[i, i + 1] = d[i + 1, i] = 1.0
+    with pytest.raises(ChainValidationError,
+                       match=r"violated by 8\.000e\+00: d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
+        metric_chain(d).check_triangle_inequality()
+
+
+def _audit_chain(kind, seed):
+    """A small chain of one family: line, graph, Euclidean or planted violation."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 14))
+    if kind == "line":
+        return irregular_line_chain(rng, n_points=n, max_support=3)
+    if kind == "graph":
+        return random_graph_chain(rng, n_points=n, max_support=3)
+    if kind == "euclid":
+        pts = rng.random((n, int(rng.integers(2, 4))))
+        return metric_chain(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+    d = random_graph_chain(rng, n_points=n, max_support=3).dist.copy()
+    i, j = rng.choice(n, size=2, replace=False)
+    d[i, j] = d[j, i] = d[i, j] * (1.0 + rng.choice([-1, 1]) * 10 ** rng.uniform(-6, -0.1))
+    return metric_chain(d)
+
+
+# verdicts are compared where the oracle's figure is rounding-level or beyond
+# 1e-8, clear of the 1e-9 tolerance band that the two algorithms may split
+_FAMILIES = st.sampled_from(["line", "graph", "euclid", "planted"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=_FAMILIES, seed=st.integers(0, 2**32 - 1))
+def test_triangle_check_matches_exhaustive_loop(kind, seed):
+    chain = _audit_chain(kind, seed)
+    worst = worst_triangle_violation(chain.dist)
+    if worst <= 1e-12:
+        chain.check_triangle_inequality()
+    elif worst > 1e-8:
+        with pytest.raises(ChainValidationError, match="triangle"):
+            chain.check_triangle_inequality()
+
+
 def test_load_chain_rejects_nan(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"points": ["a"], "dist": [[0]], "kernel": [[NaN]]}')
@@ -182,13 +251,22 @@ def test_geodesic_fractional_epsilon_vs_floyd_warshall(mmk_2_4):
     report = check_epsilon_geodesic(mmk_2_4, eps)
     assert report.is_geodesic
     # independent oracle: Floyd-Warshall over the <= eps edge graph
-    d = mmk_2_4.dist
-    sp = np.where((d <= eps) & (d > 0), d, np.inf)
-    np.fill_diagonal(sp, 0.0)
-    n = mmk_2_4.n
-    for k in range(n):
-        sp = np.minimum(sp, sp[:, k][:, None] + sp[k, :][None, :])
-    np.testing.assert_allclose(sp, d, atol=1e-9)
+    np.testing.assert_allclose(floyd_warshall(mmk_2_4.dist, eps), mmk_2_4.dist,
+                               atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=_FAMILIES, seed=st.integers(0, 2**32 - 1), frac=st.floats(0.02, 1.2))
+def test_geodesic_check_matches_floyd_warshall(kind, seed, frac):
+    chain = _audit_chain(kind, seed)
+    eps = frac * float(chain.dist.max())
+    defect = np.abs(floyd_warshall(chain.dist, eps) - chain.dist)
+    report = check_epsilon_geodesic(chain, eps)
+    worst = float(defect.max())
+    if worst <= 1e-12 or worst > 1e-8:
+        assert report.is_geodesic == (worst <= 1e-12)
+    if not report.is_geodesic:
+        assert defect[report.witness_failure] > 1e-9
 
 
 def test_geodesic_monotone_in_epsilon():

@@ -120,6 +120,10 @@ def test_bad_input_exit_3(tmp_path):
     bad.write_text("{not json")
     code = run_cli(["curvature", "--chain", str(bad), "--out", str(tmp_path / "y")])
     assert code == 3
+    same = write_chain_json(tmp_path / "same.json", ["a", "b", "c"],
+                            [[0, 0, 5], [0, 0, 1], [5, 1, 0]], np.full((3, 3), 1 / 3))
+    code = run_cli(["stationary", "--chain", str(same), "--out", str(tmp_path / "z")])
+    assert code == 3
 
 
 def test_curvature_bound_stationary_commands(tmp_path):

@@ -77,6 +77,21 @@ def test_local_curvature_matches_pair_route(mmk_5_10, tmp_path, source):
         assert kloc[1] == pytest.approx(kappa_pair(chain, 1, 5), abs=1e-9)
 
 
+def test_near_line_metric_takes_the_lp_route(tmp_path):
+    # |i - j| with d(0, 5) shortened by 5e-6: within numpy's default rtol of a
+    # line metric, where the CDF route would be off by 6.6e-7
+    i = np.arange(6.0)
+    dist = np.abs(i[:, None] - i[None, :])
+    dist[0, 5] = dist[5, 0] = 5.0 - 5e-6
+    kernel = np.random.default_rng(0).random((6, 6))
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    chain = load_chain(write_chain_json(tmp_path / "near.json", map(str, range(6)),
+                                        dist, kernel))
+    assert chain.coords is None
+    np.testing.assert_array_equal(local_curvature(chain, 5.0),
+                                  curvature._local_curvature_lp(chain, 5.0))
+
+
 def test_local_curvature_ou_near_alpha():
     chain = build_discrete_ou_chain(0.5, 10.0, 0.05)
     kloc = local_curvature(chain, 0.5)
@@ -210,25 +225,13 @@ def test_s2_hoeffding_mmk(mmk_2_4, mmk_5_10):
 
 def test_s2_gaussian_variance_paths():
     chain = build_discrete_ou_chain(0.5, 6.0, 0.1)
-    assert subgaussian_s2(chain, method="gaussian_variance") == 1.0
-
-
-def test_s2_gaussian_variance_rejected_for_mmk(mmk_2_4):
-    with pytest.raises(ValueError, match="Gaussian"):
-        subgaussian_s2(mmk_2_4, method="gaussian_variance")
+    assert subgaussian_s2(chain) == 1.0
 
 
 def test_s2_degenerate_identity_kernel():
     chain = line_chain([0.0, 1.0, 2.0], np.eye(3))
     with pytest.raises(DegenerateKernelError):
         subgaussian_s2(chain)
-
-
-def test_s2_user_supplied():
-    chain = line_chain([0.0, 1.0], [[0.5, 0.5], [0.5, 0.5]])
-    assert subgaussian_s2(chain, method="user_supplied", value=2.5) == 2.5
-    with pytest.raises(ValueError):
-        subgaussian_s2(chain, method="user_supplied")
 
 
 # ----------------------------------------------------------------- profile
