@@ -13,9 +13,10 @@ form; quadrature exists only as a test-side oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -87,17 +88,18 @@ class TailCurve:
 # F, phi, Phi
 # ---------------------------------------------------------------------------
 
-def F_of(profile: CurvatureProfile, l: float) -> float:
+def F_of(profile: CurvatureProfile, l):
     """Guaranteed one-step drift at distance l from the origin.
 
     -J(x0) on [0, eps]; rho on (eps, 2*eps); rho + int_{2eps}^{l} K beyond.
+    A float l gives a float; an array l is evaluated elementwise.
     """
     eps = profile.epsilon
-    if l <= eps:
-        return -profile.j0
-    if l < 2 * eps:
-        return profile.rho
-    return profile.rho + profile.envelope.integral(2 * eps, l)
+    l = np.asarray(l, dtype=float)
+    env = profile.envelope
+    beyond = profile.rho + (env.antiderivative(l) - env.antiderivative(2 * eps))
+    out = np.where(l <= eps, -profile.j0, np.where(l < 2 * eps, profile.rho, beyond))
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_of(profile: CurvatureProfile, l: float) -> float:
@@ -121,19 +123,67 @@ def Phi_of(profile: CurvatureProfile, l: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The two constants
+# The two constants and admissibility
 # ---------------------------------------------------------------------------
 
-def ln_C_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
-    s2 = profile.s2
+class _AtD0(NamedTuple):
+    """The alpha-free terms of every (alpha, d0) quantity at one d0."""
+
+    kd0: float          # K(d0)
+    fd0: float          # F(d0)
+    phi_d0: float       # phi(d0)
+    rate: float         # ln C'_{alpha,d0} = alpha * rate
+    s2K: float          # s^2 K(d0)
+    limit: float        # 1/(s^2 K(d0)), +inf where that product is 0
+    d0_ge_2eps: bool
+
+
+def _at_d0(profile: CurvatureProfile, d0: float) -> _AtD0:
     kd0 = float(profile.envelope(d0))
-    t = alpha * s2 * kd0
-    if t >= 1.0:
+    s2K = profile.s2 * kd0
+    fd0 = F_of(profile, d0)
+    phi_d0 = phi_of(profile, d0)
+    lo, hi = d0 - fd0, profile.j0 + profile.epsilon
+    rate = 0.0
+    if hi > lo:
+        # the C' integrand is max(F(d0), F(u)) on [lo, hi]; F is
+        # non-decreasing, so it is F(d0) up to u = d0 and F(u) beyond
+        rate = fd0 * max(0.0, min(hi, d0) - lo)
+        if hi > d0:
+            rate += phi_of(profile, hi) - phi_d0
+    return _AtD0(kd0, fd0, phi_d0, rate, s2K, 1.0 / s2K if s2K > 0 else math.inf,
+                 d0 >= 2 * profile.epsilon - 1e-12)
+
+
+def _ln_C(profile: CurvatureProfile, at: _AtD0, alpha: float) -> float:
+    s2 = profile.s2
+    t = alpha * s2 * at.kd0
+    if not t < 1.0:
         raise InadmissibleParamsError(
             f"alpha*s^2*K(d0) = {t:.6g} >= 1: C is undefined there")
-    f = F_of(profile, d0)
+    f = at.fd0
     return (-alpha * f * f * (1.0 - alpha * s2 / (2.0 * (1.0 - t)))
             - 0.5 * math.log1p(-t))
+
+
+def _ln_prefactor(profile: CurvatureProfile, at: _AtD0, alpha: float) -> float:
+    ln_c = _ln_C(profile, at, alpha)
+    if ln_c >= 0:
+        return math.inf
+    return alpha * at.rate + ln_c - _ln_one_minus_exp(ln_c)
+
+
+def _conditions(profile: CurvatureProfile, at: _AtD0, alpha: float):
+    """The four admissibility conditions, and ln C (+inf where C is undefined)."""
+    try:
+        ln_c, c3 = _ln_C(profile, at, alpha), True
+    except InadmissibleParamsError:
+        ln_c, c3 = math.inf, False
+    return (at.d0_ge_2eps, at.fd0 > at.s2K / 2.0, c3, ln_c < 0.0), ln_c
+
+
+def ln_C_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
+    return _ln_C(profile, _at_d0(profile, d0), alpha)
 
 
 def C_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
@@ -142,17 +192,7 @@ def C_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
 
 
 def ln_Cprime_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
-    lo = d0 - F_of(profile, d0)
-    hi = profile.j0 + profile.epsilon
-    if hi <= lo:
-        return 0.0
-    fd0 = F_of(profile, d0)
-    # integrand is max(F(d0), F(u)); F is non-decreasing, so it is F(d0)
-    # up to u = d0 and F(u) beyond
-    total = fd0 * max(0.0, min(hi, d0) - lo)
-    if hi > d0:
-        total += phi_of(profile, hi) - phi_of(profile, d0)
-    return alpha * total
+    return alpha * _at_d0(profile, d0).rate
 
 
 def Cprime_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
@@ -162,39 +202,19 @@ def Cprime_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float
 
 def ln_prefactor(profile: CurvatureProfile, alpha: float, d0: float) -> float:
     """ln(C' C / (1 - C)) of the general bound; +inf where ln C >= 0."""
-    ln_c = ln_C_alpha_d0(profile, alpha, d0)
-    if ln_c >= 0:
-        return math.inf
-    return (ln_Cprime_alpha_d0(profile, alpha, d0) + ln_c
-            - _ln_one_minus_exp(ln_c))
+    return _ln_prefactor(profile, _at_d0(profile, d0), alpha)
 
-
-# ---------------------------------------------------------------------------
-# Admissibility
-# ---------------------------------------------------------------------------
 
 def admissibility(profile: CurvatureProfile, alpha: float, d0: float,
                   strategy: str = "manual") -> BoundParams:
     """Evaluate the four admissibility conditions for an (alpha, d0) pair."""
-    s2 = profile.s2
-    kd0 = float(profile.envelope(d0))
-    fd0 = F_of(profile, d0)
-    c1 = d0 >= 2 * profile.epsilon - 1e-12
-    c2 = fd0 > s2 * kd0 / 2.0
-    c3 = alpha * s2 * kd0 < 1.0
-    if c3:
-        ln_c = ln_C_alpha_d0(profile, alpha, d0)
-        c4 = ln_c < 0.0
-        c_val = _exp_or_inf(ln_c)
-    else:
-        c4 = False
-        c_val = math.inf
+    at = _at_d0(profile, d0)
+    (c1, c2, c3, c4), ln_c = _conditions(profile, at, alpha)
     report = {
         "d0_ge_2eps": {"holds": bool(c1), "d0": d0, "two_eps": 2 * profile.epsilon},
-        "F_exceeds_half_s2K": {"holds": bool(c2), "F_d0": fd0, "s2K_half": s2 * kd0 / 2.0},
-        "alpha_below_inverse_s2K": {"holds": bool(c3), "alpha": alpha,
-                                    "limit": math.inf if kd0 == 0 else 1.0 / (s2 * kd0)},
-        "C_below_one": {"holds": bool(c4), "C": c_val},
+        "F_exceeds_half_s2K": {"holds": bool(c2), "F_d0": at.fd0, "s2K_half": at.s2K / 2.0},
+        "alpha_below_inverse_s2K": {"holds": c3, "alpha": alpha, "limit": at.limit},
+        "C_below_one": {"holds": bool(c4), "C": _exp_or_inf(ln_c)},
     }
     return BoundParams(alpha=alpha, d0=d0, epsilon=profile.epsilon,
                        admissible=bool(c1 and c2 and c3 and c4),
@@ -220,9 +240,9 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
     if levels.size and float(levels.min()) < params.d0 - 1e-9:
         raise ValueError(f"levels must be >= d0 = {params.d0}")
     alpha, d0 = params.alpha, params.d0
-    ln_pref = ln_prefactor(profile, alpha, d0)
-    phi_d0 = phi_of(profile, d0)
-    ln_vals = np.array([ln_pref - alpha * (phi_of(profile, l) - phi_d0)
+    at = _at_d0(profile, d0)
+    ln_pref = _ln_prefactor(profile, at, alpha)
+    ln_vals = np.array([ln_pref - alpha * (phi_of(profile, l) - at.phi_d0)
                         for l in levels])
     values = np.exp(ln_vals)
     return TailCurve(levels=levels, values=values, kind="theorem_princ",
@@ -291,13 +311,6 @@ def bound_theorem1(profile: CurvatureProfile, levels: Sequence[float]) -> TailCu
 # Parameter search
 # ---------------------------------------------------------------------------
 
-def _alpha_grid(profile: CurvatureProfile, d0: float, count: int) -> np.ndarray:
-    s2 = profile.s2
-    kd0 = float(profile.envelope(d0))
-    a_max = 2.0 / s2 if kd0 <= 0 else min(1.0 / (s2 * kd0), 2.0 / s2)
-    return np.geomspace(a_max / 1000.0, a_max * (1.0 - 1e-9), count)
-
-
 def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
                   reference_level: Optional[float] = None,
                   d0_range: Optional[tuple] = None,
@@ -325,8 +338,9 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
 
     if strategy == "alpha_convexity":
         d0 = fixed_d0 if fixed_d0 is not None else default_d0
-        lo, hi = 0.0, float(_alpha_grid(profile, d0, 2)[-1])
-        objective = functools.partial(ln_prefactor, profile, d0=d0)
+        at = _at_d0(profile, d0)
+        lo, hi = 0.0, min(at.limit, 2.0 / profile.s2) * (1.0 - 1e-9)
+        objective = functools.partial(_ln_prefactor, profile, at)
         probe = np.linspace(lo + (hi - lo) * 1e-4, hi * (1 - 1e-9), 64)
         finite = [a for a in probe if objective(a) < math.inf]
         if not finite:
@@ -368,31 +382,38 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
     if d0_range is None:
         d0_range = (2.0 * profile.epsilon,
                     2.0 * profile.epsilon + 10.0 * (profile.rho + profile.s2 / profile.rho))
-    d0_values = list(np.linspace(d0_range[0], d0_range[1], GRID_POINTS))
-    d0_values.append(default_d0)
-    best = None
-    failures = []
-    phi_ref = phi_of(profile, reference_level)
+    d0_values = np.linspace(d0_range[0], d0_range[1], GRID_POINTS).tolist() + [default_d0]
+    # (d0, its terms, its alpha grid); d0 beyond the reference level has neither
+    lattice = []
     for d0 in d0_values:
         if d0 > reference_level:
-            failures.append({"d0": d0, "reason": "d0 beyond reference level"})
+            lattice.append((d0, None, []))
             continue
-        phi_d0 = phi_of(profile, d0)
-        for alpha in _alpha_grid(profile, d0, GRID_POINTS):
-            params = admissibility(profile, float(alpha), float(d0), strategy="grid")
-            if not params.admissible:
-                failures.append(params.admissibility_report)
-                continue
-            val = ln_prefactor(profile, alpha, d0) - alpha * (phi_ref - phi_d0)
-            if best is None or val < best[0]:
-                best = (val, params)
+        at = _at_d0(profile, d0)
+        cap = min(at.limit, 2.0 / profile.s2)
+        lattice.append((d0, at, np.geomspace(cap / 1000.0, cap * (1.0 - 1e-9),
+                                             GRID_POINTS).tolist()))
+    phi_ref = phi_of(profile, reference_level)
+    best = None
+    for d0, at, alphas in lattice:
+        for alpha in alphas:
+            if all(_conditions(profile, at, alpha)[0]):
+                val = _ln_prefactor(profile, at, alpha) - alpha * (phi_ref - at.phi_d0)
+                if best is None or val < best[0]:
+                    best = (val, alpha, d0)
     if best is None:
+        def failures():
+            for d0, at, alphas in lattice:
+                if at is None:
+                    yield {"d0": d0, "reason": "d0 beyond reference level"}
+                for alpha in alphas:
+                    yield admissibility(profile, alpha, d0, strategy="grid").admissibility_report
         raise InfeasibleSearchError(
             "no admissible (alpha, d0) pair on the search lattice "
             "(on every candidate either C >= 1 or the drift condition fails); "
             "the bound gives nothing here",
-            report=failures[:64])
-    return best[1]
+            report=list(itertools.islice(failures(), 64)))
+    return admissibility(profile, best[1], best[2], strategy="grid")
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ sweep         epsilon sweep exposing the rho/curvature trade-off
 
 Exit status: 0 all requested checks pass, 1 a bound was violated,
 2 the theorems are inapplicable (no admissible parameters / rho <= 0),
-3 invalid input.  Plot rendering is out of scope: every figure-equivalent
-output is a documented CSV.
+3 invalid input, 4 internal error.  Plot rendering is out of scope: every
+figure-equivalent output is a documented CSV.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -43,6 +44,7 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INAPPLICABLE = 2
 EXIT_BAD_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -375,6 +377,10 @@ def run(cfg: RunConfig) -> int:
     except (ChainFormatError, ChainValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main(argv=None) -> None:

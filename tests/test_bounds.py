@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import search_oracle
+from ricci_bounds import bounds as bounds_mod
 from ricci_bounds import (C0_of, C_alpha_d0, Cprime_alpha_d0, CurvatureProfile,
                           F_of, Phi_of, StepFunction, bound_princ,
                           bound_theorem1, build_mmk_chain, curvature_profile,
@@ -57,6 +61,15 @@ def test_F_mmk(mmk_2_4):
     assert F_of(prof, 1.5) == pytest.approx(1 / 6, abs=1e-12)
 
 
+def test_F_array_matches_scalar(prof_5_10):
+    _, prof = prof_5_10
+    levels = np.concatenate([np.linspace(0.0, 12.0, 241), [1.0, 2.0, 2.0 - 1e-15]])
+    values = F_of(prof, levels)
+    assert values.shape == levels.shape
+    assert values.tolist() == [F_of(prof, float(l)) for l in levels]
+    assert type(F_of(prof, 3.5)) is float
+
+
 # ------------------------------------------------------------------- phi
 
 def test_phi_zero_envelope_zero_drift():
@@ -81,8 +94,7 @@ def test_phi_matches_quadrature(mmk_2_4):
     for a, b in ((0.0, eps), (eps, 2 * eps), (2 * eps, l)):
         edges = np.linspace(a, b, 400_001)
         mids = (edges[:-1] + edges[1:]) / 2
-        total += float(np.sum(np.array([F_of(prof, u) for u in mids])
-                              * np.diff(edges)))
+        total += float(np.sum(F_of(prof, mids) * np.diff(edges)))
     assert phi_of(prof, l) == pytest.approx(total, abs=1e-9)
 
 
@@ -391,6 +403,89 @@ def test_search_infeasible_grid_range_reports():
     with pytest.raises(InfeasibleSearchError) as err:
         search_params(prof, "grid", reference_level=30.0, d0_range=(2.0, 4.8))
     assert err.value.report
+
+
+def test_search_grid_calls_admissibility_once_for_the_winner(prof_5_10, monkeypatch):
+    _, prof = prof_5_10
+    calls = []
+    real = bounds_mod.admissibility
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "admissibility", counted)
+    params = search_params(prof, "grid", reference_level=30.0)
+    assert params.admissible
+    assert calls == [(params.alpha, params.d0)]
+
+
+def _outcome(search):
+    """as_dict() of a successful search, or the message and report of a failed one."""
+    try:
+        return search().as_dict()
+    except InfeasibleSearchError as exc:
+        return ("infeasible", str(exc), exc.report)
+
+
+@st.composite
+def _step_profiles(draw):
+    """A profile with a random non-increasing step envelope (possibly zero),
+    a reference level (None or above 2*eps) and a fixed d0 (None or >= 2*eps)."""
+    eps = draw(st.floats(0.2, 4.0))
+    widths = draw(st.lists(st.floats(0.05, 6.0), max_size=5))
+    values = sorted(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
+                                  min_size=len(widths) + 1,
+                                  max_size=len(widths) + 1)), reverse=True)
+    rho = draw(st.floats(1e-3, 0.05) | st.floats(0.05, 5.0))
+    prof = CurvatureProfile(
+        epsilon=eps, origin=0, kappa_local=np.array(values[:1]),
+        isolated=np.array([False]),
+        envelope=StepFunction(np.concatenate([[0.0], np.cumsum(widths)]), values),
+        rho=rho, j0=draw(st.floats(0.0, 5.0)), s2=draw(st.floats(0.05, 10.0)))
+    ref = draw(st.none() | st.floats(2 * eps, 2 * eps + 3.0, exclude_min=True)
+               | st.floats(2 * eps, 1e300, exclude_min=True))
+    fixed_d0 = draw(st.none() | st.floats(2 * eps, 2 * eps + 40.0))
+    return prof, ref, fixed_d0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # phi(1e300) = inf
+@settings(max_examples=40, deadline=None)
+@given(case=_step_profiles())
+@example(case=(synthetic_profile(rho=0.3, k_const=0.1, k_until=6.0), None, None))
+@example(case=(synthetic_profile(rho=0.7, s2=4.0, k_const=0.5), 2.5, 2.0))
+@example(case=(synthetic_profile(rho=0.3, k_const=0.1), 1e300, None))
+@example(case=(synthetic_profile(rho=0.03125, s2=0.5, k_const=5e-324), None, None))
+def test_searches_match_the_scalar_oracle(case):
+    # the hoisted searches keep every bit of the per-point scalar loop:
+    # the same winner, or the same failure reports in the same order; on the
+    # last example s^2 K(d0) underflows to 0, where the loop divided by zero
+    prof, ref, fixed_d0 = case
+    assert _outcome(lambda: search_params(prof, "grid", reference_level=ref)) == \
+        _outcome(lambda: search_oracle.grid_search(prof, reference_level=ref))
+    for d0 in (None, fixed_d0):
+        assert _outcome(lambda: search_params(prof, "alpha_convexity", fixed_d0=d0)) == \
+            _outcome(lambda: search_oracle.convexity_search(prof, fixed_d0=d0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # phi(1e300) = inf
+def test_search_oracle_examples_cover_infeasible_and_tied_lattices():
+    # the second example above fails on the lattice: at d0 = 2 the drift
+    # F(d0) = 0.7 lies between K(d0) = 0.5 and s^2 K(d0) / 2 = 1, so all 32
+    # points there fail the drift condition, and every other d0 lies beyond
+    # the reference level; on the third, phi(reference level) overflows, so
+    # every admissible point ties at -inf and the first one must win
+    weak = synthetic_profile(rho=0.7, s2=4.0, k_const=0.5)
+    with pytest.raises(InfeasibleSearchError) as err:
+        search_params(weak, "grid", reference_level=2.5)
+    beyond = [r for r in err.value.report if "reason" in r]
+    assert len(err.value.report) == 64 and len(beyond) == 32
+    drift = err.value.report[0]["F_exceeds_half_s2K"]
+    assert not drift["holds"] and drift["F_d0"] == 0.7
+    tied = synthetic_profile(rho=0.3, k_const=0.1)
+    assert phi_of(tied, 1e300) == math.inf
+    params = search_params(tied, "grid", reference_level=1e300)
+    assert (params.alpha, params.d0) == (2.0 / 1000.0, 2.0)
 
 
 def test_ln_C_convex_in_alpha(prof_5_10):

@@ -126,6 +126,23 @@ def test_bad_input_exit_3(tmp_path):
     assert code == 3
 
 
+def test_unexpected_error_exit_4(tmp_path, capsys):
+    # a periodic star: the centre moves to a uniform leaf, each leaf moves
+    # back; power iteration never settles, and exit 1 is kept for violations
+    kernel = np.zeros((4, 4))
+    kernel[0, 1:] = 1 / 3
+    kernel[1:, 0] = 1.0
+    dist = np.full((4, 4), 2.0)
+    dist[0, :] = dist[:, 0] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    star = write_chain_json(tmp_path / "star.json", ["c", "a", "b", "d"], dist, kernel)
+    code = run_cli(["stationary", "--chain", str(star), "--out", str(tmp_path / "s")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.rstrip().splitlines()[-1].startswith("internal error: PowerIterationError: ")
+
+
 def test_curvature_bound_stationary_commands(tmp_path):
     out = tmp_path / "pieces"
     assert run_cli(["curvature", "--n0", "2", "--k", "4", "--trunc", "40",
