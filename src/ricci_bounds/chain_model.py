@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ChainFormatError, ChainValidationError
 
@@ -185,7 +185,7 @@ def build_discrete_ou_chain(alpha: float, grid_half_width: float,
     cell_edges = (coords[:-1] + coords[1:]) / 2.0
     kernel = np.empty((size, size))
     for i, x in enumerate(coords):
-        cdf = norm.cdf(cell_edges, loc=(1.0 - alpha) * x, scale=1.0)
+        cdf = ndtr(cell_edges - (1.0 - alpha) * x)
         kernel[i] = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
     dist = np.abs(coords[:, None] - coords[None, :])
     return MetricChain(points=tuple(f"{x:.10g}" for x in coords),

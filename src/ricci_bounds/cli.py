@@ -11,10 +11,14 @@ example-ou    reproduce the Gaussian autoregression example end to end
 example-jump  reproduce the drift-jump example end to end
 sweep         epsilon sweep exposing the rho/curvature trade-off
 
+Each command reads its configuration from the parsed argparse namespace;
+the parser's option names and defaults are the only copy of them.
+
 Exit status: 0 all requested checks pass, 1 a bound was violated,
 2 the theorems are inapplicable (no admissible parameters / rho <= 0),
-3 invalid input, 4 internal error.  Plot rendering is out of scope: every
-figure-equivalent output is a documented CSV.
+3 invalid input (including an --origin outside 0..n-1), 4 internal error.
+Plot rendering is out of scope: every figure-equivalent output is a
+documented CSV.
 """
 from __future__ import annotations
 
@@ -22,9 +26,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -45,29 +47,6 @@ EXIT_VIOLATION = 1
 EXIT_INAPPLICABLE = 2
 EXIT_BAD_INPUT = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    out_dir: Path
-    chain_file: Optional[str] = None
-    n0: Optional[int] = None
-    k: Optional[int] = None
-    trunc: Optional[int] = None
-    alpha: Optional[float] = None
-    grid_step: float = 0.05
-    grid_width: float = 10.0
-    epsilon: Optional[float] = None
-    origin: Optional[int] = None
-    strategy: str = "paper"
-    levels: Optional[str] = None
-    epsilons: Optional[str] = None
-    reference_level: Optional[float] = None
-    seed: int = 0
-    paths: int = 100_000
-    horizon: float = 25.0
-    dump_samples: bool = False
 
 
 def _fmt(x) -> str:
@@ -98,34 +77,32 @@ def _parse_range(spec: str) -> np.ndarray:
     return np.arange(a, b + step * 1e-9, step)
 
 
-def _auto_truncation(n0: int, k: int) -> int:
-    """Double the truncation until the birth-death stationary law passes the audit."""
+def _auto_truncation(n0: int, k: int) -> MetricChain:
+    """The M/M/k chain, its truncation doubled until its stationary law passes the audit."""
     trunc = k + 40
     while True:
-        states = np.arange(1, trunc + 1)
-        log_pi = np.concatenate([[0.0], np.cumsum(np.log(n0 / np.minimum(states, k)))])
-        pi = np.exp(log_pi - log_pi.max())
-        pi /= pi.sum()
-        if eq.truncation_audit(eq.StationaryResult(pi, "birth_death_exact", np.nan)):
-            return trunc
+        chain = build_mmk_chain(n0, k, trunc)
+        if eq.truncation_audit(eq.stationary_birth_death(chain)):
+            return chain
         trunc *= 2
 
 
-def _build_chain(cfg: RunConfig) -> MetricChain:
+def _build_chain(cfg: argparse.Namespace) -> MetricChain:
     if cfg.chain_file is not None:
         return load_chain(cfg.chain_file)
     if cfg.n0 is not None:
         if cfg.k is None:
             raise ChainFormatError("--n0 requires --k")
-        trunc = cfg.trunc if cfg.trunc is not None else _auto_truncation(cfg.n0, cfg.k)
-        return build_mmk_chain(cfg.n0, cfg.k, trunc)
+        if cfg.trunc is None:
+            return _auto_truncation(cfg.n0, cfg.k)
+        return build_mmk_chain(cfg.n0, cfg.k, cfg.trunc)
     if cfg.alpha is not None:
         return build_discrete_ou_chain(cfg.alpha, cfg.grid_width, cfg.grid_step)
     raise ChainFormatError(
         "no chain source: give --chain FILE, or --n0/--k, or --alpha/--grid-width/--grid-step")
 
 
-def _default_epsilon(cfg: RunConfig, chain: MetricChain) -> float:
+def _default_epsilon(cfg: argparse.Namespace, chain: MetricChain) -> float:
     if cfg.epsilon is not None:
         return cfg.epsilon
     if cfg.n0 is not None:
@@ -137,11 +114,19 @@ def _default_epsilon(cfg: RunConfig, chain: MetricChain) -> float:
     return float(np.min(chain.dist[chain.dist > 0]))
 
 
-def _profile(cfg: RunConfig, chain: MetricChain):
-    eps = _default_epsilon(cfg, chain)
+def _origin(cfg: argparse.Namespace, chain: MetricChain) -> int:
+    """--origin, else the chain's origin hint; an index outside 0..n-1 is bad input."""
     origin = cfg.origin if cfg.origin is not None else chain.origin_hint
     if origin is None:
         raise ChainFormatError("chain has no origin hint; pass --origin")
+    if not 0 <= origin < chain.n:
+        raise ChainFormatError(f"--origin {origin} is outside 0..{chain.n - 1}")
+    return origin
+
+
+def _profile(cfg: argparse.Namespace, chain: MetricChain):
+    eps = _default_epsilon(cfg, chain)
+    origin = _origin(cfg, chain)
     rep = check_epsilon_geodesic(chain, eps)
     if not rep.is_geodesic:
         raise ChainValidationError(
@@ -174,9 +159,8 @@ def _bound_curves(cfg, profile, chain):
                                       reference_level=cfg.reference_level)
     levels = _default_levels(cfg, profile, chain, params.d0)
     princ = bounds_mod.bound_princ(profile, params, levels)
-    t1_params = bounds_mod.theorem1_params(profile)
     curves = [princ]
-    if float(levels.min()) > t1_params.d0:
+    if float(levels.min()) > bounds_mod.paper_default_d0(profile):
         curves.append(bounds_mod.bound_theorem1(profile, levels))
     return params, levels, curves
 
@@ -207,7 +191,7 @@ def _comparison_rows(curves, tail):
     return header, rows
 
 
-def cmd_curvature(cfg: RunConfig) -> int:
+def cmd_curvature(cfg: argparse.Namespace) -> int:
     chain = _build_chain(cfg)
     profile = _profile(cfg, chain)
     _write_json(cfg.out_dir / "profile.json", profile.as_dict())
@@ -219,7 +203,7 @@ def cmd_curvature(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_bound(cfg: RunConfig) -> int:
+def cmd_bound(cfg: argparse.Namespace) -> int:
     chain = _build_chain(cfg)
     profile = _profile(cfg, chain)
     params, levels, curves = _bound_curves(cfg, profile, chain)
@@ -230,7 +214,7 @@ def cmd_bound(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_stationary(cfg: RunConfig) -> int:
+def cmd_stationary(cfg: argparse.Namespace) -> int:
     chain = _build_chain(cfg)
     result = _stationary(chain)
     _write_csv(cfg.out_dir / "stationary.csv", ["point", "mass"],
@@ -239,7 +223,7 @@ def cmd_stationary(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     chain = _build_chain(cfg)
     profile = _profile(cfg, chain)
     params, levels, curves = _bound_curves(cfg, profile, chain)
@@ -252,25 +236,23 @@ def cmd_verify(cfg: RunConfig) -> int:
     _write_tail_curves(cfg.out_dir / "bounds.csv", curves)
     # only a chain this CLI truncated can lose mass past its last state
     audit_ok = eq.truncation_audit(result) if cfg.chain_file is None else True
-    dominated = all(bool(np.all(c.values + 1e-12 >= tail.values)) for c in curves)
+    per_level = np.all([c.values + 1e-12 >= tail.values for c in curves], axis=0)
+    dominated = bool(per_level.all())
     verdict = "PASS" if (dominated and audit_ok) else "FAIL"
     header, rows = _comparison_rows(curves, tail)
-    _write_csv(cfg.out_dir / "comparison.csv",
-               header + ["dominated"],
-               [row + [str(bool(np.all([c.values[i] + 1e-12 >= tail.values[i]
-                                        for c in curves])))]
-                for i, row in enumerate(rows)])
+    _write_csv(cfg.out_dir / "comparison.csv", header + ["dominated"],
+               [row + [str(bool(d))] for row, d in zip(rows, per_level)])
     print(f"verdict: {verdict} (dominated={dominated}, truncation_audit={audit_ok})")
     return EXIT_PASS if verdict == "PASS" else EXIT_VIOLATION
 
 
-def cmd_example_mmk(cfg: RunConfig) -> int:
+def cmd_example_mmk(cfg: argparse.Namespace) -> int:
     if cfg.n0 is None or cfg.k is None:
         raise ChainFormatError("example-mmk needs --n0 and --k")
     return cmd_verify(cfg)
 
 
-def cmd_example_ou(cfg: RunConfig) -> int:
+def cmd_example_ou(cfg: argparse.Namespace) -> int:
     if cfg.alpha is None:
         cfg.alpha = 0.5
     if cfg.epsilon is None:
@@ -278,7 +260,7 @@ def cmd_example_ou(cfg: RunConfig) -> int:
     return cmd_verify(cfg)
 
 
-def cmd_example_jump(cfg: RunConfig) -> int:
+def cmd_example_jump(cfg: argparse.Namespace) -> int:
     alpha = cfg.alpha if cfg.alpha is not None else 1.0
     config = jp.JumpProcessConfig(drift_alpha=alpha, horizon_T=cfg.horizon,
                                   n_paths=cfg.paths, seed=cfg.seed)
@@ -298,11 +280,9 @@ def cmd_example_jump(cfg: RunConfig) -> int:
     return EXIT_PASS if dominated else EXIT_VIOLATION
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     chain = _build_chain(cfg)
-    origin = cfg.origin if cfg.origin is not None else chain.origin_hint
-    if origin is None:
-        raise ChainFormatError("chain has no origin hint; pass --origin")
+    origin = _origin(cfg, chain)
     if not cfg.epsilons:
         raise ChainFormatError("sweep needs --epsilons a:b:step")
     eps_list = _parse_range(cfg.epsilons)
@@ -359,11 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--paths", type=int, default=100_000)
     parser.add_argument("--horizon", type=float, default=25.0)
     parser.add_argument("--dump-samples", action="store_true")
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--out", dest="out_dir", type=Path, default=".",
+                        help="output directory")
     return parser
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[cfg.command](cfg)
@@ -384,17 +365,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, out_dir=Path(args.out),
-                    chain_file=args.chain_file, n0=args.n0, k=args.k,
-                    trunc=args.trunc, alpha=args.alpha, grid_step=args.grid_step,
-                    grid_width=args.grid_width, epsilon=args.epsilon,
-                    origin=args.origin, strategy=args.strategy,
-                    levels=args.levels, epsilons=args.epsilons,
-                    reference_level=args.reference_level, seed=args.seed,
-                    paths=args.paths, horizon=args.horizon,
-                    dump_samples=args.dump_samples)
-    sys.exit(run(cfg))
+    sys.exit(run(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

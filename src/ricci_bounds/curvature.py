@@ -37,7 +37,6 @@ class CurvatureProfile:
     epsilon: float
     origin: int
     kappa_local: np.ndarray      # K_eps per point; +inf where the eps-ball is empty
-    isolated: np.ndarray         # bool mask of empty eps-balls
     envelope: StepFunction       # largest non-increasing nonnegative minorant K(r)
     rho: float                   # attraction constant at the origin
     j0: float                    # J(x0) = W1(P_x0, delta_x0)
@@ -223,6 +222,5 @@ def curvature_profile(chain: MetricChain, epsilon: float,
     j0 = w1_to_point(chain, origin, origin)
     s2 = subgaussian_s2(chain)
     return CurvatureProfile(epsilon=float(epsilon), origin=int(origin),
-                            kappa_local=kappa_local,
-                            isolated=np.isinf(kappa_local),
-                            envelope=envelope, rho=rho, j0=j0, s2=s2)
+                            kappa_local=kappa_local, envelope=envelope,
+                            rho=rho, j0=j0, s2=s2)

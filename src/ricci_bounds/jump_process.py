@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
+
+from .bounds import _exp_or_inf
 
 _CHUNK = 200_000
 _EXP_OVERFLOW = 700.0
@@ -109,13 +111,16 @@ def stationary_laplace_G_T(lam: float, alpha: float, horizon: float) -> float:
 
 
 def poissonian_tail_bound(l: float, alpha: float) -> float:
-    """Markov bound P(X >= l) <= exp(I(ln l)/alpha - l ln l), for l > 1."""
+    """Markov bound P(X >= l) <= exp(I(ln l)/alpha - l ln l), for l > 1.
+
+    +inf where the exponent is past the float range.
+    """
     if l <= 1:
         raise ValueError("the bound needs l > 1 (ln l must be positive)")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     ln_l = math.log(l)
-    return math.exp(transform_I(ln_l) / alpha - l * ln_l)
+    return _exp_or_inf(transform_I(ln_l) / alpha - l * ln_l)
 
 
 def clopper_pearson_upper(successes: int, trials: int,
@@ -124,7 +129,7 @@ def clopper_pearson_upper(successes: int, trials: int,
     if successes >= trials:
         return 1.0
     tail = (1.0 - confidence) / 2.0
-    return float(_beta.ppf(1.0 - tail, successes + 1, trials - successes))
+    return float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
 
 
 def empirical_tail_probs(samples: np.ndarray, levels) -> tuple:

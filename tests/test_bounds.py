@@ -30,8 +30,7 @@ def synthetic_profile(eps=1.0, rho=0.3, j0=0.0, s2=1.0, k_const=0.0, k_until=np.
     else:
         env = StepFunction([0.0, k_until], [k_const, 0.0])
     return CurvatureProfile(epsilon=eps, origin=0,
-                            kappa_local=np.array([k_const]),
-                            isolated=np.array([False]), envelope=env,
+                            kappa_local=np.array([k_const]), envelope=env,
                             rho=rho, j0=j0, s2=s2)
 
 
@@ -96,6 +95,12 @@ def test_phi_matches_quadrature(mmk_2_4):
         mids = (edges[:-1] + edges[1:]) / 2
         total += float(np.sum(F_of(prof, mids) * np.diff(edges)))
     assert phi_of(prof, l) == pytest.approx(total, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")   # past the float range: inf, no warning
+def test_phi_past_float_range_is_inf():
+    # the envelope stays positive to infinity, so K l^2 / 2 overflows
+    assert phi_of(synthetic_profile(rho=0.3, k_const=0.1), 1e300) == math.inf
 
 
 # ------------------------------------------------------------------- Phi
@@ -440,7 +445,6 @@ def _step_profiles(draw):
     rho = draw(st.floats(1e-3, 0.05) | st.floats(0.05, 5.0))
     prof = CurvatureProfile(
         epsilon=eps, origin=0, kappa_local=np.array(values[:1]),
-        isolated=np.array([False]),
         envelope=StepFunction(np.concatenate([[0.0], np.cumsum(widths)]), values),
         rho=rho, j0=draw(st.floats(0.0, 5.0)), s2=draw(st.floats(0.05, 10.0)))
     ref = draw(st.none() | st.floats(2 * eps, 2 * eps + 3.0, exclude_min=True)
@@ -449,7 +453,6 @@ def _step_profiles(draw):
     return prof, ref, fixed_d0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # phi(1e300) = inf
 @settings(max_examples=40, deadline=None)
 @given(case=_step_profiles())
 @example(case=(synthetic_profile(rho=0.3, k_const=0.1, k_until=6.0), None, None))
@@ -468,7 +471,6 @@ def test_searches_match_the_scalar_oracle(case):
             _outcome(lambda: search_oracle.convexity_search(prof, fixed_d0=d0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # phi(1e300) = inf
 def test_search_oracle_examples_cover_infeasible_and_tied_lattices():
     # the second example above fails on the lattice: at d0 = 2 the drift
     # F(d0) = 0.7 lies between K(d0) = 0.5 and s^2 K(d0) / 2 = 1, so all 32

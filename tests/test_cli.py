@@ -1,11 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ricci_bounds import equilibrium as eq
 from ricci_bounds.cli import main
 
-from conftest import biased_reflecting_walk, write_chain_json
+from conftest import (biased_reflecting_walk, irregular_line_chain, line_chain,
+                      random_graph_chain, write_chain_json)
 
 
 def run_cli(args):
@@ -184,3 +193,104 @@ def test_sweep_grid_at_alpha_half_reports_argmin(tmp_path, capsys):
                     "--strategy", "grid", "--out", str(tmp_path / "sweep")])
     assert code == 0
     assert "argmin epsilon: 1.0" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy_stats():
+    # scipy.stats costs about half a second of import; scipy.special suffices
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ricci_bounds.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_example_jump_bound_past_float_range_is_inf(tmp_path):
+    # alpha * T = 20: the bound's exponent I(ln l)/alpha - l ln l leaves the
+    # float range at the upper levels, where the bound reads inf
+    out = tmp_path / "jump"
+    code = run_cli(["example-jump", "--alpha", "0.005", "--horizon", "4000",
+                    "--paths", "10", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out / "jump_tail.csv")
+    assert [r[3] for r in rows[-2:]] == ["inf", "inf"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n0", "5", "--k", "10", "--epsilon", "2", "--origin", "99"],
+    ["curvature", "--n0", "5", "--k", "10", "--epsilon", "2", "--origin", "-3"],
+])
+def test_origin_out_of_range_exit_3(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: --origin")
+    assert list(out.iterdir()) == []
+
+
+def _irregular_walk(rng, n_points):
+    """Nearest-neighbour walk on irregularly spaced points, biased downwards."""
+    p_up = rng.uniform(0.1, 0.35)
+    steps = np.ones(n_points - 1)
+    kernel = np.diag(p_up * steps, 1) + np.diag((1 - p_up) * steps, -1)
+    kernel[0, 0], kernel[-1, -1] = 1 - p_up, p_up
+    return line_chain(np.cumsum(rng.uniform(0.8, 1.2, n_points)), kernel)
+
+
+@st.composite
+def _cli_cases(draw):
+    """A small aperiodic chain (made lazy in the test, so every row has a
+    self-loop), a command, a strategy, an epsilon among the chain's distances
+    and an origin in -2..n+1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 16))
+    make = draw(st.sampled_from([_irregular_walk, irregular_line_chain, random_graph_chain]))
+    chain = make(rng, n)
+    # the shorter distances: at the long ones d0 lies beyond every chain's radius
+    eps = draw(st.sampled_from(sorted(set(chain.dist[chain.dist > 0].tolist()))[:2 * n]))
+    return (chain, draw(st.sampled_from(["verify", "curvature", "bound", "sweep"])),
+            draw(st.sampled_from(["paper", "grid", "convex"])), eps,
+            draw(st.integers(0, n - 1) | st.integers(-2, n + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_cli_cases())
+def test_exit_code_is_documented_and_bad_origin_is_bad_input(case):
+    chain, command, strategy, eps, origin = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_chain_json(Path(tmp) / "chain.json", chain.points, chain.dist,
+                                (chain.kernel + np.eye(chain.n)) / 2)
+        eps_args = (["--epsilons", f"{eps!r}:{eps!r}:1"] if command == "sweep"
+                    else ["--epsilon", repr(eps)])
+        code = run_cli([command, "--chain", str(path), *eps_args,
+                        "--strategy", strategy, "--origin", str(origin),
+                        "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    if not 0 <= origin < chain.n:
+        assert code == 3
+
+
+def _closed_form_truncation(n0, k):
+    """Oracle: the M/M/k law in closed form, pi(j)/pi(j-1) = n0/min(j, k), with
+    the truncation doubled until that law passes the truncation audit."""
+    trunc = k + 40
+    while True:
+        states = np.arange(1, trunc + 1)
+        log_pi = np.concatenate([[0.0], np.cumsum(np.log(n0 / np.minimum(states, k)))])
+        pi = np.exp(log_pi - log_pi.max())
+        pi /= pi.sum()
+        if eq.truncation_audit(eq.StationaryResult(pi, "birth_death_exact", np.nan)):
+            return trunc
+        trunc *= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(n0=st.integers(1, 60), extra=st.integers(1, 40))
+def test_auto_truncation_matches_the_closed_form_law(n0, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        assert run_cli(["stationary", "--n0", str(n0), "--k", str(n0 + extra),
+                        "--out", str(out)]) == 0
+        _, rows = read_csv(out / "stationary.csv")
+    assert len(rows) == _closed_form_truncation(n0, n0 + extra) + 1

@@ -135,6 +135,11 @@ def test_poissonian_bound_strong_drift_limit():
         math.exp(-l * math.log(l)), rel=1e-6)
 
 
+def test_poissonian_bound_past_float_range_is_inf():
+    # I(ln 12) / 0.001 is about 5.5e3, far past the 709 where exp overflows
+    assert poissonian_tail_bound(12.0, 0.001) == math.inf
+
+
 def test_poissonian_bound_rejects_small_level():
     with pytest.raises(ValueError):
         poissonian_tail_bound(1.0, alpha=1.0)
