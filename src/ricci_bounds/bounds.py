@@ -15,12 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chain_model import MetricChain, check_epsilon_geodesic
+from .chain_model import DIST_TOL, MetricChain, check_epsilon_geodesic, check_origin
 from .curvature import CurvatureProfile, curvature_profile
 from .errors import (EmptyAnnulusError, InadmissibleParamsError,
                      InfeasibleSearchError, NoAttractivePointError)
@@ -74,7 +74,6 @@ class TailCurve:
     levels: np.ndarray
     values: np.ndarray
     kind: str  # theorem1 | theorem_princ | empirical | poissonian
-    meta: dict = field(default_factory=dict)
 
     def clamped(self) -> np.ndarray:
         """Values clamped into [0, 1] for plotting; raw values stay in `values`."""
@@ -117,7 +116,7 @@ def phi_of(profile: CurvatureProfile, l: float) -> float:
 def Phi_of(profile: CurvatureProfile, l: float) -> float:
     """Phi(l) = rho*l + int_{2eps}^l int_{2eps}^u K(v) dv du, for l >= 2*eps."""
     eps = profile.epsilon
-    if l < 2 * eps - 1e-12:
+    if l < 2 * eps - DIST_TOL:
         raise ValueError(f"Phi is defined for l >= 2*eps = {2 * eps}, got {l}")
     return profile.rho * l + profile.envelope.double_integral(2 * eps, l)
 
@@ -152,7 +151,7 @@ def _at_d0(profile: CurvatureProfile, d0: float) -> _AtD0:
         if hi > d0:
             rate += phi_of(profile, hi) - phi_d0
     return _AtD0(kd0, fd0, phi_d0, rate, s2K, 1.0 / s2K if s2K > 0 else math.inf,
-                 d0 >= 2 * profile.epsilon - 1e-12)
+                 d0 >= 2 * profile.epsilon - DIST_TOL)
 
 
 def _ln_C(profile: CurvatureProfile, at: _AtD0, alpha: float) -> float:
@@ -171,6 +170,11 @@ def _ln_prefactor(profile: CurvatureProfile, at: _AtD0, alpha: float) -> float:
     if ln_c >= 0:
         return math.inf
     return alpha * at.rate + ln_c - _ln_one_minus_exp(ln_c)
+
+
+def _ln_bound(profile: CurvatureProfile, at: _AtD0, alpha: float, phi_l):
+    """ln of the general bound C' C/(1-C) exp(-alpha (phi(l) - phi(d0))); phi_l may be an array."""
+    return _ln_prefactor(profile, at, alpha) - alpha * (phi_l - at.phi_d0)
 
 
 def _conditions(profile: CurvatureProfile, at: _AtD0, alpha: float):
@@ -229,8 +233,8 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
                 levels: Sequence[float]) -> TailCurve:
     """Tail bound C' * C/(1-C) * exp(-alpha (phi(l) - phi(d0))) for l >= d0.
 
-    Raw values are kept even when they exceed 1 (flagged via meta); the
-    clamped companion is available from the curve object.
+    Raw values are kept even when they exceed 1; the clamped companion is
+    available from the curve object.
     """
     if not params.admissible:
         raise InadmissibleParamsError(
@@ -239,17 +243,9 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
     levels = np.asarray(levels, dtype=float)
     if levels.size and float(levels.min()) < params.d0 - 1e-9:
         raise ValueError(f"levels must be >= d0 = {params.d0}")
-    alpha, d0 = params.alpha, params.d0
-    at = _at_d0(profile, d0)
-    ln_pref = _ln_prefactor(profile, at, alpha)
-    ln_vals = np.array([ln_pref - alpha * (phi_of(profile, l) - at.phi_d0)
-                        for l in levels])
-    values = np.exp(ln_vals)
-    return TailCurve(levels=levels, values=values, kind="theorem_princ",
-                     meta={"alpha": alpha, "d0": d0, "ln_prefactor": ln_pref,
-                           "C": C_alpha_d0(profile, alpha, d0),
-                           "Cprime": Cprime_alpha_d0(profile, alpha, d0),
-                           "exceeds_one": bool(np.any(values > 1.0))})
+    phi_l = np.array([phi_of(profile, l) for l in levels])
+    ln_vals = _ln_bound(profile, _at_d0(profile, params.d0), params.alpha, phi_l)
+    return TailCurve(levels=levels, values=np.exp(ln_vals), kind="theorem_princ")
 
 
 def paper_default_d0(profile: CurvatureProfile) -> float:
@@ -261,13 +257,13 @@ def paper_default_d0(profile: CurvatureProfile) -> float:
     return 2.0 * profile.epsilon + LN2 * profile.s2 / profile.rho
 
 
-def theorem1_params(profile: CurvatureProfile, strategy: str = "paper_default") -> BoundParams:
+def theorem1_params(profile: CurvatureProfile) -> BoundParams:
     """The fixed choice alpha = 1/(2 s^2), d0 = 2*eps + ln(2) s^2 / rho."""
     d0 = paper_default_d0(profile)
     alpha = 1.0 / (2.0 * profile.s2)
     # holds automatically (kappa <= 1 pointwise), asserted rather than assumed
     assert float(profile.envelope(d0)) <= 1.0 + 1e-12
-    return admissibility(profile, alpha, d0, strategy=strategy)
+    return admissibility(profile, alpha, d0, strategy="paper_default")
 
 
 def ln_C0_of(profile: CurvatureProfile) -> float:
@@ -287,24 +283,19 @@ def C0_of(profile: CurvatureProfile) -> float:
 def bound_theorem1(profile: CurvatureProfile, levels: Sequence[float]) -> TailCurve:
     """Tail bound C0 * exp(-Phi(l) / (2 s^2)) for l > 2*eps + ln(2) s^2 / rho.
 
-    The closed-form C0 is evaluated exactly; the delegated (alpha, d0)
-    machinery with the same parameter choice is exposed via meta["params"]
-    (its curve is bound_princ(profile, meta["params"], levels) and is
-    provably at most this one).
+    The closed-form C0 is evaluated exactly.  The general bound at the same
+    parameters, bound_princ(profile, theorem1_params(profile), levels), is
+    provably at most this one.
     """
-    params = theorem1_params(profile)
+    d0 = paper_default_d0(profile)
     levels = np.asarray(levels, dtype=float)
-    if levels.size and float(levels.min()) <= params.d0 - 1e-9:
-        raise ValueError(f"levels must be > d0 = {params.d0}")
+    if levels.size and float(levels.min()) <= d0 - 1e-9:
+        raise ValueError(f"levels must be > d0 = {d0}")
     ln_c0 = ln_C0_of(profile)
     s2 = profile.s2
     with np.errstate(over="ignore"):  # past the float range the bound is +inf
         values = np.exp([ln_c0 - Phi_of(profile, l) / (2.0 * s2) for l in levels])
-    return TailCurve(levels=levels, values=np.asarray(values), kind="theorem1",
-                     meta={"alpha": params.alpha, "d0": params.d0,
-                           "C0": _exp_or_inf(ln_c0),
-                           "ln_C0": ln_c0, "params": params,
-                           "exceeds_one": bool(np.any(np.asarray(values) > 1.0))})
+    return TailCurve(levels=levels, values=np.asarray(values), kind="theorem1")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +320,7 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
     """
     default_d0 = paper_default_d0(profile)
     if strategy == "paper_default":
-        params = theorem1_params(profile, strategy="paper_default")
+        params = theorem1_params(profile)
         if not params.admissible:
             raise InfeasibleSearchError(
                 "paper-default parameters are not admissible",
@@ -398,7 +389,7 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
     for d0, at, alphas in lattice:
         for alpha in alphas:
             if all(_conditions(profile, at, alpha)[0]):
-                val = _ln_prefactor(profile, at, alpha) - alpha * (phi_ref - at.phi_d0)
+                val = _ln_bound(profile, at, alpha, phi_ref)
                 if best is None or val < best[0]:
                     best = (val, alpha, d0)
     if best is None:
@@ -447,6 +438,7 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
     empty annulus (or that break the eps-geodesic property) are skipped with
     a note.  Rows are evaluated one after another, in the order given.
     """
+    check_origin(chain, origin)
 
     def one(eps: float) -> SweepRow:
         if not check_epsilon_geodesic(chain, eps).is_geodesic:
@@ -457,26 +449,21 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
         except EmptyAnnulusError:
             return SweepRow(eps, math.nan, math.nan, math.nan, None,
                             math.inf, note="empty annulus")
+        row = functools.partial(SweepRow, eps, profile.rho,
+                                float(profile.envelope.values.max()),
+                                profile.envelope.support_end())
         if profile.rho <= 0:
-            return SweepRow(eps, profile.rho, float(profile.envelope.values.max()),
-                            profile.envelope.support_end(), None, math.inf,
-                            note="rho <= 0")
+            return row(None, math.inf, note="rho <= 0")
         try:
             params = search_params(profile, strategy=strategy,
                                    reference_level=reference_level)
         except (InfeasibleSearchError, NoAttractivePointError) as exc:
-            return SweepRow(eps, profile.rho, float(profile.envelope.values.max()),
-                            profile.envelope.support_end(), None, math.inf,
-                            note=str(exc))
+            return row(None, math.inf, note=str(exc))
         if params.d0 > reference_level:
-            return SweepRow(eps, profile.rho, float(profile.envelope.values.max()),
-                            profile.envelope.support_end(), params, math.inf,
-                            note="d0 beyond reference level")
-        val = _exp_or_inf(ln_prefactor(profile, params.alpha, params.d0)
-                          - params.alpha * (phi_of(profile, reference_level)
-                                            - phi_of(profile, params.d0)))
-        return SweepRow(eps, profile.rho, float(profile.envelope.values.max()),
-                        profile.envelope.support_end(), params, val)
+            return row(params, math.inf, note="d0 beyond reference level")
+        ln_val = _ln_bound(profile, _at_d0(profile, params.d0), params.alpha,
+                           phi_of(profile, reference_level))
+        return row(params, _exp_or_inf(ln_val))
 
     rows = [one(eps) for eps in epsilons]
     usable = [r for r in rows if math.isfinite(r.bound_at_reference)]

@@ -21,6 +21,9 @@ from .errors import ChainFormatError, ChainValidationError
 ROW_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 GEODESIC_TOL = 1e-9
+# Distances closer than this are equal.  Every "within eps" test shares it, so
+# the eps-geodesic check and the curvature ball agree on which pairs are near.
+DIST_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -250,6 +253,13 @@ def load_chain(path) -> MetricChain:
     return chain
 
 
+def check_origin(chain: MetricChain, origin: int) -> None:
+    """Raise ValueError unless origin is a state index, 0 <= origin < n."""
+    if not 0 <= origin < chain.n:
+        raise ValueError(f"origin {origin} is not a state index: need "
+                         f"0 <= origin < n = {chain.n}")
+
+
 def _shortest_paths(d: np.ndarray, t: float) -> np.ndarray:
     """All-pairs shortest paths over the pairs with 0 < d <= t (d = 0 only on the diagonal)."""
     return shortest_path(csr_array(np.where(d <= t, d, 0.0)), directed=False)
@@ -270,12 +280,12 @@ def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> GeodesicReport
     if chain.coords is not None:
         order = np.argsort(chain.coords, kind="stable")
         gaps = d[order[:-1], order[1:]]
-        if gaps.max(initial=0.0) <= epsilon + 1e-12:
+        if gaps.max(initial=0.0) <= epsilon + DIST_TOL:
             return GeodesicReport(epsilon=epsilon, is_geodesic=True)
         k = int(np.argmax(gaps))
         return GeodesicReport(epsilon=epsilon, is_geodesic=False,
                               witness_failure=(int(order[k]), int(order[k + 1])))
-    defect = np.abs(_shortest_paths(d, epsilon + 1e-12) - d)
+    defect = np.abs(_shortest_paths(d, epsilon + DIST_TOL) - d)
     i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
     if defect[i, j] <= GEODESIC_TOL:
         return GeodesicReport(epsilon=epsilon, is_geodesic=True)

@@ -36,9 +36,8 @@ from . import jump_process as jp
 from .chain_model import (MetricChain, build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain)
 from .curvature import curvature_profile
-from .errors import (ChainFormatError, ChainValidationError, EmptyAnnulusError,
-                     InadmissibleParamsError, InfeasibleSearchError,
-                     NoAttractivePointError)
+from .errors import (ChainFormatError, ChainValidationError, InadmissibleParamsError,
+                     InapplicableError)
 
 STRATEGY_MAP = {"paper": "paper_default", "grid": "grid", "convex": "alpha_convexity"}
 
@@ -169,8 +168,8 @@ def _write_tail_curves(path: Path, curves) -> None:
     """TailCurve export: long format, one row per (level, curve)."""
     rows = []
     for c in curves:
-        for l, v in zip(c.levels, c.values):
-            rows.append([l, v, min(v, 1.0), c.kind])
+        for l, v, clamped in zip(c.levels, c.values, c.clamped()):
+            rows.append([l, v, clamped, c.kind])
     _write_csv(path, ["l", "bound_raw", "bound_clamped", "kind"], rows)
 
 
@@ -178,16 +177,14 @@ def _comparison_rows(curves, tail):
     header = ["l"]
     for c in curves:
         header += [f"{c.kind}_raw", f"{c.kind}_clamped"]
-    if tail is not None:
-        header.append("empirical")
+    header.append("empirical")
+    clamped = [c.clamped() for c in curves]
     rows = []
     for i, l in enumerate(curves[0].levels):
         row = [l]
-        for c in curves:
-            row += [c.values[i], min(c.values[i], 1.0)]
-        if tail is not None:
-            row.append(tail.values[i])
-        rows.append(row)
+        for c, cl in zip(curves, clamped):
+            row += [c.values[i], cl[i]]
+        rows.append(row + [tail.values[i]])
     return header, rows
 
 
@@ -348,14 +345,13 @@ def run(cfg: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[cfg.command](cfg)
-    except (InadmissibleParamsError, InfeasibleSearchError,
-            NoAttractivePointError, EmptyAnnulusError) as exc:
+    except InapplicableError as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
-        if getattr(exc, "report", None):
+        if exc.report:
             _write_json(cfg.out_dir / "infeasibility_report.json",
                         {"error": str(exc), "report": exc.report})
         return EXIT_INAPPLICABLE
-    except (ChainFormatError, ChainValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:

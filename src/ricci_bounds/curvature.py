@@ -16,18 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .chain_model import MetricChain
+from .chain_model import DIST_TOL, MetricChain, check_origin
 from .errors import DegenerateKernelError, EmptyAnnulusError
 from .stepfun import StepFunction
 from .transport import DiscreteMeasure, w1_flow, w1_flow_batch, w1_to_point
 from .transport import w1_line  # noqa: F401  bench/tracing.py patches it here
-
-ANNULUS_TOL = 1e-12
-# Transport variables per block-diagonal LP on non-line metrics.  HiGHS's
-# memory grows by about 1.4 KB per variable, so batches are cut by variables,
-# not by pairs.  3200 is 32 pairs of 10-point kernel rows on {0,1}^9, where
-# it raised the process's peak RSS by 0.4 MB over single-pair solves.
-LP_BATCH_VARS = 3200
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,7 @@ def _local_curvature_line(chain: MetricChain, epsilon: float) -> np.ndarray:
     kloc = np.full(n, np.inf)
     for off in range(1, n):
         d = chain.dist[order[:-off], order[off:]]
-        near = d <= epsilon + ANNULUS_TOL
+        near = d <= epsilon + DIST_TOL
         if not near.any():
             break
         w1 = np.abs(cdf[:-off] - cdf[off:])[:, :-1] @ gaps
@@ -91,14 +84,10 @@ def _local_curvature_line(chain: MetricChain, epsilon: float) -> np.ndarray:
 def _local_curvature_lp(chain: MetricChain, epsilon: float) -> np.ndarray:
     """K_eps from certified transport LPs, solved in block-diagonal batches."""
     d = chain.dist
-    xs, ys = np.nonzero(np.triu((d > 0) & (d <= epsilon + ANNULUS_TOL)))
+    xs, ys = np.nonzero(np.triu((d > 0) & (d <= epsilon + DIST_TOL)))
     rows = [DiscreteMeasure.from_vector(chain.kernel[i]) for i in range(chain.n)]
     pairs = [(rows[x], rows[y]) for x, y in zip(xs, ys)]
-    # a pair joins the batch in which its running variable count ends
-    n_vars = np.cumsum([mu.support.size * nu.support.size for mu, nu in pairs])
-    cuts = np.flatnonzero(np.diff(n_vars // LP_BATCH_VARS)) + 1
-    w1 = [cert.value for batch in np.split(np.arange(len(pairs)), cuts)
-          for cert in w1_flow_batch([pairs[k] for k in batch], chain)]
+    w1 = [cert.value for cert in w1_flow_batch(pairs, chain)]
     kap = 1.0 - np.asarray(w1, dtype=float) / d[xs, ys]
     kloc = np.full(chain.n, np.inf)
     np.minimum.at(kloc, xs, kap)
@@ -115,8 +104,8 @@ def local_curvature(chain: MetricChain, epsilon: float) -> np.ndarray:
     loaded, uniform or not) takes the exact CDF identity over the points in
     coordinate order, cross-validated against the certified LP in the test
     suite; every other chain sends its pairs through the certified solver in
-    block-diagonal batches of about LP_BATCH_VARS variables, each pair with
-    its own duality certificate.
+    block-diagonal batches (`w1_flow_batch`), each pair with its own duality
+    certificate.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -150,7 +139,7 @@ def curvature_envelope(chain: MetricChain, epsilon: float, origin: int,
     breakpoints, values = [], []
     for i in order:
         r = d[i]
-        if not breakpoints or r > breakpoints[-1] + 1e-12:
+        if not breakpoints or r > breakpoints[-1] + DIST_TOL:
             breakpoints.append(r)
             values.append(kappa_local[i])
         else:
@@ -175,8 +164,8 @@ def attraction_rho(chain: MetricChain, epsilon: float, origin: int) -> float:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     d = chain.dist[origin]
-    annulus = np.nonzero((d >= epsilon - ANNULUS_TOL)
-                         & (d <= 2 * epsilon + ANNULUS_TOL) & (d > 0))[0]
+    annulus = np.nonzero((d >= epsilon - DIST_TOL)
+                         & (d <= 2 * epsilon + DIST_TOL) & (d > 0))[0]
     if annulus.size == 0:
         raise EmptyAnnulusError(
             f"no point with eps <= d(x, origin) <= 2*eps for eps={epsilon}; "
@@ -208,15 +197,14 @@ def subgaussian_s2(chain: MetricChain) -> float:
 
 
 def curvature_profile(chain: MetricChain, epsilon: float,
-                      origin: Optional[int] = None,
-                      kappa_local: Optional[np.ndarray] = None) -> CurvatureProfile:
+                      origin: Optional[int] = None) -> CurvatureProfile:
     """Assemble the full curvature profile at one (eps, origin) choice."""
     if origin is None:
         origin = chain.origin_hint
     if origin is None:
         raise ValueError("no origin given and the chain has no origin_hint")
-    if kappa_local is None:
-        kappa_local = local_curvature(chain, epsilon)
+    check_origin(chain, origin)
+    kappa_local = local_curvature(chain, epsilon)
     envelope = curvature_envelope(chain, epsilon, origin, kappa_local)
     rho = attraction_rho(chain, epsilon, origin)
     j0 = w1_to_point(chain, origin, origin)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import TailCurve
-from .chain_model import MetricChain
+from .chain_model import DIST_TOL, MetricChain
 from .errors import ChainValidationError, PowerIterationError
 
 
@@ -111,9 +111,8 @@ def empirical_tail(result: StationaryResult, chain: MetricChain, origin: int,
     levels = np.asarray(levels, dtype=float)
     d = chain.dist[origin]
     pi = result.distribution
-    values = np.array([pi[d >= l - 1e-12].sum() for l in levels])
-    return TailCurve(levels=levels, values=values, kind="empirical",
-                     meta={"method": result.method, "origin": int(origin)})
+    values = np.array([pi[d >= l - DIST_TOL].sum() for l in levels])
+    return TailCurve(levels=levels, values=values, kind="empirical")
 
 
 def truncation_audit(result: StationaryResult) -> bool:

@@ -13,7 +13,15 @@ class TransportError(ValueError):
     """Bad transport input (unnormalized measure) or a failed certificate."""
 
 
-class EmptyAnnulusError(ValueError):
+class InapplicableError(ValueError):
+    """The theorems do not apply here; `report` says why, when there is one."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
+
+
+class EmptyAnnulusError(InapplicableError):
     """No point falls in the annulus eps <= d(x, x0) <= 2*eps."""
 
 
@@ -21,24 +29,16 @@ class DegenerateKernelError(ValueError):
     """The sub-Gaussian constant would be zero (point-mass kernel rows)."""
 
 
-class NoAttractivePointError(ValueError):
+class NoAttractivePointError(InapplicableError):
     """rho <= 0: the origin is not attractive at this eps."""
 
 
-class InadmissibleParamsError(ValueError):
+class InadmissibleParamsError(InapplicableError):
     """Bound requested with parameters that fail the admissibility conditions."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
-
-class InfeasibleSearchError(ValueError):
+class InfeasibleSearchError(InapplicableError):
     """Parameter search found no admissible (alpha, d0) pair."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class PowerIterationError(RuntimeError):

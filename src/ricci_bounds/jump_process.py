@@ -20,6 +20,8 @@ from .bounds import _exp_or_inf
 
 _CHUNK = 200_000
 _EXP_OVERFLOW = 700.0
+SERIES_TOL = 1e-12      # relative tolerance of the I(lambda) series
+CP_CONFIDENCE = 0.99    # level of the two-sided Clopper-Pearson interval
 
 
 @dataclass(frozen=True)
@@ -61,14 +63,12 @@ def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
     return out
 
 
-def transform_I(lam: float, tol: float = 1e-12) -> float:
-    """I(lambda) = sum_{n>=1} lambda^n / (n n!), summed to relative tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def transform_I(lam: float) -> float:
+    """I(lambda) = sum_{n>=1} lambda^n / (n n!), summed to relative SERIES_TOL."""
     total = 0.0
     term = lam  # lambda^n / n!
     n = 1
-    while abs(term) > tol * (1.0 + abs(total)):
+    while abs(term) > SERIES_TOL * (1.0 + abs(total)):
         total += term / n
         n += 1
         term *= lam / n
@@ -123,12 +123,11 @@ def poissonian_tail_bound(l: float, alpha: float) -> float:
     return _exp_or_inf(transform_I(ln_l) / alpha - l * ln_l)
 
 
-def clopper_pearson_upper(successes: int, trials: int,
-                          confidence: float = 0.99) -> float:
-    """Upper end of the two-sided Clopper-Pearson interval."""
+def clopper_pearson_upper(successes: int, trials: int) -> float:
+    """Upper end of the two-sided Clopper-Pearson interval at CP_CONFIDENCE."""
     if successes >= trials:
         return 1.0
-    tail = (1.0 - confidence) / 2.0
+    tail = (1.0 - CP_CONFIDENCE) / 2.0
     return float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
 
 
@@ -140,8 +139,7 @@ def empirical_tail_probs(samples: np.ndarray, levels) -> tuple:
     return counts / samples.size, counts
 
 
-def tail_comparison(samples: np.ndarray, levels, alpha: float,
-                    confidence: float = 0.99):
+def tail_comparison(samples: np.ndarray, levels, alpha: float):
     """Rows of (level, empirical, CP-upper, bound) plus a dominance verdict.
 
     Dominance holds when no empirical point estimate exceeds the bound;
@@ -153,7 +151,7 @@ def tail_comparison(samples: np.ndarray, levels, alpha: float,
     rows = []
     dominated = True
     for l, p, c in zip(np.asarray(levels, dtype=float), probs, counts):
-        upper = clopper_pearson_upper(int(c), samples.size, confidence)
+        upper = clopper_pearson_upper(int(c), samples.size)
         bound = poissonian_tail_bound(float(l), alpha)
         rows.append({"level": float(l), "empirical": float(p),
                      "empirical_ci_high": upper, "bound": bound,

@@ -1,10 +1,27 @@
+import importlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
 from ricci_bounds import MetricChain, build_mmk_chain
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def import_from_bench(*names):
+    """Import bench modules by name without writing anything under bench/."""
+    sys.path.insert(0, str(BENCH))  # the bench modules import each other by name
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(BENCH))
 
 
 @pytest.fixture(scope="session")

@@ -306,17 +306,15 @@ def test_theorem1_with_rho_squared_below_rounding():
     curve = bound_theorem1(prof, [2 * d0])
     assert curve.values[0] == math.inf
     numerator = 1.5 * (1e-9 + math.log(2) * 1e9) - 2.5e-19 + 1e-9 * d0 / 2
-    assert curve.meta["ln_C0"] == pytest.approx(numerator - math.log(2.5e-19),
-                                                abs=1e-6)
-    assert curve.meta["C0"] == math.inf
+    assert ln_C0_of(prof) == pytest.approx(numerator - math.log(2.5e-19), abs=1e-6)
+    assert C0_of(prof) == math.inf
 
 
 def test_theorem1_meta_C0_up_to_the_float_range():
     prof = synthetic_profile(rho=1.5e-3, k_const=0.0)
     ln_c0 = ln_C0_of(prof)
     assert 700 < ln_c0 < 709
-    curve = bound_theorem1(prof, [2 * paper_default_d0(prof)])
-    assert curve.meta["C0"] == math.exp(ln_c0)
+    assert C0_of(prof) == math.exp(ln_c0)
 
 
 def test_theorem1_requires_attractive_point():
@@ -359,7 +357,6 @@ def test_tail_curve_clamping(prof_5_10):
     levels = np.linspace(params.d0 + 0.01, 50.0, 20)
     curve = bound_theorem1(prof, levels)
     assert curve.exceeds_one()
-    assert curve.meta["exceeds_one"]
     assert np.max(curve.clamped()) <= 1.0
     assert np.max(curve.values) > 1.0  # raw values preserved
 

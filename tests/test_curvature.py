@@ -3,10 +3,10 @@ import pytest
 from scipy.special import erf
 
 from ricci_bounds import (MetricChain, attraction_rho, build_discrete_ou_chain,
-                          curvature_envelope,
-                          curvature_profile, kappa_pair, load_chain,
+                          build_mmk_chain, curvature_envelope,
+                          curvature_profile, epsilon_sweep, kappa_pair, load_chain,
                           local_curvature, subgaussian_s2, w1_to_point)
-from ricci_bounds import curvature
+from ricci_bounds import curvature, transport
 from ricci_bounds.errors import DegenerateKernelError, EmptyAnnulusError
 
 from conftest import (cube_chain, irregular_line_chain, line_chain,
@@ -111,7 +111,7 @@ def test_local_curvature_cube_is_one_over_n(p):
 @pytest.mark.parametrize("eps", [3.0, 5.0])
 def test_local_curvature_graph_matches_pair_minimum(monkeypatch, batch_vars, eps):
     if batch_vars is not None:       # many small LP batches instead of one
-        monkeypatch.setattr(curvature, "LP_BATCH_VARS", batch_vars)
+        monkeypatch.setattr(transport, "LP_BATCH_VARS", batch_vars)
     base = random_graph_chain(np.random.default_rng(8))
     kernel = base.kernel.copy()
     x0, y0 = np.argwhere((base.dist > 0) & (base.dist <= 3.0))[0]
@@ -244,3 +244,12 @@ def test_profile_assembles_consistently(mmk_2_4):
     assert profile.s2 == 1.0
     # j0 is recomputable from transport
     assert profile.j0 == pytest.approx(w1_to_point(mmk_2_4, 2, 2), abs=1e-9)
+
+
+def test_library_rejects_an_origin_outside_the_chain():
+    # a negative index would otherwise select state n-3 without a word
+    chain = build_mmk_chain(5, 10, 50)
+    with pytest.raises(ValueError, match=r"origin -3 .* n = 51"):
+        curvature_profile(chain, 2.0, origin=-3)
+    with pytest.raises(ValueError, match=r"origin -3 .* n = 51"):
+        epsilon_sweep(chain, -3, [2.0], 20.0)

@@ -6,31 +6,18 @@ Runs every unseeded invocation of the benchmark's `readme` workload through
 1e-9 plus absolute 1e-13).  The bench modules are only read: nothing is
 written under bench/.
 """
-import importlib
 import re
-import sys
 from pathlib import Path
 
 import pytest
 
 from ricci_bounds.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import BENCH, import_from_bench
+
 REFERENCE = BENCH / "reference" / "readme"
 
-
-def _import_from_bench(*names):
-    sys.path.insert(0, str(BENCH))  # the bench modules import each other by name
-    write_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        return [importlib.import_module(name) for name in names]
-    finally:
-        sys.dont_write_bytecode = write_bytecode
-        sys.path.remove(str(BENCH))
-
-
-checks, workloads = _import_from_bench("checks", "workloads")
+checks, workloads = import_from_bench("checks", "workloads")
 INVOCATIONS = [inv for inv in workloads.WORKLOADS["readme"].invocations(0, Path("."))
                if not inv.seeded]
 

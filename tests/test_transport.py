@@ -161,10 +161,8 @@ def test_batch_of_nothing_solves_nothing(monkeypatch):
     assert w1_flow_batch([(mu, mu)], chain)[0].value == 0.0
 
 
-def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
-    # a 4-cycle: pair 1 moves half of nu's mass from a to c (W1 = 1), and
-    # zero duals on its nu rows leave a potential that vanishes on nu's
-    # support, so its dual value drops to 0 while its neighbours stay exact
+def four_cycle_pairs():
+    """The 4-cycle a-b-c-d and three pairs with W1 = 1, 1 and 1.5, two LP variables each."""
     dist = np.array([[0, 1, 2, 1],
                      [1, 0, 1, 2],
                      [2, 1, 0, 1],
@@ -174,6 +172,14 @@ def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
     pairs = [(measure([0], [1.0]), measure([1, 3], [0.5, 0.5])),
              (measure([0], [1.0]), measure([0, 2], [0.5, 0.5])),
              (measure([1, 2], [0.5, 0.5]), measure([3], [1.0]))]
+    return chain, pairs
+
+
+def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
+    # a 4-cycle: pair 1 moves half of nu's mass from a to c (W1 = 1), and
+    # zero duals on its nu rows leave a potential that vanishes on nu's
+    # support, so its dual value drops to 0 while its neighbours stay exact
+    chain, pairs = four_cycle_pairs()
     assert [c.value for c in w1_flow_batch(pairs, chain)] == pytest.approx([1.0, 1.0, 1.5])
     nu_rows = slice(4, 6)   # block 0 holds rows 0-2, block 1's mu row is row 3
     real = transport.linprog
@@ -186,6 +192,27 @@ def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
     monkeypatch.setattr(transport, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 1: duality certificate failed"):
         w1_flow_batch(pairs, chain)
+
+
+def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
+    # a 1-variable budget gives every pair its own LP; a zeroed primal in the
+    # third LP must be reported as pair 2, its index in the caller's list
+    chain, pairs = four_cycle_pairs()
+    monkeypatch.setattr(transport, "LP_BATCH_VARS", 1)
+    real = transport.linprog
+    calls = []
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res.x.size)
+        if len(calls) == 3:
+            res.x = np.zeros_like(res.x)
+        return res
+
+    monkeypatch.setattr(transport, "linprog", corrupted)
+    with pytest.raises(TransportError, match=r"^pair 2: duality certificate failed"):
+        w1_flow_batch(pairs, chain)
+    assert calls == [2, 2, 2]
 
 
 # ------------------------------------------------------------- dominance
