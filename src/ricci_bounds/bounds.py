@@ -303,19 +303,17 @@ def bound_theorem1(profile: CurvatureProfile, levels: Sequence[float]) -> TailCu
 # ---------------------------------------------------------------------------
 
 def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
-                  reference_level: Optional[float] = None,
-                  d0_range: Optional[tuple] = None,
-                  fixed_d0: Optional[float] = None) -> BoundParams:
+                  reference_level: Optional[float] = None) -> BoundParams:
     """Choose (alpha, d0).
 
     paper_default: alpha = 1/(2 s^2), d0 = 2*eps + ln(2) s^2 / rho.
     grid: minimize the raw bound at `reference_level` over a lattice of
       GRID_POINTS geometric alpha values per d0 (capped at min(1/(s^2 K(d0)),
       2/s^2)) and GRID_POINTS linear d0 values on [2*eps, 2*eps + 10(rho +
-      s^2/rho)] (override with `d0_range`); the paper-default point is always included; only admissible
-      pairs with d0 <= reference_level compete.
-    alpha_convexity: fix d0 (paper default unless `fixed_d0`) and minimize the
-      log prefactor ln(C' C / (1 - C)) over alpha by golden section -- valid
+      s^2/rho)] plus the paper-default d0; only admissible pairs with
+      d0 <= reference_level compete.
+    alpha_convexity: fix d0 at the paper default and minimize the log
+      prefactor ln(C' C / (1 - C)) over alpha by golden section -- valid
       because ln C is convex in alpha and the extra terms preserve convexity.
     """
     default_d0 = paper_default_d0(profile)
@@ -328,17 +326,16 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
         return params
 
     if strategy == "alpha_convexity":
-        d0 = fixed_d0 if fixed_d0 is not None else default_d0
-        at = _at_d0(profile, d0)
+        at = _at_d0(profile, default_d0)
         lo, hi = 0.0, min(at.limit, 2.0 / profile.s2) * (1.0 - 1e-9)
         objective = functools.partial(_ln_prefactor, profile, at)
         probe = np.linspace(lo + (hi - lo) * 1e-4, hi * (1 - 1e-9), 64)
         finite = [a for a in probe if objective(a) < math.inf]
         if not finite:
-            params = admissibility(profile, probe[len(probe) // 2], d0,
+            params = admissibility(profile, probe[len(probe) // 2], default_d0,
                                    strategy="alpha_convexity")
             raise InfeasibleSearchError(
-                f"no alpha makes C < 1 at d0 = {d0:.6g} (the drift F(d0) is "
+                f"no alpha makes C < 1 at d0 = {default_d0:.6g} (the drift F(d0) is "
                 "too weak against s^2 K(d0))",
                 report=[params.admissibility_report])
         a_lo, a_hi = min(finite), max(finite)
@@ -358,7 +355,7 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
                 x2 = a_lo + invphi * (a_hi - a_lo)
                 f2 = objective(x2)
         best_alpha = (a_lo + a_hi) / 2.0
-        params = admissibility(profile, best_alpha, d0, strategy="alpha_convexity")
+        params = admissibility(profile, best_alpha, default_d0, strategy="alpha_convexity")
         if not params.admissible:
             raise InfeasibleSearchError(
                 "convexity search ended on an inadmissible point",
@@ -370,10 +367,9 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
 
     if reference_level is None:
         reference_level = 2.0 * default_d0
-    if d0_range is None:
-        d0_range = (2.0 * profile.epsilon,
-                    2.0 * profile.epsilon + 10.0 * (profile.rho + profile.s2 / profile.rho))
-    d0_values = np.linspace(d0_range[0], d0_range[1], GRID_POINTS).tolist() + [default_d0]
+    eps2 = 2.0 * profile.epsilon
+    d0_values = np.linspace(eps2, eps2 + 10.0 * (profile.rho + profile.s2 / profile.rho),
+                            GRID_POINTS).tolist() + [default_d0]
     # (d0, its terms, its alpha grid); d0 beyond the reference level has neither
     lattice = []
     for d0 in d0_values:

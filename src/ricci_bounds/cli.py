@@ -16,7 +16,9 @@ the parser's option names and defaults are the only copy of them.
 
 Exit status: 0 all requested checks pass, 1 a bound was violated,
 2 the theorems are inapplicable (no admissible parameters / rho <= 0),
-3 invalid input (including an --origin outside 0..n-1), 4 internal error.
+3 invalid input (a malformed or non-finite command line, an --origin
+outside 0..n-1, or a --trunc / --grid-width cut-off that leaves mass past
+the last state), 4 internal error.
 Plot rendering is out of scope: every figure-equivalent output is a
 documented CSV.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -65,38 +68,52 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for the float flags: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_range(spec: str) -> np.ndarray:
     """Parse 'a:b:step' into an inclusive grid."""
     try:
         a, b, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise ChainFormatError(f"bad range {spec!r}, expected a:b:step") from exc
-    if step <= 0 or b < a:
-        raise ChainFormatError(f"bad range {spec!r}: need a <= b and step > 0")
+    if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
+        raise ChainFormatError(f"bad range {spec!r}: need finite a <= b and step > 0")
     return np.arange(a, b + step * 1e-9, step)
 
 
-def _auto_truncation(n0: int, k: int) -> MetricChain:
-    """The M/M/k chain, its truncation doubled until its stationary law passes the audit."""
+def _auto_truncation(n0: int, k: int):
+    """The M/M/k chain, its truncation doubled until its stationary law passes
+    the audit, and that audited law."""
     trunc = k + 40
     while True:
         chain = build_mmk_chain(n0, k, trunc)
-        if eq.truncation_audit(eq.stationary_birth_death(chain)):
-            return chain
+        result = eq.stationary_birth_death(chain)
+        if eq.truncation_audit(result):
+            return chain, result
         trunc *= 2
 
 
-def _build_chain(cfg: argparse.Namespace) -> MetricChain:
+def _build_chain(cfg: argparse.Namespace):
+    """The chain, and its stationary law where building it already solved one (else None)."""
     if cfg.chain_file is not None:
-        return load_chain(cfg.chain_file)
+        return load_chain(cfg.chain_file), None
     if cfg.n0 is not None:
         if cfg.k is None:
             raise ChainFormatError("--n0 requires --k")
         if cfg.trunc is None:
             return _auto_truncation(cfg.n0, cfg.k)
-        return build_mmk_chain(cfg.n0, cfg.k, cfg.trunc)
+        return build_mmk_chain(cfg.n0, cfg.k, cfg.trunc), None
     if cfg.alpha is not None:
-        return build_discrete_ou_chain(cfg.alpha, cfg.grid_width, cfg.grid_step)
+        return build_discrete_ou_chain(cfg.alpha, cfg.grid_width, cfg.grid_step), None
     raise ChainFormatError(
         "no chain source: give --chain FILE, or --n0/--k, or --alpha/--grid-width/--grid-step")
 
@@ -134,11 +151,14 @@ def _profile(cfg: argparse.Namespace, chain: MetricChain):
     return curvature_profile(chain, eps, origin=origin)
 
 
-def _stationary(chain: MetricChain):
+def _stationary(chain: MetricChain, solved):
+    """`solved` if building the chain already solved its law, else a fresh solve."""
+    if solved is not None:
+        return solved
     try:
         return eq.stationary_birth_death(chain)
     except ChainValidationError:
-        return eq.stationary_power(chain, tol=1e-12)
+        return eq.stationary_power(chain)
 
 
 def _default_levels(cfg, profile, chain, d0: float) -> np.ndarray:
@@ -189,7 +209,7 @@ def _comparison_rows(curves, tail):
 
 
 def cmd_curvature(cfg: argparse.Namespace) -> int:
-    chain = _build_chain(cfg)
+    chain, _ = _build_chain(cfg)
     profile = _profile(cfg, chain)
     _write_json(cfg.out_dir / "profile.json", profile.as_dict())
     env = profile.envelope
@@ -201,7 +221,7 @@ def cmd_curvature(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bound(cfg: argparse.Namespace) -> int:
-    chain = _build_chain(cfg)
+    chain, _ = _build_chain(cfg)
     profile = _profile(cfg, chain)
     params, levels, curves = _bound_curves(cfg, profile, chain)
     _write_json(cfg.out_dir / "params.json", params.as_dict())
@@ -212,8 +232,8 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
 
 
 def cmd_stationary(cfg: argparse.Namespace) -> int:
-    chain = _build_chain(cfg)
-    result = _stationary(chain)
+    chain, solved = _build_chain(cfg)
+    result = _stationary(chain, solved)
     _write_csv(cfg.out_dir / "stationary.csv", ["point", "mass"],
                list(zip(chain.points, result.distribution)))
     print(f"stationary: method={result.method} residual={result.residual:.3e}")
@@ -221,10 +241,10 @@ def cmd_stationary(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    chain = _build_chain(cfg)
+    chain, solved = _build_chain(cfg)
     profile = _profile(cfg, chain)
     params, levels, curves = _bound_curves(cfg, profile, chain)
-    result = _stationary(chain)
+    result = _stationary(chain, solved)
     tail = eq.empirical_tail(result, chain, profile.origin, levels)
     _write_json(cfg.out_dir / "profile.json", profile.as_dict())
     _write_json(cfg.out_dir / "params.json", params.as_dict())
@@ -240,7 +260,14 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     _write_csv(cfg.out_dir / "comparison.csv", header + ["dominated"],
                [row + [str(bool(d))] for row, d in zip(rows, per_level)])
     print(f"verdict: {verdict} (dominated={dominated}, truncation_audit={audit_ok})")
-    return EXIT_PASS if verdict == "PASS" else EXIT_VIOLATION
+    if not dominated:
+        return EXIT_VIOLATION
+    if not audit_ok:
+        flag = "--trunc" if cfg.n0 is not None else "--grid-width"
+        print(f"error: the cut-off set by {flag} is too short: its last 10 states "
+              f"carry stationary mass {eq.cutoff_mass(result):.3e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    return EXIT_PASS
 
 
 def cmd_example_mmk(cfg: argparse.Namespace) -> int:
@@ -278,7 +305,7 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    chain = _build_chain(cfg)
+    chain, _ = _build_chain(cfg)
     origin = _origin(cfg, chain)
     if not cfg.epsilons:
         raise ChainFormatError("sweep needs --epsilons a:b:step")
@@ -312,8 +339,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (invalid input), not argparse's 2 (inapplicable here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ricci-bounds",
         description="Coarse Ricci curvature and equilibrium concentration bounds "
                     "for finite Markov chains.")
@@ -322,19 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n0", type=int)
     parser.add_argument("--k", type=int)
     parser.add_argument("--trunc", type=int)
-    parser.add_argument("--alpha", type=float,
+    parser.add_argument("--alpha", type=_finite_float,
                         help="autoregression rate (example-ou) or drift rate (example-jump)")
-    parser.add_argument("--grid-step", type=float, default=0.05)
-    parser.add_argument("--grid-width", type=float, default=10.0)
-    parser.add_argument("--epsilon", type=float)
+    parser.add_argument("--grid-step", type=_finite_float, default=0.05)
+    parser.add_argument("--grid-width", type=_finite_float, default=10.0)
+    parser.add_argument("--epsilon", type=_finite_float)
     parser.add_argument("--origin", type=int)
     parser.add_argument("--strategy", choices=sorted(STRATEGY_MAP), default="paper")
     parser.add_argument("--levels", help="level grid as a:b:step")
     parser.add_argument("--epsilons", help="sweep epsilon grid as a:b:step")
-    parser.add_argument("--ref-level", dest="reference_level", type=float)
+    parser.add_argument("--ref-level", dest="reference_level", type=_finite_float)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--paths", type=int, default=100_000)
-    parser.add_argument("--horizon", type=float, default=25.0)
+    parser.add_argument("--horizon", type=_finite_float, default=25.0)
     parser.add_argument("--dump-samples", action="store_true")
     parser.add_argument("--out", dest="out_dir", type=Path, default=".",
                         help="output directory")

@@ -122,16 +122,15 @@ def local_curvature(chain: MetricChain, epsilon: float) -> np.ndarray:
     return kloc
 
 
-def curvature_envelope(chain: MetricChain, epsilon: float, origin: int,
-                       kappa_local: Optional[np.ndarray] = None) -> StepFunction:
+def curvature_envelope(chain: MetricChain, origin: int,
+                       kappa_local: np.ndarray) -> StepFunction:
     """Largest non-increasing, nonnegative K with K(d(x, x0)) <= K_eps(x) for all x.
 
+    `kappa_local` is K_eps per point, as `local_curvature` returns it.
     Materialized at the sorted distinct realized distances: the per-distance
     infimum of K_eps, swept by a running minimum (non-increasing), clamped at
     zero (the theorems need K >= 0).
     """
-    if kappa_local is None:
-        kappa_local = local_curvature(chain, epsilon)
     if np.all(np.isinf(kappa_local)):
         raise ValueError("every point is isolated at this epsilon; increase it")
     d = chain.dist[origin]
@@ -205,7 +204,7 @@ def curvature_profile(chain: MetricChain, epsilon: float,
         raise ValueError("no origin given and the chain has no origin_hint")
     check_origin(chain, origin)
     kappa_local = local_curvature(chain, epsilon)
-    envelope = curvature_envelope(chain, epsilon, origin, kappa_local)
+    envelope = curvature_envelope(chain, origin, kappa_local)
     rho = attraction_rho(chain, epsilon, origin)
     j0 = w1_to_point(chain, origin, origin)
     s2 = subgaussian_s2(chain)

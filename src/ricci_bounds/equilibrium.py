@@ -16,6 +16,9 @@ from .bounds import TailCurve
 from .chain_model import DIST_TOL, MetricChain
 from .errors import ChainValidationError, PowerIterationError
 
+POWER_TOL = 1e-12          # TV(v, vP) at which power iteration stops
+POWER_MAX_ITERS = 200_000
+
 
 @dataclass(frozen=True)
 class StationaryResult:
@@ -62,31 +65,26 @@ def stationary_birth_death(chain: MetricChain) -> StationaryResult:
                             residual=_residual(chain, pi))
 
 
-def stationary_power(chain: MetricChain, tol: float = 1e-10,
-                     max_iters: int = 200_000, start=None) -> StationaryResult:
-    """Iterate v <- vP from the uniform vector until TV(v, vP) <= tol.
+def stationary_power(chain: MetricChain) -> StationaryResult:
+    """Iterate v <- vP from the uniform vector until TV(v, vP) <= POWER_TOL.
 
-    Periodic chains can oscillate forever from a non-uniform start; the error
-    then reports the last residual (the Cesaro estimator handles that case).
+    A periodic chain can oscillate forever; after POWER_MAX_ITERS steps the
+    error reports the last residual (the Cesaro estimator handles that case).
     """
-    if start is None:
-        v = np.full(chain.n, 1.0 / chain.n)
-    else:
-        v = np.asarray(start, dtype=float)
-        v = v / v.sum()
+    v = np.full(chain.n, 1.0 / chain.n)
     kernel = chain.kernel
     residual = np.inf
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         nxt = v @ kernel
         residual = tv_distance(v, nxt)
-        if residual <= tol:
+        if residual <= POWER_TOL:
             return StationaryResult(distribution=nxt / nxt.sum(),
                                     method="power_iteration",
                                     residual=_residual(chain, nxt / nxt.sum()))
         v = nxt
     raise PowerIterationError(
-        f"power iteration hit max_iters={max_iters} with residual "
-        f"{residual:.3e} > tol={tol:.3e} (periodic chain? try cesaro)",
+        f"power iteration hit max_iters={POWER_MAX_ITERS} with residual "
+        f"{residual:.3e} > tol={POWER_TOL:.3e} (periodic chain? try cesaro)",
         residual=residual)
 
 
@@ -115,6 +113,11 @@ def empirical_tail(result: StationaryResult, chain: MetricChain, origin: int,
     return TailCurve(levels=levels, values=values, kind="empirical")
 
 
+def cutoff_mass(result: StationaryResult) -> float:
+    """Stationary mass of the last 10 states: what a truncation may have cut off."""
+    return float(result.distribution[-10:].sum())
+
+
 def truncation_audit(result: StationaryResult) -> bool:
     """True iff the last 10 states carry < 1e-10 stationary mass: a negligible cut-off tail."""
-    return float(result.distribution[-10:].sum()) < 1e-10
+    return cutoff_mass(result) < 1e-10

@@ -207,21 +207,9 @@ def _solve_lp(pairs, batch, chain: MetricChain, certs: list) -> None:
                             x.reshape(m, n), duals[r0 + m:r0 + m + n], chain)
 
 
-def w1_flow_certified(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      chain: MetricChain) -> TransportCertificate:
-    """Exact transportation value plus its Kantorovich duality certificate.
-
-    A batch of one for `w1_flow_batch`: solves the bipartite min-cost flow
-    with costs d(i, j), recovers the dual potentials, turns them into a
-    genuine 1-Lipschitz function on the union support via a c-transform, and
-    verifies the duality gap.  Raises TransportError if the certificate fails.
-    """
-    return w1_flow_batch([(mu, nu)], chain)[0]
-
-
 def w1_flow(mu: DiscreteMeasure, nu: DiscreteMeasure, chain: MetricChain) -> float:
-    """Certified exact W1 between two measures on a chain's metric."""
-    return w1_flow_certified(mu, nu, chain).value
+    """Certified exact W1 between two measures on a chain's metric: a batch of one."""
+    return w1_flow_batch([(mu, nu)], chain)[0].value
 
 
 def w1_to_point(chain: MetricChain, row: int, target: int) -> float:

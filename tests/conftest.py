@@ -57,6 +57,19 @@ def biased_reflecting_walk(n_states, p_up):
     return line_chain(np.arange(n_states, dtype=float), kernel, origin=0)
 
 
+def star_chain():
+    """A periodic 4-state star: the centre moves to a uniform leaf, each leaf
+    moves back.  Its kernel is not tridiagonal, and power iteration from the
+    uniform start never settles."""
+    kernel = np.zeros((4, 4))
+    kernel[0, 1:] = 1 / 3
+    kernel[1:, 0] = 1.0
+    dist = np.full((4, 4), 2.0)
+    dist[0, :] = dist[:, 0] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    return MetricChain(points=("c", "a", "b", "d"), dist=dist, kernel=kernel)
+
+
 def write_chain_json(path, points, dist, kernel, origin=None):
     doc = {"points": list(points), "dist": np.asarray(dist).tolist(),
            "kernel": np.asarray(kernel).tolist()}

@@ -86,15 +86,15 @@ def alpha_grid(profile, d0, count):
     return np.geomspace(a_max / 1000.0, a_max * (1.0 - 1e-9), count)
 
 
-def grid_search(profile, reference_level=None, d0_range=None):
+def grid_search(profile, reference_level=None):
     """search_params(profile, "grid", ...), one admissibility call per point."""
     default_d0 = paper_default_d0(profile)
     if reference_level is None:
         reference_level = 2.0 * default_d0
-    if d0_range is None:
-        d0_range = (2.0 * profile.epsilon,
-                    2.0 * profile.epsilon + 10.0 * (profile.rho + profile.s2 / profile.rho))
-    d0_values = list(np.linspace(d0_range[0], d0_range[1], GRID_POINTS))
+    d0_values = list(np.linspace(
+        2.0 * profile.epsilon,
+        2.0 * profile.epsilon + 10.0 * (profile.rho + profile.s2 / profile.rho),
+        GRID_POINTS))
     d0_values.append(default_d0)
     best = None
     failures = []
@@ -121,9 +121,9 @@ def grid_search(profile, reference_level=None, d0_range=None):
     return best[1]
 
 
-def convexity_search(profile, fixed_d0=None):
-    """search_params(profile, "alpha_convexity", ...) on the scalar prefactor."""
-    d0 = fixed_d0 if fixed_d0 is not None else paper_default_d0(profile)
+def convexity_search(profile):
+    """search_params(profile, "alpha_convexity") on the scalar prefactor."""
+    d0 = paper_default_d0(profile)
     lo, hi = 0.0, float(alpha_grid(profile, d0, 2)[-1])
 
     def objective(alpha):

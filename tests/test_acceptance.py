@@ -19,7 +19,7 @@ from ricci_bounds import (DiscreteMeasure, JumpProcessConfig, attraction_rho,
                           stochastic_dominance_check, subgaussian_s2,
                           tail_comparison, tail_shape_witness, theorem1_params,
                           transform_I, truncation_audit, tv_distance,
-                          w1_flow_certified, w1_line, local_curvature)
+                          w1_flow_batch, w1_line, local_curvature)
 from ricci_bounds.bounds import C_alpha_d0, ln_C_alpha_d0
 from ricci_bounds.jump_process import empirical_tail_probs
 
@@ -103,7 +103,7 @@ def test_criterion_2_transport_cross_validation():
     worst_agree, worst_gap = 0.0, 0.0
     for _ in range(500):
         mu, nu = rand_measure(), rand_measure()
-        cert = w1_flow_certified(mu, nu, chain)
+        cert, = w1_flow_batch([(mu, nu)], chain)
         line = w1_line(mu, nu, coords)
         worst_agree = max(worst_agree, abs(line - cert.value))
         worst_gap = max(worst_gap, cert.duality_gap)
@@ -225,7 +225,7 @@ def test_criterion_5_ou_gaussian_coefficient():
     quad_coeff = np.polyfit(levels, -np.log(curve.values), 2)[0]
     coeff_ok = abs(quad_coeff - alpha / 4.0) <= 0.1 * (alpha / 4.0)
 
-    stationary = stationary_power(chain, tol=1e-12)
+    stationary = stationary_power(chain)
     tail = empirical_tail(stationary, chain, profile.origin, levels)
     dominated = bool(np.all(curve.values + 1e-12 >= tail.values))
     elapsed = time.perf_counter() - start
@@ -328,7 +328,7 @@ def test_criterion_6_witness_quadratic_drift_as_stated(jump_samples):
 
 def test_criterion_7_stationary_oracles(mmk_5_10):
     exact = stationary_birth_death(mmk_5_10)
-    power = stationary_power(mmk_5_10, tol=1e-12)
+    power = stationary_power(mmk_5_10)
     tv_power = tv_distance(exact.distribution, power.distribution)
 
     residuals = []
@@ -374,7 +374,7 @@ def test_criterion_8_structural_properties(mmk_2_4, mmk_5_10):
     # minorant property at that radius or the non-increasing shape
     kloc = local_curvature(mmk_2_4, 1.0)
     from ricci_bounds import curvature_envelope
-    env = curvature_envelope(mmk_2_4, 1.0, origin=2, kappa_local=kloc)
+    env = curvature_envelope(mmk_2_4, 2, kloc)
     d = mmk_2_4.dist[2]
     maximal = all(
         env.values[j] + 1e-6 > np.min(kloc[np.abs(d - r) <= 1e-12])

@@ -391,20 +391,23 @@ def test_search_convexity_minimizes_prefactor(prof_5_10):
 
 
 def test_search_infeasible_fixed_d0_reports():
-    chain = build_mmk_chain(25, 30, 160)
-    prof = curvature_profile(chain, 1.0)
-    # inside the envelope support the drift is too weak: C >= 1 for every alpha
+    # the convexity search fixes d0 at the paper default, 2 + ln(2) 20 / 5;
+    # there F(d0) = 5 + ln(2) 20 / 5 = 7.77 falls short of s^2 K(d0) / 2 = 10
+    prof = synthetic_profile(rho=5.0, s2=20.0, k_const=1.0)
     with pytest.raises(InfeasibleSearchError) as err:
-        search_params(prof, "alpha_convexity", fixed_d0=4.0)
-    assert err.value.report
+        search_params(prof, "alpha_convexity")
+    drift = err.value.report[0]["F_exceeds_half_s2K"]
+    assert not drift["holds"] and drift["s2K_half"] == 10.0
 
 
 def test_search_infeasible_grid_range_reports():
+    # below the reference level 3 the drift is too weak: C >= 1 on every point
     chain = build_mmk_chain(25, 30, 160)
     prof = curvature_profile(chain, 1.0)
     with pytest.raises(InfeasibleSearchError) as err:
-        search_params(prof, "grid", reference_level=30.0, d0_range=(2.0, 4.8))
-    assert err.value.report
+        search_params(prof, "grid", reference_level=3.0)
+    assert len(err.value.report) == 64
+    assert not err.value.report[0]["C_below_one"]["holds"]
 
 
 def test_search_grid_calls_admissibility_once_for_the_winner(prof_5_10, monkeypatch):
@@ -432,8 +435,8 @@ def _outcome(search):
 
 @st.composite
 def _step_profiles(draw):
-    """A profile with a random non-increasing step envelope (possibly zero),
-    a reference level (None or above 2*eps) and a fixed d0 (None or >= 2*eps)."""
+    """A profile with a random non-increasing step envelope (possibly zero)
+    and a reference level (None or above 2*eps)."""
     eps = draw(st.floats(0.2, 4.0))
     widths = draw(st.lists(st.floats(0.05, 6.0), max_size=5))
     values = sorted(draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0),
@@ -446,26 +449,28 @@ def _step_profiles(draw):
         rho=rho, j0=draw(st.floats(0.0, 5.0)), s2=draw(st.floats(0.05, 10.0)))
     ref = draw(st.none() | st.floats(2 * eps, 2 * eps + 3.0, exclude_min=True)
                | st.floats(2 * eps, 1e300, exclude_min=True))
-    fixed_d0 = draw(st.none() | st.floats(2 * eps, 2 * eps + 40.0))
-    return prof, ref, fixed_d0
+    return prof, ref
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=_step_profiles())
-@example(case=(synthetic_profile(rho=0.3, k_const=0.1, k_until=6.0), None, None))
-@example(case=(synthetic_profile(rho=0.7, s2=4.0, k_const=0.5), 2.5, 2.0))
-@example(case=(synthetic_profile(rho=0.3, k_const=0.1), 1e300, None))
-@example(case=(synthetic_profile(rho=0.03125, s2=0.5, k_const=5e-324), None, None))
+@example(case=(synthetic_profile(rho=0.3, k_const=0.1, k_until=6.0), None))
+@example(case=(synthetic_profile(rho=0.7, s2=4.0, k_const=0.5), 2.5))
+@example(case=(synthetic_profile(rho=0.3, k_const=0.1), 1e300))
+@example(case=(synthetic_profile(rho=0.03125, s2=0.5, k_const=5e-324), None))
+@example(case=(synthetic_profile(rho=5.0, s2=20.0, k_const=1.0), None))
+@example(case=(synthetic_profile(rho=1e-200), None))
 def test_searches_match_the_scalar_oracle(case):
     # the hoisted searches keep every bit of the per-point scalar loop:
     # the same winner, or the same failure reports in the same order; on the
-    # last example s^2 K(d0) underflows to 0, where the loop divided by zero
-    prof, ref, fixed_d0 = case
+    # fourth example s^2 K(d0) underflows to 0, where the loop divided by
+    # zero; on the fifth the convexity search ends inadmissible, and on the
+    # last F(d0)^2 underflows, so no alpha makes C < 1
+    prof, ref = case
     assert _outcome(lambda: search_params(prof, "grid", reference_level=ref)) == \
         _outcome(lambda: search_oracle.grid_search(prof, reference_level=ref))
-    for d0 in (None, fixed_d0):
-        assert _outcome(lambda: search_params(prof, "alpha_convexity", fixed_d0=d0)) == \
-            _outcome(lambda: search_oracle.convexity_search(prof, fixed_d0=d0))
+    assert _outcome(lambda: search_params(prof, "alpha_convexity")) == \
+        _outcome(lambda: search_oracle.convexity_search(prof))
 
 
 def test_search_oracle_examples_cover_infeasible_and_tied_lattices():

@@ -7,14 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ricci_bounds import cli
 from ricci_bounds import equilibrium as eq
+from ricci_bounds.chain_model import build_mmk_chain
 from ricci_bounds.cli import main
 
 from conftest import (biased_reflecting_walk, irregular_line_chain, line_chain,
-                      random_graph_chain, write_chain_json)
+                      random_graph_chain, star_chain, write_chain_json)
 
 
 def run_cli(args):
@@ -136,15 +138,10 @@ def test_bad_input_exit_3(tmp_path):
 
 
 def test_unexpected_error_exit_4(tmp_path, capsys):
-    # a periodic star: the centre moves to a uniform leaf, each leaf moves
-    # back; power iteration never settles, and exit 1 is kept for violations
-    kernel = np.zeros((4, 4))
-    kernel[0, 1:] = 1 / 3
-    kernel[1:, 0] = 1.0
-    dist = np.full((4, 4), 2.0)
-    dist[0, :] = dist[:, 0] = 1.0
-    np.fill_diagonal(dist, 0.0)
-    star = write_chain_json(tmp_path / "star.json", ["c", "a", "b", "d"], dist, kernel)
+    # power iteration never settles on the periodic star, and exit 1 is kept
+    # for violations
+    chain = star_chain()
+    star = write_chain_json(tmp_path / "star.json", chain.points, chain.dist, chain.kernel)
     code = run_cli(["stationary", "--chain", str(star), "--out", str(tmp_path / "s")])
     assert code == 4
     err = capsys.readouterr().err
@@ -269,6 +266,93 @@ def test_exit_code_is_documented_and_bad_origin_is_bad_input(case):
     assert code in (0, 2, 3)
     if not 0 <= origin < chain.n:
         assert code == 3
+
+
+@st.composite
+def _short_mmk_cases(draw):
+    """A CLI-built M/M/k chain whose --trunc lies between k and k + 40 (often
+    too short to hold the stationary law), and a strategy."""
+    n0 = draw(st.integers(1, 40))
+    k = draw(st.integers(n0 + 1, n0 + 12))
+    return n0, k, draw(st.integers(k, k + 40)), draw(st.sampled_from(["paper", "grid", "convex"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_short_mmk_cases())
+@example(case=(5, 10, 50, "grid"))
+@example(case=(25, 30, 45, "paper"))
+def test_exit_1_means_a_dominated_cell_is_false(case):
+    n0, k, trunc, strategy = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        code = run_cli(["verify", "--n0", str(n0), "--k", str(k), "--trunc", str(trunc),
+                        "--strategy", strategy, "--out", str(out)])
+        cells = ([row[-1] for row in read_csv(out / "comparison.csv")[1]]
+                 if (out / "comparison.csv").exists() else None)
+    assert code in (0, 1, 2, 3)
+    assert (code == 1) == (cells is not None and "False" in cells)
+    if cells is not None and "False" not in cells:
+        audit_ok = eq.truncation_audit(eq.stationary_birth_death(build_mmk_chain(n0, k, trunc)))
+        assert code == (0 if audit_ok else 3)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--n0", "25", "--k", "30", "--trunc", "45", "--epsilon", "5"], "--trunc"),
+    (["verify", "--alpha", "0.5", "--grid-width", "6", "--epsilon", "2"], "--grid-width"),
+])
+def test_short_cut_off_with_every_level_dominated_exits_3(argv, flag, tmp_path, capsys):
+    out = tmp_path / "v"
+    assert run_cli([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == \
+        "verdict: FAIL (dominated=True, truncation_audit=False)"
+    err = captured.err.strip()
+    assert err.startswith(f"error: the cut-off set by {flag} is too short: "
+                          "its last 10 states carry stationary mass ")
+    assert {row[-1] for row in read_csv(out / "comparison.csv")[1]} == {"True"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--n0", "abc"], 3),
+    (["verify", "--bogus", "1"], 3),
+    (["verify", "--strategy", "fast"], 3),
+    (["example-jump", "--alpha", "nan", "--paths", "10"], 3),
+    (["verify", "--n0", "5", "--k", "10", "--epsilon", "2", "--strategy", "grid",
+      "--ref-level", "nan"], 3),
+    (["example-ou", "--alpha", "0.5", "--grid-width", "inf"], 3),
+    (["sweep", "--n0", "5", "--k", "10", "--epsilons", "1:inf:1"], 3),
+    (["verify", "--help"], 0),
+])
+def test_malformed_or_non_finite_command_line_exits_3(argv, code, tmp_path, capsys):
+    out = tmp_path / "u"
+    assert run_cli([*argv, "--out", str(out)]) == code
+    if code:
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n0", "25", "--k", "27", "--epsilon", "2"],
+    ["stationary", "--n0", "25", "--k", "27"],
+])
+def test_auto_truncation_solves_each_law_once(argv, tmp_path, monkeypatch):
+    events = []
+    build, solve = cli.build_mmk_chain, eq.stationary_birth_death
+
+    def counted_build(*args):
+        events.append(("build", build(*args)))
+        return events[-1][1]
+
+    def counted_solve(chain):
+        events.append(("solve", chain))
+        return solve(chain)
+
+    monkeypatch.setattr(cli, "build_mmk_chain", counted_build)
+    monkeypatch.setattr(eq, "stationary_birth_death", counted_solve)
+    assert run_cli([*argv, "--out", str(tmp_path / "o")]) == 0
+    # truncations 67, 134, 268 and 536: one solve right after each build, none after
+    assert [kind for kind, _ in events] == ["build", "solve"] * 4
+    assert all(events[i][1] is events[i + 1][1] for i in range(0, len(events), 2))
 
 
 def _closed_form_truncation(n0, k):

@@ -135,14 +135,14 @@ def test_local_curvature_warns_on_isolated_points():
 # --------------------------------------------------------------- envelope
 
 def test_envelope_mmk_eps1(mmk_2_4):
-    env = curvature_envelope(mmk_2_4, 1.0, origin=2)
+    env = curvature_envelope(mmk_2_4, 2, local_curvature(mmk_2_4, 1.0))
     for r in range(0, 10):
         expect = (1 / 6) if r < 2 else 0.0
         assert env(float(r)) == pytest.approx(expect, abs=1e-12)
 
 
 def test_envelope_mmk_eps3(mmk_2_4):
-    env = curvature_envelope(mmk_2_4, 3.0, origin=2)
+    env = curvature_envelope(mmk_2_4, 2, local_curvature(mmk_2_4, 3.0))
     for r in range(0, 6):
         expect = (1 / 6) * min(1.0, max(0.0, (2 - r) / 3))
         assert env(float(r)) == pytest.approx(expect, abs=1e-12)
@@ -151,14 +151,14 @@ def test_envelope_mmk_eps3(mmk_2_4):
 def test_envelope_constant_curvature_chain():
     chain = build_discrete_ou_chain(0.5, 6.0, 0.1)
     kloc = local_curvature(chain, 1.0)
-    env = curvature_envelope(chain, 1.0, origin=chain.origin_hint, kappa_local=kloc)
+    env = curvature_envelope(chain, chain.origin_hint, kloc)
     assert np.max(env.values) - np.min(env.values) <= 1e-10
     assert env(0.0) == pytest.approx(float(np.min(kloc)), abs=1e-15)
 
 
 def test_envelope_minorant_and_monotone(mmk_5_10):
     kloc = local_curvature(mmk_5_10, 2.0)
-    env = curvature_envelope(mmk_5_10, 2.0, origin=5, kappa_local=kloc)
+    env = curvature_envelope(mmk_5_10, 5, kloc)
     d = mmk_5_10.dist[5]
     assert np.all(env(d) <= kloc + 1e-9)
     assert np.all(np.diff(env.values) <= 1e-15)
@@ -170,7 +170,7 @@ def test_envelope_maximality(mmk_2_4):
     # either the minorant property breaks at a point at that distance, or the
     # raised step breaks the non-increasing shape
     kloc = local_curvature(mmk_2_4, 1.0)
-    env = curvature_envelope(mmk_2_4, 1.0, origin=2, kappa_local=kloc)
+    env = curvature_envelope(mmk_2_4, 2, kloc)
     d = mmk_2_4.dist[2]
     for j, r in enumerate(env.breakpoints):
         raised = env.values[j] + 1e-6

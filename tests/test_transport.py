@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import wasserstein_distance as scipy_w1
 
 from ricci_bounds import (DiscreteMeasure, MetricChain, stochastic_dominance_check,
-                          w1_flow, w1_flow_batch, w1_flow_certified, w1_line)
+                          w1_flow, w1_flow_batch, w1_line)
 from ricci_bounds import transport
 from ricci_bounds.errors import TransportError
 
@@ -81,7 +81,7 @@ def test_duality_certificate_fields():
     rng = np.random.default_rng(3)
     chain, rand_measure = random_line_instance(rng)
     mu, nu = rand_measure(), rand_measure()
-    cert = w1_flow_certified(mu, nu, chain)
+    cert, = w1_flow_batch([(mu, nu)], chain)
     assert cert.duality_gap <= 1e-9
     assert cert.lipschitz_defect <= 1e-9
     # the plan is a feasible coupling
@@ -141,7 +141,7 @@ def test_batch_matches_per_pair_solves():
     assert len(batch) == len(pairs)
     assert batch[4].value == 0.0
     for (mu, nu), cert in zip(pairs, batch):
-        single = w1_flow_certified(mu, nu, chain)
+        single, = w1_flow_batch([(mu, nu)], chain)
         assert cert.value == pytest.approx(single.value, abs=1e-12)
         assert cert.plan.shape == single.plan.shape == (mu.support.size, nu.support.size)
         np.testing.assert_array_equal(cert.union_support, single.union_support)
