@@ -79,9 +79,6 @@ class TailCurve:
         """Values clamped into [0, 1] for plotting; raw values stay in `values`."""
         return np.minimum(self.values, 1.0)
 
-    def exceeds_one(self) -> bool:
-        return bool(np.any(self.values > 1.0))
-
 
 # ---------------------------------------------------------------------------
 # F, phi, Phi
@@ -186,29 +183,6 @@ def _conditions(profile: CurvatureProfile, at: _AtD0, alpha: float):
     return (at.d0_ge_2eps, at.fd0 > at.s2K / 2.0, c3, ln_c < 0.0), ln_c
 
 
-def ln_C_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
-    return _ln_C(profile, _at_d0(profile, d0), alpha)
-
-
-def C_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
-    """C_{alpha,d0} = exp(-alpha F(d0)^2 (1 - alpha s^2 / (2(1 - alpha s^2 K(d0))))) / sqrt(1 - alpha s^2 K(d0))."""
-    return _exp_or_inf(ln_C_alpha_d0(profile, alpha, d0))
-
-
-def ln_Cprime_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
-    return alpha * _at_d0(profile, d0).rate
-
-
-def Cprime_alpha_d0(profile: CurvatureProfile, alpha: float, d0: float) -> float:
-    """C'_{alpha,d0} >= 1; equals 1 whenever J(x0) + eps <= d0 - F(d0) or alpha = 0."""
-    return _exp_or_inf(ln_Cprime_alpha_d0(profile, alpha, d0))
-
-
-def ln_prefactor(profile: CurvatureProfile, alpha: float, d0: float) -> float:
-    """ln(C' C / (1 - C)) of the general bound; +inf where ln C >= 0."""
-    return _ln_prefactor(profile, _at_d0(profile, d0), alpha)
-
-
 def admissibility(profile: CurvatureProfile, alpha: float, d0: float,
                   strategy: str = "manual") -> BoundParams:
     """Evaluate the four admissibility conditions for an (alpha, d0) pair."""
@@ -274,10 +248,6 @@ def ln_C0_of(profile: CurvatureProfile) -> float:
                  - rho * rho / (4.0 * s2)
                  + Phi_of(profile, d0) / (2.0 * s2))
     return numerator - _ln_one_minus_exp(-rho * rho / (4.0 * s2))
-
-
-def C0_of(profile: CurvatureProfile) -> float:
-    return _exp_or_inf(ln_C0_of(profile))
 
 
 def bound_theorem1(profile: CurvatureProfile, levels: Sequence[float]) -> TailCurve:

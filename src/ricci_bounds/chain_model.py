@@ -24,6 +24,9 @@ GEODESIC_TOL = 1e-9
 # Distances closer than this are equal.  Every "within eps" test shares it, so
 # the eps-geodesic check and the curvature ball agree on which pairs are near.
 DIST_TOL = 1e-12
+# Most states a builder makes: its dist and kernel are dense n x n float64
+# matrices, 1.02 GB together at 8000 states.
+MAX_DENSE_STATES = 8000
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,14 @@ class GeodesicReport:
     witness_failure: Optional[Tuple[int, int]] = None
 
 
+def _check_dense_size(size: int) -> None:
+    if size > MAX_DENSE_STATES:
+        raise ValueError(
+            f"{size} states exceed the dense-chain budget MAX_DENSE_STATES = "
+            f"{MAX_DENSE_STATES} (two {size} x {size} float64 matrices would "
+            f"take {16 * size * size / 1e9:.3g} GB)")
+
+
 def build_mmk_chain(n0: int, k: int, truncation: int) -> MetricChain:
     """Discrete-time M/M/k queue on {0..truncation} with d(i,j) = |i-j|.
 
@@ -143,6 +154,7 @@ def build_mmk_chain(n0: int, k: int, truncation: int) -> MetricChain:
     if truncation < k:
         raise ValueError(f"truncation {truncation} must be >= k={k}")
     size = truncation + 1
+    _check_dense_size(size)
     denom = n0 + k
     kernel = np.zeros((size, size))
     for n in range(size):
@@ -183,6 +195,7 @@ def build_discrete_ou_chain(alpha: float, grid_half_width: float,
     m = int(round(grid_half_width / grid_step))
     if m < 1:
         raise ValueError("grid too small; increase grid_half_width")
+    _check_dense_size(2 * m + 1)
     coords = np.arange(-m, m + 1) * grid_step
     size = coords.size
     cell_edges = (coords[:-1] + coords[1:]) / 2.0

@@ -17,8 +17,8 @@ the parser's option names and defaults are the only copy of them.
 Exit status: 0 all requested checks pass, 1 a bound was violated,
 2 the theorems are inapplicable (no admissible parameters / rho <= 0),
 3 invalid input (a malformed or non-finite command line, an --origin
-outside 0..n-1, or a --trunc / --grid-width cut-off that leaves mass past
-the last state), 4 internal error.
+outside 0..n-1, a --trunc / --grid-width cut-off that leaves mass past
+the last state, or a size over its budget), 4 internal error.
 Plot rendering is out of scope: every figure-equivalent output is a
 documented CSV.
 """
@@ -49,6 +49,7 @@ EXIT_VIOLATION = 1
 EXIT_INAPPLICABLE = 2
 EXIT_BAD_INPUT = 3
 EXIT_INTERNAL = 4
+MAX_RANGE_POINTS = 100_000  # most points an a:b:step range (--levels, --epsilons) may hold
 
 
 def _fmt(x) -> str:
@@ -87,12 +88,16 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ChainFormatError(f"bad range {spec!r}, expected a:b:step") from exc
     if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
         raise ChainFormatError(f"bad range {spec!r}: need finite a <= b and step > 0")
+    if (b - a) / step >= MAX_RANGE_POINTS:
+        raise ChainFormatError(f"range {spec!r} has more points than the budget "
+                               f"MAX_RANGE_POINTS = {MAX_RANGE_POINTS}")
     return np.arange(a, b + step * 1e-9, step)
 
 
 def _auto_truncation(n0: int, k: int):
     """The M/M/k chain, its truncation doubled until its stationary law passes
-    the audit, and that audited law."""
+    the audit, and that audited law.  Past the dense-chain budget the builder
+    refuses the next candidate."""
     trunc = k + 40
     while True:
         chain = build_mmk_chain(n0, k, trunc)

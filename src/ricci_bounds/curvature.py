@@ -1,4 +1,4 @@
-"""Coarse Ricci curvature: pairwise, local, and the non-increasing envelope.
+"""Coarse Ricci curvature: the local infimum K_eps and its non-increasing envelope.
 
 kappa(x, y) = 1 - W1(P_x, P_y)/d(x, y) per pair; K_eps(x) is its infimum
 over the punctured eps-ball; the envelope K(r) is the largest non-increasing,
@@ -19,8 +19,8 @@ import numpy as np
 from .chain_model import DIST_TOL, MetricChain, check_origin
 from .errors import DegenerateKernelError, EmptyAnnulusError
 from .stepfun import StepFunction
-from .transport import DiscreteMeasure, w1_flow, w1_flow_batch, w1_to_point
-from .transport import w1_line  # noqa: F401  bench/tracing.py patches it here
+from .transport import DiscreteMeasure, w1_flow_batch, w1_to_point
+from .transport import w1_flow, w1_line  # noqa: F401  bench/tracing.py patches them here
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,6 @@ class CurvatureProfile:
             "kappa_local": [None if np.isinf(v) else float(v) for v in self.kappa_local],
             "envelope": self.envelope.as_dict(),
         }
-
-
-def kappa_pair(chain: MetricChain, x: int, y: int) -> float:
-    """1 - W1(P_x, P_y)/d(x, y), with W1 from the certified flow solver."""
-    if x == y:
-        raise ValueError("kappa is undefined on the diagonal (d(x,y) = 0)")
-    mu = DiscreteMeasure.from_vector(chain.kernel[x])
-    nu = DiscreteMeasure.from_vector(chain.kernel[y])
-    return 1.0 - w1_flow(mu, nu, chain) / chain.dist[x, y]
 
 
 def _local_curvature_line(chain: MetricChain, epsilon: float) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Ground-truth stationary distributions and empirical tail curves.
 
-Three estimators: the detailed-balance product formula (exact on tridiagonal
-chains), dense power iteration, and the Cesaro average of kernel pushforwards
-of a point mass.  The first two agree to 1e-8 on every birth-death instance;
-the Cesaro residual decays like 1/n.
+Two estimators: the detailed-balance product formula (exact on tridiagonal
+chains) and dense power iteration.  They agree to 1e-8 on every birth-death
+instance.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ POWER_MAX_ITERS = 200_000
 @dataclass(frozen=True)
 class StationaryResult:
     distribution: np.ndarray
-    method: str   # birth_death_exact | power_iteration | cesaro
+    method: str   # birth_death_exact | power_iteration
     residual: float  # TV(pi, pi P)
 
 
@@ -69,7 +68,7 @@ def stationary_power(chain: MetricChain) -> StationaryResult:
     """Iterate v <- vP from the uniform vector until TV(v, vP) <= POWER_TOL.
 
     A periodic chain can oscillate forever; after POWER_MAX_ITERS steps the
-    error reports the last residual (the Cesaro estimator handles that case).
+    error reports the last residual.
     """
     v = np.full(chain.n, 1.0 / chain.n)
     kernel = chain.kernel
@@ -84,23 +83,8 @@ def stationary_power(chain: MetricChain) -> StationaryResult:
         v = nxt
     raise PowerIterationError(
         f"power iteration hit max_iters={POWER_MAX_ITERS} with residual "
-        f"{residual:.3e} > tol={POWER_TOL:.3e} (periodic chain? try cesaro)",
+        f"{residual:.3e} > tol={POWER_TOL:.3e}; a periodic chain never settles",
         residual=residual)
-
-
-def stationary_cesaro(chain: MetricChain, start: int, n: int) -> StationaryResult:
-    """Cesaro average (1/(n+1)) sum_{i=0}^{n} P^i applied to delta_start."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    v = np.zeros(chain.n)
-    v[start] = 1.0
-    acc = v.copy()
-    for _ in range(n):
-        v = v @ chain.kernel
-        acc += v
-    pi = acc / (n + 1)
-    return StationaryResult(distribution=pi, method="cesaro",
-                            residual=_residual(chain, pi))
 
 
 def empirical_tail(result: StationaryResult, chain: MetricChain, origin: int,

@@ -19,7 +19,7 @@ from scipy.special import betaincinv
 from .bounds import _exp_or_inf
 
 _CHUNK = 200_000
-_EXP_OVERFLOW = 700.0
+MAX_PATHS = 10_000_000  # simulate_paths holds one float64 per path: 80 MB here
 SERIES_TOL = 1e-12      # relative tolerance of the I(lambda) series
 CP_CONFIDENCE = 0.99    # level of the two-sided Clopper-Pearson interval
 
@@ -36,6 +36,9 @@ class JumpProcessConfig:
             raise ValueError("drift_alpha must be positive")
         if self.n_paths <= 0:
             raise ValueError("n_paths must be positive")
+        if self.n_paths > MAX_PATHS:
+            raise ValueError(f"{self.n_paths} paths exceed the budget "
+                             f"MAX_PATHS = {MAX_PATHS}")
         if math.exp(-self.drift_alpha * self.horizon_T) >= 1e-8:
             raise ValueError(
                 "horizon too short: need exp(-alpha*T) < 1e-8 so the "
@@ -75,39 +78,6 @@ def transform_I(lam: float) -> float:
         if n > 10_000:
             raise RuntimeError("series did not converge (|lambda| too large?)")
     return total
-
-
-def stationary_log_G(lam: float, alpha: float) -> float:
-    """log of the stationary Laplace transform: I(lambda)/alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return transform_I(lam) / alpha
-
-
-def stationary_laplace_G(lam: float, alpha: float) -> float:
-    """G(lambda) = exp(I(lambda)/alpha); overflow-guarded (use the log form then)."""
-    log_g = stationary_log_G(lam, alpha)
-    if log_g > _EXP_OVERFLOW:
-        raise OverflowError(
-            f"G(lambda) overflows float64 (log G = {log_g:.6g}); "
-            "use stationary_log_G instead")
-    return math.exp(log_g)
-
-
-def stationary_log_G_T(lam: float, alpha: float, horizon: float) -> float:
-    """Finite-horizon version: (I(lambda) - I(lambda e^{-alpha T}))/alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return (transform_I(lam) - transform_I(lam * math.exp(-alpha * horizon))) / alpha
-
-
-def stationary_laplace_G_T(lam: float, alpha: float, horizon: float) -> float:
-    log_g = stationary_log_G_T(lam, alpha, horizon)
-    if log_g > _EXP_OVERFLOW:
-        raise OverflowError(
-            f"G_T(lambda) overflows float64 (log G_T = {log_g:.6g}); "
-            "use stationary_log_G_T instead")
-    return math.exp(log_g)
 
 
 def poissonian_tail_bound(l: float, alpha: float) -> float:
@@ -159,38 +129,3 @@ def tail_comparison(samples: np.ndarray, levels, alpha: float):
         if p > bound:
             dominated = False
     return rows, dominated
-
-
-def tail_shape_witness(samples: np.ndarray, levels) -> dict:
-    """Growth diagnostics of -ln of the empirical tail against l^2 and l*ln(l).
-
-    Levels with zero observed mass are dropped (their -ln is undefined);
-    the returned dict reports both normalized series, the signed relative
-    drift of each across the usable range, and the max/min variation.
-    Levels must exceed 1 (l ln l must be positive), and at least one level
-    must carry observed mass; otherwise ValueError.
-    """
-    levels = np.asarray(levels, dtype=float)
-    if np.any(levels <= 1):
-        raise ValueError("the witness needs levels l > 1 (l ln l must be positive)")
-    probs, counts = empirical_tail_probs(samples, levels)
-    if not np.any(counts):
-        raise ValueError("no sample reaches any level; every level would be dropped")
-    usable = [(float(l), p) for l, p, c in zip(levels, probs, counts) if c > 0]
-    dropped = [float(l) for l, c in zip(levels, counts) if c == 0]
-    ls = np.array([l for l, _ in usable])
-    neg_log = -np.log(np.array([p for _, p in usable]))
-    quad_ratio = neg_log / ls**2
-    pois_ratio = neg_log / (ls * np.log(ls))
-
-    def stats(series):
-        return {"first": float(series[0]), "last": float(series[-1]),
-                "signed_drift": float(series[-1] / series[0] - 1.0),
-                "variation": float(series.max() / series.min() - 1.0)}
-
-    return {"levels": ls.tolist(), "dropped_levels": dropped,
-            "neg_log_tail": neg_log.tolist(),
-            "quadratic_normalized": stats(quad_ratio),
-            "poissonian_normalized": stats(pois_ratio),
-            "quad_series": quad_ratio.tolist(),
-            "pois_series": pois_ratio.tolist()}

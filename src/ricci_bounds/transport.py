@@ -57,14 +57,6 @@ class DiscreteMeasure:
         idx = np.nonzero(vec)[0]
         return cls(support=idx, weights=vec[idx])
 
-    @classmethod
-    def point_mass(cls, index: int) -> "DiscreteMeasure":
-        return cls(support=np.array([index]), weights=np.array([1.0]))
-
-    def mean(self, coords) -> float:
-        coords = np.asarray(coords, dtype=float)
-        return float(np.dot(self.weights, coords[self.support]))
-
 
 @dataclass(frozen=True)
 class TransportCertificate:
@@ -85,21 +77,6 @@ def w1_line(mu: DiscreteMeasure, nu: DiscreteMeasure, coords) -> float:
     pos, wgt = pos[order], wgt[order]
     cdf_gap = np.cumsum(wgt)[:-1]
     return float(np.abs(cdf_gap) @ np.diff(pos))
-
-
-def stochastic_dominance_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                               coords) -> bool:
-    """True iff nu stochastically dominates mu: F_nu(t) <= F_mu(t) + WEIGHT_TOL everywhere.
-
-    When true, W1 equals the difference of the means (used as a third
-    cross-check on the transport routes).
-    """
-    coords = np.asarray(coords, dtype=float)
-    pos = np.concatenate([coords[mu.support], coords[nu.support]])
-    wgt = np.concatenate([mu.weights, -nu.weights])
-    order = np.argsort(pos, kind="stable")
-    cdf_gap = np.cumsum(wgt[order])
-    return bool(np.all(cdf_gap >= -WEIGHT_TOL))
 
 
 def _identical(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:

@@ -1,0 +1,97 @@
+"""Reference implementations that only the tests compare the package against.
+
+- `kappa_pair`: the curvature of one pair through the certified flow solver,
+  the per-pair reference for both `local_curvature` routes.
+- `stochastic_dominance_check`: a CDF comparison on the line; where it
+  holds, W1 equals the difference of the means, a third cross-check on the
+  transport routes.
+- `stationary_cesaro`: Cesaro averages of kernel pushforwards of a point
+  mass, a third stationary estimator whose residual decays like 1/n.
+- `tail_shape_witness`: the growth of -ln of an empirical tail against l^2
+  and l ln l, the non-Gaussianity witness of the drift-jump process.
+
+The package's CLI reaches none of them, so they live here, beside
+`dickman.py` and `search_oracle.py`.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from ricci_bounds.chain_model import MetricChain
+from ricci_bounds.equilibrium import StationaryResult, _residual
+from ricci_bounds.jump_process import empirical_tail_probs
+from ricci_bounds.transport import WEIGHT_TOL, DiscreteMeasure, w1_flow
+
+
+def kappa_pair(chain: MetricChain, x: int, y: int) -> float:
+    """1 - W1(P_x, P_y)/d(x, y), with W1 from the certified flow solver."""
+    if x == y:
+        raise ValueError("kappa is undefined on the diagonal (d(x,y) = 0)")
+    mu = DiscreteMeasure.from_vector(chain.kernel[x])
+    nu = DiscreteMeasure.from_vector(chain.kernel[y])
+    return 1.0 - w1_flow(mu, nu, chain) / chain.dist[x, y]
+
+
+def stochastic_dominance_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                               coords) -> bool:
+    """True iff nu stochastically dominates mu: F_nu(t) <= F_mu(t) + WEIGHT_TOL everywhere.
+
+    When true, W1 equals the difference of the means (used as a third
+    cross-check on the transport routes).
+    """
+    coords = np.asarray(coords, dtype=float)
+    pos = np.concatenate([coords[mu.support], coords[nu.support]])
+    wgt = np.concatenate([mu.weights, -nu.weights])
+    order = np.argsort(pos, kind="stable")
+    cdf_gap = np.cumsum(wgt[order])
+    return bool(np.all(cdf_gap >= -WEIGHT_TOL))
+
+
+def stationary_cesaro(chain: MetricChain, start: int, n: int) -> StationaryResult:
+    """Cesaro average (1/(n+1)) sum_{i=0}^{n} P^i applied to delta_start."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    v = np.zeros(chain.n)
+    v[start] = 1.0
+    acc = v.copy()
+    for _ in range(n):
+        v = v @ chain.kernel
+        acc += v
+    pi = acc / (n + 1)
+    return StationaryResult(distribution=pi, method="cesaro",
+                            residual=_residual(chain, pi))
+
+
+def tail_shape_witness(samples: np.ndarray, levels) -> dict:
+    """Growth diagnostics of -ln of the empirical tail against l^2 and l*ln(l).
+
+    Levels with zero observed mass are dropped (their -ln is undefined);
+    the returned dict reports both normalized series, the signed relative
+    drift of each across the usable range, and the max/min variation.
+    Levels must exceed 1 (l ln l must be positive), and at least one level
+    must carry observed mass; otherwise ValueError.
+    """
+    levels = np.asarray(levels, dtype=float)
+    if np.any(levels <= 1):
+        raise ValueError("the witness needs levels l > 1 (l ln l must be positive)")
+    probs, counts = empirical_tail_probs(samples, levels)
+    if not np.any(counts):
+        raise ValueError("no sample reaches any level; every level would be dropped")
+    usable = [(float(l), p) for l, p, c in zip(levels, probs, counts) if c > 0]
+    dropped = [float(l) for l, c in zip(levels, counts) if c == 0]
+    ls = np.array([l for l, _ in usable])
+    neg_log = -np.log(np.array([p for _, p in usable]))
+    quad_ratio = neg_log / ls**2
+    pois_ratio = neg_log / (ls * np.log(ls))
+
+    def stats(series):
+        return {"first": float(series[0]), "last": float(series[-1]),
+                "signed_drift": float(series[-1] / series[0] - 1.0),
+                "variation": float(series.max() / series.min() - 1.0)}
+
+    return {"levels": ls.tolist(), "dropped_levels": dropped,
+            "neg_log_tail": neg_log.tolist(),
+            "quadratic_normalized": stats(quad_ratio),
+            "poissonian_normalized": stats(pois_ratio),
+            "quad_series": quad_ratio.tolist(),
+            "pois_series": pois_ratio.tolist()}

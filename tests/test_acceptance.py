@@ -15,16 +15,16 @@ from ricci_bounds import (DiscreteMeasure, JumpProcessConfig, attraction_rho,
                           build_mmk_chain, check_epsilon_geodesic,
                           curvature_profile, empirical_tail, search_params,
                           simulate_paths, stationary_birth_death,
-                          stationary_cesaro, stationary_power,
-                          stochastic_dominance_check, subgaussian_s2,
-                          tail_comparison, tail_shape_witness, theorem1_params,
-                          transform_I, truncation_audit, tv_distance,
-                          w1_flow_batch, w1_line, local_curvature)
-from ricci_bounds.bounds import C_alpha_d0, ln_C_alpha_d0
+                          stationary_power, subgaussian_s2, tail_comparison,
+                          theorem1_params, transform_I, truncation_audit,
+                          tv_distance, w1_flow_batch, w1_line, local_curvature)
+from ricci_bounds.bounds import _at_d0, _exp_or_inf, _ln_C
 from ricci_bounds.jump_process import empirical_tail_probs
 
 from conftest import line_chain
 from dickman import dickman_tail, transform_I_quadrature
+from reference_oracles import (kappa_pair, stationary_cesaro,
+                               stochastic_dominance_check, tail_shape_witness)
 
 
 def report(criterion, ok, detail):
@@ -66,7 +66,6 @@ def test_criterion_1_mmk_curvature_exactness():
                 worst_kappa = max(worst_kappa, abs(kappa - ref))
         # certified-flow route spot checks across the three formula branches
         rng = np.random.default_rng(n0)
-        from ricci_bounds import kappa_pair
         for x, y in [(n0, n0 + 1), (max(0, k - 2), k + 2), (k + 1, k + 3)] + [
                 tuple(sorted(rng.choice(trunc - 1, size=2, replace=False)))
                 for _ in range(10)]:
@@ -118,7 +117,8 @@ def test_criterion_2_transport_cross_validation():
         mu = DiscreteMeasure(support, w)
         nu = DiscreteMeasure(support + shift, w)
         assert stochastic_dominance_check(mu, nu, coords)
-        gap = abs(w1_line(mu, nu, coords) - abs(mu.mean(coords) - nu.mean(coords)))
+        gap = abs(w1_line(mu, nu, coords)
+                  - abs(mu.weights @ coords[mu.support] - nu.weights @ coords[nu.support]))
         worst_mean_gap = max(worst_mean_gap, gap)
     elapsed = time.perf_counter() - start
     report(2, worst_agree <= 1e-9 and worst_gap <= 1e-9
@@ -362,9 +362,10 @@ def test_criterion_8_structural_properties(mmk_2_4, mmk_5_10):
             upper = 2.0 / prof.s2 if kd0 == 0 else min(
                 2.0 / prof.s2, 0.98 / (prof.s2 * kd0))
             grid = np.linspace(upper / 64, upper, 64)
-            vals = np.array([ln_C_alpha_d0(prof, a, d0) for a in grid])
+            at = _at_d0(prof, d0)
+            vals = np.array([_ln_C(prof, at, a) for a in grid])
             worst_second_diff = min(worst_second_diff, float(np.diff(vals, 2).min()))
-            if C_alpha_d0(prof, 0.0, d0) != 1.0:
+            if _exp_or_inf(_ln_C(prof, at, 0.0)) != 1.0:
                 ok = False
                 details.append(f"C(0, {d0}) != 1")
     convex_ok = worst_second_diff >= -1e-9

@@ -7,20 +7,24 @@ from hypothesis import strategies as st
 
 import search_oracle
 from ricci_bounds import bounds as bounds_mod
-from ricci_bounds import (C0_of, C_alpha_d0, Cprime_alpha_d0, CurvatureProfile,
-                          F_of, Phi_of, StepFunction, bound_princ,
+from ricci_bounds import (CurvatureProfile, F_of, Phi_of, StepFunction, bound_princ,
                           bound_theorem1, build_mmk_chain, curvature_profile,
                           epsilon_sweep, phi_of, search_params,
                           stationary_birth_death, empirical_tail,
                           theorem1_params)
-from ricci_bounds.bounds import (_ln_one_minus_exp, admissibility,
-                                 ln_C0_of, ln_C_alpha_d0, ln_Cprime_alpha_d0,
-                                 ln_prefactor, paper_default_d0)
+from ricci_bounds.bounds import (_at_d0, _exp_or_inf, _ln_C, _ln_one_minus_exp,
+                                 _ln_prefactor, admissibility, ln_C0_of,
+                                 paper_default_d0)
 from ricci_bounds.chain_model import build_discrete_ou_chain
 from ricci_bounds.errors import (InadmissibleParamsError, InfeasibleSearchError,
                                  NoAttractivePointError)
 
 from conftest import biased_reflecting_walk
+
+
+def ln_C(prof, alpha, d0):
+    """ln C_{alpha,d0}, from the package's terms at d0."""
+    return _ln_C(prof, _at_d0(prof, d0), alpha)
 
 
 def synthetic_profile(eps=1.0, rho=0.3, j0=0.0, s2=1.0, k_const=0.0, k_until=np.inf):
@@ -142,14 +146,14 @@ def test_Phi_matches_double_quadrature(prof_5_10):
 
 def test_C_at_alpha_zero_is_one():
     prof = synthetic_profile(rho=0.2, k_const=0.3)
-    assert C_alpha_d0(prof, 0.0, 3.0) == 1.0
+    assert _exp_or_inf(ln_C(prof, 0.0, 3.0)) == 1.0
 
 
 def test_C_zero_curvature_closed_form():
     prof = synthetic_profile(rho=0.2, k_const=0.0)
     alpha, d0 = 0.8, 4.0
     f = F_of(prof, d0)
-    assert C_alpha_d0(prof, alpha, d0) == pytest.approx(
+    assert _exp_or_inf(ln_C(prof, alpha, d0)) == pytest.approx(
         math.exp(-alpha * f * f * (1 - alpha / 2)), abs=1e-15)
 
 
@@ -158,28 +162,28 @@ def test_C_paper_default_bound(prof_5_10):
     _, prof = prof_5_10
     params = theorem1_params(prof)
     assert prof.envelope(params.d0) <= 1.0
-    c = C_alpha_d0(prof, params.alpha, params.d0)
+    c = _exp_or_inf(ln_C(prof, params.alpha, params.d0))
     assert c <= math.exp(-prof.rho ** 2 / (4 * prof.s2)) + 1e-15
 
 
 def test_C_domain_error():
     prof = synthetic_profile(rho=0.2, k_const=0.5)
     with pytest.raises(InadmissibleParamsError):
-        C_alpha_d0(prof, 2.5, 3.0)  # alpha*s2*K = 1.25 >= 1
+        ln_C(prof, 2.5, 3.0)  # alpha*s2*K = 1.25 >= 1
 
 
 def test_Cprime_trivial_cases():
     prof = synthetic_profile(rho=0.2, j0=0.0, k_const=0.0)
     # J + eps = 1 <= d0 - F(d0) = 4 - 0.2
-    assert Cprime_alpha_d0(prof, 1.0, 4.0) == 1.0
+    assert _exp_or_inf(1.0 * _at_d0(prof, 4.0).rate) == 1.0
     prof2 = synthetic_profile(rho=0.2, j0=5.0, k_const=0.0)
-    assert Cprime_alpha_d0(prof2, 0.0, 4.0) == 1.0
+    assert _exp_or_inf(0.0 * _at_d0(prof2, 4.0).rate) == 1.0
 
 
 def test_Cprime_paper_default_bound(mmk_2_4):
     prof = curvature_profile(mmk_2_4, 1.0)
     params = theorem1_params(prof)
-    ln_cp = math.log(Cprime_alpha_d0(prof, params.alpha, params.d0))
+    ln_cp = math.log(_exp_or_inf(params.alpha * _at_d0(prof, params.d0).rate))
     eps, s2, rho = prof.epsilon, prof.s2, prof.rho
     cap = (3 * eps / (2 * s2)) * max(3 * eps, rho + math.log(2) * s2 / rho)
     assert ln_cp <= cap + 1e-12
@@ -189,20 +193,20 @@ def test_C_past_float_range_is_inf():
     # the example-ou --alpha 0.5 profile, at a grid candidate with ln C = 4.2e9
     chain = build_discrete_ou_chain(0.5, 10.0, 0.05)
     prof = curvature_profile(chain, 3.0, origin=chain.origin_hint)
-    assert ln_C_alpha_d0(prof, 1.999999998, 6.0) > 1e9
-    assert C_alpha_d0(prof, 1.999999998, 6.0) == math.inf
+    assert ln_C(prof, 1.999999998, 6.0) > 1e9
+    assert _exp_or_inf(ln_C(prof, 1.999999998, 6.0)) == math.inf
 
 
 def test_Cprime_past_float_range_is_inf():
     prof = synthetic_profile(rho=0.3, j0=2000.0)
-    assert ln_Cprime_alpha_d0(prof, 2.0, 2.0) == pytest.approx(1199.58, rel=1e-12)
-    assert Cprime_alpha_d0(prof, 2.0, 2.0) == math.inf
+    assert 2.0 * _at_d0(prof, 2.0).rate == pytest.approx(1199.58, rel=1e-12)
+    assert _exp_or_inf(2.0 * _at_d0(prof, 2.0).rate) == math.inf
 
 
 def test_C0_past_float_range_is_inf():
     prof = synthetic_profile(rho=1e-3)
     assert ln_C0_of(prof) > 1000.0
-    assert C0_of(prof) == math.inf
+    assert _exp_or_inf(ln_C0_of(prof)) == math.inf
 
 
 def test_ln_one_minus_exp_keeps_bits_and_resolves_tiny_arguments():
@@ -217,13 +221,13 @@ def test_C0_is_inf_where_rho_squared_underflows():
     assert _ln_one_minus_exp(-0.0) == -math.inf
     prof = synthetic_profile(rho=1e-170)
     assert ln_C0_of(prof) == math.inf
-    assert C0_of(prof) == math.inf
+    assert _exp_or_inf(ln_C0_of(prof)) == math.inf
 
 
 def test_ln_prefactor_is_inf_where_C_is_at_least_one():
     prof = synthetic_profile(rho=0.01, k_const=0.5)
-    assert ln_C_alpha_d0(prof, 1.0, 2.0) >= 0
-    assert ln_prefactor(prof, 1.0, 2.0) == math.inf
+    assert ln_C(prof, 1.0, 2.0) >= 0
+    assert _ln_prefactor(prof, _at_d0(prof, 2.0), 1.0) == math.inf
 
 
 def test_paper_default_d0():
@@ -240,8 +244,8 @@ def test_princ_at_d0_is_prefactor():
     params = admissibility(prof, 1.0, 3.0)
     assert params.admissible
     curve = bound_princ(prof, params, [3.0])
-    c = C_alpha_d0(prof, 1.0, 3.0)
-    cp = Cprime_alpha_d0(prof, 1.0, 3.0)
+    c = _exp_or_inf(ln_C(prof, 1.0, 3.0))
+    cp = _exp_or_inf(1.0 * _at_d0(prof, 3.0).rate)
     assert curve.values[0] == pytest.approx(cp * c / (1 - c), rel=1e-12)
 
 
@@ -284,7 +288,7 @@ def test_theorem1_zero_curvature_closed_form():
     d0 = 2.0 + math.log(2) / 0.3
     levels = np.linspace(d0 + 0.1, 20.0, 25)
     curve = bound_theorem1(prof, levels)
-    expect = C0_of(prof) * np.exp(-prof.rho * levels / 2.0)
+    expect = _exp_or_inf(ln_C0_of(prof)) * np.exp(-prof.rho * levels / 2.0)
     np.testing.assert_allclose(curve.values, expect, rtol=1e-12)
 
 
@@ -307,14 +311,14 @@ def test_theorem1_with_rho_squared_below_rounding():
     assert curve.values[0] == math.inf
     numerator = 1.5 * (1e-9 + math.log(2) * 1e9) - 2.5e-19 + 1e-9 * d0 / 2
     assert ln_C0_of(prof) == pytest.approx(numerator - math.log(2.5e-19), abs=1e-6)
-    assert C0_of(prof) == math.inf
+    assert _exp_or_inf(ln_C0_of(prof)) == math.inf
 
 
 def test_theorem1_meta_C0_up_to_the_float_range():
     prof = synthetic_profile(rho=1.5e-3, k_const=0.0)
     ln_c0 = ln_C0_of(prof)
     assert 700 < ln_c0 < 709
-    assert C0_of(prof) == math.exp(ln_c0)
+    assert _exp_or_inf(ln_c0) == math.exp(ln_c0)
 
 
 def test_theorem1_requires_attractive_point():
@@ -356,7 +360,7 @@ def test_tail_curve_clamping(prof_5_10):
     params = theorem1_params(prof)
     levels = np.linspace(params.d0 + 0.01, 50.0, 20)
     curve = bound_theorem1(prof, levels)
-    assert curve.exceeds_one()
+    assert np.any(curve.values > 1.0)
     assert np.max(curve.clamped()) <= 1.0
     assert np.max(curve.values) > 1.0  # raw values preserved
 
@@ -498,7 +502,7 @@ def test_ln_C_convex_in_alpha(prof_5_10):
         kd0 = float(prof.envelope(d0))
         upper = min(2.0 / prof.s2, 0.98 / (prof.s2 * kd0)) if kd0 > 0 else 2.0
         grid = np.linspace(upper / 64, upper, 64)
-        vals = np.array([ln_C_alpha_d0(prof, a, d0) for a in grid])
+        vals = np.array([ln_C(prof, a, d0) for a in grid])
         assert np.all(np.diff(vals, 2) >= -1e-9)
 
 

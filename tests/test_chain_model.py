@@ -97,6 +97,17 @@ def test_ou_rejects_bad_parameters():
         build_discrete_ou_chain(0.5, 5.0, -0.1)
 
 
+def test_builders_hold_the_dense_chain_budget(monkeypatch):
+    monkeypatch.setattr(chain_model, "MAX_DENSE_STATES", 51)
+    assert build_mmk_chain(2, 4, 50).n == 51
+    assert build_discrete_ou_chain(0.5, 2.5, 0.1).n == 51
+    with pytest.raises(ValueError, match="^52 states exceed the dense-chain budget "
+                                         "MAX_DENSE_STATES = 51 "):
+        build_mmk_chain(2, 4, 51)
+    with pytest.raises(ValueError, match="^53 states exceed the dense-chain budget"):
+        build_discrete_ou_chain(0.5, 2.6, 0.1)
+
+
 def test_ou_refinement_w1_within_step():
     # halving the step moves each discretized row by less than the coarse step
     coarse = build_discrete_ou_chain(0.5, 6.0, 0.2)

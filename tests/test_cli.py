@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ricci_bounds import cli
+from ricci_bounds import chain_model, cli
 from ricci_bounds import equilibrium as eq
 from ricci_bounds.chain_model import build_mmk_chain
 from ricci_bounds.cli import main
@@ -246,7 +246,7 @@ def _cli_cases(draw):
     chain = make(rng, n)
     # the shorter distances: at the long ones d0 lies beyond every chain's radius
     eps = draw(st.sampled_from(sorted(set(chain.dist[chain.dist > 0].tolist()))[:2 * n]))
-    return (chain, draw(st.sampled_from(["verify", "curvature", "bound", "sweep"])),
+    return (chain, draw(st.sampled_from(["verify", "curvature", "bound", "sweep", "stationary"])),
             draw(st.sampled_from(["paper", "grid", "convex"])), eps,
             draw(st.integers(0, n - 1) | st.integers(-2, n + 1)))
 
@@ -264,7 +264,7 @@ def test_exit_code_is_documented_and_bad_origin_is_bad_input(case):
                         "--strategy", strategy, "--origin", str(origin),
                         "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
-    if not 0 <= origin < chain.n:
+    if command != "stationary" and not 0 <= origin < chain.n:   # stationary reads no origin
         assert code == 3
 
 
@@ -329,6 +329,38 @@ def test_malformed_or_non_finite_command_line_exits_3(argv, code, tmp_path, caps
     if code:
         assert "error: " in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["sweep", "--n0", "5", "--k", "10", "--epsilons", "1:1e6:1e-3"], "MAX_RANGE_POINTS"),
+    (["bound", "--n0", "5", "--k", "10", "--epsilon", "2", "--levels", "3:1e9:1"],
+     "MAX_RANGE_POINTS"),
+    (["example-ou", "--alpha", "0.5", "--grid-width", "1e6"], "MAX_DENSE_STATES"),
+    (["verify", "--n0", "100000", "--k", "100001"], "MAX_DENSE_STATES"),
+    (["example-jump", "--paths", "1000000000"], "MAX_PATHS"),
+])
+def test_over_budget_sizes_exit_3_before_allocating(argv, budget, tmp_path, capsys):
+    # each size is refused from the flags alone, before any array of that size exists
+    out = tmp_path / "b"
+    assert run_cli([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"budget {budget} = " in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("budget, code", [(537, 0), (536, 3)])
+def test_auto_truncation_ends_at_the_dense_chain_budget(budget, code, tmp_path,
+                                                        monkeypatch, capsys):
+    # n0 = 25, k = 27 fails the audit at truncations 67, 134 and 268 and keeps
+    # 536 (537 states) where the budget allows it
+    monkeypatch.setattr(chain_model, "MAX_DENSE_STATES", budget)
+    out = tmp_path / "t"
+    assert run_cli(["stationary", "--n0", "25", "--k", "27", "--out", str(out)]) == code
+    if code:
+        assert "error: 537 states exceed the dense-chain budget MAX_DENSE_STATES = 536 " \
+            in capsys.readouterr().err
+    else:
+        assert len(read_csv(out / "stationary.csv")[1]) == 537
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,13 +4,14 @@ from scipy.special import erf
 
 from ricci_bounds import (MetricChain, attraction_rho, build_discrete_ou_chain,
                           build_mmk_chain, curvature_envelope,
-                          curvature_profile, epsilon_sweep, kappa_pair, load_chain,
+                          curvature_profile, epsilon_sweep, load_chain,
                           local_curvature, subgaussian_s2, w1_to_point)
 from ricci_bounds import curvature, transport
 from ricci_bounds.errors import DegenerateKernelError, EmptyAnnulusError
 
 from conftest import (cube_chain, irregular_line_chain, line_chain,
                       random_graph_chain, write_chain_json)
+from reference_oracles import kappa_pair
 
 
 def mmk_kappa_closed_form(n0, k, x, y):

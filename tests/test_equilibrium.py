@@ -3,11 +3,11 @@ import pytest
 
 from ricci_bounds import (build_discrete_ou_chain, build_mmk_chain,
                           empirical_tail, stationary_birth_death,
-                          stationary_cesaro, stationary_power,
-                          truncation_audit, tv_distance)
+                          stationary_power, truncation_audit, tv_distance)
 from ricci_bounds.errors import ChainValidationError, PowerIterationError
 
 from conftest import line_chain, star_chain
+from reference_oracles import stationary_cesaro
 
 
 def swap_chain():

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from ricci_bounds import (JumpProcessConfig, poissonian_tail_bound,
-                          simulate_paths, stationary_laplace_G,
-                          stationary_log_G, tail_comparison,
-                          tail_shape_witness, transform_I)
-from ricci_bounds.jump_process import (clopper_pearson_upper,
-                                       empirical_tail_probs,
-                                       stationary_laplace_G_T,
-                                       stationary_log_G_T)
+                          simulate_paths, tail_comparison, transform_I)
+from ricci_bounds.jump_process import MAX_PATHS, clopper_pearson_upper, empirical_tail_probs
 
 from dickman import dickman_tail, transform_I_quadrature
+from reference_oracles import tail_shape_witness
 
 
 # ----------------------------------------------------------------- config
@@ -25,6 +21,13 @@ def test_config_rejects_short_horizon():
 def test_config_rejects_bad_alpha():
     with pytest.raises(ValueError):
         JumpProcessConfig(drift_alpha=0.0, horizon_T=25.0, n_paths=10, seed=0)
+
+
+def test_config_holds_the_path_budget():
+    # the config allocates nothing; simulate_paths would hold one float per path
+    JumpProcessConfig(drift_alpha=1.0, horizon_T=25.0, n_paths=MAX_PATHS, seed=0)
+    with pytest.raises(ValueError, match=f"paths exceed the budget MAX_PATHS = {MAX_PATHS}$"):
+        JumpProcessConfig(drift_alpha=1.0, horizon_T=25.0, n_paths=MAX_PATHS + 1, seed=0)
 
 
 # ------------------------------------------------------------- simulation
@@ -74,16 +77,16 @@ def test_transform_I_asymptotics():
     assert transform_I(lam) / (math.exp(lam) / lam) == pytest.approx(1.0, abs=0.05)
 
 
-# ------------------------------------------------------------- transforms G
+# ------------------------------- the stationary Laplace transform G = exp(I/alpha)
 
 def test_G_normalization():
-    assert stationary_laplace_G(0.0, alpha=1.0) == 1.0
+    assert math.exp(transform_I(0.0) / 1.0) == 1.0
 
 
 def test_G_derivative_at_zero_gives_mean():
     alpha = 1.0
     h = 1e-6
-    deriv = (stationary_laplace_G(h, alpha) - stationary_laplace_G(-h, alpha)) / (2 * h)
+    deriv = (math.exp(transform_I(h) / alpha) - math.exp(transform_I(-h) / alpha)) / (2 * h)
     assert deriv == pytest.approx(1.0 / alpha, rel=1e-6)
 
 
@@ -93,7 +96,7 @@ def test_G_moments_match_monte_carlo():
                             n_paths=200_000, seed=11)
     x = simulate_paths(cfg)
     h = 1e-5
-    log_g = [stationary_log_G(lam, alpha) for lam in (-h, 0.0, h)]
+    log_g = [transform_I(lam) / alpha for lam in (-h, 0.0, h)]
     mean = (log_g[2] - log_g[0]) / (2 * h)
     var = (log_g[2] - 2 * log_g[1] + log_g[0]) / h ** 2
     se_mean = x.std() / math.sqrt(x.size)
@@ -104,17 +107,10 @@ def test_G_moments_match_monte_carlo():
 
 
 def test_G_T_converges_to_G():
-    val_t = stationary_log_G_T(1.0, alpha=1.0, horizon=20.0)
-    val = stationary_log_G(1.0, alpha=1.0)
+    # log G_T = (I(lambda) - I(lambda e^{-alpha T}))/alpha at alpha = 1, T = 20
+    val_t = transform_I(1.0) - transform_I(1.0 * math.exp(-20.0))
+    val = transform_I(1.0)
     assert abs(math.exp(val_t - val) - 1.0) <= 1e-6
-
-
-def test_G_overflow_guard():
-    with pytest.raises(OverflowError, match="log"):
-        stationary_laplace_G(30.0, alpha=0.01)
-    assert stationary_log_G(30.0, alpha=0.01) > 700
-    with pytest.raises(OverflowError):
-        stationary_laplace_G_T(30.0, alpha=0.01, horizon=5000.0)
 
 
 # ------------------------------------------------------------- tail bound

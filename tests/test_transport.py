@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance as scipy_w1
 
-from ricci_bounds import (DiscreteMeasure, MetricChain, stochastic_dominance_check,
-                          w1_flow, w1_flow_batch, w1_line)
+from ricci_bounds import DiscreteMeasure, MetricChain, w1_flow, w1_flow_batch, w1_line
 from ricci_bounds import transport
 from ricci_bounds.errors import TransportError
 
 from conftest import line_chain, random_graph_chain
+from reference_oracles import stochastic_dominance_check
 
 
 def measure(support, weights):
@@ -30,7 +30,8 @@ def random_line_instance(rng, n_points=60, max_support=50):
 # ------------------------------------------------------------ frozen values
 
 def test_point_masses_distance(mmk_2_4):
-    mu, nu = DiscreteMeasure.point_mass(0), DiscreteMeasure.point_mass(3)
+    mu = DiscreteMeasure(support=[0], weights=[1.0])
+    nu = DiscreteMeasure(support=[3], weights=[1.0])
     assert w1_line(mu, nu, mmk_2_4.coords) == pytest.approx(3.0, abs=1e-12)
     assert w1_flow(mu, nu, mmk_2_4) == pytest.approx(3.0, abs=1e-12)
 
@@ -38,7 +39,7 @@ def test_point_masses_distance(mmk_2_4):
 def test_split_mass_vs_center(mmk_2_4):
     # brute force over the only coupling: both half-atoms move distance 1
     mu = measure([0, 2], [0.5, 0.5])
-    nu = DiscreteMeasure.point_mass(1)
+    nu = DiscreteMeasure(support=[1], weights=[1.0])
     assert w1_line(mu, nu, mmk_2_4.coords) == pytest.approx(1.0, abs=1e-12)
     assert w1_flow(mu, nu, mmk_2_4) == pytest.approx(1.0, abs=1e-12)
 
@@ -222,12 +223,13 @@ def test_dominance_mmk_rows(mmk_2_4):
     p4 = DiscreteMeasure.from_vector(mmk_2_4.kernel[4])
     assert stochastic_dominance_check(p3, p4, mmk_2_4.coords)
     # the shortcut: W1 equals the difference of the means
-    gap = abs(p4.mean(mmk_2_4.coords) - p3.mean(mmk_2_4.coords))
+    coords = mmk_2_4.coords
+    gap = abs(p4.weights @ coords[p4.support] - p3.weights @ coords[p3.support])
     assert w1_line(p3, p4, mmk_2_4.coords) == pytest.approx(gap, abs=1e-9)
 
 
 def test_dominance_crossing_cdfs(mmk_2_4):
-    mu = DiscreteMeasure.point_mass(1)
+    mu = DiscreteMeasure(support=[1], weights=[1.0])
     nu = measure([0, 2], [0.5, 0.5])
     assert not stochastic_dominance_check(mu, nu, mmk_2_4.coords)
 
