@@ -126,7 +126,6 @@ class MetricChain:
 
 @dataclass(frozen=True)
 class GeodesicReport:
-    epsilon: float
     is_geodesic: bool
     witness_failure: Optional[Tuple[int, int]] = None
 
@@ -139,13 +138,12 @@ def _check_dense_size(size: int) -> None:
             f"take {16 * size * size / 1e9:.3g} GB)")
 
 
-def build_mmk_chain(n0: int, k: int, truncation: int) -> MetricChain:
-    """Discrete-time M/M/k queue on {0..truncation} with d(i,j) = |i-j|.
+def mmk_rates(n0: int, k: int, truncation: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The M/M/k kernel on {0..truncation} as its three diagonals (up, stay, down).
 
-    Interior rows: jump right with probability n0/(n0+k), stay with
-    (k-n)_+/(n0+k), jump left with min(n,k)/(n0+k).  The last state's
-    right-jump mass self-loops so the kernel stays stochastic; truncation
-    must be chosen so the stationary mass out there is negligible.
+    up[n] = n0/(n0+k) is the jump n -> n+1, down[n] = min(n+1, k)/(n0+k) the
+    jump n+1 -> n and stay[n] = (k-n)_+/(n0+k); the last state's right-jump
+    mass self-loops, so truncation must leave negligible stationary mass there.
     """
     if n0 <= 0:
         raise ValueError(f"n0 must be positive, got {n0}")
@@ -156,21 +154,24 @@ def build_mmk_chain(n0: int, k: int, truncation: int) -> MetricChain:
     size = truncation + 1
     _check_dense_size(size)
     denom = n0 + k
+    up = np.full(truncation, n0 / denom)
+    stay = np.maximum(k - np.arange(size), 0) / denom
+    stay[-1] += n0 / denom  # boundary: right-jump mass self-loops
+    down = np.minimum(np.arange(1, size), k) / denom
+    return up, stay, down
+
+
+def build_mmk_chain(n0: int, k: int, truncation: int) -> MetricChain:
+    """Discrete-time M/M/k queue on {0..truncation} with d(i,j) = |i-j|,
+    its kernel the three diagonals of `mmk_rates`."""
+    up, stay, down = mmk_rates(n0, k, truncation)
+    size = truncation + 1
     kernel = np.zeros((size, size))
-    for n in range(size):
-        up = n0 / denom
-        stay = max(k - n, 0) / denom
-        down = min(n, k) / denom
-        if n > 0:
-            kernel[n, n - 1] = down
-        else:
-            stay += down  # down mass is 0 at n=0 anyway
-        if n < truncation:
-            kernel[n, n + 1] = up
-            kernel[n, n] = stay
-        else:
-            kernel[n, n] = stay + up  # boundary: right-jump mass self-loops
-    coords = np.arange(size, dtype=float)
+    idx = np.arange(size)
+    kernel[idx, idx] = stay
+    kernel[idx[:-1], idx[1:]] = up
+    kernel[idx[1:], idx[:-1]] = down
+    coords = idx.astype(float)
     dist = np.abs(coords[:, None] - coords[None, :])
     return MetricChain(points=tuple(str(i) for i in range(size)),
                        dist=dist, kernel=kernel, origin_hint=n0, coords=coords)
@@ -294,13 +295,12 @@ def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> GeodesicReport
         order = np.argsort(chain.coords, kind="stable")
         gaps = d[order[:-1], order[1:]]
         if gaps.max(initial=0.0) <= epsilon + DIST_TOL:
-            return GeodesicReport(epsilon=epsilon, is_geodesic=True)
+            return GeodesicReport(is_geodesic=True)
         k = int(np.argmax(gaps))
-        return GeodesicReport(epsilon=epsilon, is_geodesic=False,
+        return GeodesicReport(is_geodesic=False,
                               witness_failure=(int(order[k]), int(order[k + 1])))
     defect = np.abs(_shortest_paths(d, epsilon + DIST_TOL) - d)
     i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
     if defect[i, j] <= GEODESIC_TOL:
-        return GeodesicReport(epsilon=epsilon, is_geodesic=True)
-    return GeodesicReport(epsilon=epsilon, is_geodesic=False,
-                          witness_failure=(int(i), int(j)))
+        return GeodesicReport(is_geodesic=True)
+    return GeodesicReport(is_geodesic=False, witness_failure=(int(i), int(j)))

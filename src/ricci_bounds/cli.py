@@ -37,7 +37,7 @@ from . import bounds as bounds_mod
 from . import equilibrium as eq
 from . import jump_process as jp
 from .chain_model import (MetricChain, build_discrete_ou_chain, build_mmk_chain,
-                          check_epsilon_geodesic, load_chain)
+                          check_epsilon_geodesic, load_chain, mmk_rates)
 from .curvature import curvature_profile
 from .errors import (ChainFormatError, ChainValidationError, InadmissibleParamsError,
                      InapplicableError)
@@ -94,31 +94,28 @@ def _parse_range(spec: str) -> np.ndarray:
     return np.arange(a, b + step * 1e-9, step)
 
 
-def _auto_truncation(n0: int, k: int):
-    """The M/M/k chain, its truncation doubled until its stationary law passes
-    the audit, and that audited law.  Past the dense-chain budget the builder
-    refuses the next candidate."""
+def _auto_truncation(n0: int, k: int) -> int:
+    """The first of k + 40, 2(k + 40), ... whose M/M/k law, solved from the
+    rates alone, passes the truncation audit.  Past the dense-chain budget
+    `mmk_rates` refuses the next candidate."""
     trunc = k + 40
     while True:
-        chain = build_mmk_chain(n0, k, trunc)
-        result = eq.stationary_birth_death(chain)
-        if eq.truncation_audit(result):
-            return chain, result
+        up, _, down = mmk_rates(n0, k, trunc)
+        if eq.truncation_audit(eq.birth_death_law(up, down)):
+            return trunc
         trunc *= 2
 
 
-def _build_chain(cfg: argparse.Namespace):
-    """The chain, and its stationary law where building it already solved one (else None)."""
+def _build_chain(cfg: argparse.Namespace) -> MetricChain:
     if cfg.chain_file is not None:
-        return load_chain(cfg.chain_file), None
+        return load_chain(cfg.chain_file)
     if cfg.n0 is not None:
         if cfg.k is None:
             raise ChainFormatError("--n0 requires --k")
-        if cfg.trunc is None:
-            return _auto_truncation(cfg.n0, cfg.k)
-        return build_mmk_chain(cfg.n0, cfg.k, cfg.trunc), None
+        trunc = cfg.trunc if cfg.trunc is not None else _auto_truncation(cfg.n0, cfg.k)
+        return build_mmk_chain(cfg.n0, cfg.k, trunc)
     if cfg.alpha is not None:
-        return build_discrete_ou_chain(cfg.alpha, cfg.grid_width, cfg.grid_step), None
+        return build_discrete_ou_chain(cfg.alpha, cfg.grid_width, cfg.grid_step)
     raise ChainFormatError(
         "no chain source: give --chain FILE, or --n0/--k, or --alpha/--grid-width/--grid-step")
 
@@ -153,13 +150,10 @@ def _profile(cfg: argparse.Namespace, chain: MetricChain):
         raise ChainValidationError(
             f"chain is not {eps}-geodesic (witness pair {rep.witness_failure}); "
             "increase --epsilon")
-    return curvature_profile(chain, eps, origin=origin)
+    return curvature_profile(chain, eps, origin)
 
 
-def _stationary(chain: MetricChain, solved):
-    """`solved` if building the chain already solved its law, else a fresh solve."""
-    if solved is not None:
-        return solved
+def _stationary(chain: MetricChain):
     try:
         return eq.stationary_birth_death(chain)
     except ChainValidationError:
@@ -214,7 +208,7 @@ def _comparison_rows(curves, tail):
 
 
 def cmd_curvature(cfg: argparse.Namespace) -> int:
-    chain, _ = _build_chain(cfg)
+    chain = _build_chain(cfg)
     profile = _profile(cfg, chain)
     _write_json(cfg.out_dir / "profile.json", profile.as_dict())
     env = profile.envelope
@@ -226,7 +220,7 @@ def cmd_curvature(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bound(cfg: argparse.Namespace) -> int:
-    chain, _ = _build_chain(cfg)
+    chain = _build_chain(cfg)
     profile = _profile(cfg, chain)
     params, levels, curves = _bound_curves(cfg, profile, chain)
     _write_json(cfg.out_dir / "params.json", params.as_dict())
@@ -237,8 +231,8 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
 
 
 def cmd_stationary(cfg: argparse.Namespace) -> int:
-    chain, solved = _build_chain(cfg)
-    result = _stationary(chain, solved)
+    chain = _build_chain(cfg)
+    result = _stationary(chain)
     _write_csv(cfg.out_dir / "stationary.csv", ["point", "mass"],
                list(zip(chain.points, result.distribution)))
     print(f"stationary: method={result.method} residual={result.residual:.3e}")
@@ -246,10 +240,10 @@ def cmd_stationary(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    chain, solved = _build_chain(cfg)
+    chain = _build_chain(cfg)
     profile = _profile(cfg, chain)
     params, levels, curves = _bound_curves(cfg, profile, chain)
-    result = _stationary(chain, solved)
+    result = _stationary(chain)
     tail = eq.empirical_tail(result, chain, profile.origin, levels)
     _write_json(cfg.out_dir / "profile.json", profile.as_dict())
     _write_json(cfg.out_dir / "params.json", params.as_dict())
@@ -257,7 +251,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
                list(zip(chain.points, result.distribution)))
     _write_tail_curves(cfg.out_dir / "bounds.csv", curves)
     # only a chain this CLI truncated can lose mass past its last state
-    audit_ok = eq.truncation_audit(result) if cfg.chain_file is None else True
+    audit_ok = eq.truncation_audit(result.distribution) if cfg.chain_file is None else True
     per_level = np.all([c.values + 1e-12 >= tail.values for c in curves], axis=0)
     dominated = bool(per_level.all())
     verdict = "PASS" if (dominated and audit_ok) else "FAIL"
@@ -270,7 +264,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     if not audit_ok:
         flag = "--trunc" if cfg.n0 is not None else "--grid-width"
         print(f"error: the cut-off set by {flag} is too short: its last 10 states "
-              f"carry stationary mass {eq.cutoff_mass(result):.3e}", file=sys.stderr)
+              f"carry stationary mass {eq.cutoff_mass(result.distribution):.3e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     return EXIT_PASS
 
@@ -310,7 +304,7 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    chain, _ = _build_chain(cfg)
+    chain = _build_chain(cfg)
     origin = _origin(cfg, chain)
     if not cfg.epsilons:
         raise ChainFormatError("sweep needs --epsilons a:b:step")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -186,13 +185,8 @@ def subgaussian_s2(chain: MetricChain) -> float:
     return s2
 
 
-def curvature_profile(chain: MetricChain, epsilon: float,
-                      origin: Optional[int] = None) -> CurvatureProfile:
+def curvature_profile(chain: MetricChain, epsilon: float, origin: int) -> CurvatureProfile:
     """Assemble the full curvature profile at one (eps, origin) choice."""
-    if origin is None:
-        origin = chain.origin_hint
-    if origin is None:
-        raise ValueError("no origin given and the chain has no origin_hint")
     check_origin(chain, origin)
     kappa_local = local_curvature(chain, epsilon)
     envelope = curvature_envelope(chain, origin, kappa_local)

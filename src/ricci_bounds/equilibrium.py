@@ -34,13 +34,22 @@ def _residual(chain: MetricChain, pi: np.ndarray) -> float:
     return tv_distance(pi, pi @ chain.kernel)
 
 
-def stationary_birth_death(chain: MetricChain) -> StationaryResult:
-    """Detailed-balance product formula pi(n+1)/pi(n) = p(n,n+1)/p(n+1,n).
+def birth_death_law(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """Detailed balance pi(n+1)/pi(n) = up[n]/down[n] for strictly positive rates
+    up[n] (n -> n+1) and down[n] (n+1 -> n), accumulated in log space so long
+    chains with large mass ratios stay exact."""
+    if np.any(up <= 0) or np.any(down <= 0):
+        raise ChainValidationError(
+            "birth-death formula needs strictly positive adjacent rates")
+    log_pi = np.concatenate([[0.0], np.cumsum(np.log(up) - np.log(down))])
+    log_pi -= log_pi.max()
+    pi = np.exp(log_pi)
+    pi /= pi.sum()
+    return pi
 
-    Requires a tridiagonal kernel in point order with strictly positive
-    adjacent rates.  Accumulated in log space, so long chains with large
-    mass ratios stay exact.
-    """
+
+def stationary_birth_death(chain: MetricChain) -> StationaryResult:
+    """`birth_death_law` of a tridiagonal kernel in point order."""
     kernel = chain.kernel
     n = chain.n
     off = np.abs(kernel.copy())
@@ -51,15 +60,7 @@ def stationary_birth_death(chain: MetricChain) -> StationaryResult:
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         raise ChainValidationError(
             f"kernel is not tridiagonal: kernel[{i}][{j}] = {kernel[i, j]!r}")
-    up = np.diag(kernel, 1)
-    down = np.diag(kernel, -1)
-    if np.any(up <= 0) or np.any(down <= 0):
-        raise ChainValidationError(
-            "birth-death formula needs strictly positive adjacent rates")
-    log_pi = np.concatenate([[0.0], np.cumsum(np.log(up) - np.log(down))])
-    log_pi -= log_pi.max()
-    pi = np.exp(log_pi)
-    pi /= pi.sum()
+    pi = birth_death_law(np.diag(kernel, 1), np.diag(kernel, -1))
     return StationaryResult(distribution=pi, method="birth_death_exact",
                             residual=_residual(chain, pi))
 
@@ -77,9 +78,9 @@ def stationary_power(chain: MetricChain) -> StationaryResult:
         nxt = v @ kernel
         residual = tv_distance(v, nxt)
         if residual <= POWER_TOL:
-            return StationaryResult(distribution=nxt / nxt.sum(),
-                                    method="power_iteration",
-                                    residual=_residual(chain, nxt / nxt.sum()))
+            pi = nxt / nxt.sum()
+            return StationaryResult(distribution=pi, method="power_iteration",
+                                    residual=_residual(chain, pi))
         v = nxt
     raise PowerIterationError(
         f"power iteration hit max_iters={POWER_MAX_ITERS} with residual "
@@ -97,11 +98,11 @@ def empirical_tail(result: StationaryResult, chain: MetricChain, origin: int,
     return TailCurve(levels=levels, values=values, kind="empirical")
 
 
-def cutoff_mass(result: StationaryResult) -> float:
+def cutoff_mass(pi: np.ndarray) -> float:
     """Stationary mass of the last 10 states: what a truncation may have cut off."""
-    return float(result.distribution[-10:].sum())
+    return float(pi[-10:].sum())
 
 
-def truncation_audit(result: StationaryResult) -> bool:
+def truncation_audit(pi: np.ndarray) -> bool:
     """True iff the last 10 states carry < 1e-10 stationary mass: a negligible cut-off tail."""
-    return cutoff_mass(result) < 1e-10
+    return cutoff_mass(pi) < 1e-10

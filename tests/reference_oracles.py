@@ -5,6 +5,8 @@
 - `stochastic_dominance_check`: a CDF comparison on the line; where it
   holds, W1 equals the difference of the means, a third cross-check on the
   transport routes.
+- `mmk_kernel_loop`: the M/M/k kernel filled one state at a time, the
+  oracle for `build_mmk_chain`'s diagonal assembly.
 - `stationary_cesaro`: Cesaro averages of kernel pushforwards of a point
   mass, a third stationary estimator whose residual decays like 1/n.
 - `tail_shape_witness`: the growth of -ln of an empirical tail against l^2
@@ -45,6 +47,27 @@ def stochastic_dominance_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     order = np.argsort(pos, kind="stable")
     cdf_gap = np.cumsum(wgt[order])
     return bool(np.all(cdf_gap >= -WEIGHT_TOL))
+
+
+def mmk_kernel_loop(n0: int, k: int, truncation: int) -> np.ndarray:
+    """The M/M/k kernel on {0..truncation}, row by row from its rates."""
+    size = truncation + 1
+    denom = n0 + k
+    kernel = np.zeros((size, size))
+    for n in range(size):
+        up = n0 / denom
+        stay = max(k - n, 0) / denom
+        down = min(n, k) / denom
+        if n > 0:
+            kernel[n, n - 1] = down
+        else:
+            stay += down  # down mass is 0 at n=0 anyway
+        if n < truncation:
+            kernel[n, n + 1] = up
+            kernel[n, n] = stay
+        else:
+            kernel[n, n] = stay + up  # boundary: right-jump mass self-loops
+    return kernel
 
 
 def stationary_cesaro(chain: MetricChain, start: int, n: int) -> StationaryResult:

@@ -140,8 +140,8 @@ def test_criterion_3_bound_dominance():
     for n0, k, trunc, eps in instances:
         chain = build_mmk_chain(n0, k, trunc)
         exact = stationary_birth_death(chain)
-        assert truncation_audit(exact), (n0, k, trunc)
-        profile = curvature_profile(chain, eps)
+        assert truncation_audit(exact.distribution), (n0, k, trunc)
+        profile = curvature_profile(chain, eps, chain.origin_hint)
         lmax = float(chain.dist[n0].max()) - 1.0
 
         default = search_params(profile, "paper_default")
@@ -171,7 +171,7 @@ def test_criterion_4_regime_shapes():
     # Gaussian segment at the right scale and an exponential rate near truth
     n0, k, trunc, eps = 100, 200, 320, 8.0
     chain = build_mmk_chain(n0, k, trunc)
-    profile = curvature_profile(chain, eps)
+    profile = curvature_profile(chain, eps, chain.origin_hint)
     env = profile.envelope
     plateau = float(env(0.0))
     plateau_end = float(env.breakpoints[np.nonzero(env.values
@@ -192,7 +192,7 @@ def test_criterion_4_regime_shapes():
 
     # narrow regime k - n0 = o(sqrt(n0)): no Gaussian segment beyond d0
     chain2 = build_mmk_chain(25, 27, 260)
-    profile2 = curvature_profile(chain2, 2.0)
+    profile2 = curvature_profile(chain2, 2.0, chain2.origin_hint)
     flat_ok = True
     for p in (search_params(profile2, "paper_default"),
               search_params(profile2, "grid", reference_level=60.0)):
@@ -216,7 +216,7 @@ def test_criterion_5_ou_gaussian_coefficient():
     start = time.perf_counter()
     alpha, width, step, eps = 0.5, 10.0, 0.05, 3.0
     chain = build_discrete_ou_chain(alpha, width, step)
-    profile = curvature_profile(chain, eps)
+    profile = curvature_profile(chain, eps, chain.origin_hint)
     env_dev = float(np.max(np.abs(profile.envelope.values - alpha)))
 
     params = theorem1_params(profile)
@@ -353,8 +353,9 @@ def test_criterion_8_structural_properties(mmk_2_4, mmk_5_10):
     ok = True
     details = []
 
-    prof_q = curvature_profile(mmk_5_10, 1.0)
-    prof_g = curvature_profile(build_discrete_ou_chain(0.5, 8.0, 0.1), 2.0)
+    prof_q = curvature_profile(mmk_5_10, 1.0, mmk_5_10.origin_hint)
+    ou = build_discrete_ou_chain(0.5, 8.0, 0.1)
+    prof_g = curvature_profile(ou, 2.0, ou.origin_hint)
     worst_second_diff = np.inf
     for prof, d0s in ((prof_q, (2.5, 4.0, 8.0)), (prof_g, (4.0, 6.0))):
         for d0 in d0s:

@@ -41,7 +41,7 @@ def synthetic_profile(eps=1.0, rho=0.3, j0=0.0, s2=1.0, k_const=0.0, k_until=np.
 @pytest.fixture(scope="module")
 def prof_5_10():
     chain = build_mmk_chain(5, 10, 60)
-    return chain, curvature_profile(chain, 1.0)
+    return chain, curvature_profile(chain, 1.0, chain.origin_hint)
 
 
 # ------------------------------------------------------------------- F
@@ -59,7 +59,7 @@ def test_F_constant_envelope():
 
 
 def test_F_mmk(mmk_2_4):
-    prof = curvature_profile(mmk_2_4, 1.0)
+    prof = curvature_profile(mmk_2_4, 1.0, mmk_2_4.origin_hint)
     assert F_of(prof, 4.0) == pytest.approx(1 / 6, abs=1e-12)  # envelope dead past 2
     assert F_of(prof, 1.5) == pytest.approx(1 / 6, abs=1e-12)
 
@@ -91,7 +91,7 @@ def test_phi_constant_envelope_closed_form():
 def test_phi_matches_quadrature(mmk_2_4):
     # midpoint quadrature oracle, integrated branch by branch so the jump of
     # F at eps never straddles a cell; F is only evaluated pointwise
-    prof = curvature_profile(mmk_2_4, 1.0)
+    prof = curvature_profile(mmk_2_4, 1.0, mmk_2_4.origin_hint)
     eps, l = prof.epsilon, 4.0
     total = 0.0
     for a, b in ((0.0, eps), (eps, 2 * eps), (2 * eps, l)):
@@ -181,7 +181,7 @@ def test_Cprime_trivial_cases():
 
 
 def test_Cprime_paper_default_bound(mmk_2_4):
-    prof = curvature_profile(mmk_2_4, 1.0)
+    prof = curvature_profile(mmk_2_4, 1.0, mmk_2_4.origin_hint)
     params = theorem1_params(prof)
     ln_cp = math.log(_exp_or_inf(params.alpha * _at_d0(prof, params.d0).rate))
     eps, s2, rho = prof.epsilon, prof.s2, prof.rho
@@ -407,7 +407,7 @@ def test_search_infeasible_fixed_d0_reports():
 def test_search_infeasible_grid_range_reports():
     # below the reference level 3 the drift is too weak: C >= 1 on every point
     chain = build_mmk_chain(25, 30, 160)
-    prof = curvature_profile(chain, 1.0)
+    prof = curvature_profile(chain, 1.0, chain.origin_hint)
     with pytest.raises(InfeasibleSearchError) as err:
         search_params(prof, "grid", reference_level=3.0)
     assert len(err.value.report) == 64

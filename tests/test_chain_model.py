@@ -7,11 +7,13 @@ from ricci_bounds import (build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain, w1_line,
                           DiscreteMeasure)
 from ricci_bounds import chain_model
+from ricci_bounds.equilibrium import birth_death_law, stationary_birth_death
 from ricci_bounds.errors import ChainFormatError, ChainValidationError
 
 from conftest import (floyd_warshall, irregular_line_chain, line_chain,
                       metric_chain, random_graph_chain, worst_triangle_violation,
                       write_chain_json)
+from reference_oracles import mmk_kernel_loop
 
 
 # ---------------------------------------------------------------- M/M/k
@@ -45,6 +47,25 @@ def test_mmk_origin_and_boundary(mmk_2_4):
     # right-jump mass at the last state self-loops
     last = mmk_2_4.n - 1
     assert mmk_2_4.kernel[last, last] == pytest.approx(2 / 6, abs=1e-15)
+
+
+@st.composite
+def _mmk_sizes(draw):
+    n0 = draw(st.integers(1, 200))
+    k = draw(st.integers(n0 + 1, n0 + 60))
+    return n0, k, draw(st.integers(k, k + 400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_mmk_sizes())
+def test_mmk_rates_give_the_law_and_kernel_of_the_chain(case):
+    # the CLI sizes a truncation from the law of the rates alone, so it must be
+    # the kept chain's law to the bit, and the diagonal fill the per-state loop's
+    chain = build_mmk_chain(*case)
+    up, _, down = chain_model.mmk_rates(*case)
+    assert np.array_equal(birth_death_law(up, down),
+                          stationary_birth_death(chain).distribution)
+    assert np.array_equal(chain.kernel, mmk_kernel_loop(*case))
 
 
 def test_mmk_rejects_bad_parameters():

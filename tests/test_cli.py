@@ -292,7 +292,8 @@ def test_exit_1_means_a_dominated_cell_is_false(case):
     assert code in (0, 1, 2, 3)
     assert (code == 1) == (cells is not None and "False" in cells)
     if cells is not None and "False" not in cells:
-        audit_ok = eq.truncation_audit(eq.stationary_birth_death(build_mmk_chain(n0, k, trunc)))
+        pi = eq.stationary_birth_death(build_mmk_chain(n0, k, trunc)).distribution
+        audit_ok = eq.truncation_audit(pi)
         assert code == (0 if audit_ok else 3)
 
 
@@ -363,28 +364,31 @@ def test_auto_truncation_ends_at_the_dense_chain_budget(budget, code, tmp_path,
         assert len(read_csv(out / "stationary.csv")[1]) == 537
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--n0", "25", "--k", "27", "--epsilon", "2"],
-    ["stationary", "--n0", "25", "--k", "27"],
-])
-def test_auto_truncation_solves_each_law_once(argv, tmp_path, monkeypatch):
-    events = []
+@pytest.mark.parametrize("argv, states, solves", [
+    (["verify", "--n0", "25", "--k", "27", "--epsilon", "2"], 537, 1),
+    (["stationary", "--n0", "25", "--k", "27"], 537, 1),
+    (["sweep", "--n0", "25", "--k", "30", "--epsilons", "1:15:1"], 281, 0),
+], ids=["verify", "stationary", "sweep"])
+def test_auto_truncation_builds_only_the_kept_chain(argv, states, solves, tmp_path,
+                                                    monkeypatch):
+    # the rejected truncations are audited on the law of their rates: no chain, no solve
+    built, solved = [], []
     build, solve = cli.build_mmk_chain, eq.stationary_birth_death
 
     def counted_build(*args):
-        events.append(("build", build(*args)))
-        return events[-1][1]
+        built.append(build(*args))
+        return built[-1]
 
     def counted_solve(chain):
-        events.append(("solve", chain))
+        solved.append(chain)
         return solve(chain)
 
     monkeypatch.setattr(cli, "build_mmk_chain", counted_build)
     monkeypatch.setattr(eq, "stationary_birth_death", counted_solve)
     assert run_cli([*argv, "--out", str(tmp_path / "o")]) == 0
-    # truncations 67, 134, 268 and 536: one solve right after each build, none after
-    assert [kind for kind, _ in events] == ["build", "solve"] * 4
-    assert all(events[i][1] is events[i + 1][1] for i in range(0, len(events), 2))
+    assert [chain.n for chain in built] == [states]
+    assert len(solved) == solves
+    assert all(chain is built[0] for chain in solved)
 
 
 def _closed_form_truncation(n0, k):
@@ -396,7 +400,7 @@ def _closed_form_truncation(n0, k):
         log_pi = np.concatenate([[0.0], np.cumsum(np.log(n0 / np.minimum(states, k)))])
         pi = np.exp(log_pi - log_pi.max())
         pi /= pi.sum()
-        if eq.truncation_audit(eq.StationaryResult(pi, "birth_death_exact", np.nan)):
+        if eq.truncation_audit(pi):
             return trunc
         trunc *= 2
 

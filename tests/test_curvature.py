@@ -238,7 +238,7 @@ def test_s2_degenerate_identity_kernel():
 # ----------------------------------------------------------------- profile
 
 def test_profile_assembles_consistently(mmk_2_4):
-    profile = curvature_profile(mmk_2_4, 1.0)
+    profile = curvature_profile(mmk_2_4, 1.0, mmk_2_4.origin_hint)
     assert profile.origin == 2
     assert profile.rho == pytest.approx(1 / 6, abs=1e-12)
     assert profile.j0 == pytest.approx(2 * 2 / 6, abs=1e-12)

@@ -149,6 +149,6 @@ def test_empirical_tail_nonincreasing(mmk_5_10):
 
 def test_truncation_audit():
     roomy = build_mmk_chain(2, 4, 60)
-    assert truncation_audit(stationary_birth_death(roomy))
+    assert truncation_audit(stationary_birth_death(roomy).distribution)
     tight = build_mmk_chain(2, 4, 10)
-    assert not truncation_audit(stationary_birth_death(tight))
+    assert not truncation_audit(stationary_birth_death(tight).distribution)
