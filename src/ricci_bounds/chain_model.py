@@ -18,11 +18,12 @@ from scipy.special import ndtr
 
 from .errors import ChainFormatError, ChainValidationError
 
+# Masses within this of 1 sum to 1: kernel rows and transport measures alike.
 ROW_SUM_TOL = 1e-12
-SYMMETRY_TOL = 1e-12
 GEODESIC_TOL = 1e-9
-# Distances closer than this are equal.  Every "within eps" test shares it, so
-# the eps-geodesic check and the curvature ball agree on which pairs are near.
+# Distances closer than this are equal.  The symmetry check and every "within
+# eps" test share it, so the eps-geodesic check and the curvature ball agree on
+# which pairs are near.
 DIST_TOL = 1e-12
 # Most states a builder makes: its dist and kernel are dense n x n float64
 # matrices, 1.02 GB together at 8000 states.
@@ -62,7 +63,7 @@ class MetricChain:
         if not np.all(np.isfinite(dist)) or not np.all(np.isfinite(kernel)):
             raise ChainValidationError("dist/kernel entries must be finite")
         bad = np.unravel_index(np.argmax(np.abs(dist - dist.T)), dist.shape)
-        if abs(dist[bad] - dist.T[bad]) > SYMMETRY_TOL:
+        if abs(dist[bad] - dist.T[bad]) > DIST_TOL:
             i, j = bad
             raise ChainValidationError(
                 f"dist not symmetric: dist[{i}][{j}]={dist[i, j]!r} != dist[{j}][{i}]={dist[j, i]!r}")
@@ -218,7 +219,7 @@ def _infer_line_coords(dist: np.ndarray) -> Optional[np.ndarray]:
     """Return coordinates realizing dist on the real line, or None."""
     anchor = int(np.argmax(dist[0]))
     coords = dist[anchor].copy()
-    if np.allclose(np.abs(coords[:, None] - coords[None, :]), dist, rtol=0, atol=1e-9):
+    if np.allclose(np.abs(coords[:, None] - coords[None, :]), dist, rtol=0, atol=GEODESIC_TOL):
         return coords
     return None
 
@@ -226,10 +227,10 @@ def _infer_line_coords(dist: np.ndarray) -> Optional[np.ndarray]:
 def load_chain(path) -> MetricChain:
     """Load and fully validate a chain-spec JSON file.
 
-    Expected fields: `points` (array of labels), `dist` and `kernel`
-    (row-major arrays of arrays), optional `origin` (label or index).
-    NaN/Inf are rejected; all invariants including the triangle inequality
-    are checked on load.
+    Expected fields: `points` (array of distinct labels), `dist` and `kernel`
+    (row-major arrays of arrays), optional `origin` (a label, or an integer
+    index).  NaN/Inf are rejected; all invariants including the triangle
+    inequality are checked on load.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -242,7 +243,11 @@ def load_chain(path) -> MetricChain:
     for key in ("points", "dist", "kernel"):
         if key not in doc:
             raise ChainFormatError(f"{path}: missing field {key!r}")
+    if not isinstance(doc["points"], list):
+        raise ChainFormatError(f"{path}: points must be an array of labels")
     points = tuple(str(p) for p in doc["points"])
+    if len(set(points)) != len(points):
+        raise ChainFormatError(f"{path}: point labels must be distinct")
     n = len(points)
     try:
         dist = np.array(doc["dist"], dtype=float)
@@ -259,8 +264,8 @@ def load_chain(path) -> MetricChain:
             if origin not in points:
                 raise ChainFormatError(f"{path}: origin label {origin!r} not among points")
             origin = points.index(origin)
-        else:
-            origin = int(origin)
+        elif isinstance(origin, bool) or not isinstance(origin, int):
+            raise ChainFormatError(f"{path}: origin must be a point label or an integer index")
     chain = MetricChain(points=points, dist=dist, kernel=kernel,
                         origin_hint=origin, coords=_infer_line_coords(dist))
     chain.check_triangle_inequality()

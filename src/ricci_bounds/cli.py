@@ -107,6 +107,10 @@ def _auto_truncation(n0: int, k: int) -> int:
 
 
 def _build_chain(cfg: argparse.Namespace) -> MetricChain:
+    given = [flag for flag, value in (("--chain", cfg.chain_file), ("--n0", cfg.n0),
+                                      ("--alpha", cfg.alpha)) if value is not None]
+    if len(given) > 1:
+        raise ChainFormatError(f"give one chain source, not {' and '.join(given)}")
     if cfg.chain_file is not None:
         return load_chain(cfg.chain_file)
     if cfg.n0 is not None:
@@ -151,13 +155,6 @@ def _profile(cfg: argparse.Namespace, chain: MetricChain):
             f"chain is not {eps}-geodesic (witness pair {rep.witness_failure}); "
             "increase --epsilon")
     return curvature_profile(chain, eps, origin)
-
-
-def _stationary(chain: MetricChain):
-    try:
-        return eq.stationary_birth_death(chain)
-    except ChainValidationError:
-        return eq.stationary_power(chain)
 
 
 def _default_levels(cfg, profile, chain, d0: float) -> np.ndarray:
@@ -232,7 +229,7 @@ def cmd_bound(cfg: argparse.Namespace) -> int:
 
 def cmd_stationary(cfg: argparse.Namespace) -> int:
     chain = _build_chain(cfg)
-    result = _stationary(chain)
+    result = eq.stationary_law(chain)
     _write_csv(cfg.out_dir / "stationary.csv", ["point", "mass"],
                list(zip(chain.points, result.distribution)))
     print(f"stationary: method={result.method} residual={result.residual:.3e}")
@@ -243,8 +240,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     chain = _build_chain(cfg)
     profile = _profile(cfg, chain)
     params, levels, curves = _bound_curves(cfg, profile, chain)
-    result = _stationary(chain)
-    tail = eq.empirical_tail(result, chain, profile.origin, levels)
+    result = eq.stationary_law(chain)
+    tail = eq.empirical_tail(result.distribution, chain, profile.origin, levels)
     _write_json(cfg.out_dir / "profile.json", profile.as_dict())
     _write_json(cfg.out_dir / "params.json", params.as_dict())
     _write_csv(cfg.out_dir / "stationary.csv", ["point", "mass"],

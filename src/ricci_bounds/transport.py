@@ -15,10 +15,9 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from .chain_model import MetricChain
+from .chain_model import ROW_SUM_TOL, MetricChain
 from .errors import TransportError
 
-WEIGHT_TOL = 1e-12
 CERT_TOL = 1e-9
 # Transport variables per block-diagonal LP.  HiGHS's memory grows by about
 # 1.4 KB per variable, so batches are cut by variables, not by pairs.  3200 is
@@ -46,7 +45,7 @@ class DiscreteMeasure:
         if np.any(weights < 0):
             raise TransportError("negative weight")
         total = float(weights.sum())
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if abs(total - 1.0) > ROW_SUM_TOL:
             raise TransportError(f"weights sum to {total!r}, not 1")
         support.setflags(write=False)
         weights.setflags(write=False)
@@ -89,9 +88,12 @@ def _identical(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
 
 
 def _certify(k: int, mu: DiscreteMeasure, nu: DiscreteMeasure, union: np.ndarray,
-             value: float, plan: np.ndarray, v_dual: np.ndarray,
+             value: float, plan: np.ndarray, v_dual: np.ndarray, primal: float,
              chain: MetricChain) -> TransportCertificate:
-    """Turn one block's primal value and nu-side duals into a checked certificate."""
+    """Turn one block's primal value and nu-side duals into a checked certificate.
+
+    `primal` is the plan's largest marginal residual or negative mass: only a
+    plan that couples mu and nu makes `value` an upper bound on W1."""
     # c-transform of the nu-side duals: 1-Lipschitz by the triangle inequality
     d_to_nu = chain.dist[np.ix_(union, nu.support)]
     potential = np.min(d_to_nu - v_dual[None, :], axis=1)
@@ -102,10 +104,10 @@ def _certify(k: int, mu: DiscreteMeasure, nu: DiscreteMeasure, union: np.ndarray
     gap = abs(value - dual_value)
     lip = float(np.max(np.abs(potential[:, None] - potential[None, :])
                        - chain.dist[np.ix_(union, union)]))
-    if gap > CERT_TOL or lip > CERT_TOL:
+    if gap > CERT_TOL or lip > CERT_TOL or primal > CERT_TOL:
         raise TransportError(
             f"pair {k}: duality certificate failed: gap={gap:.3e}, "
-            f"lipschitz defect={lip:.3e}")
+            f"lipschitz defect={lip:.3e}, primal defect={primal:.3e}")
     return TransportCertificate(value=value, plan=plan, potential=potential,
                                 union_support=union, duality_gap=gap,
                                 lipschitz_defect=max(lip, 0.0))
@@ -120,8 +122,9 @@ def w1_flow_batch(pairs, chain: MetricChain) -> list:
     HiGHS call; each block's slice of the primal solution and of the equality
     duals is an optimum of that pair's own LP.  Every block is then certified
     on its own: its nu-side duals become a genuine 1-Lipschitz potential on
-    the pair's union support via a c-transform, and the duality gap and
-    Lipschitz defect are checked against CERT_TOL.  A block that fails raises
+    the pair's union support via a c-transform, and the plan's primal
+    defect, the duality gap and the Lipschitz defect are checked against
+    CERT_TOL.  A block that fails raises
     TransportError naming its pair's index in `pairs`.  Identical measures
     skip the LP with the exact zero certificate.  Returns one
     TransportCertificate per pair, in order.
@@ -169,19 +172,24 @@ def _solve_lp(pairs, batch, chain: MetricChain, certs: list) -> None:
     a_eq = csc_array((np.ones(2 * n_var), rows, np.arange(0, 2 * n_var + 1, 2)),
                      shape=(n_row, n_var))
     cost = np.concatenate(costs)
+    b_eq = np.concatenate(rhs)
     # presolve only adds time on these LPs (about 2x on {0,1}^9 batches)
-    res = linprog(cost, A_eq=a_eq, b_eq=np.concatenate(rhs), bounds=(0, None),
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs", options={"presolve": False})
     if res.status != 0:
         raise TransportError(
             f"transport LP failed for pairs {blocks[0][0]}..{blocks[-1][0]}: "
             f"{res.message}")
     duals = res.eqlin.marginals
-    for k, mu, nu, union, v0, r0 in blocks:
+    v_starts, r_starts = [b[4] for b in blocks], [b[5] for b in blocks]
+    primal = np.maximum(np.maximum.reduceat(np.abs(a_eq @ res.x - b_eq), r_starts),
+                        -np.minimum.reduceat(res.x, v_starts))
+    for (k, mu, nu, union, v0, r0), defect in zip(blocks, primal):
         m, n = mu.support.size, nu.support.size
         x = res.x[v0:v0 + m * n]
         certs[k] = _certify(k, mu, nu, union, float(cost[v0:v0 + m * n] @ x),
-                            x.reshape(m, n), duals[r0 + m:r0 + m + n], chain)
+                            x.reshape(m, n), duals[r0 + m:r0 + m + n],
+                            float(defect), chain)
 
 
 def w1_flow(mu: DiscreteMeasure, nu: DiscreteMeasure, chain: MetricChain) -> float:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ricci_bounds.chain_model import MetricChain
+from ricci_bounds.chain_model import ROW_SUM_TOL, MetricChain
 from ricci_bounds.equilibrium import StationaryResult, _residual
 from ricci_bounds.jump_process import empirical_tail_probs
-from ricci_bounds.transport import WEIGHT_TOL, DiscreteMeasure, w1_flow
+from ricci_bounds.transport import DiscreteMeasure, w1_flow
 
 
 def kappa_pair(chain: MetricChain, x: int, y: int) -> float:
@@ -36,7 +36,7 @@ def kappa_pair(chain: MetricChain, x: int, y: int) -> float:
 
 def stochastic_dominance_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
                                coords) -> bool:
-    """True iff nu stochastically dominates mu: F_nu(t) <= F_mu(t) + WEIGHT_TOL everywhere.
+    """True iff nu stochastically dominates mu: F_nu(t) <= F_mu(t) + ROW_SUM_TOL everywhere.
 
     When true, W1 equals the difference of the means (used as a third
     cross-check on the transport routes).
@@ -46,7 +46,7 @@ def stochastic_dominance_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     wgt = np.concatenate([mu.weights, -nu.weights])
     order = np.argsort(pos, kind="stable")
     cdf_gap = np.cumsum(wgt[order])
-    return bool(np.all(cdf_gap >= -WEIGHT_TOL))
+    return bool(np.all(cdf_gap >= -ROW_SUM_TOL))
 
 
 def mmk_kernel_loop(n0: int, k: int, truncation: int) -> np.ndarray:

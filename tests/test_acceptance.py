@@ -153,7 +153,7 @@ def test_criterion_3_bound_dominance():
         lv2 = dominance_levels(grid.d0, lmax)
         curves.append((bound_princ(profile, grid, lv2), lv2))
         for curve, levels in curves:
-            tail = empirical_tail(exact, chain, n0, levels)
+            tail = empirical_tail(exact.distribution, chain, n0, levels)
             violation = float(np.max(tail.values - curve.values))
             worst_violation = max(worst_violation, violation)
     elapsed = time.perf_counter() - start
@@ -226,7 +226,7 @@ def test_criterion_5_ou_gaussian_coefficient():
     coeff_ok = abs(quad_coeff - alpha / 4.0) <= 0.1 * (alpha / 4.0)
 
     stationary = stationary_power(chain)
-    tail = empirical_tail(stationary, chain, profile.origin, levels)
+    tail = empirical_tail(stationary.distribution, chain, profile.origin, levels)
     dominated = bool(np.all(curve.values + 1e-12 >= tail.values))
     elapsed = time.perf_counter() - start
     report(5, env_dev <= 0.05 and coeff_ok and dominated and elapsed < 60.0,

@@ -555,6 +555,6 @@ def test_bounds_dominate_exact_tail(prof_5_10):
     pi = stationary_birth_death(chain)
     params = theorem1_params(prof)
     levels = np.linspace(params.d0 + 0.01, 50.0, 80)
-    tail = empirical_tail(pi, chain, 5, levels)
+    tail = empirical_tail(pi.distribution, chain, 5, levels)
     for curve in (bound_theorem1(prof, levels), bound_princ(prof, params, levels)):
         assert np.all(curve.values + 1e-12 >= tail.values)

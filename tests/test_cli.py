@@ -137,6 +137,39 @@ def test_bad_input_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("field, value", [
+    ("origin", [1]), ("origin", {"x": 1}), ("origin", 1.7), ("origin", True),
+    ("points", 3), ("points", "abc"), ("points", ["a", "a", "c"]),
+], ids=["origin_list", "origin_object", "origin_float", "origin_bool",
+        "points_number", "points_string", "points_duplicate"])
+def test_malformed_points_or_origin_exit_3(field, value, tmp_path, capsys):
+    chain = biased_reflecting_walk(3, 1 / 3)
+    path = write_chain_json(tmp_path / "walk3.json", ["a", "b", "c"], chain.dist,
+                            chain.kernel, origin="a")
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    code = run_cli(["curvature", "--chain", str(path), "--epsilon", "1", "--origin", "0",
+                    "--out", str(tmp_path / "c")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--chain", "{chain}", "--n0", "25", "--k", "30"],
+    ["example-ou", "--chain", "{chain}"],
+    ["verify", "--n0", "5", "--k", "10", "--alpha", "0.5"],
+], ids=["chain_and_n0", "example_ou_chain", "n0_and_alpha"])
+def test_more_than_one_chain_source_exits_3(argv, tmp_path, capsys):
+    chain = biased_reflecting_walk(8, 1 / 3)
+    path = write_chain_json(tmp_path / "walk8.json", chain.points, chain.dist,
+                            chain.kernel, origin=0)
+    out = tmp_path / "s"
+    assert run_cli([a.format(chain=path) for a in argv] + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: give one chain source, not ")
+    assert list(out.iterdir()) == []
+
+
 def test_unexpected_error_exit_4(tmp_path, capsys):
     # power iteration never settles on the periodic star, and exit 1 is kept
     # for violations

@@ -1,9 +1,13 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ricci_bounds import (build_discrete_ou_chain, build_mmk_chain,
                           empirical_tail, stationary_birth_death,
                           stationary_power, truncation_audit, tv_distance)
+from ricci_bounds.equilibrium import stationary_law
 from ricci_bounds.errors import ChainValidationError, PowerIterationError
 
 from conftest import line_chain, star_chain
@@ -66,6 +70,21 @@ def test_birth_death_rejects_dense_kernel():
         stationary_birth_death(chain)
 
 
+@pytest.mark.parametrize("build, args", [(build_discrete_ou_chain, (0.5, 10.0, 0.05)),
+                                         (build_mmk_chain, (25, 27, 536))],
+                         ids=["ou_rejected", "mmk_solved"])
+def test_band_test_allocates_no_kernel_sized_array(build, args):
+    chain = build(*args)
+    tracemalloc.start()
+    try:
+        with contextlib.suppress(ChainValidationError):
+            stationary_birth_death(chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < chain.kernel.nbytes / 4
+
+
 # ------------------------------------------------------------------ power
 
 def test_power_identity_kernel_returns_start():
@@ -93,6 +112,31 @@ def test_power_oscillates_on_periodic_chain():
 def test_power_uniform_start_is_already_stationary_on_swap():
     result = stationary_power(swap_chain())
     np.testing.assert_allclose(result.distribution, 0.5, atol=1e-15)
+
+
+# ------------------------------------------------------------ the choice
+
+@pytest.mark.parametrize("kernel, method", [
+    ([[0.5, 0.5, 0.0, 0.0],            # tridiagonal, positive adjacent rates
+      [0.25, 0.5, 0.25, 0.0],
+      [0.0, 0.25, 0.5, 0.25],
+      [0.0, 0.0, 0.5, 0.5]], "birth_death_exact"),
+    ([[0.5, 0.5, 0.0, 0.0],            # tridiagonal, no jump 1 -> 2
+      [0.5, 0.5, 0.0, 0.0],
+      [0.0, 0.5, 0.25, 0.25],
+      [0.0, 0.0, 0.5, 0.5]], "power_iteration"),
+    ([[0.5, 0.25, 0.25, 0.0],          # pentadiagonal: a jump 0 -> 2
+      [0.25, 0.5, 0.25, 0.0],
+      [0.0, 0.25, 0.5, 0.25],
+      [0.0, 0.0, 0.5, 0.5]], "power_iteration"),
+], ids=["tridiagonal", "zero_adjacent_rate", "pentadiagonal"])
+def test_stationary_law_picks_the_estimator(kernel, method):
+    chain = line_chain([0.0, 1.0, 2.0, 3.0], kernel)
+    result = stationary_law(chain)
+    assert result.method == method
+    assert result.residual <= 1e-12
+    np.testing.assert_allclose(result.distribution,
+                               null_space_stationary(chain.kernel), atol=1e-9)
 
 
 # ----------------------------------------------------------------- cesaro
@@ -128,14 +172,14 @@ def test_cesaro_converges_with_one_over_n_residual(mmk_2_4):
 
 def test_empirical_tail_edge_levels(mmk_2_4):
     pi = stationary_birth_death(mmk_2_4)
-    curve = empirical_tail(pi, mmk_2_4, 2, [0.0, 1000.0])
+    curve = empirical_tail(pi.distribution, mmk_2_4, 2, [0.0, 1000.0])
     assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
     assert curve.values[1] == 0.0
 
 
 def test_empirical_tail_matches_direct_sum(mmk_2_4):
     pi = stationary_birth_death(mmk_2_4)
-    curve = empirical_tail(pi, mmk_2_4, 2, [3.0])
+    curve = empirical_tail(pi.distribution, mmk_2_4, 2, [3.0])
     direct = sum(pi.distribution[n] for n in range(mmk_2_4.n) if abs(n - 2) >= 3)
     assert curve.values[0] == pytest.approx(direct, abs=1e-15)
 
@@ -143,7 +187,7 @@ def test_empirical_tail_matches_direct_sum(mmk_2_4):
 def test_empirical_tail_nonincreasing(mmk_5_10):
     pi = stationary_birth_death(mmk_5_10)
     levels = np.linspace(0, 40, 81)
-    curve = empirical_tail(pi, mmk_5_10, 5, levels)
+    curve = empirical_tail(pi.distribution, mmk_5_10, 5, levels)
     assert np.all(np.diff(curve.values) <= 1e-15)
 
 

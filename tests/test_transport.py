@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance as scipy_w1
 
-from ricci_bounds import DiscreteMeasure, MetricChain, w1_flow, w1_flow_batch, w1_line
+from ricci_bounds import (DiscreteMeasure, MetricChain, build_mmk_chain, w1_flow,
+                          w1_flow_batch, w1_line)
 from ricci_bounds import transport
 from ricci_bounds.errors import TransportError
 
@@ -214,6 +215,28 @@ def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
     with pytest.raises(TransportError, match=r"^pair 2: duality certificate failed"):
         w1_flow_batch(pairs, chain)
     assert calls == [2, 2, 2]
+
+
+def test_certificate_rejects_a_plan_that_misses_a_marginal(monkeypatch):
+    # kernel rows 3 and 4 of the M/M/4 queue share point 3, so the plan
+    # variable 3 -> 3 costs nothing: extra mass on it leaves the value and
+    # every dual untouched, but the plan's row sums no longer give mu
+    chain = build_mmk_chain(2, 4, 10)
+    mu, nu = (DiscreteMeasure.from_vector(chain.kernel[i]) for i in (3, 4))
+    free = int(np.flatnonzero(mu.support == 3)[0] * nu.support.size
+               + np.flatnonzero(nu.support == 3)[0])
+    real = transport.linprog
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        assert args[0][free] == 0.0
+        res.x[free] += 1e-3
+        return res
+
+    monkeypatch.setattr(transport, "linprog", corrupted)
+    with pytest.raises(TransportError,
+                       match=r"^pair 0: duality certificate failed: .*primal defect=1\.000e-03"):
+        w1_flow_batch([(mu, nu)], chain)
 
 
 # ------------------------------------------------------------- dominance
