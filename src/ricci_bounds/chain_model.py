@@ -60,24 +60,28 @@ class MetricChain:
         if dist.shape != (n, n) or kernel.shape != (n, n):
             raise ChainValidationError(
                 f"expected ({n},{n}) matrices, got dist {dist.shape}, kernel {kernel.shape}")
-        if not np.all(np.isfinite(dist)) or not np.all(np.isfinite(kernel)):
+        # Reductions and row blocks of about 2^19 entries copy no n x n matrix;
+        # only a failed check searches for its witness.  min/max propagate NaN.
+        if not np.all(np.isfinite([dist.min(), dist.max(), kernel.min(), kernel.max()])):
             raise ChainValidationError("dist/kernel entries must be finite")
-        bad = np.unravel_index(np.argmax(np.abs(dist - dist.T)), dist.shape)
-        if abs(dist[bad] - dist.T[bad]) > DIST_TOL:
-            i, j = bad
-            raise ChainValidationError(
-                f"dist not symmetric: dist[{i}][{j}]={dist[i, j]!r} != dist[{j}][{i}]={dist[j, i]!r}")
+        rows = max(1, (1 << 19) // n)
+        for r in range(0, n, rows):
+            block = dist[r:r + rows] - dist[:, r:r + rows].T
+            if np.abs(block, out=block).max() > DIST_TOL:
+                i, j = np.unravel_index(np.argmax(np.abs(dist - dist.T)), dist.shape)
+                raise ChainValidationError(
+                    f"dist not symmetric: dist[{i}][{j}]={dist[i, j]!r} != dist[{j}][{i}]={dist[j, i]!r}")
         if np.any(np.diag(dist) != 0.0):
             i = int(np.nonzero(np.diag(dist))[0][0])
             raise ChainValidationError(f"dist diagonal must be exactly 0, dist[{i}][{i}]={dist[i, i]!r}")
-        if np.any(dist < 0):
+        if dist.min() < 0:
             raise ChainValidationError("negative distance entry")
-        same = (dist == 0) & ~np.eye(n, dtype=bool)
-        if same.any():
-            i, j = np.argwhere(same)[0]
+        # the diagonal is exactly 0, so a zero more means two points coincide
+        if np.count_nonzero(dist) < n * (n - 1):
+            i, j = np.argwhere((dist == 0) & ~np.eye(n, dtype=bool))[0]
             raise ChainValidationError(
                 f"distinct points {self.points[i]!r} and {self.points[j]!r} at distance 0")
-        if np.any(kernel < 0):
+        if kernel.min() < 0:
             i, j = np.unravel_index(int(np.argmin(kernel)), kernel.shape)
             raise ChainValidationError(f"negative kernel entry kernel[{i}][{j}]={kernel[i, j]!r}")
         sums = kernel.sum(axis=1)
@@ -173,7 +177,8 @@ def build_mmk_chain(n0: int, k: int, truncation: int) -> MetricChain:
     kernel[idx[:-1], idx[1:]] = up
     kernel[idx[1:], idx[:-1]] = down
     coords = idx.astype(float)
-    dist = np.abs(coords[:, None] - coords[None, :])
+    dist = np.subtract.outer(coords, coords)
+    np.abs(dist, out=dist)
     return MetricChain(points=tuple(str(i) for i in range(size)),
                        dist=dist, kernel=kernel, origin_hint=n0, coords=coords)
 
@@ -205,7 +210,8 @@ def build_discrete_ou_chain(alpha: float, grid_half_width: float,
     for i, x in enumerate(coords):
         cdf = ndtr(cell_edges - (1.0 - alpha) * x)
         kernel[i] = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
-    dist = np.abs(coords[:, None] - coords[None, :])
+    dist = np.subtract.outer(coords, coords)
+    np.abs(dist, out=dist)
     return MetricChain(points=tuple(f"{x:.10g}" for x in coords),
                        dist=dist, kernel=kernel, origin_hint=m,
                        coords=coords.astype(float), gaussian_variance=1.0)
@@ -266,9 +272,12 @@ def load_chain(path) -> MetricChain:
             origin = points.index(origin)
         elif isinstance(origin, bool) or not isinstance(origin, int):
             raise ChainFormatError(f"{path}: origin must be a point label or an integer index")
-    chain = MetricChain(points=points, dist=dist, kernel=kernel,
-                        origin_hint=origin, coords=_infer_line_coords(dist))
-    chain.check_triangle_inequality()
+    try:
+        chain = MetricChain(points=points, dist=dist, kernel=kernel,
+                            origin_hint=origin, coords=_infer_line_coords(dist))
+        chain.check_triangle_inequality()
+    except ChainValidationError as exc:
+        raise ChainValidationError(f"{path}: {exc}") from exc
     return chain
 
 

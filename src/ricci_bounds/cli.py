@@ -16,9 +16,10 @@ the parser's option names and defaults are the only copy of them.
 
 Exit status: 0 all requested checks pass, 1 a bound was violated,
 2 the theorems are inapplicable (no admissible parameters / rho <= 0),
-3 invalid input (a malformed or non-finite command line, an --origin
-outside 0..n-1, a --trunc / --grid-width cut-off that leaves mass past
-the last state, or a size over its budget), 4 internal error.
+3 invalid input (a malformed or non-finite command line, a rejected chain
+file, an --origin outside 0..n-1, a --trunc / --grid-width cut-off that
+leaves mass past the last state, or a size over its budget), 4 internal
+error, a failed transport certificate included.
 Plot rendering is out of scope: every figure-equivalent output is a
 documented CSV.
 """
@@ -40,7 +41,7 @@ from .chain_model import (MetricChain, build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain, mmk_rates)
 from .curvature import curvature_profile
 from .errors import (ChainFormatError, ChainValidationError, InadmissibleParamsError,
-                     InapplicableError)
+                     InapplicableError, TransportError)
 
 STRATEGY_MAP = {"paper": "paper_default", "grid": "grid", "convex": "alpha_convexity"}
 
@@ -382,10 +383,11 @@ def run(cfg: argparse.Namespace) -> int:
             _write_json(cfg.out_dir / "infeasibility_report.json",
                         {"error": str(exc), "report": exc.report})
         return EXIT_INAPPLICABLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except Exception as exc:
+        # every measure the CLI builds is a validated kernel row: a TransportError is ours
+        if isinstance(exc, ValueError) and not isinstance(exc, TransportError):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .chain_model import DIST_TOL, MetricChain, check_origin
 from .errors import DegenerateKernelError, EmptyAnnulusError
@@ -170,15 +171,15 @@ def subgaussian_s2(chain: MetricChain) -> float:
     the Hoeffding support bound, max over rows of (support diameter)^2 / 4 --
     the range of a 1-Lipschitz function on the support is at most its metric
     diameter, so this is the tightest generic Hoeffding constant on a finite
-    chain.
+    chain.  The largest support diameter is the largest distance between two
+    points that share some row's support: the nonzeros of S^T S, with S the
+    support pattern of the kernel.
     """
     if chain.gaussian_variance is not None:
         return float(chain.gaussian_variance)
-    s2 = 0.0
-    for i in range(chain.n):
-        supp = np.nonzero(chain.kernel[i])[0]
-        diam = float(chain.dist[np.ix_(supp, supp)].max())
-        s2 = max(s2, diam * diam / 4.0)
+    supp = csr_array(chain.kernel > 0)
+    diam = float(chain.dist[(supp.T @ supp).nonzero()].max())
+    s2 = diam * diam / 4.0
     if s2 <= 0:
         raise DegenerateKernelError(
             "every kernel row is a point mass; s^2 = 0 is degenerate")

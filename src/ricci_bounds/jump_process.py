@@ -59,9 +59,8 @@ def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
         counts = rng.poisson(horizon, size=size)
         times = rng.uniform(0.0, horizon, size=int(counts.sum()))
         terms = np.exp(-alpha * (horizon - times))
-        sums = np.zeros(size)
-        np.add.at(sums, np.repeat(np.arange(size), counts), terms)
-        out[done:done + size] = sums
+        out[done:done + size] = np.bincount(np.repeat(np.arange(size), counts),
+                                            weights=terms, minlength=size)
         done += size
     return out
 

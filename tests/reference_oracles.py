@@ -7,6 +7,8 @@
   transport routes.
 - `mmk_kernel_loop`: the M/M/k kernel filled one state at a time, the
   oracle for `build_mmk_chain`'s diagonal assembly.
+- `support_s2_loop`: the Hoeffding support bound one kernel row at a time,
+  the oracle for `subgaussian_s2`'s single co-support pass.
 - `stationary_cesaro`: Cesaro averages of kernel pushforwards of a point
   mass, a third stationary estimator whose residual decays like 1/n.
 - `tail_shape_witness`: the growth of -ln of an empirical tail against l^2
@@ -68,6 +70,16 @@ def mmk_kernel_loop(n0: int, k: int, truncation: int) -> np.ndarray:
         else:
             kernel[n, n] = stay + up  # boundary: right-jump mass self-loops
     return kernel
+
+
+def support_s2_loop(chain: MetricChain) -> float:
+    """max over kernel rows of (support diameter)^2 / 4, row by row."""
+    s2 = 0.0
+    for i in range(chain.n):
+        supp = np.nonzero(chain.kernel[i])[0]
+        diam = float(chain.dist[np.ix_(supp, supp)].max())
+        s2 = max(s2, diam * diam / 4.0)
+    return s2
 
 
 def stationary_cesaro(chain: MetricChain, start: int, n: int) -> StationaryResult:

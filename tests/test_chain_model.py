@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from ricci_bounds import (build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain, w1_line,
-                          DiscreteMeasure)
+                          DiscreteMeasure, MetricChain)
 from ricci_bounds import chain_model
 from ricci_bounds.equilibrium import birth_death_law, stationary_birth_death
 from ricci_bounds.errors import ChainFormatError, ChainValidationError
@@ -316,6 +318,19 @@ def test_geodesic_rejects_bad_epsilon(mmk_2_4):
 
 
 # ----------------------------------------------------------------- invariants
+
+def test_chain_validation_copies_no_dense_matrix():
+    # the checks are reductions and row blocks; a full n x n float
+    # temporary (as np.abs(dist - dist.T) makes two of) would exceed this
+    built = build_mmk_chain(900, 930, 1940)
+    tracemalloc.start()
+    try:
+        MetricChain(points=built.points, dist=built.dist, kernel=built.kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < built.dist.nbytes / 2
+
 
 def test_chain_validation_rejects_negative_kernel():
     with pytest.raises(ChainValidationError, match="negative kernel"):

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ricci_bounds import chain_model, cli
+from ricci_bounds import chain_model, cli, transport
 from ricci_bounds import equilibrium as eq
 from ricci_bounds.chain_model import build_mmk_chain
 from ricci_bounds.cli import main
 
-from conftest import (biased_reflecting_walk, irregular_line_chain, line_chain,
-                      random_graph_chain, star_chain, write_chain_json)
+from conftest import (biased_reflecting_walk, cube_chain, irregular_line_chain,
+                      line_chain, random_graph_chain, star_chain, write_chain_json)
 
 
 def run_cli(args):
@@ -139,9 +139,9 @@ def test_bad_input_exit_3(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("origin", [1]), ("origin", {"x": 1}), ("origin", 1.7), ("origin", True),
-    ("points", 3), ("points", "abc"), ("points", ["a", "a", "c"]),
+    ("origin", 7), ("points", 3), ("points", "abc"), ("points", ["a", "a", "c"]),
 ], ids=["origin_list", "origin_object", "origin_float", "origin_bool",
-        "points_number", "points_string", "points_duplicate"])
+        "origin_out_of_range", "points_number", "points_string", "points_duplicate"])
 def test_malformed_points_or_origin_exit_3(field, value, tmp_path, capsys):
     chain = biased_reflecting_walk(3, 1 / 3)
     path = write_chain_json(tmp_path / "walk3.json", ["a", "b", "c"], chain.dist,
@@ -180,6 +180,56 @@ def test_unexpected_error_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert err.rstrip().splitlines()[-1].startswith("internal error: PowerIterationError: ")
+
+
+def test_failed_transport_certificate_exit_4(monkeypatch, tmp_path, capsys):
+    # every measure the CLI builds is a validated kernel row, so a failed
+    # certificate is an internal error, not bad input
+    chain = cube_chain(3, 0.2)
+    path = write_chain_json(tmp_path / "cube3.json", chain.points, chain.dist,
+                            chain.kernel, origin=0)
+    real = transport.linprog
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.x = np.zeros_like(res.x)
+        return res
+
+    monkeypatch.setattr(transport, "linprog", corrupted)
+    code = run_cli(["curvature", "--chain", str(path), "--epsilon", "1",
+                    "--out", str(tmp_path / "c")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.rstrip().splitlines()[-1].startswith("internal error: TransportError: pair")
+
+
+def _two_closed_classes():
+    """Six line points whose kernel never leaves {0, 1, 2} or {3, 4, 5}."""
+    kernel = np.zeros((6, 6))
+    for lo in (0, 3):
+        kernel[lo, [lo, lo + 1]] = 0.5
+        kernel[lo + 1, [lo, lo + 2]] = 0.5
+        kernel[lo + 2, [lo + 1, lo + 2]] = 0.5
+    return line_chain(np.arange(6.0), kernel, origin=0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature"], ["bound"], ["verify"], ["stationary"], ["sweep", "--epsilons", "1:2:1"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("make_chain", [star_chain, _two_closed_classes],
+                         ids=["periodic_star", "two_closed_classes"])
+def test_awkward_chains_end_in_a_documented_exit_code(make_chain, argv, tmp_path):
+    chain = make_chain()
+    path = write_chain_json(tmp_path / "chain.json", chain.points, chain.dist,
+                            chain.kernel, origin=0)
+    out = tmp_path / "out"
+    code = run_cli([argv[0], "--chain", str(path), *argv[1:], "--out", str(out)])
+    if code == 1:
+        _, rows = read_csv(out / "comparison.csv")
+        assert any(row[-1] == "False" for row in rows)
+    else:
+        assert code in (0, 2, 3, 4)
 
 
 def test_curvature_bound_stationary_commands(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from ricci_bounds import (MetricChain, attraction_rho, build_discrete_ou_chain,
@@ -11,7 +13,7 @@ from ricci_bounds.errors import DegenerateKernelError, EmptyAnnulusError
 
 from conftest import (cube_chain, irregular_line_chain, line_chain,
                       random_graph_chain, write_chain_json)
-from reference_oracles import kappa_pair
+from reference_oracles import kappa_pair, support_s2_loop
 
 
 def mmk_kappa_closed_form(n0, k, x, y):
@@ -222,6 +224,21 @@ def test_rho_one_step_drift_guarantee(mmk_5_10):
 def test_s2_hoeffding_mmk(mmk_2_4, mmk_5_10):
     assert subgaussian_s2(mmk_2_4) == 1.0
     assert subgaussian_s2(mmk_5_10) == 1.0
+
+
+@pytest.mark.parametrize("chain", [
+    build_mmk_chain(2, 4, 40), build_mmk_chain(25, 27, 300), cube_chain(3, 0.2),
+], ids=["mmk_2_4", "mmk_25_27", "cube3"])
+def test_s2_is_the_row_by_row_support_bound(chain):
+    assert subgaussian_s2(chain) == support_s2_loop(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from([random_graph_chain, irregular_line_chain]),
+       seed=st.integers(0, 2**32 - 1))
+def test_s2_is_the_row_by_row_support_bound_on_ragged_supports(kind, seed):
+    chain = kind(np.random.default_rng(seed))
+    assert subgaussian_s2(chain) == support_s2_loop(chain)
 
 
 def test_s2_gaussian_variance_paths():
