@@ -388,15 +388,8 @@ class SweepRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: List[SweepRow]
-    reference_level: float
-    argmin_epsilon: Optional[float]
-
-
 def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
-                  reference_level: float, strategy: str = "grid") -> SweepResult:
+                  reference_level: float, strategy: str = "grid") -> List[SweepRow]:
     """Run the full pipeline per eps and expose the rho/curvature trade-off.
 
     Each row records rho, an envelope summary, and the best bound value at
@@ -431,8 +424,4 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
                            phi_of(profile, reference_level))
         return row(params, _exp_or_inf(ln_val))
 
-    rows = [one(eps) for eps in epsilons]
-    usable = [r for r in rows if math.isfinite(r.bound_at_reference)]
-    argmin = min(usable, key=lambda r: r.bound_at_reference).epsilon if usable else None
-    return SweepResult(rows=rows, reference_level=reference_level,
-                       argmin_epsilon=argmin)
+    return [one(eps) for eps in epsilons]

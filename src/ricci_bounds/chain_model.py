@@ -40,7 +40,8 @@ class MetricChain:
     dist : (n, n) symmetric distance matrix, zero exactly on the diagonal
     kernel : (n, n) row-stochastic transition matrix
     origin_hint : preferred origin x0 for curvature profiles, or None
-    coords : real-line coordinates when the metric is a line metric, else None
+    coords : real-line coordinates realizing dist within GEODESIC_TOL when the
+        metric is a line metric, else None
     gaussian_variance : kernel variance declared by a Gaussian builder, else None
     """
 
@@ -96,6 +97,12 @@ class MetricChain:
             coords = np.asarray(self.coords, dtype=float)
             if coords.shape != (n,):
                 raise ChainValidationError("coords must have one entry per point")
+            bad = _line_defect(coords, dist)
+            if bad is not None:
+                i, j = bad
+                raise ChainValidationError(
+                    f"coords do not realize dist: |coords[{i}] - coords[{j}]| = "
+                    f"{abs(coords[i] - coords[j])}, dist[{i}][{j}] = {dist[i, j]}")
             object.__setattr__(self, "coords", coords)
             coords.setflags(write=False)
         dist.setflags(write=False)
@@ -221,13 +228,31 @@ def _reject_constant(token):
     raise ChainFormatError(f"non-finite number {token!r} not accepted")
 
 
+def _line_defect(coords: np.ndarray, dist: np.ndarray) -> Optional[Tuple[int, int]]:
+    """A pair (i, j) whose |coords[i] - coords[j]| misses dist[i, j] by more
+    than GEODESIC_TOL (NaN misses), or None when coords realize dist.
+
+    Compares row blocks of about 2^19 entries, so it copies no n x n matrix,
+    and returns the worst pair of the first block that fails.
+    """
+    n = coords.size
+    rows = max(1, (1 << 19) // n)
+    for r in range(0, n, rows):
+        block = np.subtract.outer(coords[r:r + rows], coords)
+        np.abs(block, out=block)
+        block -= dist[r:r + rows]
+        np.abs(block, out=block)
+        k = int(np.argmax(block))
+        if not block.flat[k] <= GEODESIC_TOL:
+            i, j = np.unravel_index(k, block.shape)
+            return r + int(i), int(j)
+    return None
+
+
 def _infer_line_coords(dist: np.ndarray) -> Optional[np.ndarray]:
     """Return coordinates realizing dist on the real line, or None."""
-    anchor = int(np.argmax(dist[0]))
-    coords = dist[anchor].copy()
-    if np.allclose(np.abs(coords[:, None] - coords[None, :]), dist, rtol=0, atol=GEODESIC_TOL):
-        return coords
-    return None
+    coords = dist[int(np.argmax(dist[0]))].copy()
+    return coords if _line_defect(coords, dist) is None else None
 
 
 def load_chain(path) -> MetricChain:

@@ -12,10 +12,13 @@ example-jump  reproduce the drift-jump example end to end
 sweep         epsilon sweep exposing the rho/curvature trade-off
 
 Each command reads its configuration from the parsed argparse namespace;
-the parser's option names and defaults are the only copy of them.
+the parser's option names and defaults are the only copy of them.  Each
+command decides its verdict and exit code here, from the rows it writes.
 
 Exit status: 0 all requested checks pass, 1 a bound was violated,
-2 the theorems are inapplicable (no admissible parameters / rho <= 0),
+2 the theorems are inapplicable (no admissible parameters / rho <= 0;
+for `sweep`, no eps in the grid gives a finite bound at the reference
+level, and sweep.csv is still written),
 3 invalid input (a malformed or non-finite command line, a rejected chain
 file, an --origin outside 0..n-1, a --trunc / --grid-width cut-off that
 leaves mass past the last state, or a size over its budget), 4 internal
@@ -287,16 +290,15 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
                                   n_paths=cfg.paths, seed=cfg.seed)
     samples = jp.simulate_paths(config)
     levels = _parse_range(cfg.levels) if cfg.levels else np.array([2.0, 3.0, 5.0, 8.0, 12.0])
-    rows, dominated = jp.tail_comparison(samples, levels, alpha)
+    rows = jp.tail_comparison(samples, levels, alpha)
     _write_csv(cfg.out_dir / "jump_tail.csv",
-               ["l", "empirical", "empirical_CI_high", "bound"],
-               [[r["level"], r["empirical"], r["empirical_ci_high"], r["bound"]]
-                for r in rows])
+               ["l", "empirical", "empirical_CI_high", "bound"], rows)
     if cfg.dump_samples:
         _write_csv(cfg.out_dir / "jump_samples.csv", ["X_T"],
                    [[v] for v in samples])
     mean = float(samples.mean())
     print(f"mean={mean:.6g} (stationary mean 1/alpha = {1 / alpha:.6g})")
+    dominated = not any(empirical > bound for _, empirical, _, bound in rows)
     print(f"verdict: {'PASS' if dominated else 'FAIL'} (empirical tail vs bound)")
     return EXIT_PASS if dominated else EXIT_VIOLATION
 
@@ -310,17 +312,22 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     ref = cfg.reference_level
     if ref is None:
         ref = 3.0 * float(np.median(eps_list)) + 2.0 * float(chain.dist[origin].max()) / 3.0
-    result = bounds_mod.epsilon_sweep(chain, origin, eps_list, ref,
-                                      strategy=STRATEGY_MAP[cfg.strategy])
+    rows = bounds_mod.epsilon_sweep(chain, origin, eps_list, ref,
+                                    strategy=STRATEGY_MAP[cfg.strategy])
     _write_csv(cfg.out_dir / "sweep.csv",
                ["epsilon", "rho", "envelope_max", "envelope_support_end",
                 "alpha", "d0", "bound_at_reference", "note"],
                [[r.epsilon, r.rho, r.envelope_max, r.envelope_support_end,
                  r.params.alpha if r.params else float("nan"),
                  r.params.d0 if r.params else float("nan"),
-                 r.bound_at_reference, r.note] for r in result.rows])
-    print(f"argmin epsilon: {result.argmin_epsilon} "
-          f"(reference level {result.reference_level:.6g})")
+                 r.bound_at_reference, r.note] for r in rows])
+    best = min((r for r in rows if math.isfinite(r.bound_at_reference)),
+               key=lambda r: r.bound_at_reference, default=None)
+    if best is None:
+        raise InapplicableError(
+            f"no eps in --epsilons {cfg.epsilons} gives a finite bound at the "
+            f"reference level {ref:.6g} (sweep.csv notes why)")
+    print(f"argmin epsilon: {best.epsilon} (reference level {ref:.6g})")
     return EXIT_PASS
 
 

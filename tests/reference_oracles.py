@@ -9,6 +9,9 @@
   oracle for `build_mmk_chain`'s diagonal assembly.
 - `support_s2_loop`: the Hoeffding support bound one kernel row at a time,
   the oracle for `subgaussian_s2`'s single co-support pass.
+- `simulate_paths_terms_copied`: the drift-jump simulation with each
+  chunk's terms computed as a new array from the jump times, the oracle for
+  `simulate_paths`' in-place terms.
 - `stationary_cesaro`: Cesaro averages of kernel pushforwards of a point
   mass, a third stationary estimator whose residual decays like 1/n.
 - `tail_shape_witness`: the growth of -ln of an empirical tail against l^2
@@ -23,7 +26,7 @@ import numpy as np
 
 from ricci_bounds.chain_model import ROW_SUM_TOL, MetricChain
 from ricci_bounds.equilibrium import StationaryResult, _residual
-from ricci_bounds.jump_process import empirical_tail_probs
+from ricci_bounds.jump_process import JumpProcessConfig, empirical_tail_probs
 from ricci_bounds.transport import DiscreteMeasure, w1_flow
 
 
@@ -80,6 +83,22 @@ def support_s2_loop(chain: MetricChain) -> float:
         diam = float(chain.dist[np.ix_(supp, supp)].max())
         s2 = max(s2, diam * diam / 4.0)
     return s2
+
+
+def simulate_paths_terms_copied(config: JumpProcessConfig, chunk: int) -> np.ndarray:
+    """X_T per path from the same random stream as `simulate_paths` with chunks
+    of `chunk` paths, each term exp(-alpha (T - t)) built as a new array."""
+    rng = np.random.default_rng(config.seed)
+    alpha, horizon = config.drift_alpha, config.horizon_T
+    out = np.empty(config.n_paths)
+    for done in range(0, config.n_paths, chunk):
+        size = min(chunk, config.n_paths - done)
+        counts = rng.poisson(horizon, size=size)
+        times = rng.uniform(0.0, horizon, size=int(counts.sum()))
+        terms = np.exp(-alpha * (horizon - times))
+        out[done:done + size] = np.bincount(np.repeat(np.arange(size), counts),
+                                            weights=terms, minlength=size)
+    return out
 
 
 def stationary_cesaro(chain: MetricChain, start: int, n: int) -> StationaryResult:

@@ -12,7 +12,7 @@ from ricci_bounds import chain_model
 from ricci_bounds.equilibrium import birth_death_law, stationary_birth_death
 from ricci_bounds.errors import ChainFormatError, ChainValidationError
 
-from conftest import (floyd_warshall, irregular_line_chain, line_chain,
+from conftest import (cube_chain, floyd_warshall, irregular_line_chain, line_chain,
                       metric_chain, random_graph_chain, worst_triangle_violation,
                       write_chain_json)
 from reference_oracles import mmk_kernel_loop
@@ -156,6 +156,31 @@ def test_load_chain_round_trip(tmp_path):
     assert chain.n == 3
     assert chain.origin_hint == 1
     assert chain.coords is not None  # line metric recognized
+
+
+def test_load_chain_infers_coords_only_for_a_line_metric(tmp_path):
+    line = build_mmk_chain(5, 10, 30)
+    path = write_chain_json(tmp_path / "line.json", line.points, line.dist, line.kernel)
+    loaded = load_chain(path)
+    # the anchor is the point farthest from point 0: here the last state
+    np.testing.assert_array_equal(loaded.coords, 30.0 - line.coords)
+    cube = cube_chain(3, 0.2)
+    path = write_chain_json(tmp_path / "cube.json", cube.points, cube.dist, cube.kernel)
+    assert load_chain(path).coords is None
+
+
+def test_line_coords_inference_copies_no_dense_matrix():
+    # row blocks of about 2^19 entries; |coords[:, None] - coords[None, :]|
+    # and np.allclose's temporaries peaked at about 3 x dist.nbytes
+    dist = build_mmk_chain(900, 930, 1940).dist
+    tracemalloc.start()
+    try:
+        coords = chain_model._infer_line_coords(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coords is not None
+    assert peak < dist.nbytes / 2
 
 
 def test_load_chain_row_sum_error(tmp_path):
@@ -330,6 +355,18 @@ def test_chain_validation_copies_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < built.dist.nbytes / 2
+
+
+def test_chain_validation_rejects_coords_that_miss_dist():
+    # reversed and stretched coords would give local_curvature(chain, 2) = -1.8
+    # at the origin 5, where the M/M/k chain's true value is 1/15
+    c = build_mmk_chain(5, 10, 50)
+    with pytest.raises(ChainValidationError,
+                       match=r"coords do not realize dist: \|coords\[0\] - coords\[50\]\| = 150.0"):
+        MetricChain(points=c.points, dist=c.dist, kernel=c.kernel, coords=c.coords[::-1] * 3)
+    with pytest.raises(ChainValidationError, match="coords do not realize dist"):
+        MetricChain(points=c.points, dist=c.dist, kernel=c.kernel,
+                    coords=np.where(c.coords == 7, np.nan, c.coords))
 
 
 def test_chain_validation_rejects_negative_kernel():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ricci_bounds import chain_model, cli, transport
+from ricci_bounds import jump_process as jp
 from ricci_bounds import equilibrium as eq
 from ricci_bounds.chain_model import build_mmk_chain
 from ricci_bounds.cli import main
@@ -230,6 +231,46 @@ def test_awkward_chains_end_in_a_documented_exit_code(make_chain, argv, tmp_path
         assert any(row[-1] == "False" for row in rows)
     else:
         assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("source, argv, n_eps", [
+    ("two_closed_classes", ["--epsilons", "1:2:1"], 2),
+    ("mmk", ["--n0", "25", "--k", "30", "--epsilons", "1:6:1", "--ref-level", "8",
+             "--strategy", "convex"], 6),
+])
+def test_sweep_with_nothing_admissible_exits_2(source, argv, n_eps, tmp_path, capsys):
+    # rho = 0 at every eps on the closed classes; d0 beyond level 8 on M/M/k
+    if source == "two_closed_classes":
+        chain = _two_closed_classes()
+        path = write_chain_json(tmp_path / "chain.json", chain.points, chain.dist,
+                                chain.kernel, origin=0)
+        argv = ["--chain", str(path), *argv]
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("inapplicable: no eps in --epsilons ")
+    assert "argmin epsilon" not in captured.out
+    header, rows = read_csv(out / "sweep.csv")
+    assert header[-1] == "note"
+    assert len(rows) == n_eps and all(row[-1] for row in rows)
+    assert {row[-2] for row in rows} == {"inf"}
+
+
+@pytest.mark.parametrize("tight_level", [None, 2.0, 5.0])
+def test_example_jump_exit_1_means_a_row_breaks_its_bound(tight_level, tmp_path,
+                                                          monkeypatch):
+    # a zero bound at one level is broken when some path reaches that level;
+    # none of the 2000 reaches 5, and an empirical 0 against a bound of 0 passes
+    real = jp.poissonian_tail_bound
+    monkeypatch.setattr(jp, "poissonian_tail_bound",
+                        lambda l, alpha: 0.0 if l == tight_level else real(l, alpha))
+    out = tmp_path / "jump"
+    code = run_cli(["example-jump", "--alpha", "1", "--paths", "2000", "--seed", "3",
+                    "--out", str(out)])
+    _, rows = read_csv(out / "jump_tail.csv")
+    broken = [float(r[0]) for r in rows if float(r[1]) > float(r[3])]
+    assert code == (1 if broken else 0)
+    assert broken == ([] if tight_level in (None, 5.0) else [tight_level])
 
 
 def test_curvature_bound_stationary_commands(tmp_path):

@@ -5,10 +5,11 @@ import pytest
 
 from ricci_bounds import (JumpProcessConfig, poissonian_tail_bound,
                           simulate_paths, tail_comparison, transform_I)
+from ricci_bounds import jump_process
 from ricci_bounds.jump_process import MAX_PATHS, clopper_pearson_upper, empirical_tail_probs
 
 from dickman import dickman_tail, transform_I_quadrature
-from reference_oracles import tail_shape_witness
+from reference_oracles import simulate_paths_terms_copied, tail_shape_witness
 
 
 # ----------------------------------------------------------------- config
@@ -37,6 +38,14 @@ def test_simulation_deterministic():
     a = simulate_paths(cfg)
     b = simulate_paths(cfg)
     np.testing.assert_array_equal(a, b)
+
+
+def test_simulation_terms_in_place_are_the_copied_terms(monkeypatch):
+    # five chunks, the last one short: the in-place terms give the same bits
+    monkeypatch.setattr(jump_process, "_CHUNK", 1000)
+    cfg = JumpProcessConfig(drift_alpha=0.7, horizon_T=30.0, n_paths=4500, seed=7)
+    expected = simulate_paths_terms_copied(cfg, chunk=1000)
+    assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
 
 
 def test_zero_jump_paths_are_exactly_zero():
@@ -153,11 +162,11 @@ def test_tail_comparison_dominated():
     cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=20.0,
                             n_paths=200_000, seed=13)
     x = simulate_paths(cfg)
-    rows, dominated = tail_comparison(x, [2.0, 3.0, 5.0], alpha=1.0)
-    assert dominated
-    for row in rows[:2]:
+    rows = tail_comparison(x, [2.0, 3.0, 5.0], alpha=1.0)
+    assert all(p <= bound for _, p, _, bound in rows)
+    for _, _, upper, bound in rows[:2]:
         # plenty of counts at low levels: even the CI upper end is dominated
-        assert row["confirmed"]
+        assert upper <= bound
 
 
 def test_witness_drops_empty_levels_and_reports_shapes():
