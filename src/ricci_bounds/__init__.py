@@ -14,15 +14,14 @@ from .equilibrium import (StationaryResult, empirical_tail,
 from .jump_process import (JumpProcessConfig, poissonian_tail_bound,
                            simulate_paths, tail_comparison, transform_I)
 from .stepfun import StepFunction
-from .transport import (DiscreteMeasure, TransportCertificate, w1_flow,
-                        w1_flow_batch, w1_line, w1_to_point)
+from .transport import w1_flow, w1_flow_batch, w1_line, w1_to_point
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundParams", "CurvatureProfile", "DiscreteMeasure", "F_of",
+    "BoundParams", "CurvatureProfile", "F_of",
     "GeodesicReport", "JumpProcessConfig", "MetricChain", "Phi_of",
-    "StationaryResult", "StepFunction", "TailCurve", "TransportCertificate",
+    "StationaryResult", "StepFunction", "TailCurve",
     "attraction_rho", "bound_princ", "bound_theorem1",
     "build_discrete_ou_chain", "build_mmk_chain", "check_epsilon_geodesic",
     "curvature_envelope", "curvature_profile", "empirical_tail",

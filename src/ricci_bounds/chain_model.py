@@ -18,7 +18,7 @@ from scipy.special import ndtr
 
 from .errors import ChainFormatError, ChainValidationError
 
-# Masses within this of 1 sum to 1: kernel rows and transport measures alike.
+# Masses within this of 1 sum to 1: every kernel row, and so every measure W1 moves.
 ROW_SUM_TOL = 1e-12
 GEODESIC_TOL = 1e-9
 # Distances closer than this are equal.  The symmetry check and every "within
@@ -269,6 +269,8 @@ def load_chain(path) -> MetricChain:
     except json.JSONDecodeError as exc:
         raise ChainFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ChainFormatError(f"{path}: cannot read: {exc.strerror}") from exc
     if not isinstance(doc, dict):
         raise ChainFormatError(f"{path}: top-level value must be an object")
     for key in ("points", "dist", "kernel"):

@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ref-level", dest="reference_level", type=_finite_float)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--paths", type=int, default=100_000)
-    parser.add_argument("--horizon", type=_finite_float, default=25.0)
+    parser.add_argument("--horizon", type=_finite_float,
+                        help="default: 25, or the least integer T with exp(-alpha T) < 1e-8")
     parser.add_argument("--dump-samples", action="store_true")
     parser.add_argument("--out", dest="out_dir", type=Path, default=".",
                         help="output directory")

@@ -19,8 +19,9 @@ from scipy.sparse import csr_array
 from .chain_model import DIST_TOL, MetricChain, check_origin
 from .errors import DegenerateKernelError, EmptyAnnulusError
 from .stepfun import StepFunction
-from .transport import DiscreteMeasure, w1_flow_batch, w1_to_point
-from .transport import w1_flow, w1_line  # noqa: F401  bench/tracing.py patches them here
+from .transport import w1_flow_batch, w1_to_point
+# not called here: kept only as the two trace targets bench/tracing.py patches
+from .transport import w1_flow, w1_line  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,7 @@ def _local_curvature_lp(chain: MetricChain, epsilon: float) -> np.ndarray:
     """K_eps from certified transport LPs, solved in block-diagonal batches."""
     d = chain.dist
     xs, ys = np.nonzero(np.triu((d > 0) & (d <= epsilon + DIST_TOL)))
-    rows = [DiscreteMeasure.from_vector(chain.kernel[i]) for i in range(chain.n)]
-    pairs = [(rows[x], rows[y]) for x, y in zip(xs, ys)]
-    w1 = [cert.value for cert in w1_flow_batch(pairs, chain)]
-    kap = 1.0 - np.asarray(w1, dtype=float) / d[xs, ys]
+    kap = 1.0 - w1_flow_batch(chain, xs, ys)[0] / d[xs, ys]
     kloc = np.full(chain.n, np.inf)
     np.minimum.at(kloc, xs, kap)
     np.minimum.at(kloc, ys, kap)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import betaincinv
@@ -19,7 +20,12 @@ from scipy.special import betaincinv
 from .bounds import _exp_or_inf
 
 _CHUNK = 200_000
+# The default horizon where it forgets X_0.  A chunk holds about
+# _CHUNK * _HORIZON jump times (80 MB with their path indices): past this
+# horizon a chunk simulates proportionally fewer paths.
+_HORIZON = 25
 MAX_PATHS = 10_000_000  # simulate_paths holds one float64 per path: 80 MB here
+START_TOL = 1e-8        # exp(-alpha T) below this: the start X_0 = 0 is forgotten
 SERIES_TOL = 1e-12      # relative tolerance of the I(lambda) series
 CP_CONFIDENCE = 0.99    # level of the two-sided Clopper-Pearson interval
 
@@ -27,7 +33,7 @@ CP_CONFIDENCE = 0.99    # level of the two-sided Clopper-Pearson interval
 @dataclass(frozen=True)
 class JumpProcessConfig:
     drift_alpha: float
-    horizon_T: float
+    horizon_T: Optional[float]   # None: the default, _HORIZON or longer
     n_paths: int
     seed: int
 
@@ -39,23 +45,36 @@ class JumpProcessConfig:
         if self.n_paths > MAX_PATHS:
             raise ValueError(f"{self.n_paths} paths exceed the budget "
                              f"MAX_PATHS = {MAX_PATHS}")
-        if math.exp(-self.drift_alpha * self.horizon_T) >= 1e-8:
+        horizon = self.horizon_T
+        if horizon is None:
+            # the smallest integer T >= _HORIZON with exp(-alpha T) < START_TOL
+            horizon = float(max(_HORIZON, np.ceil(-math.log(START_TOL) / self.drift_alpha)))
+            horizon += math.exp(-self.drift_alpha * horizon) >= START_TOL   # alpha T on the edge
+            object.__setattr__(self, "horizon_T", horizon)
+        if math.exp(-self.drift_alpha * horizon) >= START_TOL:
             raise ValueError(
-                "horizon too short: need exp(-alpha*T) < 1e-8 so the "
+                f"horizon too short: need exp(-alpha*T) < {START_TOL:g} so the "
                 "X_0 = 0 start is indistinguishable from stationarity")
+        if horizon > _CHUNK * _HORIZON:
+            raise ValueError(
+                f"horizon {horizon:g} exceeds the budget {_CHUNK * _HORIZON}: "
+                "one path's jump times would pass a chunk's")
 
 
 def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
     """One X_T sample per path, exact given the jump-count/uniform-times law.
 
     Deterministic for a fixed seed (fixed chunking keeps the stream stable).
+    Each chunk holds about _CHUNK * _HORIZON jump times: _CHUNK paths
+    up to that horizon, proportionally fewer past it.
     """
     rng = np.random.default_rng(config.seed)
     alpha, horizon = config.drift_alpha, config.horizon_T
+    chunk = min(_CHUNK, int(_CHUNK * _HORIZON // horizon))
     out = np.empty(config.n_paths)
     done = 0
     while done < config.n_paths:
-        size = min(_CHUNK, config.n_paths - done)
+        size = min(chunk, config.n_paths - done)
         counts = rng.poisson(horizon, size=size)
         # the jump times, turned into their terms exp(-alpha (T - t)) in place
         terms = rng.uniform(0.0, horizon, size=int(counts.sum()))

@@ -131,6 +131,27 @@ def irregular_line_chain(rng, n_points=12, max_support=5):
     return line_chain(coords, kernel)
 
 
+def rows_chain(chain, vectors):
+    """A chain on `chain`'s metric whose first kernel rows are `vectors`.
+
+    Poses transport between arbitrary probability vectors on `chain`'s points
+    as W1 between kernel rows.  When there are more vectors than points,
+    points are appended at distance max(dist) from every other point, which
+    keeps a metric; they carry no mass, so W1 between the rows is W1 between
+    the vectors.  The remaining rows are point masses.
+    """
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+    n = max(chain.n, len(vectors))
+    dist = np.full((n, n), chain.dist.max())
+    dist[:chain.n, :chain.n] = chain.dist
+    np.fill_diagonal(dist, 0.0)
+    kernel = np.eye(n)
+    kernel[:len(vectors)] = 0.0
+    kernel[:len(vectors), :chain.n] = vectors
+    return MetricChain(points=chain.points + tuple(f"pad{i}" for i in range(n - chain.n)),
+                       dist=dist, kernel=kernel)
+
+
 def metric_chain(dist):
     """A chain on the given distance matrix with the identity kernel."""
     dist = np.asarray(dist, dtype=float)

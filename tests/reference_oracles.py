@@ -2,6 +2,8 @@
 
 - `kappa_pair`: the curvature of one pair through the certified flow solver,
   the per-pair reference for both `local_curvature` routes.
+- `w1_rows_lp`: W1 between two kernel rows by the bipartite LP between the
+  whole rows, the oracle for the signed-difference LP of `w1_flow_batch`.
 - `stochastic_dominance_check`: a CDF comparison on the line; where it
   holds, W1 equals the difference of the means, a third cross-check on the
   transport routes.
@@ -23,34 +25,43 @@ The package's CLI reaches none of them, so they live here, beside
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linprog
 
 from ricci_bounds.chain_model import ROW_SUM_TOL, MetricChain
 from ricci_bounds.equilibrium import StationaryResult, _residual
 from ricci_bounds.jump_process import JumpProcessConfig, empirical_tail_probs
-from ricci_bounds.transport import DiscreteMeasure, w1_flow
+from ricci_bounds.transport import w1_flow
 
 
 def kappa_pair(chain: MetricChain, x: int, y: int) -> float:
     """1 - W1(P_x, P_y)/d(x, y), with W1 from the certified flow solver."""
     if x == y:
         raise ValueError("kappa is undefined on the diagonal (d(x,y) = 0)")
-    mu = DiscreteMeasure.from_vector(chain.kernel[x])
-    nu = DiscreteMeasure.from_vector(chain.kernel[y])
-    return 1.0 - w1_flow(mu, nu, chain) / chain.dist[x, y]
+    return 1.0 - w1_flow(chain, x, y) / chain.dist[x, y]
 
 
-def stochastic_dominance_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                               coords) -> bool:
+def w1_rows_lp(chain: MetricChain, x: int, y: int) -> float:
+    """W1(P_x, P_y) by one uncertified LP that moves all of row x onto all of row y."""
+    src, snk = np.flatnonzero(chain.kernel[x]), np.flatnonzero(chain.kernel[y])
+    a_eq = np.vstack([np.kron(np.eye(src.size), np.ones(snk.size)),
+                      np.kron(np.ones(src.size), np.eye(snk.size))])
+    b_eq = np.concatenate([chain.kernel[x, src], chain.kernel[y, snk]])
+    res = linprog(chain.dist[np.ix_(src, snk)].ravel(), A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def stochastic_dominance_check(mu, nu, coords) -> bool:
     """True iff nu stochastically dominates mu: F_nu(t) <= F_mu(t) + ROW_SUM_TOL everywhere.
 
-    When true, W1 equals the difference of the means (used as a third
-    cross-check on the transport routes).
+    `mu` and `nu` are weight vectors over the points `coords`.  When true, W1
+    equals the difference of the means (used as a third cross-check on the
+    transport routes).
     """
     coords = np.asarray(coords, dtype=float)
-    pos = np.concatenate([coords[mu.support], coords[nu.support]])
-    wgt = np.concatenate([mu.weights, -nu.weights])
-    order = np.argsort(pos, kind="stable")
-    cdf_gap = np.cumsum(wgt[order])
+    order = np.argsort(coords, kind="stable")
+    cdf_gap = np.cumsum((np.asarray(mu, dtype=float) - np.asarray(nu, dtype=float))[order])
     return bool(np.all(cdf_gap >= -ROW_SUM_TOL))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from ricci_bounds import (DiscreteMeasure, JumpProcessConfig, attraction_rho,
+from ricci_bounds import (JumpProcessConfig, attraction_rho,
                           bound_princ, bound_theorem1, build_discrete_ou_chain,
                           build_mmk_chain, check_epsilon_geodesic,
                           curvature_profile, empirical_tail, search_params,
@@ -21,7 +21,7 @@ from ricci_bounds import (DiscreteMeasure, JumpProcessConfig, attraction_rho,
 from ricci_bounds.bounds import _at_d0, _exp_or_inf, _ln_C
 from ricci_bounds.jump_process import empirical_tail_probs
 
-from conftest import line_chain
+from conftest import line_chain, rows_chain
 from dickman import dickman_tail, transform_I_quadrature
 from reference_oracles import (kappa_pair, stationary_cesaro,
                                stochastic_dominance_check, tail_shape_witness)
@@ -56,12 +56,10 @@ def test_criterion_1_mmk_curvature_exactness():
     worst_kappa = 0.0
     for n0, k, trunc in ((2, 4, 40), (5, 10, 60), (10, 50, 120)):
         chain = build_mmk_chain(n0, k, trunc)
-        rows = [DiscreteMeasure.from_vector(chain.kernel[i])
-                for i in range(chain.n)]
         # all pairs away from the modified boundary row
         for x in range(trunc - 1):
             for y in range(x + 1, trunc):
-                kappa = 1.0 - w1_line(rows[x], rows[y], chain.coords) / (y - x)
+                kappa = 1.0 - w1_line(chain.kernel[x], chain.kernel[y], chain.coords) / (y - x)
                 ref = mmk_kappa_closed_form(n0, k, x, y)
                 worst_kappa = max(worst_kappa, abs(kappa - ref))
         # certified-flow route spot checks across the three formula branches
@@ -97,15 +95,17 @@ def test_criterion_2_transport_cross_validation():
         size = int(rng.integers(1, max_support + 1))
         support = rng.choice(n_points, size=size, replace=False)
         w = rng.random(size)
-        return DiscreteMeasure(np.sort(support), w / w.sum())
+        vec = np.zeros(n_points)
+        vec[np.sort(support)] = w / w.sum()
+        return vec
 
     worst_agree, worst_gap = 0.0, 0.0
     for _ in range(500):
         mu, nu = rand_measure(), rand_measure()
-        cert, = w1_flow_batch([(mu, nu)], chain)
+        (value,), (gap,), _ = w1_flow_batch(rows_chain(chain, [mu, nu]), [0], [1])
         line = w1_line(mu, nu, coords)
-        worst_agree = max(worst_agree, abs(line - cert.value))
-        worst_gap = max(worst_gap, cert.duality_gap)
+        worst_agree = max(worst_agree, abs(line - value))
+        worst_gap = max(worst_gap, gap)
 
     worst_mean_gap = 0.0
     for _ in range(100):
@@ -114,11 +114,10 @@ def test_criterion_2_transport_cross_validation():
         support = np.sort(rng.choice(n_points - shift, size=size, replace=False))
         w = rng.random(size)
         w /= w.sum()
-        mu = DiscreteMeasure(support, w)
-        nu = DiscreteMeasure(support + shift, w)
+        mu, nu = np.zeros(n_points), np.zeros(n_points)
+        mu[support], nu[support + shift] = w, w
         assert stochastic_dominance_check(mu, nu, coords)
-        gap = abs(w1_line(mu, nu, coords)
-                  - abs(mu.weights @ coords[mu.support] - nu.weights @ coords[nu.support]))
+        gap = abs(w1_line(mu, nu, coords) - abs(mu @ coords - nu @ coords))
         worst_mean_gap = max(worst_mean_gap, gap)
     elapsed = time.perf_counter() - start
     report(2, worst_agree <= 1e-9 and worst_gap <= 1e-9

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ricci_bounds import (build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain, w1_line,
-                          DiscreteMeasure, MetricChain)
+                          MetricChain)
 from ricci_bounds import chain_model
 from ricci_bounds.equilibrium import birth_death_law, stationary_birth_death
 from ricci_bounds.errors import ChainFormatError, ChainValidationError
@@ -139,8 +139,8 @@ def test_ou_refinement_w1_within_step():
     ic = int(np.searchsorted(coarse.coords, x))
     jf = int(np.searchsorted(fine.coords, x))
     coords = np.concatenate([coarse.coords, fine.coords])
-    mu = DiscreteMeasure(np.arange(coarse.n), coarse.kernel[ic])
-    nu = DiscreteMeasure(np.arange(coarse.n, coarse.n + fine.n), fine.kernel[jf])
+    mu = np.concatenate([coarse.kernel[ic], np.zeros(fine.n)])
+    nu = np.concatenate([np.zeros(coarse.n), fine.kernel[jf]])
     assert w1_line(mu, nu, coords) <= 0.2
 
 

@@ -156,6 +156,28 @@ def test_malformed_points_or_origin_exit_3(field, value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing"])
+def test_unreadable_chain_file_exits_3(missing, tmp_path, capsys):
+    path = tmp_path / "nonexistent.json" if missing else tmp_path
+    code = run_cli(["sweep", "--chain", str(path), "--epsilons", "1:2:1",
+                    "--out", str(tmp_path / "s")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {path}: cannot read: ")
+
+
+def test_example_jump_default_horizon_follows_alpha(tmp_path, capsys):
+    # exp(-25 alpha) is 3.7e-6 at alpha = 0.5: the default horizon becomes 37
+    out = tmp_path / "jump"
+    assert run_cli(["example-jump", "--alpha", "0.5", "--paths", "1000", "--seed", "3",
+                    "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["example-jump", "--alpha", "0.5", "--horizon", "5", "--paths", "1000",
+                    "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: horizon too short")
+
+
 @pytest.mark.parametrize("argv", [
     ["curvature", "--chain", "{chain}", "--n0", "25", "--k", "30"],
     ["example-ou", "--chain", "{chain}"],

@@ -19,6 +19,14 @@ def test_config_rejects_short_horizon():
         JumpProcessConfig(drift_alpha=1.0, horizon_T=5.0, n_paths=10, seed=0)
 
 
+def test_default_horizon_is_the_shortest_that_forgets_the_start():
+    assert JumpProcessConfig(1.0, None, 10, 0).horizon_T == 25.0
+    assert JumpProcessConfig(0.5, None, 10, 0).horizon_T == 37.0   # exp(-18.5) < 1e-8 < exp(-18)
+    assert JumpProcessConfig(0.7368, None, 10, 0).horizon_T == 26.0
+    with pytest.raises(ValueError, match="exceeds the budget 5000000"):
+        JumpProcessConfig(1e-300, None, 10, 0)
+
+
 def test_config_rejects_bad_alpha():
     with pytest.raises(ValueError):
         JumpProcessConfig(drift_alpha=0.0, horizon_T=25.0, n_paths=10, seed=0)
@@ -41,9 +49,19 @@ def test_simulation_deterministic():
 
 
 def test_simulation_terms_in_place_are_the_copied_terms(monkeypatch):
-    # five chunks, the last one short: the in-place terms give the same bits
+    # six chunks of 833 paths (1000 at horizon 25, so 1000 * 25 // 30 at 30),
+    # the last one short: the in-place terms give the same bits
     monkeypatch.setattr(jump_process, "_CHUNK", 1000)
     cfg = JumpProcessConfig(drift_alpha=0.7, horizon_T=30.0, n_paths=4500, seed=7)
+    expected = simulate_paths_terms_copied(cfg, chunk=833)
+    assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("horizon", [None, 20.0, 25.0])
+def test_chunk_is_fixed_up_to_horizon_25(monkeypatch, horizon):
+    # the stream of a default alpha = 1 run is the fixed-chunk stream
+    monkeypatch.setattr(jump_process, "_CHUNK", 1000)
+    cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=horizon, n_paths=4500, seed=7)
     expected = simulate_paths_terms_copied(cfg, chunk=1000)
     assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
 

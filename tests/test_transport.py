@@ -1,18 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance as scipy_w1
 
-from ricci_bounds import (DiscreteMeasure, MetricChain, build_mmk_chain, w1_flow,
-                          w1_flow_batch, w1_line)
+from ricci_bounds import MetricChain, build_mmk_chain, w1_flow, w1_flow_batch, w1_line
 from ricci_bounds import transport
-from ricci_bounds.errors import TransportError
+from ricci_bounds.errors import ChainValidationError, TransportError
 
-from conftest import line_chain, random_graph_chain
-from reference_oracles import stochastic_dominance_check
+from conftest import (cube_chain, irregular_line_chain, line_chain, random_graph_chain,
+                      rows_chain)
+from reference_oracles import stochastic_dominance_check, w1_rows_lp
 
 
-def measure(support, weights):
-    return DiscreteMeasure(np.asarray(support), np.asarray(weights, dtype=float))
+def measure(n, support, weights):
+    """The weight vector over n points with the given weights on `support`."""
+    vec = np.zeros(n)
+    vec[np.asarray(support)] = weights
+    return vec
 
 
 def random_line_instance(rng, n_points=60, max_support=50):
@@ -23,45 +30,49 @@ def random_line_instance(rng, n_points=60, max_support=50):
         size = rng.integers(1, max_support + 1)
         support = rng.choice(n_points, size=size, replace=False)
         weights = rng.random(size)
-        return measure(support, weights / weights.sum())
+        return measure(n_points, support, weights / weights.sum())
 
     return chain, rand_measure
+
+
+def flow(chain, mu, nu):
+    """Certified W1 between two weight vectors on `chain`, as kernel rows 0 and 1."""
+    return w1_flow(rows_chain(chain, [mu, nu]), 0, 1)
 
 
 # ------------------------------------------------------------ frozen values
 
 def test_point_masses_distance(mmk_2_4):
-    mu = DiscreteMeasure(support=[0], weights=[1.0])
-    nu = DiscreteMeasure(support=[3], weights=[1.0])
+    mu = measure(mmk_2_4.n, [0], [1.0])
+    nu = measure(mmk_2_4.n, [3], [1.0])
     assert w1_line(mu, nu, mmk_2_4.coords) == pytest.approx(3.0, abs=1e-12)
-    assert w1_flow(mu, nu, mmk_2_4) == pytest.approx(3.0, abs=1e-12)
+    assert flow(mmk_2_4, mu, nu) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_split_mass_vs_center(mmk_2_4):
     # brute force over the only coupling: both half-atoms move distance 1
-    mu = measure([0, 2], [0.5, 0.5])
-    nu = DiscreteMeasure(support=[1], weights=[1.0])
+    mu = measure(mmk_2_4.n, [0, 2], [0.5, 0.5])
+    nu = measure(mmk_2_4.n, [1], [1.0])
     assert w1_line(mu, nu, mmk_2_4.coords) == pytest.approx(1.0, abs=1e-12)
-    assert w1_flow(mu, nu, mmk_2_4) == pytest.approx(1.0, abs=1e-12)
+    assert flow(mmk_2_4, mu, nu) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identical_measures_zero(mmk_2_4):
-    mu = measure([1, 4, 7], [0.2, 0.5, 0.3])
+    mu = measure(mmk_2_4.n, [1, 4, 7], [0.2, 0.5, 0.3])
     assert w1_line(mu, mu, mmk_2_4.coords) == 0.0
-    assert w1_flow(mu, mu, mmk_2_4) == 0.0
+    assert flow(mmk_2_4, mu, mu) == 0.0
+    assert w1_flow(rows_chain(mmk_2_4, [mu]), 0, 0) == 0.0
 
 
 def test_uniform_pairs_brute_force(mmk_2_4):
     # optimum couples 0->2 and 1->3 (any coupling costs exactly 2 here)
-    mu = measure([0, 1], [0.5, 0.5])
-    nu = measure([2, 3], [0.5, 0.5])
-    assert w1_flow(mu, nu, mmk_2_4) == pytest.approx(2.0, abs=1e-12)
+    mu = measure(mmk_2_4.n, [0, 1], [0.5, 0.5])
+    nu = measure(mmk_2_4.n, [2, 3], [0.5, 0.5])
+    assert flow(mmk_2_4, mu, nu) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_mmk_kernel_rows_w1(mmk_2_4):
-    mu = DiscreteMeasure.from_vector(mmk_2_4.kernel[3])
-    nu = DiscreteMeasure.from_vector(mmk_2_4.kernel[4])
-    assert w1_flow(mu, nu, mmk_2_4) == pytest.approx(5 / 6, abs=1e-12)
+    assert w1_flow(mmk_2_4, 3, 4) == pytest.approx(5 / 6, abs=1e-12)
 
 
 # ------------------------------------------------------- route cross-checks
@@ -72,38 +83,49 @@ def test_line_vs_flow_vs_scipy():
     for _ in range(40):
         mu, nu = rand_measure(), rand_measure()
         line = w1_line(mu, nu, chain.coords)
-        flow = w1_flow(mu, nu, chain)
-        ref = scipy_w1(chain.coords[mu.support], chain.coords[nu.support],
-                       mu.weights, nu.weights)
-        assert abs(line - flow) <= 1e-9
+        ref = scipy_w1(chain.coords, chain.coords, mu, nu)
+        assert abs(line - flow(chain, mu, nu)) <= 1e-9
         assert line == pytest.approx(ref, abs=1e-9)
 
 
-def test_duality_certificate_fields():
+def test_duality_certificate_fields(monkeypatch):
     rng = np.random.default_rng(3)
     chain, rand_measure = random_line_instance(rng)
     mu, nu = rand_measure(), rand_measure()
-    cert, = w1_flow_batch([(mu, nu)], chain)
-    assert cert.duality_gap <= 1e-9
-    assert cert.lipschitz_defect <= 1e-9
-    # the plan is a feasible coupling
-    np.testing.assert_allclose(cert.plan.sum(axis=1), mu.weights, atol=1e-9)
-    np.testing.assert_allclose(cert.plan.sum(axis=0), nu.weights, atol=1e-9)
-    # and the potential attains the value
-    pos_mu = np.searchsorted(cert.union_support, mu.support)
-    pos_nu = np.searchsorted(cert.union_support, nu.support)
-    dual = cert.potential[pos_mu] @ mu.weights - cert.potential[pos_nu] @ nu.weights
-    assert dual == pytest.approx(cert.value, abs=1e-9)
+    pair = rows_chain(chain, [mu, nu])
+    real = transport.linprog
+    solved = []
+
+    def keep(*args, **kwargs):
+        solved.append(real(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(transport, "linprog", keep)
+    (value,), (gap,), (lip,) = w1_flow_batch(pair, [0], [1])
+    assert gap <= 1e-9
+    assert lip <= 1e-9
+    # the plan on the signed difference, plus the shared mass left in place,
+    # is a feasible coupling of mu and nu
+    res, = solved
+    src, snk = np.flatnonzero(mu > nu), np.flatnonzero(mu < nu)
+    plan = np.diag(np.minimum(mu, nu))
+    plan[np.ix_(src, snk)] += res.x.reshape(src.size, snk.size)
+    np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-9)
+    np.testing.assert_allclose(plan.sum(axis=0), nu, atol=1e-9)
+    # and the c-transform of the sink duals, a 1-Lipschitz potential on every
+    # point, attains the value
+    potential = np.min(chain.dist[:, snk] - res.eqlin.marginals[src.size:], axis=1)
+    assert potential @ (mu - nu) == pytest.approx(value, abs=1e-9)
 
 
 def test_triangle_inequality_random_triples():
     rng = np.random.default_rng(17)
     chain, rand_measure = random_line_instance(rng, max_support=20)
     for _ in range(20):
-        a, b, c = rand_measure(), rand_measure(), rand_measure()
-        ab = w1_flow(a, b, chain)
-        bc = w1_flow(b, c, chain)
-        ac = w1_flow(a, c, chain)
+        abc = rows_chain(chain, [rand_measure(), rand_measure(), rand_measure()])
+        ab = w1_flow(abc, 0, 1)
+        bc = w1_flow(abc, 1, 2)
+        ac = w1_flow(abc, 0, 2)
         assert ac <= ab + bc + 1e-9
 
 
@@ -113,12 +135,38 @@ def test_flow_on_nonline_metric():
                      [1, 0, 1, 2],
                      [2, 1, 0, 1],
                      [1, 2, 1, 0]], dtype=float)
-    from ricci_bounds import MetricChain
     chain = MetricChain(points=("a", "b", "c", "d"), dist=dist,
                         kernel=np.full((4, 4), 0.25))
-    mu = measure([0], [1.0])
-    nu = measure([1, 3], [0.5, 0.5])
-    assert w1_flow(mu, nu, chain) == pytest.approx(1.0, abs=1e-12)
+    mu = measure(4, [0], [1.0])
+    nu = measure(4, [1, 3], [0.5, 0.5])
+    assert flow(chain, mu, nu) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), line=st.booleans())
+def test_batch_matches_independent_oracles(seed, line):
+    # every pair of rows at once: on a line against the CDF sum, elsewhere
+    # against the LP that moves the whole rows instead of their difference
+    rng = np.random.default_rng(seed)
+    chain = irregular_line_chain(rng) if line else random_graph_chain(rng)
+    xs, ys = np.nonzero(np.triu(~np.eye(chain.n, dtype=bool)))
+    w1, gap, lip = w1_flow_batch(chain, xs, ys)
+    for x, y, value in zip(xs, ys, w1):
+        if line:
+            ref = w1_line(chain.kernel[x], chain.kernel[y], chain.coords)
+            assert value == pytest.approx(ref, abs=1e-12)
+        else:
+            assert value == pytest.approx(w1_rows_lp(chain, x, y), abs=1e-9)
+    assert np.all(gap <= transport.CERT_TOL) and np.all(lip <= transport.CERT_TOL)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("bits", [3, 4, 5, 6])
+def test_cube_neighbours_have_curvature_one_over_n(bits, p):
+    chain = cube_chain(bits, p)
+    xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
+    kappa = 1.0 - w1_flow_batch(chain, xs, ys)[0]
+    np.testing.assert_allclose(kappa, 1 / bits, rtol=0, atol=transport.CERT_TOL)
 
 
 # ------------------------------------------------------------ batched LP
@@ -128,29 +176,27 @@ def random_pairs(rng, n_points, count, max_support=6):
         support = rng.choice(n_points, size=rng.integers(1, max_support + 1),
                              replace=False)
         weights = rng.random(support.size) + 0.05
-        return measure(support, weights / weights.sum())
+        return measure(n_points, support, weights / weights.sum())
     return [(rand_measure(), rand_measure()) for _ in range(count)]
 
 
 def test_batch_matches_per_pair_solves():
     rng = np.random.default_rng(5)
-    chain = random_graph_chain(rng)
-    pairs = random_pairs(rng, chain.n, 12)
+    base = random_graph_chain(rng)
+    pairs = random_pairs(rng, base.n, 12)
     pairs.insert(4, (pairs[0][0], pairs[0][0]))        # identical measures
-    sizes = {(mu.support.size, nu.support.size) for mu, nu in pairs}
+    sizes = {(np.count_nonzero(mu), np.count_nonzero(nu)) for mu, nu in pairs}
     assert len(sizes) > 3                               # ragged blocks
-    batch = w1_flow_batch(pairs, chain)
-    assert len(batch) == len(pairs)
-    assert batch[4].value == 0.0
-    for (mu, nu), cert in zip(pairs, batch):
-        single, = w1_flow_batch([(mu, nu)], chain)
-        assert cert.value == pytest.approx(single.value, abs=1e-12)
-        assert cert.plan.shape == single.plan.shape == (mu.support.size, nu.support.size)
-        np.testing.assert_array_equal(cert.union_support, single.union_support)
-        assert cert.duality_gap <= transport.CERT_TOL
-        assert 0.0 <= cert.lipschitz_defect <= transport.CERT_TOL
-        np.testing.assert_allclose(cert.plan.sum(axis=1), mu.weights, atol=1e-9)
-        np.testing.assert_allclose(cert.plan.sum(axis=0), nu.weights, atol=1e-9)
+    chain = rows_chain(base, [vec for pair in pairs for vec in pair])
+    xs, ys = np.arange(0, 2 * len(pairs), 2), np.arange(1, 2 * len(pairs), 2)
+    w1, gap, lip = w1_flow_batch(chain, xs, ys)
+    assert len(w1) == len(gap) == len(lip) == len(pairs)
+    assert w1[4] == 0.0
+    for x, y, value, g, l in zip(xs, ys, w1, gap, lip):
+        single = w1_flow_batch(chain, [x], [y])
+        assert value == pytest.approx(single[0][0], abs=1e-12)
+        assert g <= transport.CERT_TOL
+        assert 0.0 <= l <= transport.CERT_TOL
 
 
 def test_batch_of_nothing_solves_nothing(monkeypatch):
@@ -158,48 +204,95 @@ def test_batch_of_nothing_solves_nothing(monkeypatch):
         raise AssertionError("no LP expected")
     monkeypatch.setattr(transport, "linprog", no_solve)
     chain = random_graph_chain(np.random.default_rng(1))
-    mu = measure([0, 2], [0.5, 0.5])
-    assert w1_flow_batch([], chain) == []
-    assert w1_flow_batch([(mu, mu)], chain)[0].value == 0.0
+    mu = measure(chain.n, [0, 2], [0.5, 0.5])
+    assert [a.size for a in w1_flow_batch(chain, [], [])] == [0, 0, 0]
+    assert w1_flow_batch(rows_chain(chain, [mu, mu]), [0], [1])[0][0] == 0.0
+    kernel = chain.kernel.copy()
+    kernel[5] = kernel[3]
+    twins = MetricChain(points=chain.points, dist=chain.dist, kernel=kernel)
+    w1, gap, lip = w1_flow_batch(twins, [3, 5, 7], [5, 3, 7])
+    assert w1.tolist() == gap.tolist() == lip.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_lp_columns_are_the_signed_differences(monkeypatch):
+    # on {0,1}^6 each kernel row has 7 points, and the difference of two
+    # neighbouring rows moves 6 sources onto 6 sinks: 36 columns, not 49
+    chain = cube_chain(6, 0.2)
+    xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
+    real = transport.linprog
+    columns = []
+
+    def count(cost, **kwargs):
+        columns.append(cost.size)
+        return real(cost, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", count)
+    w1_flow_batch(chain, xs, ys)
+    diff = chain.kernel[xs] - chain.kernel[ys]
+    signed = int(np.sum(np.count_nonzero(diff > 0, axis=1) * np.count_nonzero(diff < 0, axis=1)))
+    full = int(np.sum(np.count_nonzero(chain.kernel[xs], axis=1)
+                      * np.count_nonzero(chain.kernel[ys], axis=1)))
+    assert sum(columns) == signed < full
+
+
+def test_skinny_pair_certifies_in_two_square_arrays():
+    # a point mass against 2000 equal atoms: the block has s = 2001 points,
+    # and certifying it holds at most two s x s float64 arrays at once (the
+    # c-transform's sum and the distance gather), not three
+    n = 2001
+    chain = line_chain(np.arange(n, dtype=float), np.eye(n))
+    chain = rows_chain(chain, [measure(n, [0], [1.0]),
+                               measure(n, np.arange(1, n), np.full(n - 1, 1 / (n - 1)))])
+    w1_flow_batch(chain, [0], [1])                     # warm the import caches
+    tracemalloc.start()
+    try:
+        (value,), _, _ = w1_flow_batch(chain, [0], [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1000.5, abs=1e-9)
+    assert peak <= 2.5 * 8 * n * n
 
 
 def four_cycle_pairs():
-    """The 4-cycle a-b-c-d and three pairs with W1 = 1, 1 and 1.5, two LP variables each."""
+    """The 4-cycle a-b-c-d as rows 0-5 and three row pairs with W1 = 1, 1 and
+    1.5, whose signed differences have two LP variables each."""
     dist = np.array([[0, 1, 2, 1],
                      [1, 0, 1, 2],
                      [2, 1, 0, 1],
                      [1, 2, 1, 0]], dtype=float)
     chain = MetricChain(points=("a", "b", "c", "d"), dist=dist,
                         kernel=np.full((4, 4), 0.25))
-    pairs = [(measure([0], [1.0]), measure([1, 3], [0.5, 0.5])),
-             (measure([0], [1.0]), measure([0, 2], [0.5, 0.5])),
-             (measure([1, 2], [0.5, 0.5]), measure([3], [1.0]))]
-    return chain, pairs
+    rows = [measure(4, [0], [1.0]), measure(4, [1, 3], [0.5, 0.5]),
+            measure(4, [1], [1.0]), measure(4, [0, 2], [0.5, 0.5]),
+            measure(4, [1, 2], [0.5, 0.5]), measure(4, [3], [1.0])]
+    return rows_chain(chain, rows), [0, 2, 4], [1, 3, 5]
 
 
 def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
-    # a 4-cycle: pair 1 moves half of nu's mass from a to c (W1 = 1), and
-    # zero duals on its nu rows leave a potential that vanishes on nu's
-    # support, so its dual value drops to 0 while its neighbours stay exact
-    chain, pairs = four_cycle_pairs()
-    assert [c.value for c in w1_flow_batch(pairs, chain)] == pytest.approx([1.0, 1.0, 1.5])
-    nu_rows = slice(4, 6)   # block 0 holds rows 0-2, block 1's mu row is row 3
+    # a 4-cycle: pair 1 moves b's mass half to a and half to c (W1 = 1);
+    # shifting the dual of its sink a by 5 leaves a potential with
+    # phi(b) = phi(a) + 1 = phi(c) - 1, so its dual value drops to 0 while its
+    # neighbours stay exact
+    chain, xs, ys = four_cycle_pairs()
+    assert w1_flow_batch(chain, xs, ys)[0] == pytest.approx([1.0, 1.0, 1.5])
+    sink_a = 4   # block 0 holds rows 0-2, block 1's source b is row 3
     real = transport.linprog
 
     def corrupted(*args, **kwargs):
         res = real(*args, **kwargs)
-        res.eqlin.marginals[nu_rows] = 0.0
+        res.eqlin.marginals[sink_a] += 5.0
         return res
 
     monkeypatch.setattr(transport, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 1: duality certificate failed"):
-        w1_flow_batch(pairs, chain)
+        w1_flow_batch(chain, xs, ys)
 
 
 def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
     # a 1-variable budget gives every pair its own LP; a zeroed primal in the
     # third LP must be reported as pair 2, its index in the caller's list
-    chain, pairs = four_cycle_pairs()
+    chain, xs, ys = four_cycle_pairs()
     monkeypatch.setattr(transport, "LP_BATCH_VARS", 1)
     real = transport.linprog
     calls = []
@@ -213,74 +306,73 @@ def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
 
     monkeypatch.setattr(transport, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 2: duality certificate failed"):
-        w1_flow_batch(pairs, chain)
+        w1_flow_batch(chain, xs, ys)
     assert calls == [2, 2, 2]
 
 
 def test_certificate_rejects_a_plan_that_misses_a_marginal(monkeypatch):
-    # kernel rows 3 and 4 of the M/M/4 queue share point 3, so the plan
-    # variable 3 -> 3 costs nothing: extra mass on it leaves the value and
-    # every dual untouched, but the plan's row sums no longer give mu
+    # kernel rows 3 and 4 of the M/M/4 queue differ by +1/2 at 2, -1/2 at 3,
+    # +1/3 at 4 and -1/3 at 5; moving 1e-3 of mass from plan entry 4 -> 5 to
+    # 2 -> 3, both of cost 1, leaves the value and every dual untouched, but
+    # the plan's row sums no longer give the difference
     chain = build_mmk_chain(2, 4, 10)
-    mu, nu = (DiscreteMeasure.from_vector(chain.kernel[i]) for i in (3, 4))
-    free = int(np.flatnonzero(mu.support == 3)[0] * nu.support.size
-               + np.flatnonzero(nu.support == 3)[0])
     real = transport.linprog
 
     def corrupted(*args, **kwargs):
         res = real(*args, **kwargs)
-        assert args[0][free] == 0.0
-        res.x[free] += 1e-3
+        assert args[0].tolist() == [1.0, 3.0, 1.0, 1.0]   # 2->3, 2->5, 4->3, 4->5
+        res.x[0] += 1e-3
+        res.x[3] -= 1e-3
         return res
 
     monkeypatch.setattr(transport, "linprog", corrupted)
     with pytest.raises(TransportError,
                        match=r"^pair 0: duality certificate failed: .*primal defect=1\.000e-03"):
-        w1_flow_batch([(mu, nu)], chain)
+        w1_flow_batch(chain, [3], [4])
 
 
 # ------------------------------------------------------------- dominance
 
 def test_dominance_mmk_rows(mmk_2_4):
-    p3 = DiscreteMeasure.from_vector(mmk_2_4.kernel[3])
-    p4 = DiscreteMeasure.from_vector(mmk_2_4.kernel[4])
+    p3, p4 = mmk_2_4.kernel[3], mmk_2_4.kernel[4]
     assert stochastic_dominance_check(p3, p4, mmk_2_4.coords)
     # the shortcut: W1 equals the difference of the means
     coords = mmk_2_4.coords
-    gap = abs(p4.weights @ coords[p4.support] - p3.weights @ coords[p3.support])
+    gap = abs(p4 @ coords - p3 @ coords)
     assert w1_line(p3, p4, mmk_2_4.coords) == pytest.approx(gap, abs=1e-9)
 
 
 def test_dominance_crossing_cdfs(mmk_2_4):
-    mu = DiscreteMeasure(support=[1], weights=[1.0])
-    nu = measure([0, 2], [0.5, 0.5])
+    mu = measure(mmk_2_4.n, [1], [1.0])
+    nu = measure(mmk_2_4.n, [0, 2], [0.5, 0.5])
     assert not stochastic_dominance_check(mu, nu, mmk_2_4.coords)
 
 
 def test_dominance_reflexive(mmk_2_4):
-    mu = measure([2, 5], [0.4, 0.6])
+    mu = measure(mmk_2_4.n, [2, 5], [0.4, 0.6])
     assert stochastic_dominance_check(mu, mu, mmk_2_4.coords)
 
 
 # ------------------------------------------------------------- validation
 
-def test_rejects_unnormalized():
-    with pytest.raises(TransportError):
-        measure([0, 1], [0.5, 0.6])
+def test_rejects_unnormalized(mmk_2_4):
+    with pytest.raises(ChainValidationError):
+        rows_chain(mmk_2_4, [measure(mmk_2_4.n, [0, 1], [0.5, 0.6])])
 
 
-def test_rejects_negative_weights():
-    with pytest.raises(TransportError):
-        measure([0, 1], [1.5, -0.5])
+def test_rejects_negative_weights(mmk_2_4):
+    with pytest.raises(ChainValidationError):
+        rows_chain(mmk_2_4, [measure(mmk_2_4.n, [0, 1], [1.5, -0.5])])
 
 
 def test_rejects_duplicate_support():
-    with pytest.raises(TransportError):
-        measure([1, 1], [0.5, 0.5])
+    # a support point listed twice is two points at distance 0
+    with pytest.raises(ChainValidationError):
+        line_chain([0.0, 1.0, 1.0], np.eye(3))
 
 
 def test_rejects_out_of_range_support(mmk_2_4):
-    mu = measure([0], [1.0])
-    nu = measure([10_000], [1.0])
     with pytest.raises(TransportError):
-        w1_flow(mu, nu, mmk_2_4)
+        w1_flow(mmk_2_4, 0, 10_000)
+    with pytest.raises(TransportError, match="^pair 1: row index outside the chain"):
+        w1_flow_batch(mmk_2_4, [0, -1], [1, 2])
