@@ -5,6 +5,16 @@ weight vectors on the line (`w1_line`) and an exact min-cost transportation
 LP between kernel rows (`w1_flow_batch`), certified in-process by a
 1-Lipschitz Kantorovich potential recovered from the LP duals.  Every
 downstream quantity depends on W1, so the two routes cross-check each other.
+
+The LP route solves in two passes because scipy's HiGHS wrapper spends about
+2 us of Python per LP column, more than HiGHS itself on these small blocks.
+The first pass gives each pair only its nearest-neighbour and staircase
+columns (about 10 of the 81 per neighbouring pair on {0,1}^9, where the
+optimal coupling moves every unit of mass to a neighbour); the certificate,
+which checks the potential on every point, accepts it only where it is
+optimal over all columns, and the pairs it rejects are solved again on all
+of theirs (a sparse arc set proved optimal by dual feasibility on the
+others, as in Schmitzer, J. Math. Imaging Vis. 2016).
 """
 from __future__ import annotations
 
@@ -12,15 +22,24 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array, csr_array
 
-from .chain_model import MetricChain
+from .chain_model import DIST_TOL, MetricChain
 from .errors import TransportError
 
 CERT_TOL = 1e-9
-# Transport variables per block-diagonal LP.  HiGHS's memory grows by about
-# 1.4 KB per variable, so batches are cut by variables, not by pairs.  Sized,
-# and not re-measured since, on {0,1}^9 when its blocks were 10 x 10 kernel
-# rows (now 9 x 9 differences): 0.4 MB of peak RSS over single-pair solves.
-LP_BATCH_VARS = 3200
+# Columns (transport variables) per linprog call, in either pass.  Measured
+# on {0,1}^9 at eps = 1 (2304 pairs; median of three `local_curvature` calls
+# on a 2-core host, and the rise of ru_maxrss over the process before them):
+#   columns per call            1000    1400    2000    3200
+#   first pass, 22,661 columns  0.35    0.30    0.31    0.32 s
+#                               +5.8    +6.9    +8.8   +12.5 MB
+#   all 186,624 columns         1.14    1.08    0.78    0.75 s
+#                               +8.0    +6.8    +7.4    +8.1 MB
+# Only the first pass runs there (17 calls at 1400); 1400 is as fast as
+# larger LPs and peaks below the all-column LPs of 3200 it replaced.
+LP_BATCH_VARS = 1400
+# Full column sets scanned at once for the first pass's columns: about
+# 75 bytes each while a chunk is scanned.
+_SCAN_VARS = 1 << 14
 
 
 def w1_line(mu, nu, coords) -> float:
@@ -35,24 +54,35 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
 
     Returns three arrays, one entry per pair: W1, the duality gap and the
     Lipschitz defect.  W1 depends only on D = K[xs] - K[ys]
-    (Kantorovich-Rubinstein), built once as a CSR array: each pair's LP moves
-    D's positive part (its sources) onto its negative part (its sinks) at
-    costs d(i, j), and an empty D (identical rows) is 0 with no LP.
-    Consecutive pairs form one block-diagonal LP of about LP_BATCH_VARS
-    variables and one HiGHS call; each block's slice of the solution and of
-    the duals is an optimum of its pair's own LP.  Each LP is certified in
-    one vectorized pass that still checks every pair on its own, and a pair
-    whose primal defect, gap or Lipschitz defect exceeds CERT_TOL raises
-    TransportError naming its index in the call.
+    (Kantorovich-Rubinstein), built once as a CSR array of the rows the pairs
+    read: each pair's LP moves D's positive part (its sources) onto its
+    negative part (its sinks) at costs d(i, j), and an empty D (identical
+    rows) is 0 with no LP.
+
+    Each pair is solved first on a sparse set of columns: each source's
+    nearest sinks, each sink's nearest sources and the north-west-corner
+    staircase of its block, which always carries a feasible plan.  The
+    certificate judges that solve as it judges any other.  Its potential is
+    1-Lipschitz on all of the block's points, so its dual value bounds W1
+    from below over every plan, and a gap within CERT_TOL proves the sparse
+    plan optimal among all plans.  Pairs that fail are solved once more on
+    all their columns, and that result is final.  Consecutive pairs form one
+    block-diagonal LP of about LP_BATCH_VARS columns and one HiGHS call; each
+    block's slice of the solution and of the duals is an optimum of its
+    pair's own LP.  Each LP is certified in one vectorized pass that still
+    checks every pair on its own, and a pair whose final primal defect, gap
+    or Lipschitz defect exceeds CERT_TOL raises TransportError naming its
+    index in the call.
     """
     xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
     outside = (np.minimum(xs, ys) < 0) | (np.maximum(xs, ys) >= chain.n)
     if outside.any():
         raise TransportError(f"pair {int(np.argmax(outside))}: row index outside the chain")
-    kernel = csr_array(chain.kernel)
-    diff = kernel[xs] - kernel[ys]
+    rows, read = np.unique(np.concatenate([xs, ys]), return_inverse=True)
+    kernel = csr_array(chain.kernel[rows] if rows.size < chain.n else chain.kernel)
+    diff = kernel[read[:xs.size]] - kernel[read[xs.size:]]
     diff.eliminate_zeros()
-    sizes = np.diff(diff.indptr)
+    starts, sizes = diff.indptr[:-1], np.diff(diff.indptr)
     row = np.repeat(np.arange(xs.size), sizes)
     # each pair's entries, sources first: its LP rows are these, in this order
     order = np.lexsort((diff.data < 0, row))
@@ -60,20 +90,29 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
     n_src = np.bincount(row[mass > 0], minlength=xs.size)
     n_var = n_src * (sizes - n_src)
 
+    def solve(pairs, local, n_col):
+        """Fill in `pairs`, pair k on the columns `local` (n_col[k] of them),
+        in LPs of about LP_BATCH_VARS columns."""
+        ends = np.cumsum(n_col)
+        # a pair joins the LP in which its running column count ends
+        cuts = np.flatnonzero(np.diff(ends // LP_BATCH_VARS)) + 1
+        for batch in np.split(np.arange(pairs.size), cuts):
+            if batch.size:
+                k = pairs[batch]
+                w1[k], gap[k], lip[k], primal[k] = _solve_lp(
+                    chain, points, mass, starts[k], sizes[k], n_src[k], k,
+                    local[ends[batch[0]] - n_col[batch[0]]:ends[batch[-1]]], n_col[batch])
+
     w1, gap, lip, primal = (np.zeros(xs.size) for _ in range(4))
     # a difference with one side only (rows whose sums differ by rounding)
     # has no plan: its unmatched mass is its primal defect
     no_lp = (n_var == 0)[row]
     np.maximum.at(primal, row[no_lp], np.abs(mass[no_lp]))
-    # a pair joins the LP in which its running variable count ends
-    cuts = np.flatnonzero(np.diff(np.cumsum(n_var) // LP_BATCH_VARS)) + 1
-    for batch in np.split(np.arange(xs.size), cuts):
-        batch = batch[n_var[batch] > 0]
-        if batch.size:
-            w1[batch], gap[batch], lip[batch], primal[batch] = _solve_lp(
-                chain, points, mass, diff.indptr[batch], sizes[batch], n_src[batch], batch)
-    # written so that a NaN fails too
-    bad = np.flatnonzero(~((gap <= CERT_TOL) & (lip <= CERT_TOL) & (primal <= CERT_TOL)))
+    lp = np.flatnonzero(n_var)
+    solve(lp, *_sparse_columns(chain, points, mass, starts[lp], n_src[lp], sizes[lp] - n_src[lp]))
+    redo = lp[~_certified(gap[lp], lip[lp], primal[lp])]
+    solve(redo, _ragged(n_var[redo]), n_var[redo])
+    bad = np.flatnonzero(~_certified(gap, lip, primal))
     if bad.size:
         k = bad[0]
         raise TransportError(
@@ -82,20 +121,80 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
     return w1, gap, lip
 
 
-def _solve_lp(chain, points, mass, starts, sizes, n_src, batch):
+def _certified(gap, lip, primal):
+    # written so that a NaN fails too
+    return (gap <= CERT_TOL) & (lip <= CERT_TOL) & (primal <= CERT_TOL)
+
+
+def _ragged(counts):
+    """0..counts[k]-1 for each k, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _sparse_columns(chain, points, mass, starts, n_src, n_snk):
+    """Each pair's first-pass columns and their number per pair.
+
+    Pair k's sources are points[starts[k]:][:n_src[k]], its sinks the n_snk[k]
+    entries after them, and column i * n_snk[k] + j moves source i to sink j.
+    Kept: each source's nearest sinks and each sink's nearest sources (ties
+    within DIST_TOL included), and the block's north-west-corner staircase.
+    The full column sets are scanned in chunks of about _SCAN_VARS.
+    """
+    lo, hi = _shares(np.abs(mass), np.concatenate([starts, starts + n_src]),
+                     np.concatenate([n_src, n_snk]))
+    nv = n_src * n_snk
+    nearest = np.full(points.size, np.inf)   # distance to the nearest point across
+    local, n_col = [], []
+    cuts = np.flatnonzero(np.diff(np.cumsum(nv) // _SCAN_VARS)) + 1
+    for chunk in np.split(np.arange(nv.size), cuts):
+        m, n, at = n_src[chunk], n_snk[chunk], starts[chunk]
+        pair = np.repeat(np.arange(chunk.size), m * n)
+        col = _ragged(m * n)
+        src = at[pair] + col // n[pair]
+        snk = at[pair] + m[pair] + col % n[pair]
+        cost = chain.dist[points[src], points[snk]]
+        np.minimum.at(nearest, src, cost)
+        np.minimum.at(nearest, snk, cost)
+        keep = ((cost <= nearest[src] + DIST_TOL) | (cost <= nearest[snk] + DIST_TOL)
+                | (np.maximum(lo[src], lo[snk]) < np.minimum(hi[src], hi[snk])))
+        local.append(col[keep])
+        n_col.append(np.bincount(pair[keep], minlength=chunk.size))
+    return np.concatenate(local), np.concatenate(n_col)
+
+
+def _shares(weight, first, count):
+    """Each entry of each group as the interval (lo, hi] of its group's
+    cumulative share of weight; group g is weight[first[g]:][:count[g]].
+
+    A source's and a sink's intervals overlap with positive length exactly
+    on the block's north-west-corner staircase, which carries the plan that
+    moves the overlap's length times the supply, whatever the two sums: at
+    most m + n - 1 arcs, and intervals that end together add no arc.  Each
+    group is summed on its own, so that equal groups give equal bits.
+    """
+    hi = np.zeros_like(weight)
+    for c in np.unique(count):
+        at = first[count == c][:, None] + np.arange(c)
+        cum = np.cumsum(weight[at], axis=1)
+        hi[at] = cum / cum[:, -1:]
+    lo = np.zeros_like(hi)
+    lo[1:] = hi[:-1]
+    lo[first] = 0.0
+    return lo, hi
+
+
+def _solve_lp(chain, points, mass, starts, sizes, n_src, batch, local, n_col):
     """(W1, duality gap, Lipschitz defect, primal defect) of the given pairs
-    from one block-diagonal LP; pair j's rows are its entries of `points`."""
+    from one block-diagonal LP.  Pair j's rows are its entries of `points`,
+    and its columns its n_col[j] entries of `local`, each i * n_snk + j for
+    the arc from its source i to its sink j."""
     r0 = np.cumsum(sizes) - sizes               # each block's first row
     entries = np.arange(sizes.sum()) + np.repeat(starts - r0, sizes)
     pts, rhs = points[entries], mass[entries]
-    n_snk = sizes - n_src
-    nv = n_src * n_snk
-    v0 = np.cumsum(nv) - nv                     # each block's first variable
-    # variable v0 + i*n_snk + j sends mass from source i to sink j
-    local = np.arange(nv.sum()) - np.repeat(v0, nv)
-    width = np.repeat(n_snk, nv)
-    src_row = np.repeat(r0, nv) + local // width
-    snk_row = np.repeat(r0 + n_src, nv) + local % width
+    width = np.repeat(sizes - n_src, n_col)
+    v0 = np.cumsum(n_col) - n_col               # each block's first column
+    src_row = np.repeat(r0, n_col) + local // width
+    snk_row = np.repeat(r0 + n_src, n_col) + local % width
     cost = chain.dist[pts[src_row], pts[snk_row]]
     # every variable sits in exactly two rows: its source and its sink
     rows = np.column_stack([src_row, snk_row]).ravel()

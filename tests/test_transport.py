@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance as scipy_w1
 
 from ricci_bounds import MetricChain, build_mmk_chain, w1_flow, w1_flow_batch, w1_line
@@ -38,6 +39,24 @@ def random_line_instance(rng, n_points=60, max_support=50):
 def flow(chain, mu, nu):
     """Certified W1 between two weight vectors on `chain`, as kernel rows 0 and 1."""
     return w1_flow(rows_chain(chain, [mu, nu]), 0, 1)
+
+
+def record_lps(monkeypatch):
+    """A list that gets (cost, A_eq, b_eq, result) of every transport LP solved."""
+    real = transport.linprog
+    solved = []
+
+    def keep(cost, **kwargs):
+        solved.append((cost, kwargs["A_eq"], kwargs["b_eq"], real(cost, **kwargs)))
+        return solved[-1][-1]
+
+    monkeypatch.setattr(transport, "linprog", keep)
+    return solved
+
+
+def signed_entries(chain, xs, ys):
+    """The number of LP rows that solving each pair exactly once would pass."""
+    return int(np.count_nonzero(chain.kernel[xs] != chain.kernel[ys]))
 
 
 # ------------------------------------------------------------ frozen values
@@ -93,23 +112,18 @@ def test_duality_certificate_fields(monkeypatch):
     chain, rand_measure = random_line_instance(rng)
     mu, nu = rand_measure(), rand_measure()
     pair = rows_chain(chain, [mu, nu])
-    real = transport.linprog
-    solved = []
-
-    def keep(*args, **kwargs):
-        solved.append(real(*args, **kwargs))
-        return solved[-1]
-
-    monkeypatch.setattr(transport, "linprog", keep)
+    solved = record_lps(monkeypatch)
     (value,), (gap,), (lip,) = w1_flow_batch(pair, [0], [1])
     assert gap <= 1e-9
     assert lip <= 1e-9
-    # the plan on the signed difference, plus the shared mass left in place,
-    # is a feasible coupling of mu and nu
-    res, = solved
+    # the plan on the columns the final solve was given, plus the shared mass
+    # left in place, is a feasible coupling of mu and nu; each column is the
+    # arc between its two LP rows, the sources first and then the sinks
+    _, a_eq, _, res = solved[-1]
     src, snk = np.flatnonzero(mu > nu), np.flatnonzero(mu < nu)
+    arcs = a_eq.indices.reshape(-1, 2)
     plan = np.diag(np.minimum(mu, nu))
-    plan[np.ix_(src, snk)] += res.x.reshape(src.size, snk.size)
+    np.add.at(plan, (src[arcs[:, 0]], snk[arcs[:, 1] - src.size]), res.x)
     np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-9)
     np.testing.assert_allclose(plan.sum(axis=0), nu, atol=1e-9)
     # and the c-transform of the sink duals, a 1-Lipschitz potential on every
@@ -162,11 +176,100 @@ def test_batch_matches_independent_oracles(seed, line):
 
 @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.9])
 @pytest.mark.parametrize("bits", [3, 4, 5, 6])
-def test_cube_neighbours_have_curvature_one_over_n(bits, p):
+def test_cube_neighbours_have_curvature_one_over_n(monkeypatch, bits, p):
     chain = cube_chain(bits, p)
     xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
+    solved = record_lps(monkeypatch)
     kappa = 1.0 - w1_flow_batch(chain, xs, ys)[0]
     np.testing.assert_allclose(kappa, 1 / bits, rtol=0, atol=transport.CERT_TOL)
+    # the optimal coupling moves x -> y and x+e_i -> y+e_i, all
+    # nearest-neighbour arcs, so every pair certifies in the first pass and
+    # no difference's rows are solved twice
+    assert sum(b_eq.size for _, _, b_eq, _ in solved) == signed_entries(chain, xs, ys)
+
+
+def crossing_union(base, p, q):
+    """`base` plus four points a, b, c, e, listed in that order, whose rows a
+    and b differ by sources a, b (masses p, 1 - p) and sinks c, e (masses q,
+    1 - q), with q < p.  Returns the chain and the indices of a and b.
+
+    d(a, e) = 1, d(b, e) = 3, d(a, c) = 4, d(b, c) = 5, d(a, b) = 2 and
+    d(c, e) = 3, and every new point is max(base diameter, 5) from every old
+    one, which keeps a metric.  e is the nearest sink of both sources and a
+    the nearest source of both sinks, and since q < p the staircase turns
+    right at (a, c): the first pass has every arc but b -> c.  Its only plan
+    sends q to c from a, so it costs min(1 - p, q) more than the optimum,
+    which moves that much over b -> c and a -> e instead of a -> c and b -> e.
+    """
+    far = max(base.dist.max(), 5.0)
+    n = base.n
+    dist = np.full((n + 4, n + 4), far)
+    dist[:n, :n] = base.dist
+    dist[n:, n:] = [[0, 2, 4, 1], [2, 0, 5, 3], [4, 5, 0, 3], [1, 3, 3, 0]]
+    kernel = np.eye(n + 4)
+    kernel[:n, :n] = base.kernel
+    kernel[n] = 0.0
+    kernel[n, [n, n + 1]] = p, 1 - p
+    kernel[n + 1] = 0.0
+    kernel[n + 1, [n + 2, n + 3]] = q, 1 - q
+    chain = MetricChain(points=base.points + ("a", "b", "c", "e"), dist=dist, kernel=kernel)
+    return chain, n, n + 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.55, 0.95), q=st.floats(0.05, 0.45))
+def test_second_pass_matches_the_whole_row_lp(seed, p, q):
+    # one LP per pass: a second call proves that the second pass ran, and its
+    # rows show which pairs it solved again
+    chain, a, b = crossing_union(random_graph_chain(np.random.default_rng(seed)), p, q)
+    xs, ys = np.nonzero(np.triu(~np.eye(chain.n, dtype=bool)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "LP_BATCH_VARS", 10**9)
+        solved = record_lps(patch)
+        w1, gap, lip = w1_flow_batch(chain, xs, ys)
+    assert len(solved) == 2
+    assert sum(b_eq.size for _, _, b_eq, _ in solved) > signed_entries(chain, xs, ys)
+    for x, y, value in zip(xs, ys, w1):
+        assert value == pytest.approx(w1_rows_lp(chain, x, y), abs=1e-9)
+    assert np.all(gap <= transport.CERT_TOL) and np.all(lip <= transport.CERT_TOL)
+    # the crossing pair alone: its first pass leaves min(1 - p, q) on the table
+    with pytest.MonkeyPatch.context() as patch:
+        solved = record_lps(patch)
+        assert w1_flow(chain, a, b) == pytest.approx(w1_rows_lp(chain, a, b), abs=1e-9)
+    first, full = (res.fun for *_, res in solved)
+    assert [cost.size for cost, *_ in solved] == [3, 4]
+    assert first - full == pytest.approx(min(1 - p, q), abs=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(blocks=st.lists(st.tuples(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=7),
+                                 st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=7)),
+                       min_size=1, max_size=4))
+def test_staircase_carries_a_plan(blocks):
+    # the blocks side by side, each one's supplies followed by its demands,
+    # which are scaled to the supplies' sum, so the two sums differ by
+    # rounding; the arcs whose share intervals overlap, the first pass's
+    # staircase columns, carry a plan on their own
+    sides = [np.array(side) for supply, demand in blocks
+             for side in (supply, np.array(demand) * (sum(supply) / sum(demand)))]
+    count = np.array([side.size for side in sides])
+    first = np.cumsum(count) - count
+    weight = np.concatenate(sides)
+    lo, hi = transport._shares(weight, first, count)
+    for k in range(0, len(count), 2):
+        src = first[k] + np.arange(count[k])
+        snk = first[k + 1] + np.arange(count[k + 1])
+        s, t = np.meshgrid(src, snk, indexing="ij")
+        arcs = np.argwhere(np.maximum(lo[s], lo[t]) < np.minimum(hi[s], hi[t]))
+        assert len(arcs) <= src.size + snk.size - 1
+        a_eq = np.zeros((src.size + snk.size, len(arcs)))
+        a_eq[arcs[:, 0], np.arange(len(arcs))] = 1.0
+        a_eq[src.size + arcs[:, 1], np.arange(len(arcs))] = 1.0
+        b_eq = weight[np.concatenate([src, snk])]
+        res = linprog(np.zeros(len(arcs)), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                      method="highs")
+        assert res.status == 0, res.message
+        assert np.abs(a_eq @ res.x - b_eq).max() <= 1e-9
 
 
 # ------------------------------------------------------------ batched LP
@@ -216,23 +319,19 @@ def test_batch_of_nothing_solves_nothing(monkeypatch):
 
 def test_lp_columns_are_the_signed_differences(monkeypatch):
     # on {0,1}^6 each kernel row has 7 points, and the difference of two
-    # neighbouring rows moves 6 sources onto 6 sinks: 36 columns, not 49
+    # neighbouring rows moves 6 sources onto 6 sinks: 36 signed columns, not
+    # the 49 of the full rows.  The first pass needs fewer still, and every
+    # pair certifies there, so each difference's rows are solved once.
     chain = cube_chain(6, 0.2)
     xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
-    real = transport.linprog
-    columns = []
-
-    def count(cost, **kwargs):
-        columns.append(cost.size)
-        return real(cost, **kwargs)
-
-    monkeypatch.setattr(transport, "linprog", count)
+    solved = record_lps(monkeypatch)
     w1_flow_batch(chain, xs, ys)
     diff = chain.kernel[xs] - chain.kernel[ys]
-    signed = int(np.sum(np.count_nonzero(diff > 0, axis=1) * np.count_nonzero(diff < 0, axis=1)))
-    full = int(np.sum(np.count_nonzero(chain.kernel[xs], axis=1)
-                      * np.count_nonzero(chain.kernel[ys], axis=1)))
-    assert sum(columns) == signed < full
+    signed = np.count_nonzero(diff > 0, axis=1) * np.count_nonzero(diff < 0, axis=1)
+    full = np.count_nonzero(chain.kernel[xs], axis=1) * np.count_nonzero(chain.kernel[ys], axis=1)
+    assert np.all(signed == 36) and np.all(signed < full)
+    assert sum(cost.size for cost, *_ in solved) < signed.sum()
+    assert sum(b_eq.size for _, _, b_eq, _ in solved) == signed_entries(chain, xs, ys)
 
 
 def test_skinny_pair_certifies_in_two_square_arrays():
@@ -254,6 +353,27 @@ def test_skinny_pair_certifies_in_two_square_arrays():
     assert peak <= 2.5 * 8 * n * n
 
 
+def test_a_batch_converts_only_the_rows_it_reads():
+    # rows 1..2000 of a 2001-state chain share one dense 2000 x 2000 block:
+    # W1 between rows 0 and 1 reads two rows, so it peaks as it does when
+    # every other row is a point mass
+    n = 2001
+    line = line_chain(np.arange(n, dtype=float), np.eye(n))
+    point, spread = measure(n, [0], [1.0]), measure(n, np.arange(1, n), np.full(n - 1, 1 / (n - 1)))
+    peaks = []
+    for rows in ([point, spread], [point] + [spread] * (n - 1)):
+        chain = rows_chain(line, rows)
+        w1_flow_batch(chain, [0], [1])                 # warm the import caches
+        tracemalloc.start()
+        try:
+            w1_flow_batch(chain, [0], [1])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del chain
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
 def four_cycle_pairs():
     """The 4-cycle a-b-c-d as rows 0-5 and three row pairs with W1 = 1, 1 and
     1.5, whose signed differences have two LP variables each."""
@@ -273,25 +393,31 @@ def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
     # a 4-cycle: pair 1 moves b's mass half to a and half to c (W1 = 1);
     # shifting the dual of its sink a by 5 leaves a potential with
     # phi(b) = phi(a) + 1 = phi(c) - 1, so its dual value drops to 0 while its
-    # neighbours stay exact
+    # neighbours stay exact.  The shift is made in both solves of pair 1: the
+    # batch (block 0 holds rows 0-2, block 1's source b is row 3) and the
+    # second pass, which solves pair 1 alone.
     chain, xs, ys = four_cycle_pairs()
     assert w1_flow_batch(chain, xs, ys)[0] == pytest.approx([1.0, 1.0, 1.5])
-    sink_a = 4   # block 0 holds rows 0-2, block 1's source b is row 3
+    sink_a = [4, 1]
     real = transport.linprog
+    calls = []
 
     def corrupted(*args, **kwargs):
         res = real(*args, **kwargs)
-        res.eqlin.marginals[sink_a] += 5.0
+        res.eqlin.marginals[sink_a[len(calls)]] += 5.0
+        calls.append(res.x.size)
         return res
 
     monkeypatch.setattr(transport, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 1: duality certificate failed"):
         w1_flow_batch(chain, xs, ys)
+    assert calls == [6, 2]
 
 
 def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
     # a 1-variable budget gives every pair its own LP; a zeroed primal in the
-    # third LP must be reported as pair 2, its index in the caller's list
+    # third LP and in the second pass's re-solve of its pair must be reported
+    # as pair 2, its index in the caller's list
     chain, xs, ys = four_cycle_pairs()
     monkeypatch.setattr(transport, "LP_BATCH_VARS", 1)
     real = transport.linprog
@@ -300,35 +426,39 @@ def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
     def corrupted(*args, **kwargs):
         res = real(*args, **kwargs)
         calls.append(res.x.size)
-        if len(calls) == 3:
+        if len(calls) >= 3:
             res.x = np.zeros_like(res.x)
         return res
 
     monkeypatch.setattr(transport, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 2: duality certificate failed"):
         w1_flow_batch(chain, xs, ys)
-    assert calls == [2, 2, 2]
+    assert calls == [2, 2, 2, 2]
 
 
 def test_certificate_rejects_a_plan_that_misses_a_marginal(monkeypatch):
     # kernel rows 3 and 4 of the M/M/4 queue differ by +1/2 at 2, -1/2 at 3,
     # +1/3 at 4 and -1/3 at 5; moving 1e-3 of mass from plan entry 4 -> 5 to
     # 2 -> 3, both of cost 1, leaves the value and every dual untouched, but
-    # the plan's row sums no longer give the difference
+    # the plan's row sums no longer give the difference.  Both arcs are the
+    # first and the last column of the first pass and of the full re-solve.
     chain = build_mmk_chain(2, 4, 10)
     real = transport.linprog
+    costs = []
 
     def corrupted(*args, **kwargs):
         res = real(*args, **kwargs)
-        assert args[0].tolist() == [1.0, 3.0, 1.0, 1.0]   # 2->3, 2->5, 4->3, 4->5
+        costs.append(args[0].tolist())
         res.x[0] += 1e-3
-        res.x[3] -= 1e-3
+        res.x[-1] -= 1e-3
         return res
 
     monkeypatch.setattr(transport, "linprog", corrupted)
     with pytest.raises(TransportError,
                        match=r"^pair 0: duality certificate failed: .*primal defect=1\.000e-03"):
         w1_flow_batch(chain, [3], [4])
+    # first pass: 2->3, 4->3, 4->5; then all of 2->3, 2->5, 4->3, 4->5
+    assert costs == [[1.0, 1.0, 1.0], [1.0, 3.0, 1.0, 1.0]]
 
 
 # ------------------------------------------------------------- dominance
