@@ -2,13 +2,14 @@
 
 A MetricChain is the universal input object: an ordered point set, a full
 distance matrix, and a row-stochastic transition kernel.  Chains on a subset
-of the real line, built or loaded, also carry per-point coordinates, which
-unlock the closed-form line transport used by the curvature sweep.
+of the real line, given by coordinates or by a line-metric distance matrix,
+also carry per-point coordinates, which unlock the closed-form line
+transport used by the curvature sweep.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,34 +31,46 @@ DIST_TOL = 1e-12
 MAX_DENSE_STATES = 8000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MetricChain:
     """Finite point set with distances and a row-stochastic kernel.
 
-    Attributes
+    Attributes (the metric is given once, as `dist` or as `coords`)
     ----------
     points : tuple of labels, one per state (order fixes all indexing)
-    dist : (n, n) symmetric distance matrix, zero exactly on the diagonal
+    dist : (n, n) symmetric distance matrix, zero exactly on the diagonal;
+        filled in place as |coords[i] - coords[j]| when coords are given
     kernel : (n, n) row-stochastic transition matrix
     origin_hint : preferred origin x0 for curvature profiles, or None
     coords : real-line coordinates realizing dist within GEODESIC_TOL when the
-        metric is a line metric, else None
+        metric is a line metric (inferred from a given dist), else None
     gaussian_variance : kernel variance declared by a Gaussian builder, else None
     """
 
     points: Tuple[str, ...]
-    dist: np.ndarray
+    dist: Optional[np.ndarray] = None
     kernel: np.ndarray
     origin_hint: Optional[int] = None
-    coords: Optional[np.ndarray] = field(default=None)
+    coords: Optional[np.ndarray] = None
     gaussian_variance: Optional[float] = None
 
     def __post_init__(self):
-        dist = np.asarray(self.dist, dtype=float)
+        if (self.dist is None) == (self.coords is None):
+            raise ChainValidationError(
+                "give the metric once: line coords or dist, not both or neither")
+        n = len(self.points)
+        coords = self.coords
+        if coords is not None:
+            coords = np.asarray(coords, dtype=float)
+            if coords.shape != (n,):
+                raise ChainValidationError("coords must have one entry per point")
+            dist = np.subtract.outer(coords, coords)
+            np.abs(dist, out=dist)
+        else:
+            dist = np.asarray(self.dist, dtype=float)
         kernel = np.asarray(self.kernel, dtype=float)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "kernel", kernel)
-        n = len(self.points)
         if dist.shape != (n, n) or kernel.shape != (n, n):
             raise ChainValidationError(
                 f"expected ({n},{n}) matrices, got dist {dist.shape}, kernel {kernel.shape}")
@@ -93,16 +106,9 @@ class MetricChain:
                 f"kernel row {i} (point {self.points[i]!r}) sums to {sums[i]!r}, not 1")
         if self.origin_hint is not None and not (0 <= self.origin_hint < n):
             raise ChainValidationError(f"origin_hint {self.origin_hint} out of range")
-        if self.coords is not None:
-            coords = np.asarray(self.coords, dtype=float)
-            if coords.shape != (n,):
-                raise ChainValidationError("coords must have one entry per point")
-            bad = _line_defect(coords, dist)
-            if bad is not None:
-                i, j = bad
-                raise ChainValidationError(
-                    f"coords do not realize dist: |coords[{i}] - coords[{j}]| = "
-                    f"{abs(coords[i] - coords[j])}, dist[{i}][{j}] = {dist[i, j]}")
+        if coords is None:
+            coords = _infer_line_coords(dist)
+        if coords is not None:
             object.__setattr__(self, "coords", coords)
             coords.setflags(write=False)
         dist.setflags(write=False)
@@ -183,11 +189,8 @@ def build_mmk_chain(n0: int, k: int, truncation: int) -> MetricChain:
     kernel[idx, idx] = stay
     kernel[idx[:-1], idx[1:]] = up
     kernel[idx[1:], idx[:-1]] = down
-    coords = idx.astype(float)
-    dist = np.subtract.outer(coords, coords)
-    np.abs(dist, out=dist)
     return MetricChain(points=tuple(str(i) for i in range(size)),
-                       dist=dist, kernel=kernel, origin_hint=n0, coords=coords)
+                       kernel=kernel, origin_hint=n0, coords=idx.astype(float))
 
 
 def build_discrete_ou_chain(alpha: float, grid_half_width: float,
@@ -217,24 +220,24 @@ def build_discrete_ou_chain(alpha: float, grid_half_width: float,
     for i, x in enumerate(coords):
         cdf = ndtr(cell_edges - (1.0 - alpha) * x)
         kernel[i] = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
-    dist = np.subtract.outer(coords, coords)
-    np.abs(dist, out=dist)
     return MetricChain(points=tuple(f"{x:.10g}" for x in coords),
-                       dist=dist, kernel=kernel, origin_hint=m,
-                       coords=coords.astype(float), gaussian_variance=1.0)
+                       kernel=kernel, origin_hint=m,
+                       coords=coords, gaussian_variance=1.0)
 
 
 def _reject_constant(token):
     raise ChainFormatError(f"non-finite number {token!r} not accepted")
 
 
-def _line_defect(coords: np.ndarray, dist: np.ndarray) -> Optional[Tuple[int, int]]:
-    """A pair (i, j) whose |coords[i] - coords[j]| misses dist[i, j] by more
-    than GEODESIC_TOL (NaN misses), or None when coords realize dist.
+def _infer_line_coords(dist: np.ndarray) -> Optional[np.ndarray]:
+    """Coordinates realizing dist on the real line within GEODESIC_TOL, or None.
 
-    Compares row blocks of about 2^19 entries, so it copies no n x n matrix,
-    and returns the worst pair of the first block that fails.
+    The candidate is the row of the point farthest from point 0.  It is
+    checked in row blocks of about 2^19 entries, so no n x n matrix is
+    copied, and a metric that is no line metric stops at the first block
+    that fails (NaN fails).
     """
+    coords = dist[int(np.argmax(dist[0]))].copy()
     n = coords.size
     rows = max(1, (1 << 19) // n)
     for r in range(0, n, rows):
@@ -242,17 +245,9 @@ def _line_defect(coords: np.ndarray, dist: np.ndarray) -> Optional[Tuple[int, in
         np.abs(block, out=block)
         block -= dist[r:r + rows]
         np.abs(block, out=block)
-        k = int(np.argmax(block))
-        if not block.flat[k] <= GEODESIC_TOL:
-            i, j = np.unravel_index(k, block.shape)
-            return r + int(i), int(j)
-    return None
-
-
-def _infer_line_coords(dist: np.ndarray) -> Optional[np.ndarray]:
-    """Return coordinates realizing dist on the real line, or None."""
-    coords = dist[int(np.argmax(dist[0]))].copy()
-    return coords if _line_defect(coords, dist) is None else None
+        if not block.max() <= GEODESIC_TOL:
+            return None
+    return coords
 
 
 def load_chain(path) -> MetricChain:
@@ -300,8 +295,7 @@ def load_chain(path) -> MetricChain:
         elif isinstance(origin, bool) or not isinstance(origin, int):
             raise ChainFormatError(f"{path}: origin must be a point label or an integer index")
     try:
-        chain = MetricChain(points=points, dist=dist, kernel=kernel,
-                            origin_hint=origin, coords=_infer_line_coords(dist))
+        chain = MetricChain(points=points, dist=dist, kernel=kernel, origin_hint=origin)
         chain.check_triangle_inequality()
     except ChainValidationError as exc:
         raise ChainValidationError(f"{path}: {exc}") from exc

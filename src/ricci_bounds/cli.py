@@ -44,7 +44,7 @@ from .chain_model import (MetricChain, build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain, mmk_rates)
 from .curvature import curvature_profile
 from .errors import (ChainFormatError, ChainValidationError, InadmissibleParamsError,
-                     InapplicableError, TransportError)
+                     InapplicableError)
 
 STRATEGY_MAP = {"paper": "paper_default", "grid": "grid", "convex": "alpha_convexity"}
 
@@ -391,11 +391,10 @@ def run(cfg: argparse.Namespace) -> int:
             _write_json(cfg.out_dir / "infeasibility_report.json",
                         {"error": str(exc), "report": exc.report})
         return EXIT_INAPPLICABLE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except Exception as exc:
-        # every measure the CLI builds is a validated kernel row: a TransportError is ours
-        if isinstance(exc, ValueError) and not isinstance(exc, TransportError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

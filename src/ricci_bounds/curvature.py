@@ -155,9 +155,10 @@ def attraction_rho(chain: MetricChain, epsilon: float, origin: int) -> float:
     annulus = np.nonzero((d >= epsilon - DIST_TOL)
                          & (d <= 2 * epsilon + DIST_TOL) & (d > 0))[0]
     if annulus.size == 0:
+        advice = ("eps exceeds every distance from the origin; use a smaller epsilon"
+                  if d.max() < epsilon - DIST_TOL else "use a larger epsilon")
         raise EmptyAnnulusError(
-            f"no point with eps <= d(x, origin) <= 2*eps for eps={epsilon}; "
-            "use a larger epsilon")
+            f"no point with eps <= d(x, origin) <= 2*eps for eps={epsilon}; {advice}")
     drifts = d[annulus] - chain.kernel[annulus] @ d
     return float(drifts.min())
 

@@ -9,8 +9,8 @@ class ChainValidationError(ValueError):
     """A MetricChain invariant (metric axioms, stochasticity) is violated."""
 
 
-class TransportError(ValueError):
-    """Bad transport input (unnormalized measure) or a failed certificate."""
+class TransportError(RuntimeError):
+    """A row index outside the chain, a failed LP solve or a failed certificate."""
 
 
 class InapplicableError(ValueError):

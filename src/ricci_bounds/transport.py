@@ -6,15 +6,15 @@ LP between kernel rows (`w1_flow_batch`), certified in-process by a
 1-Lipschitz Kantorovich potential recovered from the LP duals.  Every
 downstream quantity depends on W1, so the two routes cross-check each other.
 
-The LP route solves in two passes because scipy's HiGHS wrapper spends about
-2 us of Python per LP column, more than HiGHS itself on these small blocks.
-The first pass gives each pair only its nearest-neighbour and staircase
-columns (about 10 of the 81 per neighbouring pair on {0,1}^9, where the
-optimal coupling moves every unit of mass to a neighbour); the certificate,
-which checks the potential on every point, accepts it only where it is
-optimal over all columns, and the pairs it rejects are solved again on all
-of theirs (a sparse arc set proved optimal by dual feasibility on the
-others, as in Schmitzer, J. Math. Imaging Vis. 2016).
+The LP route solves each group of pairs in two passes because scipy's HiGHS
+wrapper spends about 2 us of Python per LP column, more than HiGHS itself on
+these small blocks.  The first gives each pair only its nearest-neighbour and
+staircase columns (about 10 of the 81 per neighbouring pair on {0,1}^9,
+where the optimal coupling moves every unit of mass to a neighbour); the
+certificate, which checks the potential on every point, accepts it only
+where it is optimal over all columns, and the group's pairs it rejects are
+solved again on all of theirs (a sparse arc set proved optimal by dual
+feasibility on the others, as in Schmitzer, J. Math. Imaging Vis. 2016).
 """
 from __future__ import annotations
 
@@ -26,20 +26,14 @@ from .chain_model import DIST_TOL, MetricChain
 from .errors import TransportError
 
 CERT_TOL = 1e-9
-# Columns (transport variables) per linprog call, in either pass.  Measured
-# on {0,1}^9 at eps = 1 (2304 pairs; median of three `local_curvature` calls
-# on a 2-core host, and the rise of ru_maxrss over the process before them):
-#   columns per call            1000    1400    2000    3200
-#   first pass, 22,661 columns  0.35    0.30    0.31    0.32 s
-#                               +5.8    +6.9    +8.8   +12.5 MB
-#   all 186,624 columns         1.14    1.08    0.78    0.75 s
-#                               +8.0    +6.8    +7.4    +8.1 MB
-# Only the first pass runs there (17 calls at 1400); 1400 is as fast as
-# larger LPs and peaks below the all-column LPs of 3200 it replaced.
-LP_BATCH_VARS = 1400
-# Full column sets scanned at once for the first pass's columns: about
-# 75 bytes each while a chunk is scanned.
-_SCAN_VARS = 1 << 14
+# Full columns per group of consecutive LP pairs: one scan for their sparse
+# columns, one LP on those and one on all columns of the pairs it leaves
+# uncertified.  {0,1}^9 at eps = 1, median of 7 `_local_curvature_lp` calls
+# (3 processes, 2-core host), and peak ru_maxrss (99 MB after loading):
+#   columns per group       2^13              2^14              2^15
+#   22,202 sparse columns   0.26-0.31 s, 99   0.23-0.29 s, 99   0.24-0.32 s, 105 MB
+#   186,624, all columns    0.77-0.86 s, 103  0.70-0.90 s, 111  0.88-0.95 s, 129 MB
+LP_GROUP_VARS = 1 << 14
 
 
 def w1_line(mu, nu, coords) -> float:
@@ -66,13 +60,14 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
     1-Lipschitz on all of the block's points, so its dual value bounds W1
     from below over every plan, and a gap within CERT_TOL proves the sparse
     plan optimal among all plans.  Pairs that fail are solved once more on
-    all their columns, and that result is final.  Consecutive pairs form one
-    block-diagonal LP of about LP_BATCH_VARS columns and one HiGHS call; each
-    block's slice of the solution and of the duals is an optimum of its
-    pair's own LP.  Each LP is certified in one vectorized pass that still
-    checks every pair on its own, and a pair whose final primal defect, gap
-    or Lipschitz defect exceeds CERT_TOL raises TransportError naming its
-    index in the call.
+    all their columns, and that result is final.  Consecutive pairs form
+    groups of about LP_GROUP_VARS full columns; each group is scanned once
+    for its sparse columns, solved on them as one block-diagonal LP (one
+    HiGHS call), and its rejected pairs as one more.  Each block's slice of
+    the solution and of the duals is an optimum of its pair's own LP.  Each
+    LP is certified in one vectorized pass that still checks every pair on
+    its own, and a pair whose final primal defect, gap or Lipschitz defect
+    exceeds CERT_TOL raises TransportError naming its index in the call.
     """
     xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
     outside = (np.minimum(xs, ys) < 0) | (np.maximum(xs, ys) >= chain.n)
@@ -90,28 +85,24 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
     n_src = np.bincount(row[mass > 0], minlength=xs.size)
     n_var = n_src * (sizes - n_src)
 
-    def solve(pairs, local, n_col):
-        """Fill in `pairs`, pair k on the columns `local` (n_col[k] of them),
-        in LPs of about LP_BATCH_VARS columns."""
-        ends = np.cumsum(n_col)
-        # a pair joins the LP in which its running column count ends
-        cuts = np.flatnonzero(np.diff(ends // LP_BATCH_VARS)) + 1
-        for batch in np.split(np.arange(pairs.size), cuts):
-            if batch.size:
-                k = pairs[batch]
-                w1[k], gap[k], lip[k], primal[k] = _solve_lp(
-                    chain, points, mass, starts[k], sizes[k], n_src[k], k,
-                    local[ends[batch[0]] - n_col[batch[0]]:ends[batch[-1]]], n_col[batch])
-
     w1, gap, lip, primal = (np.zeros(xs.size) for _ in range(4))
     # a difference with one side only (rows whose sums differ by rounding)
     # has no plan: its unmatched mass is its primal defect
     no_lp = (n_var == 0)[row]
     np.maximum.at(primal, row[no_lp], np.abs(mass[no_lp]))
     lp = np.flatnonzero(n_var)
-    solve(lp, *_sparse_columns(chain, points, mass, starts[lp], n_src[lp], sizes[lp] - n_src[lp]))
-    redo = lp[~_certified(gap[lp], lip[lp], primal[lp])]
-    solve(redo, _ragged(n_var[redo]), n_var[redo])
+    # a pair joins the group in which its running column count ends
+    group = np.cumsum(n_var[lp]) // LP_GROUP_VARS
+    for g in np.unique(group):
+        k = lp[group == g]
+        w1[k], gap[k], lip[k], primal[k] = _solve_lp(
+            chain, points, mass, starts[k], sizes[k], n_src[k], k,
+            *_sparse_columns(chain, points, mass, starts[k], n_src[k], sizes[k] - n_src[k]))
+        redo = k[~_certified(gap[k], lip[k], primal[k])]
+        if redo.size:
+            w1[redo], gap[redo], lip[redo], primal[redo] = _solve_lp(
+                chain, points, mass, starts[redo], sizes[redo], n_src[redo], redo,
+                _ragged(n_var[redo]), n_var[redo])
     bad = np.flatnonzero(~_certified(gap, lip, primal))
     if bad.size:
         k = bad[0]
@@ -138,29 +129,20 @@ def _sparse_columns(chain, points, mass, starts, n_src, n_snk):
     entries after them, and column i * n_snk[k] + j moves source i to sink j.
     Kept: each source's nearest sinks and each sink's nearest sources (ties
     within DIST_TOL included), and the block's north-west-corner staircase.
-    The full column sets are scanned in chunks of about _SCAN_VARS.
     """
     lo, hi = _shares(np.abs(mass), np.concatenate([starts, starts + n_src]),
                      np.concatenate([n_src, n_snk]))
-    nv = n_src * n_snk
+    pair = np.repeat(np.arange(n_src.size), n_src * n_snk)
+    col = _ragged(n_src * n_snk)
+    src = starts[pair] + col // n_snk[pair]
+    snk = starts[pair] + n_src[pair] + col % n_snk[pair]
+    cost = chain.dist[points[src], points[snk]]
     nearest = np.full(points.size, np.inf)   # distance to the nearest point across
-    local, n_col = [], []
-    cuts = np.flatnonzero(np.diff(np.cumsum(nv) // _SCAN_VARS)) + 1
-    for chunk in np.split(np.arange(nv.size), cuts):
-        m, n, at = n_src[chunk], n_snk[chunk], starts[chunk]
-        pair = np.repeat(np.arange(chunk.size), m * n)
-        col = _ragged(m * n)
-        src = at[pair] + col // n[pair]
-        snk = at[pair] + m[pair] + col % n[pair]
-        cost = chain.dist[points[src], points[snk]]
-        np.minimum.at(nearest, src, cost)
-        np.minimum.at(nearest, snk, cost)
-        keep = ((cost <= nearest[src] + DIST_TOL) | (cost <= nearest[snk] + DIST_TOL)
-                | (np.maximum(lo[src], lo[snk]) < np.minimum(hi[src], hi[snk])))
-        local.append(col[keep])
-        n_col.append(np.bincount(pair[keep], minlength=chunk.size))
-    return np.concatenate(local), np.concatenate(n_col)
-
+    np.minimum.at(nearest, src, cost)
+    np.minimum.at(nearest, snk, cost)
+    keep = ((cost <= nearest[src] + DIST_TOL) | (cost <= nearest[snk] + DIST_TOL)
+            | (np.maximum(lo[src], lo[snk]) < np.minimum(hi[src], hi[snk])))
+    return col[keep], np.bincount(pair[keep], minlength=n_src.size)
 
 def _shares(weight, first, count):
     """Each entry of each group as the interval (lo, hi] of its group's

@@ -36,8 +36,7 @@ def mmk_5_10():
 
 def line_chain(coords, kernel, origin=None):
     coords = np.asarray(coords, dtype=float)
-    dist = np.abs(coords[:, None] - coords[None, :])
-    return MetricChain(points=tuple(str(c) for c in coords), dist=dist,
+    return MetricChain(points=tuple(str(c) for c in coords),
                        kernel=np.asarray(kernel, dtype=float),
                        origin_hint=origin, coords=coords)
 

@@ -9,6 +9,7 @@ from ricci_bounds import (build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain, w1_line,
                           MetricChain)
 from ricci_bounds import chain_model
+from ricci_bounds.curvature import local_curvature
 from ricci_bounds.equilibrium import birth_death_law, stationary_birth_death
 from ricci_bounds.errors import ChainFormatError, ChainValidationError
 
@@ -358,15 +359,44 @@ def test_chain_validation_copies_no_dense_matrix():
 
 
 def test_chain_validation_rejects_coords_that_miss_dist():
-    # reversed and stretched coords would give local_curvature(chain, 2) = -1.8
-    # at the origin 5, where the M/M/k chain's true value is 1/15
+    # the metric is given once, so coords that miss dist cannot be posed:
+    # reversed and stretched coords beside dist gave local_curvature(chain, 2)
+    # = -1.8 at the origin 5, where the M/M/k chain's true value is 1/15
     c = build_mmk_chain(5, 10, 50)
-    with pytest.raises(ChainValidationError,
-                       match=r"coords do not realize dist: \|coords\[0\] - coords\[50\]\| = 150.0"):
+    with pytest.raises(ChainValidationError, match="not both or neither"):
         MetricChain(points=c.points, dist=c.dist, kernel=c.kernel, coords=c.coords[::-1] * 3)
-    with pytest.raises(ChainValidationError, match="coords do not realize dist"):
-        MetricChain(points=c.points, dist=c.dist, kernel=c.kernel,
+    with pytest.raises(ChainValidationError, match="not both or neither"):
+        MetricChain(points=c.points, kernel=c.kernel)
+    with pytest.raises(ChainValidationError, match="must be finite"):
+        MetricChain(points=c.points, kernel=c.kernel,
                     coords=np.where(c.coords == 7, np.nan, c.coords))
+
+
+def test_a_line_chain_from_coords_or_from_dist_is_one_chain():
+    # dist filled from coords has the bits of |coords[:, None] - coords[None, :]|,
+    # and the same dist given directly gets inferred coords and the line route
+    built = irregular_line_chain(np.random.default_rng(23), n_points=40, max_support=7)
+    coords = built.coords
+    given = MetricChain(points=built.points, kernel=built.kernel,
+                        dist=np.abs(coords[:, None] - coords[None, :]))
+    assert built.dist.tobytes() == given.dist.tobytes()
+    assert built.coords is not None and given.coords is not None
+    for eps in (2.0, 3.5, 6.0):            # gaps are below 2, so no point is isolated
+        np.testing.assert_allclose(local_curvature(given, eps), local_curvature(built, eps),
+                                   rtol=0, atol=1e-12)
+
+
+def test_chain_from_coords_fills_dist_in_place():
+    n = 1941
+    coords, kernel = np.arange(n, dtype=float), np.eye(n)
+    points = tuple(map(str, range(n)))
+    tracemalloc.start()
+    try:
+        chain = MetricChain(points=points, kernel=kernel, coords=coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * chain.dist.nbytes
 
 
 def test_chain_validation_rejects_negative_kernel():

@@ -125,6 +125,14 @@ def test_verify_exit_2_when_not_attractive(tmp_path):
     assert code == 2
 
 
+def test_epsilon_past_every_distance_exits_2_asking_for_a_smaller_one(tmp_path, capsys):
+    # the eps-geodesic check passes, but no state is 100 from the origin 5
+    code = run_cli(["curvature", "--n0", "5", "--k", "10", "--epsilon", "100",
+                    "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "exceeds every distance from the origin; use a smaller epsilon" in capsys.readouterr().err
+
+
 def test_bad_input_exit_3(tmp_path):
     code = run_cli(["verify", "--out", str(tmp_path / "x")])
     assert code == 3

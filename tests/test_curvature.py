@@ -113,8 +113,8 @@ def test_local_curvature_cube_is_one_over_n(p):
 @pytest.mark.parametrize("batch_vars", [None, 7])
 @pytest.mark.parametrize("eps", [3.0, 5.0])
 def test_local_curvature_graph_matches_pair_minimum(monkeypatch, batch_vars, eps):
-    if batch_vars is not None:       # many small LP batches instead of one
-        monkeypatch.setattr(transport, "LP_BATCH_VARS", batch_vars)
+    if batch_vars is not None:       # many small LP groups instead of one
+        monkeypatch.setattr(transport, "LP_GROUP_VARS", batch_vars)
     base = random_graph_chain(np.random.default_rng(8))
     kernel = base.kernel.copy()
     x0, y0 = np.argwhere((base.dist > 0) & (base.dist <= 3.0))[0]
@@ -206,6 +206,16 @@ def test_rho_empty_annulus():
     chain = line_chain([0.0, 1.0], np.eye(2))
     with pytest.raises(EmptyAnnulusError, match="larger epsilon"):
         attraction_rho(chain, 0.4, 0)
+
+
+def test_rho_empty_annulus_names_the_side_eps_misses():
+    # with no point at d >= eps, eps exceeds every distance and must shrink;
+    # with points past 2 eps but none in [eps, 2 eps] it must grow
+    chain = line_chain([0.0, 1.0, 5.0], np.eye(3))
+    with pytest.raises(EmptyAnnulusError, match="exceeds every distance .* smaller epsilon"):
+        attraction_rho(chain, 5.5, 0)
+    with pytest.raises(EmptyAnnulusError, match="larger epsilon"):
+        attraction_rho(chain, 2.0, 0)
 
 
 def test_rho_one_step_drift_guarantee(mmk_5_10):

@@ -224,7 +224,7 @@ def test_second_pass_matches_the_whole_row_lp(seed, p, q):
     chain, a, b = crossing_union(random_graph_chain(np.random.default_rng(seed)), p, q)
     xs, ys = np.nonzero(np.triu(~np.eye(chain.n, dtype=bool)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transport, "LP_BATCH_VARS", 10**9)
+        patch.setattr(transport, "LP_GROUP_VARS", 10**9)
         solved = record_lps(patch)
         w1, gap, lip = w1_flow_batch(chain, xs, ys)
     assert len(solved) == 2
@@ -239,6 +239,38 @@ def test_second_pass_matches_the_whole_row_lp(seed, p, q):
     first, full = (res.fun for *_, res in solved)
     assert [cost.size for cost, *_ in solved] == [3, 4]
     assert first - full == pytest.approx(min(1 - p, q), abs=1e-9)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.55, 0.95), q=st.floats(0.05, 0.45),
+       group=st.integers(1, 80))
+def test_each_group_is_one_lp_and_its_rejected_pairs_one_more(seed, p, q, group):
+    # small groups cut by the running count of full columns: each is solved
+    # once on its sparse columns and, when the certificate rejects any of its
+    # pairs (the crossing pair always), once more on all of theirs
+    chain, _, _ = crossing_union(random_graph_chain(np.random.default_rng(seed)), p, q)
+    xs, ys = np.nonzero(np.triu(~np.eye(chain.n, dtype=bool)))
+    diff = chain.kernel[xs] - chain.kernel[ys]
+    n_var = np.count_nonzero(diff > 0, axis=1) * np.count_nonzero(diff < 0, axis=1)
+    groups = np.unique(np.cumsum(n_var[n_var > 0]) // group).size
+    real = transport._certified
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "LP_GROUP_VARS", group)
+        patch.setattr(transport, "_certified", spy)
+        solved = record_lps(patch)
+        w1 = w1_flow_batch(chain, xs, ys)[0]
+    first_pass = verdicts[:-1]                  # the last judges the final results
+    rejected = sum(not verdict.all() for verdict in first_pass)
+    assert len(first_pass) == groups and rejected >= 1
+    assert len(solved) == groups + rejected
+    for x, y, value in zip(xs, ys, w1):
+        assert value == pytest.approx(w1_rows_lp(chain, x, y), abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -415,11 +447,11 @@ def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
 
 
 def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
-    # a 1-variable budget gives every pair its own LP; a zeroed primal in the
+    # 1-column groups give every pair its own LP; a zeroed primal in the
     # third LP and in the second pass's re-solve of its pair must be reported
     # as pair 2, its index in the caller's list
     chain, xs, ys = four_cycle_pairs()
-    monkeypatch.setattr(transport, "LP_BATCH_VARS", 1)
+    monkeypatch.setattr(transport, "LP_GROUP_VARS", 1)
     real = transport.linprog
     calls = []
 
