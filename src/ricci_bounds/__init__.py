@@ -4,8 +4,8 @@ for their equilibrium measures, with independently computed ground truth."""
 from .bounds import (BoundParams, F_of, Phi_of, TailCurve, bound_princ,
                      bound_theorem1, epsilon_sweep, phi_of, search_params,
                      theorem1_params)
-from .chain_model import (GeodesicReport, MetricChain, build_discrete_ou_chain,
-                          build_mmk_chain, check_epsilon_geodesic, load_chain)
+from .chain_model import (MetricChain, build_discrete_ou_chain, build_mmk_chain,
+                          check_epsilon_geodesic, load_chain)
 from .curvature import (CurvatureProfile, attraction_rho, curvature_envelope,
                         curvature_profile, local_curvature, subgaussian_s2)
 from .equilibrium import (StationaryResult, empirical_tail,
@@ -19,9 +19,8 @@ from .transport import w1_flow, w1_flow_batch, w1_line, w1_to_point
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundParams", "CurvatureProfile", "F_of",
-    "GeodesicReport", "JumpProcessConfig", "MetricChain", "Phi_of",
-    "StationaryResult", "StepFunction", "TailCurve",
+    "BoundParams", "CurvatureProfile", "F_of", "JumpProcessConfig",
+    "MetricChain", "Phi_of", "StationaryResult", "StepFunction", "TailCurve",
     "attraction_rho", "bound_princ", "bound_theorem1",
     "build_discrete_ou_chain", "build_mmk_chain", "check_epsilon_geodesic",
     "curvature_envelope", "curvature_profile", "empirical_tail",

@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -377,51 +377,36 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
 # Epsilon sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    epsilon: float
-    rho: float
-    envelope_max: float
-    envelope_support_end: float
-    params: Optional[BoundParams]
-    bound_at_reference: float
-    note: str = ""
-
-
 def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
-                  reference_level: float, strategy: str = "grid") -> List[SweepRow]:
-    """Run the full pipeline per eps and expose the rho/curvature trade-off.
+                  reference_level: float, strategy: str = "grid") -> list:
+    """One `sweep.csv` row per eps, in the order given: [eps, rho, envelope
+    max, envelope support end, alpha, d0, bound at the reference level, note].
 
-    Each row records rho, an envelope summary, and the best bound value at
-    the reference level under the chosen search strategy.  Epsilons with an
-    empty annulus (or that break the eps-geodesic property) are skipped with
-    a note.  Rows are evaluated one after another, in the order given.
+    The bound is the best one the chosen strategy finds.  A non-geodesic eps
+    or an empty annulus is found from distances alone, before any transport;
+    its row holds eps, NaN, an infinite bound and the note.  Where the search
+    finds nothing (rho <= 0 included), the note is the search's message.
     """
     check_origin(chain, origin)
 
-    def one(eps: float) -> SweepRow:
-        if not check_epsilon_geodesic(chain, eps).is_geodesic:
-            return SweepRow(eps, math.nan, math.nan, math.nan, None,
-                            math.inf, note="not eps-geodesic")
+    def one(eps: float) -> list:
+        if check_epsilon_geodesic(chain, eps) is not None:
+            return [eps] + [math.nan] * 5 + [math.inf, "not eps-geodesic"]
         try:
             profile = curvature_profile(chain, eps, origin=origin)
         except EmptyAnnulusError:
-            return SweepRow(eps, math.nan, math.nan, math.nan, None,
-                            math.inf, note="empty annulus")
-        row = functools.partial(SweepRow, eps, profile.rho,
-                                float(profile.envelope.values.max()),
-                                profile.envelope.support_end())
-        if profile.rho <= 0:
-            return row(None, math.inf, note="rho <= 0")
+            return [eps] + [math.nan] * 5 + [math.inf, "empty annulus"]
+        row = [eps, profile.rho, float(profile.envelope.values.max()),
+               profile.envelope.support_end()]
         try:
             params = search_params(profile, strategy=strategy,
                                    reference_level=reference_level)
         except (InfeasibleSearchError, NoAttractivePointError) as exc:
-            return row(None, math.inf, note=str(exc))
+            return row + [math.nan, math.nan, math.inf, str(exc)]
         if params.d0 > reference_level:
-            return row(params, math.inf, note="d0 beyond reference level")
+            return row + [params.alpha, params.d0, math.inf, "d0 beyond reference level"]
         ln_val = _ln_bound(profile, _at_d0(profile, params.d0), params.alpha,
                            phi_of(profile, reference_level))
-        return row(params, _exp_or_inf(ln_val))
+        return row + [params.alpha, params.d0, _exp_or_inf(ln_val), ""]
 
     return [one(eps) for eps in epsilons]

@@ -142,12 +142,6 @@ class MetricChain:
                 return
 
 
-@dataclass(frozen=True)
-class GeodesicReport:
-    is_geodesic: bool
-    witness_failure: Optional[Tuple[int, int]] = None
-
-
 def _check_dense_size(size: int) -> None:
     if size > MAX_DENSE_STATES:
         raise ValueError(
@@ -314,14 +308,14 @@ def _shortest_paths(d: np.ndarray, t: float) -> np.ndarray:
     return shortest_path(csr_array(np.where(d <= t, d, 0.0)), directed=False)
 
 
-def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> GeodesicReport:
-    """Decide whether every distance is realized by steps of length <= epsilon.
+def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> Optional[Tuple[int, int]]:
+    """A pair whose distance no chain of steps of length <= epsilon realizes, or None.
 
-    True iff for every pair the shortest-path distance in the graph whose
+    None iff for every pair the shortest-path distance in the graph whose
     edges are point pairs at distance <= epsilon (edge weight = distance)
-    equals d(x, y) within 1e-9.  On a line metric that holds iff no gap
-    between coordinate-order neighbours exceeds epsilon; the witness of a
-    failure is then the pair across the largest gap.
+    equals d(x, y) within 1e-9, else the pair of largest defect.  On a line
+    metric that holds iff no gap between coordinate-order neighbours exceeds
+    epsilon, and the witness is the pair across the largest gap.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -330,12 +324,9 @@ def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> GeodesicReport
         order = np.argsort(chain.coords, kind="stable")
         gaps = d[order[:-1], order[1:]]
         if gaps.max(initial=0.0) <= epsilon + DIST_TOL:
-            return GeodesicReport(is_geodesic=True)
+            return None
         k = int(np.argmax(gaps))
-        return GeodesicReport(is_geodesic=False,
-                              witness_failure=(int(order[k]), int(order[k + 1])))
+        return int(order[k]), int(order[k + 1])
     defect = np.abs(_shortest_paths(d, epsilon + DIST_TOL) - d)
     i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
-    if defect[i, j] <= GEODESIC_TOL:
-        return GeodesicReport(is_geodesic=True)
-    return GeodesicReport(is_geodesic=False, witness_failure=(int(i), int(j)))
+    return None if defect[i, j] <= GEODESIC_TOL else (int(i), int(j))

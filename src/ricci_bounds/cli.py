@@ -16,7 +16,9 @@ the parser's option names and defaults are the only copy of them.  Each
 command decides its verdict and exit code here, from the rows it writes.
 
 Exit status: 0 all requested checks pass, 1 a bound was violated,
-2 the theorems are inapplicable (no admissible parameters / rho <= 0;
+2 the theorems are inapplicable (no admissible parameters / rho <= 0; an
+eps at which the chain is not eps-geodesic, which asks for a larger eps,
+or one past every distance from the origin, which asks for a smaller one;
 for `sweep`, no eps in the grid gives a finite bound at the reference
 level, and sweep.csv is still written),
 3 invalid input (a malformed or non-finite command line, a rejected chain
@@ -29,6 +31,7 @@ documented CSV.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -43,8 +46,7 @@ from . import jump_process as jp
 from .chain_model import (MetricChain, build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain, mmk_rates)
 from .curvature import curvature_profile
-from .errors import (ChainFormatError, ChainValidationError, InadmissibleParamsError,
-                     InapplicableError)
+from .errors import ChainFormatError, InadmissibleParamsError, InapplicableError
 
 STRATEGY_MAP = {"paper": "paper_default", "grid": "grid", "convex": "alpha_convexity"}
 
@@ -56,17 +58,13 @@ EXIT_INTERNAL = 4
 MAX_RANGE_POINTS = 100_000  # most points an a:b:step range (--levels, --epsilons) may hold
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Numbers in .17g; a field holding a comma or a quote is quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([v if isinstance(v, str) else format(float(v), ".17g") for v in row]
+                      for row in rows)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -153,11 +151,10 @@ def _origin(cfg: argparse.Namespace, chain: MetricChain) -> int:
 def _profile(cfg: argparse.Namespace, chain: MetricChain):
     eps = _default_epsilon(cfg, chain)
     origin = _origin(cfg, chain)
-    rep = check_epsilon_geodesic(chain, eps)
-    if not rep.is_geodesic:
-        raise ChainValidationError(
-            f"chain is not {eps}-geodesic (witness pair {rep.witness_failure}); "
-            "increase --epsilon")
+    witness = check_epsilon_geodesic(chain, eps)
+    if witness is not None:
+        raise InapplicableError(
+            f"chain is not {eps}-geodesic (witness pair {witness}); increase --epsilon")
     return curvature_profile(chain, eps, origin)
 
 
@@ -316,18 +313,13 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
                                     strategy=STRATEGY_MAP[cfg.strategy])
     _write_csv(cfg.out_dir / "sweep.csv",
                ["epsilon", "rho", "envelope_max", "envelope_support_end",
-                "alpha", "d0", "bound_at_reference", "note"],
-               [[r.epsilon, r.rho, r.envelope_max, r.envelope_support_end,
-                 r.params.alpha if r.params else float("nan"),
-                 r.params.d0 if r.params else float("nan"),
-                 r.bound_at_reference, r.note] for r in rows])
-    best = min((r for r in rows if math.isfinite(r.bound_at_reference)),
-               key=lambda r: r.bound_at_reference, default=None)
+                "alpha", "d0", "bound_at_reference", "note"], rows)
+    best = min((r for r in rows if math.isfinite(r[6])), key=lambda r: r[6], default=None)
     if best is None:
         raise InapplicableError(
             f"no eps in --epsilons {cfg.epsilons} gives a finite bound at the "
             f"reference level {ref:.6g} (sweep.csv notes why)")
-    print(f"argmin epsilon: {best.epsilon} (reference level {ref:.6g})")
+    print(f"argmin epsilon: {best[0]} (reference level {ref:.6g})")
     return EXIT_PASS
 
 

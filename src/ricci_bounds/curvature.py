@@ -186,11 +186,14 @@ def subgaussian_s2(chain: MetricChain) -> float:
 
 
 def curvature_profile(chain: MetricChain, epsilon: float, origin: int) -> CurvatureProfile:
-    """Assemble the full curvature profile at one (eps, origin) choice."""
+    """Assemble the full curvature profile at one (eps, origin) choice.
+
+    rho comes first: it reads one row of dist, so an empty annulus costs no LP.
+    """
     check_origin(chain, origin)
+    rho = attraction_rho(chain, epsilon, origin)
     kappa_local = local_curvature(chain, epsilon)
     envelope = curvature_envelope(chain, origin, kappa_local)
-    rho = attraction_rho(chain, epsilon, origin)
     j0 = w1_to_point(chain, origin, origin)
     s2 = subgaussian_s2(chain)
     return CurvatureProfile(epsilon=float(epsilon), origin=int(origin),

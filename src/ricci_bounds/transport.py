@@ -9,8 +9,8 @@ downstream quantity depends on W1, so the two routes cross-check each other.
 The LP route solves each group of pairs in two passes because scipy's HiGHS
 wrapper spends about 2 us of Python per LP column, more than HiGHS itself on
 these small blocks.  The first gives each pair only its nearest-neighbour and
-staircase columns (about 10 of the 81 per neighbouring pair on {0,1}^9,
-where the optimal coupling moves every unit of mass to a neighbour); the
+staircase columns (9 of the 81 per neighbouring pair on {0,1}^9, where the
+optimal coupling moves every unit of mass to a neighbour); the
 certificate, which checks the potential on every point, accepts it only
 where it is optimal over all columns, and the group's pairs it rejects are
 solved again on all of theirs (a sparse arc set proved optimal by dual
@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array, csr_array
 
-from .chain_model import DIST_TOL, MetricChain
+from .chain_model import DIST_TOL, ROW_SUM_TOL, MetricChain
 from .errors import TransportError
 
 CERT_TOL = 1e-9
@@ -31,7 +31,7 @@ CERT_TOL = 1e-9
 # uncertified.  {0,1}^9 at eps = 1, median of 7 `_local_curvature_lp` calls
 # (3 processes, 2-core host), and peak ru_maxrss (99 MB after loading):
 #   columns per group       2^13              2^14              2^15
-#   22,202 sparse columns   0.26-0.31 s, 99   0.23-0.29 s, 99   0.24-0.32 s, 105 MB
+#   20,736 sparse columns   0.26-0.29 s, 99   0.25-0.29 s, 99   0.23-0.30 s, 102 MB
 #   186,624, all columns    0.77-0.86 s, 103  0.70-0.90 s, 111  0.88-0.95 s, 129 MB
 LP_GROUP_VARS = 1 << 14
 
@@ -55,15 +55,16 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
 
     Each pair is solved first on a sparse set of columns: each source's
     nearest sinks, each sink's nearest sources and the north-west-corner
-    staircase of its block, which always carries a feasible plan.  The
-    certificate judges that solve as it judges any other.  Its potential is
-    1-Lipschitz on all of the block's points, so its dual value bounds W1
-    from below over every plan, and a gap within CERT_TOL proves the sparse
-    plan optimal among all plans.  Pairs that fail are solved once more on
-    all their columns, and that result is final.  Consecutive pairs form
-    groups of about LP_GROUP_VARS full columns; each group is scanned once
-    for its sparse columns, solved on them as one block-diagonal LP (one
-    HiGHS call), and its rejected pairs as one more.  Each block's slice of
+    staircase of its block, which carries a feasible plan up to ROW_SUM_TOL
+    of mass per staircase arc it leaves out.  The certificate judges that
+    solve as it judges any other.  Its potential is 1-Lipschitz on all of
+    the block's points, so its dual value bounds W1 from below over every
+    plan, and a gap within CERT_TOL proves the sparse plan optimal among all
+    plans.  Pairs that fail are solved once more on all their columns, and
+    that result is final.  Consecutive pairs form groups of about
+    LP_GROUP_VARS full columns; each group is scanned once for its sparse
+    columns, solved on them as one block-diagonal LP (one HiGHS call), and
+    its rejected pairs as one more.  Each block's slice of
     the solution and of the duals is an optimum of its pair's own LP.  Each
     LP is certified in one vectorized pass that still checks every pair on
     its own, and a pair whose final primal defect, gap or Lipschitz defect
@@ -128,7 +129,9 @@ def _sparse_columns(chain, points, mass, starts, n_src, n_snk):
     Pair k's sources are points[starts[k]:][:n_src[k]], its sinks the n_snk[k]
     entries after them, and column i * n_snk[k] + j moves source i to sink j.
     Kept: each source's nearest sinks and each sink's nearest sources (ties
-    within DIST_TOL included), and the block's north-west-corner staircase.
+    within DIST_TOL included), and the arcs of the block's north-west-corner
+    staircase that carry more than ROW_SUM_TOL of its share, so that shares
+    equal up to rounding add no arc across the sliver between them.
     """
     lo, hi = _shares(np.abs(mass), np.concatenate([starts, starts + n_src]),
                      np.concatenate([n_src, n_snk]))
@@ -141,8 +144,9 @@ def _sparse_columns(chain, points, mass, starts, n_src, n_snk):
     np.minimum.at(nearest, src, cost)
     np.minimum.at(nearest, snk, cost)
     keep = ((cost <= nearest[src] + DIST_TOL) | (cost <= nearest[snk] + DIST_TOL)
-            | (np.maximum(lo[src], lo[snk]) < np.minimum(hi[src], hi[snk])))
+            | (np.minimum(hi[src], hi[snk]) - np.maximum(lo[src], lo[snk]) > ROW_SUM_TOL))
     return col[keep], np.bincount(pair[keep], minlength=n_src.size)
+
 
 def _shares(weight, first, count):
     """Each entry of each group as the interval (lo, hi] of its group's

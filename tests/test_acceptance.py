@@ -383,12 +383,12 @@ def test_criterion_8_structural_properties(mmk_2_4, mmk_5_10):
         for j, r in enumerate(env.breakpoints))
     details.append(f"envelope maximal minorant: {maximal}")
 
-    geo_line = check_epsilon_geodesic(mmk_2_4, 1.0).is_geodesic
+    geo_line = check_epsilon_geodesic(mmk_2_4, 1.0) is None
     gap_chain = line_chain([0.0, 10.0], np.eye(2))
     geo_gap = check_epsilon_geodesic(gap_chain, 1.0)
-    geodesic_ok = geo_line and not geo_gap.is_geodesic \
-        and sorted(geo_gap.witness_failure) == [0, 1] \
-        and check_epsilon_geodesic(mmk_2_4, 2.5).is_geodesic
+    geodesic_ok = geo_line and geo_gap is not None \
+        and sorted(geo_gap) == [0, 1] \
+        and check_epsilon_geodesic(mmk_2_4, 2.5) is None
     details.append(f"geodesic checker cases: {geodesic_ok}")
 
     report(8, ok and convex_ok and maximal and geodesic_ok, "; ".join(details))

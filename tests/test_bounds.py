@@ -510,8 +510,8 @@ def test_ln_C_convex_in_alpha(prof_5_10):
 
 def _argmin_epsilon(rows):
     """The eps of the first row with the least finite bound, as `sweep` picks it."""
-    usable = [r for r in rows if math.isfinite(r.bound_at_reference)]
-    return min(usable, key=lambda r: r.bound_at_reference).epsilon if usable else None
+    usable = [r for r in rows if math.isfinite(r[6])]
+    return min(usable, key=lambda r: r[6])[0] if usable else None
 
 
 def test_sweep_single_epsilon_matches_direct(prof_5_10):
@@ -521,18 +521,33 @@ def test_sweep_single_epsilon_matches_direct(prof_5_10):
     rows = epsilon_sweep(chain, 5, [1.0], ref, strategy="grid")
     row = rows[0]
     assert _argmin_epsilon(rows) == 1.0
-    assert row.rho == pytest.approx(prof.rho, abs=1e-12)
-    assert row.params.alpha == pytest.approx(direct.alpha, rel=1e-12)
-    assert row.params.d0 == pytest.approx(direct.d0, rel=1e-12)
+    assert row[1] == pytest.approx(prof.rho, abs=1e-12)
+    assert row[4] == pytest.approx(direct.alpha, rel=1e-12)
+    assert row[5] == pytest.approx(direct.d0, rel=1e-12)
     direct_val = bound_princ(prof, direct, [ref]).values[0]
-    assert row.bound_at_reference == pytest.approx(direct_val, rel=1e-9)
+    assert row[6] == pytest.approx(direct_val, rel=1e-9)
 
 
 def test_sweep_skips_non_geodesic_eps(mmk_2_4):
     rows = epsilon_sweep(mmk_2_4, 2, [0.5, 1.0], 20.0, strategy="paper_default")
-    assert rows[0].note == "not eps-geodesic"
-    assert rows[1].note == ""
+    assert rows[0][7] == "not eps-geodesic"
+    assert rows[1][7] == ""
     assert _argmin_epsilon(rows) == 1.0
+
+
+@pytest.mark.parametrize("strategy", ["paper_default", "grid", "alpha_convexity"])
+def test_sweep_row_with_rho_at_most_zero_carries_the_search_message(strategy):
+    # drift away from the origin: the row keeps rho and the envelope summary,
+    # and its note is the message search_params raises
+    chain = biased_reflecting_walk(30, 2 / 3)
+    prof = curvature_profile(chain, 1.0, origin=0)
+    with pytest.raises(NoAttractivePointError) as err:
+        search_params(prof, strategy, reference_level=20.0)
+    (row,) = epsilon_sweep(chain, 0, [1.0], 20.0, strategy=strategy)
+    assert row[1] == prof.rho <= 0
+    assert row[2] == float(prof.envelope.values.max())
+    assert math.isnan(row[4]) and math.isnan(row[5]) and row[6] == math.inf
+    assert row[7] == str(err.value) and "no attractive point" in row[7]
 
 
 def test_sweep_optimal_eps_scales_like_sqrt_n0():

@@ -296,20 +296,19 @@ def test_load_chain_missing_field(tmp_path):
 # ----------------------------------------------------------------- geodesic
 
 def test_geodesic_integer_line(mmk_2_4):
-    assert check_epsilon_geodesic(mmk_2_4, 1.0).is_geodesic
+    assert check_epsilon_geodesic(mmk_2_4, 1.0) is None
 
 
 def test_geodesic_gap_detected():
     chain = line_chain([0.0, 10.0], np.eye(2))
-    report = check_epsilon_geodesic(chain, 1.0)
-    assert not report.is_geodesic
-    assert sorted(report.witness_failure) == [0, 1]
+    witness = check_epsilon_geodesic(chain, 1.0)
+    assert witness is not None
+    assert sorted(witness) == [0, 1]
 
 
 def test_geodesic_fractional_epsilon_vs_floyd_warshall(mmk_2_4):
     eps = 2.5
-    report = check_epsilon_geodesic(mmk_2_4, eps)
-    assert report.is_geodesic
+    assert check_epsilon_geodesic(mmk_2_4, eps) is None
     # independent oracle: Floyd-Warshall over the <= eps edge graph
     np.testing.assert_allclose(floyd_warshall(mmk_2_4.dist, eps), mmk_2_4.dist,
                                atol=1e-9)
@@ -321,12 +320,12 @@ def test_geodesic_check_matches_floyd_warshall(kind, seed, frac):
     chain = _audit_chain(kind, seed)
     eps = frac * float(chain.dist.max())
     defect = np.abs(floyd_warshall(chain.dist, eps) - chain.dist)
-    report = check_epsilon_geodesic(chain, eps)
+    witness = check_epsilon_geodesic(chain, eps)
     worst = float(defect.max())
     if worst <= 1e-12 or worst > 1e-8:
-        assert report.is_geodesic == (worst <= 1e-12)
-    if not report.is_geodesic:
-        assert defect[report.witness_failure] > 1e-9
+        assert (witness is None) == (worst <= 1e-12)
+    if witness is not None:
+        assert defect[witness] > 1e-9
 
 
 def test_geodesic_monotone_in_epsilon():
@@ -334,7 +333,7 @@ def test_geodesic_monotone_in_epsilon():
     coords = np.sort(rng.uniform(0, 10, size=12))
     chain = line_chain(coords, np.eye(12))
     epsilons = np.linspace(0.2, 10.0, 25)
-    flags = [check_epsilon_geodesic(chain, e).is_geodesic for e in epsilons]
+    flags = [check_epsilon_geodesic(chain, e) is None for e in epsilons]
     assert flags == sorted(flags)  # once true, stays true
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ricci_bounds import bounds as bounds_mod
 from ricci_bounds import chain_model, cli, transport
 from ricci_bounds import jump_process as jp
 from ricci_bounds import equilibrium as eq
@@ -131,6 +133,81 @@ def test_epsilon_past_every_distance_exits_2_asking_for_a_smaller_one(tmp_path, 
                     "--out", str(tmp_path / "c")])
     assert code == 2
     assert "exceeds every distance from the origin; use a smaller epsilon" in capsys.readouterr().err
+
+
+def test_epsilon_past_the_radius_is_refused_before_any_transport(monkeypatch, tmp_path,
+                                                                 capsys):
+    # the annulus test reads one row of dist; an LP solved first would fail
+    # here as an internal error (exit 4)
+    chain = cube_chain(4, 0.2)
+    path = write_chain_json(tmp_path / "cube4.json", chain.points, chain.dist,
+                            chain.kernel, origin=0)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a transport LP was solved")
+
+    monkeypatch.setattr(transport, "linprog", no_lp)
+    code = run_cli(["curvature", "--chain", str(path), "--epsilon", "10",
+                    "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "use a smaller epsilon" in capsys.readouterr().err
+
+
+def test_non_geodesic_epsilon_exits_2_asking_for_a_larger_one(tmp_path, capsys):
+    # M/M/k states are 1 apart, so no chain of steps <= 0.5 joins two of them
+    code = run_cli(["verify", "--n0", "5", "--k", "10", "--epsilon", "0.5",
+                    "--out", str(tmp_path / "v")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inapplicable: chain is not 0.5-geodesic")
+    assert "increase --epsilon" in err
+
+
+def test_verify_exit_1_when_a_bound_falls_under_the_exact_tail(monkeypatch, tmp_path,
+                                                               capsys):
+    # the general bound scaled far under the exact tail breaks it at every
+    # level where the tail carries more than the 1e-12 slack
+    real = bounds_mod.bound_princ
+
+    def shrunk(*args, **kwargs):
+        curve = real(*args, **kwargs)
+        curve.values = curve.values * 1e-30
+        return curve
+
+    monkeypatch.setattr(bounds_mod, "bound_princ", shrunk)
+    out = tmp_path / "v"
+    code = run_cli(["verify", "--n0", "5", "--k", "10", "--epsilon", "2",
+                    "--strategy", "grid", "--out", str(out)])
+    assert code == 1
+    last = capsys.readouterr().out.rstrip().splitlines()[-1]
+    assert last == "verdict: FAIL (dominated=False, truncation_audit=True)"
+    header, rows = read_csv(out / "comparison.csv")
+    assert header[-1] == "dominated"
+    assert "False" in [row[-1] for row in rows]
+
+
+def test_csv_fields_holding_a_comma_are_quoted(tmp_path):
+    # the grid search's note names "(alpha, d0)"; a loaded chain's point
+    # label may hold a comma or a quote
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", "--n0", "25", "--k", "30", "--epsilons", "1:2:1",
+                    "--ref-level", "3", "--strategy", "grid", "--out", str(out)]) == 2
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 8 and len(rows) == 2
+    note = ("no admissible (alpha, d0) pair on the search lattice (on every "
+            "candidate either C >= 1 or the drift condition fails); the bound "
+            "gives nothing here")
+    assert all(len(row) == 8 and row[-1] == note for row in rows)
+    chain = biased_reflecting_walk(4, 1 / 3)
+    labels = ["a,b", 'say "c"', "d", "e"]
+    path = write_chain_json(tmp_path / "labels.json", labels, chain.dist, chain.kernel)
+    assert run_cli(["stationary", "--chain", str(path), "--out", str(tmp_path / "s")]) == 0
+    with open(tmp_path / "s" / "stationary.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["point", "mass"]
+    assert [row[0] for row in rows] == labels
+    assert sum(float(row[1]) for row in rows) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bad_input_exit_3(tmp_path):

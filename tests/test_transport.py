@@ -188,6 +188,19 @@ def test_cube_neighbours_have_curvature_one_over_n(monkeypatch, bits, p):
     assert sum(b_eq.size for _, _, b_eq, _ in solved) == signed_entries(chain, xs, ys)
 
 
+@pytest.mark.parametrize("p", [0.2, 0.37])
+def test_cube_first_pass_is_the_matching_of_each_pair(monkeypatch, p):
+    # P_x - P_y of neighbours on {0,1}^6 has 6 sources, each 1 from its
+    # matched sink and of equal share up to rounding: the nearest-neighbour
+    # arcs are that matching, and the staircase adds no arc across the
+    # slivers where matched shares differ in their last bits
+    chain = cube_chain(6, p)
+    xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
+    solved = record_lps(monkeypatch)
+    w1_flow_batch(chain, xs, ys)
+    assert [cost.size for cost, *_ in solved] == [6 * xs.size] == [1152]
+
+
 def crossing_union(base, p, q):
     """`base` plus four points a, b, c, e, listed in that order, whose rows a
     and b differ by sources a, b (masses p, 1 - p) and sinks c, e (masses q,
@@ -280,8 +293,8 @@ def test_each_group_is_one_lp_and_its_rejected_pairs_one_more(seed, p, q, group)
 def test_staircase_carries_a_plan(blocks):
     # the blocks side by side, each one's supplies followed by its demands,
     # which are scaled to the supplies' sum, so the two sums differ by
-    # rounding; the arcs whose share intervals overlap, the first pass's
-    # staircase columns, carry a plan on their own
+    # rounding; the arcs whose share intervals overlap by more than
+    # ROW_SUM_TOL, the first pass's staircase columns, carry a plan on their own
     sides = [np.array(side) for supply, demand in blocks
              for side in (supply, np.array(demand) * (sum(supply) / sum(demand)))]
     count = np.array([side.size for side in sides])
@@ -292,7 +305,8 @@ def test_staircase_carries_a_plan(blocks):
         src = first[k] + np.arange(count[k])
         snk = first[k + 1] + np.arange(count[k + 1])
         s, t = np.meshgrid(src, snk, indexing="ij")
-        arcs = np.argwhere(np.maximum(lo[s], lo[t]) < np.minimum(hi[s], hi[t]))
+        arcs = np.argwhere(np.minimum(hi[s], hi[t]) - np.maximum(lo[s], lo[t])
+                           > transport.ROW_SUM_TOL)
         assert len(arcs) <= src.size + snk.size - 1
         a_eq = np.zeros((src.size + snk.size, len(arcs)))
         a_eq[arcs[:, 0], np.arange(len(arcs))] = 1.0
