@@ -98,24 +98,25 @@ def F_of(profile: CurvatureProfile, l):
     return float(out) if out.ndim == 0 else out
 
 
-def phi_of(profile: CurvatureProfile, l: float) -> float:
-    """phi(l) = int_0^l F(u) du, exact (F is piecewise linear)."""
+def phi_of(profile: CurvatureProfile, l):
+    """phi(l) = int_0^l F(u) du, exact (F is piecewise linear); l may be an array."""
     eps = profile.epsilon
-    val = -profile.j0 * min(l, eps)
-    if l > eps:
-        val += profile.rho * (min(l, 2 * eps) - eps)
-    if l > 2 * eps:
-        val += profile.rho * (l - 2 * eps)
-        val += profile.envelope.double_integral(2 * eps, l)
-    return val
+    l = np.asarray(l, dtype=float)
+    val = (-profile.j0 * np.minimum(l, eps)
+           + profile.rho * (np.clip(l, eps, 2 * eps) - eps)
+           + profile.rho * np.maximum(l - 2 * eps, 0.0)
+           + profile.envelope.double_integral(2 * eps, l))
+    return float(val) if val.ndim == 0 else val
 
 
-def Phi_of(profile: CurvatureProfile, l: float) -> float:
-    """Phi(l) = rho*l + int_{2eps}^l int_{2eps}^u K(v) dv du, for l >= 2*eps."""
+def Phi_of(profile: CurvatureProfile, l):
+    """Phi(l) = rho*l + int_{2eps}^l int_{2eps}^u K(v) dv du, for l >= 2*eps (an array too)."""
     eps = profile.epsilon
-    if l < 2 * eps - DIST_TOL:
-        raise ValueError(f"Phi is defined for l >= 2*eps = {2 * eps}, got {l}")
-    return profile.rho * l + profile.envelope.double_integral(2 * eps, l)
+    l = np.asarray(l, dtype=float)
+    if l.size and float(l.min()) < 2 * eps - DIST_TOL:
+        raise ValueError(f"Phi is defined for l >= 2*eps = {2 * eps}, got {l.min()}")
+    val = profile.rho * l + profile.envelope.double_integral(2 * eps, l)
+    return float(val) if val.ndim == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +218,8 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
     levels = np.asarray(levels, dtype=float)
     if levels.size and float(levels.min()) < params.d0 - 1e-9:
         raise ValueError(f"levels must be >= d0 = {params.d0}")
-    phi_l = np.array([phi_of(profile, l) for l in levels])
-    ln_vals = _ln_bound(profile, _at_d0(profile, params.d0), params.alpha, phi_l)
+    ln_vals = _ln_bound(profile, _at_d0(profile, params.d0), params.alpha,
+                        phi_of(profile, levels))
     return TailCurve(levels=levels, values=np.exp(ln_vals), kind="theorem_princ")
 
 
@@ -264,8 +265,8 @@ def bound_theorem1(profile: CurvatureProfile, levels: Sequence[float]) -> TailCu
     ln_c0 = ln_C0_of(profile)
     s2 = profile.s2
     with np.errstate(over="ignore"):  # past the float range the bound is +inf
-        values = np.exp([ln_c0 - Phi_of(profile, l) / (2.0 * s2) for l in levels])
-    return TailCurve(levels=levels, values=np.asarray(values), kind="theorem1")
+        values = np.exp(ln_c0 - Phi_of(profile, levels) / (2.0 * s2))
+    return TailCurve(levels=levels, values=values, kind="theorem1")
 
 
 # ---------------------------------------------------------------------------

@@ -270,16 +270,11 @@ def load_chain(path) -> MetricChain:
     points = tuple(str(p) for p in doc["points"])
     if len(set(points)) != len(points):
         raise ChainFormatError(f"{path}: point labels must be distinct")
-    n = len(points)
     try:
         dist = np.array(doc["dist"], dtype=float)
         kernel = np.array(doc["kernel"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ChainFormatError(f"{path}: dist/kernel must be numeric matrices: {exc}") from exc
-    if dist.shape != (n, n):
-        raise ChainFormatError(f"{path}: dist has shape {dist.shape}, expected ({n},{n})")
-    if kernel.shape != (n, n):
-        raise ChainFormatError(f"{path}: kernel has shape {kernel.shape}, expected ({n},{n})")
     origin = doc.get("origin")
     if origin is not None:
         if isinstance(origin, str):

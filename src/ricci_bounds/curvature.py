@@ -48,40 +48,33 @@ class CurvatureProfile:
         }
 
 
-def _local_curvature_line(chain: MetricChain, epsilon: float) -> np.ndarray:
-    """K_eps on a line metric by the CDF identity, one offset at a time.
+def _pair_curvature_line(chain: MetricChain, epsilon: float):
+    """(xs, ys, kappa) of every pair at 0 < d <= eps, by the CDF identity.
 
-    In coordinate order d grows with the offset, so the scan stops at the
-    first offset whose pairs all lie outside the eps-ball.
+    One offset at a time in coordinate order, where d grows with the offset,
+    so the scan stops at the first offset whose pairs all lie outside the ball.
     """
-    n = chain.n
     order = np.argsort(chain.coords, kind="stable")
     gaps = np.diff(chain.coords[order])
     cdf = chain.kernel[np.ix_(order, order)]
     np.cumsum(cdf, axis=1, out=cdf)
-    kloc = np.full(n, np.inf)
-    for off in range(1, n):
+    pairs = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
+    for off in range(1, chain.n):
         d = chain.dist[order[:-off], order[off:]]
         near = d <= epsilon + DIST_TOL
         if not near.any():
             break
         w1 = np.abs(cdf[:-off] - cdf[off:])[:, :-1] @ gaps
-        # pairs outside the ball impose nothing: ratio -inf
-        kap = 1.0 - np.divide(w1, d, out=np.full(n - off, -np.inf), where=near)
-        np.minimum(kloc[: n - off], kap, out=kloc[: n - off])
-        np.minimum(kloc[off:], kap, out=kloc[off:])
-    return kloc[np.argsort(order)]
+        pairs.append((order[:-off][near], order[off:][near], 1.0 - w1[near] / d[near]))
+    return tuple(map(np.concatenate, zip(*pairs)))
 
 
-def _local_curvature_lp(chain: MetricChain, epsilon: float) -> np.ndarray:
-    """K_eps from certified transport LPs, solved in block-diagonal batches."""
+def _pair_curvature_lp(chain: MetricChain, epsilon: float):
+    """(xs, ys, kappa) of every pair at 0 < d <= eps, from certified transport
+    LPs solved in block-diagonal batches."""
     d = chain.dist
     xs, ys = np.nonzero(np.triu((d > 0) & (d <= epsilon + DIST_TOL)))
-    kap = 1.0 - w1_flow_batch(chain, xs, ys)[0] / d[xs, ys]
-    kloc = np.full(chain.n, np.inf)
-    np.minimum.at(kloc, xs, kap)
-    np.minimum.at(kloc, ys, kap)
-    return kloc
+    return xs, ys, 1.0 - w1_flow_batch(chain, xs, ys)[0] / d[xs, ys]
 
 
 def local_curvature(chain: MetricChain, epsilon: float) -> np.ndarray:
@@ -89,19 +82,21 @@ def local_curvature(chain: MetricChain, epsilon: float) -> np.ndarray:
 
     Points whose eps-ball is empty get +inf (the infimum over an empty set)
     and a loud warning: that usually means eps is below the discretization
-    scale.  Two routes: every chain with coords (a line metric, built or
-    loaded, uniform or not) takes the exact CDF identity over the points in
-    coordinate order, cross-validated against the certified LP in the test
-    suite; every other chain sends its pairs through the certified solver in
-    block-diagonal batches (`w1_flow_batch`), each pair with its own duality
-    certificate.
+    scale.  Two routes give kappa for every pair in the ball, and one fold
+    takes the minimum at both ends of each pair: every chain with coords (a
+    line metric, built or loaded, uniform or not) takes the exact CDF
+    identity over the points in coordinate order, cross-validated against the
+    certified LP in the test suite; every other chain sends its pairs through
+    the certified solver in block-diagonal batches (`w1_flow_batch`), each
+    pair with its own duality certificate.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if chain.coords is not None:
-        kloc = _local_curvature_line(chain, epsilon)
-    else:
-        kloc = _local_curvature_lp(chain, epsilon)
+    route = _pair_curvature_line if chain.coords is not None else _pair_curvature_lp
+    xs, ys, kap = route(chain, epsilon)
+    kloc = np.full(chain.n, np.inf)
+    np.minimum.at(kloc, xs, kap)
+    np.minimum.at(kloc, ys, kap)
     isolated = np.isinf(kloc)
     if np.any(isolated):
         warnings.warn(
@@ -116,29 +111,22 @@ def curvature_envelope(chain: MetricChain, origin: int,
     """Largest non-increasing, nonnegative K with K(d(x, x0)) <= K_eps(x) for all x.
 
     `kappa_local` is K_eps per point, as `local_curvature` returns it.
-    Materialized at the sorted distinct realized distances: the per-distance
+    Materialized at the sorted distinct realized distances (a radius within
+    DIST_TOL of the one before it joins its breakpoint): the per-distance
     infimum of K_eps, swept by a running minimum (non-increasing), clamped at
     zero (the theorems need K >= 0).
     """
     if np.all(np.isinf(kappa_local)):
         raise ValueError("every point is isolated at this epsilon; increase it")
-    d = chain.dist[origin]
-    order = np.argsort(d, kind="stable")
-    breakpoints, values = [], []
-    for i in order:
-        r = d[i]
-        if not breakpoints or r > breakpoints[-1] + DIST_TOL:
-            breakpoints.append(r)
-            values.append(kappa_local[i])
-        else:
-            values[-1] = min(values[-1], kappa_local[i])
-    swept = np.minimum.accumulate(np.asarray(values, dtype=float))
+    order = np.argsort(chain.dist[origin], kind="stable")
+    r = chain.dist[origin, order]
+    starts = np.concatenate([[0], 1 + np.flatnonzero(r[1:] > r[:-1] + DIST_TOL)])
+    swept = np.minimum.accumulate(np.minimum.reduceat(kappa_local[order], starts))
     if np.isinf(swept[0]):
         # leading isolated radii impose no constraint; hold the first real value
         first = int(np.argmin(np.isinf(swept)))
         swept[:first] = swept[first]
-    swept = np.maximum(swept, 0.0)
-    return StepFunction(np.asarray(breakpoints, dtype=float), swept)
+    return StepFunction(r[starts], np.maximum(swept, 0.0))
 
 
 def attraction_rho(chain: MetricChain, epsilon: float, origin: int) -> float:

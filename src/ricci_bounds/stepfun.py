@@ -2,8 +2,8 @@
 
 The curvature envelope K(r) is piecewise constant, so every integral the
 bound formulas need -- K itself, its antiderivative G(u) = int K, and the
-double integral int G -- has an exact segment-sum expression.  No quadrature
-is used anywhere in the production path.
+double integral int G -- has an exact closed form from two running segment
+sums.  No quadrature is used anywhere in the production path.
 """
 from __future__ import annotations
 
@@ -26,41 +26,47 @@ class StepFunction:
             raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints = b
         self.values = v
-        # cumulative exact integral from breakpoints[0] up to each breakpoint
-        self._cum = np.concatenate([[0.0], np.cumsum(np.diff(b) * v[:-1])])
+        # running exact integrals from breakpoints[0] up to each breakpoint:
+        # G = int f in _cum, and H = int G in _cum2
+        w = np.diff(b)
+        self._cum = np.concatenate([[0.0], np.cumsum(w * v[:-1])])
+        self._cum2 = np.concatenate([[0.0], np.cumsum(self._cum[:-1] * w + v[:-1] * w * w / 2.0)])
 
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(self.breakpoints, r, side="right") - 1,
-                    0, self.values.size - 1)
-        out = self.values[i]
-        return float(out) if out.ndim == 0 else out
-
-    def antiderivative(self, x):
-        """Exact integral from breakpoints[0] to x (x may be an array)."""
+    def _segment(self, x):
+        """(i, x - breakpoints[i]) for the segment i holding each x."""
         x = np.asarray(x, dtype=float)
         i = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
                     0, self.values.size - 1)
-        out = self._cum[i] + self.values[i] * (x - self.breakpoints[i])
+        return i, x - self.breakpoints[i]
+
+    def __call__(self, r):
+        out = self.values[self._segment(r)[0]]
         return float(out) if out.ndim == 0 else out
 
-    def double_integral(self, base, l):
-        """Exact int_base^l ( int_base^u f(v) dv ) du for l >= base.
+    def antiderivative(self, x):
+        """Exact integral G from breakpoints[0] to x (x may be an array)."""
+        i, t = self._segment(x)
+        out = self._cum[i] + self.values[i] * t
+        return float(out) if out.ndim == 0 else out
 
-        The inner integral is piecewise linear in u, so each segment
-        contributes G(lo)*w + f*w^2/2 with w the segment width.
+    def _h(self, x):
+        """H(x) = int G from breakpoints[0] to x."""
+        i, t = self._segment(x)
+        return self._cum2[i] + self._cum[i] * t + self.values[i] * t * t / 2.0
+
+    def double_integral(self, base, l):
+        """Exact int_base^l ( int_base^u f(v) dv ) du, 0 where l <= base (l may be an array).
+
+        It is H(l) of f restarted at base, so each term of the two running
+        sums is one segment's own integral and none cancels; past the float
+        range it is +inf.
         """
-        if l <= base:
-            return 0.0
         b = self.breakpoints
-        inner = b[(b > base) & (b < l)]
-        pts = np.concatenate([[base], inner, [l]])
-        widths = np.diff(pts)
-        mids = (pts[:-1] + pts[1:]) / 2.0
-        vals = self(mids)
-        g_lo = self.antiderivative(pts[:-1]) - self.antiderivative(base)
-        with np.errstate(over="ignore"):  # past the float range the integral is +inf
-            return float(np.sum(g_lo * widths + vals * widths * widths / 2.0))
+        starts = np.concatenate([[base], b[b > base]])
+        l = np.asarray(l, dtype=float)
+        with np.errstate(over="ignore"):
+            out = np.where(l > base, StepFunction(starts, self(starts))._h(l), 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def support_end(self):
         """Largest breakpoint with a positive value (0.0 if none).

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,52 @@ def test_F_array_matches_scalar(prof_5_10):
     assert type(F_of(prof, 3.5)) is float
 
 
+# ------------------------------------------------------------ StepFunction
+
+def _exact_double_integral(env, base, l):
+    """int_base^l int_base^u f in exact rationals, segment by segment."""
+    base, l = Fraction(base), Fraction(l)
+    if l <= base:
+        return Fraction(0)
+    b = [Fraction(x) for x in env.breakpoints]
+    cuts = sorted({base, l} | {x for x in b if base < x < l})
+    total = g = Fraction(0)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        v = Fraction(env.values[max([i for i, x in enumerate(b) if x <= lo], default=0)])
+        w = hi - lo
+        total += g * w + v * w * w / 2
+        g += v * w
+    return total
+
+
+@st.composite
+def _double_integral_cases(draw):
+    """A nonnegative step function, a base, and levels below, at and above it."""
+    widths = draw(st.lists(st.floats(0.05, 6.0), max_size=6))
+    values = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0),
+                           min_size=len(widths) + 1, max_size=len(widths) + 1))
+    env = StepFunction(np.concatenate([[0.0], np.cumsum(widths)]), values)
+    base = draw(st.floats(-1.0, sum(widths) + 2.0))
+    levels = draw(st.lists(st.floats(base - 2.0, base + 40.0), min_size=1, max_size=8))
+    return env, base, np.array(levels + [base])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_double_integral_cases())
+@example(case=(StepFunction([0.0, 2.0, 5.0], [0.1, 0.7, 0.0]), 3.0,
+               np.array([1.0, 3.0, 3.0 + 1e-9, 4.0, 5.0, 9.0])))
+def test_double_integral_is_the_exact_rational_value(case):
+    env, base, levels = case
+    got = env.double_integral(base, levels)
+    assert got.tolist() == [env.double_integral(base, float(l)) for l in levels]
+    assert type(env.double_integral(base, float(levels[0]))) is float
+    assert np.all(got[levels <= base] == 0.0)
+    for l, value in zip(levels, got):
+        exact = _exact_double_integral(env, base, l)
+        # relative, down to the smallest normal float, where underflow starts
+        assert abs(Fraction(value) - exact) <= exact * Fraction(1e-11) + Fraction(2.3e-308)
+
+
 # ------------------------------------------------------------------- phi
 
 def test_phi_zero_envelope_zero_drift():
@@ -105,6 +152,20 @@ def test_phi_matches_quadrature(mmk_2_4):
 def test_phi_past_float_range_is_inf():
     # the envelope stays positive to infinity, so K l^2 / 2 overflows
     assert phi_of(synthetic_profile(rho=0.3, k_const=0.1), 1e300) == math.inf
+
+
+@pytest.mark.filterwarnings("error")   # past the float range: inf, no warning
+@pytest.mark.parametrize("make", [lambda p: p[1], lambda p: synthetic_profile(
+    eps=1.5, rho=0.2, j0=0.3, k_const=0.1, k_until=7.0)], ids=["mmk_5_10", "synthetic"])
+def test_phi_and_Phi_arrays_match_scalar(prof_5_10, make):
+    prof = make(prof_5_10)
+    eps = prof.epsilon
+    levels = np.concatenate([np.linspace(0.0, 12.0, 241),
+                             [eps, 2 * eps, 2 * eps - 1e-15, 7.0 + 1e-12, 1e300]])
+    assert phi_of(prof, levels).tolist() == [phi_of(prof, float(l)) for l in levels]
+    above = levels[levels >= 2 * eps]
+    assert Phi_of(prof, above).tolist() == [Phi_of(prof, float(l)) for l in above]
+    assert type(phi_of(prof, 3.5)) is float and type(Phi_of(prof, 3.5)) is float
 
 
 # ------------------------------------------------------------------- Phi

@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ricci_bounds import bounds as bounds_mod
@@ -186,6 +187,84 @@ def test_verify_exit_1_when_a_bound_falls_under_the_exact_tail(monkeypatch, tmp_
     assert "False" in [row[-1] for row in rows]
 
 
+def test_verify_judges_an_exact_far_tail_relatively(monkeypatch, tmp_path, capsys):
+    # regime_sqrt's exact tail falls to 6.7e-22 at l = 255, far under any
+    # absolute slack: a bound scaled by 1e-40 past l = 200 must still fail there
+    real = bounds_mod.bound_princ
+
+    def shrunk_far_tail(*args, **kwargs):
+        curve = real(*args, **kwargs)
+        curve.values = np.where(curve.levels >= 200, curve.values * 1e-40, curve.values)
+        return curve
+
+    monkeypatch.setattr(bounds_mod, "bound_princ", shrunk_far_tail)
+    out = tmp_path / "sqrt"
+    code = run_cli(["example-mmk", "--n0", "25", "--k", "30", "--epsilon", "5",
+                    "--out", str(out)])
+    assert code == 1
+    last = capsys.readouterr().out.rstrip().splitlines()[-1]
+    assert last == "verdict: FAIL (dominated=False, truncation_audit=True)"
+    _, rows = read_csv(out / "comparison.csv")
+    assert rows[-1][0] == "255" and rows[-1][-1] == "False"
+    assert all(row[-1] == "True" for row in rows if float(row[0]) < 200)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n0=st.integers(1, 30), extra=st.integers(1, 12), where=st.floats(0.0, 1.0))
+@example(n0=25, extra=5, where=1.0)
+def test_a_bound_just_under_the_exact_tail_at_one_level_exits_1(n0, extra, where):
+    # the relative rule sees a shortfall of 1e-6 at any level, however small the tail
+    k = n0 + extra
+    trunc = cli._auto_truncation(n0, k)
+    chain = build_mmk_chain(n0, k, trunc)
+    pi = eq.stationary_birth_death(chain).distribution
+    real = bounds_mod.bound_princ
+    marked = {}
+
+    def under(profile, params, levels):
+        curve = real(profile, params, levels)
+        i = marked["i"] = int(where * (levels.size - 1))
+        exact = eq.empirical_tail(pi, chain, profile.origin, levels).values
+        curve.values[i] = (1.0 - 1e-6) * exact[i]
+        return curve
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            unittest.mock.patch.object(bounds_mod, "bound_princ", under):
+        out = Path(tmp)
+        code = run_cli(["verify", "--n0", str(n0), "--k", str(k), "--trunc", str(trunc),
+                        "--strategy", "grid", "--out", str(out)])
+        cells = ([row[-1] for row in read_csv(out / "comparison.csv")[1]]
+                 if code != 2 else None)
+    assume(code != 2)
+    assert code == 1
+    assert cells[marked["i"]] == "False" and cells.count("False") == 1
+
+
+def test_no_admissible_pair_writes_the_infeasibility_report(tmp_path, capsys):
+    out = tmp_path / "infeasible"
+    code = run_cli(["bound", "--n0", "25", "--k", "30", "--trunc", "160", "--epsilon", "1",
+                    "--strategy", "grid", "--ref-level", "3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "inapplicable: no admissible (alpha, d0) pair on the search lattice")
+    doc = json.loads((out / "infeasibility_report.json").read_text())
+    assert doc["error"].startswith("no admissible (alpha, d0) pair")
+    assert len(doc["report"]) == 64
+
+
+def test_dump_samples_writes_the_samples_behind_the_empirical_tail(tmp_path):
+    out = tmp_path / "jump"
+    assert run_cli(["example-jump", "--alpha", "1", "--paths", "2000", "--seed", "3",
+                    "--dump-samples", "--out", str(out)]) == 0
+    header, rows = read_csv(out / "jump_samples.csv")
+    assert header == ["X_T"]
+    assert len(rows) == 2000
+    samples = np.array([float(r[0]) for r in rows])
+    _, tail = read_csv(out / "jump_tail.csv")
+    for row in tail:
+        assert float(row[1]) == np.mean(samples >= float(row[0])), row[0]
+
+
 def test_csv_fields_holding_a_comma_are_quoted(tmp_path):
     # the grid search's note names "(alpha, d0)"; a loaded chain's point
     # label may hold a comma or a quote
@@ -226,8 +305,10 @@ def test_bad_input_exit_3(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("origin", [1]), ("origin", {"x": 1}), ("origin", 1.7), ("origin", True),
     ("origin", 7), ("points", 3), ("points", "abc"), ("points", ["a", "a", "c"]),
+    ("dist", [[0, 1], [1, 0], [2, 1]]),
 ], ids=["origin_list", "origin_object", "origin_float", "origin_bool",
-        "origin_out_of_range", "points_number", "points_string", "points_duplicate"])
+        "origin_out_of_range", "points_number", "points_string", "points_duplicate",
+        "dist_3x2"])
 def test_malformed_points_or_origin_exit_3(field, value, tmp_path, capsys):
     chain = biased_reflecting_walk(3, 1 / 3)
     path = write_chain_json(tmp_path / "walk3.json", ["a", "b", "c"], chain.dist,

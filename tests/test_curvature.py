@@ -91,8 +91,11 @@ def test_near_line_metric_takes_the_lp_route(tmp_path):
     chain = load_chain(write_chain_json(tmp_path / "near.json", map(str, range(6)),
                                         dist, kernel))
     assert chain.coords is None
-    np.testing.assert_array_equal(local_curvature(chain, 5.0),
-                                  curvature._local_curvature_lp(chain, 5.0))
+    xs, ys, kap = curvature._pair_curvature_lp(chain, 5.0)
+    lp = np.full(chain.n, np.inf)
+    np.minimum.at(lp, xs, kap)
+    np.minimum.at(lp, ys, kap)
+    np.testing.assert_array_equal(local_curvature(chain, 5.0), lp)
 
 
 def test_local_curvature_ou_near_alpha():
@@ -166,6 +169,18 @@ def test_envelope_minorant_and_monotone(mmk_5_10):
     assert np.all(env(d) <= kloc + 1e-9)
     assert np.all(np.diff(env.values) <= 1e-15)
     assert np.all(env.values >= 0.0)
+
+
+def test_envelope_holds_the_first_real_value_over_leading_isolated_radii():
+    # the origin and the radius-2 point have empty eps-balls (K_eps = +inf);
+    # radius 5 is two points, and 5 + 1e-13 joins their breakpoint
+    chain = line_chain([0.0, 2.0, 5.0, -5.0, 5.0 + 1e-13, 6.0], np.eye(6))
+    kloc = np.array([np.inf, np.inf, 0.4, 0.3, 0.2, 0.5])
+    env = curvature_envelope(chain, 0, kloc)
+    assert env.breakpoints.tolist() == [0.0, 2.0, 5.0, 6.0]
+    assert env.values.tolist() == [0.2, 0.2, 0.2, 0.2]
+    kloc[5] = -0.1
+    assert curvature_envelope(chain, 0, kloc).values.tolist() == [0.2, 0.2, 0.2, 0.0]
 
 
 def test_envelope_maximality(mmk_2_4):
