@@ -8,14 +8,16 @@ convexity line search in alpha), and the epsilon sweep exposing the
 rho-versus-curvature trade-off.
 
 All integrals of the piecewise-constant envelope are evaluated in closed
-form; quadrature exists only as a test-side oracle.
+form; quadrature exists only as a test-side oracle.  The (alpha, d0)
+helpers take floats or broadcasting arrays, and take log1p and ln(1 - e^x)
+from libm entry by entry, as numpy's differ from it in the last bit.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -27,6 +29,7 @@ from .errors import (EmptyAnnulusError, InadmissibleParamsError,
 
 LN2 = math.log(2.0)
 GRID_POINTS = 32  # grid search: d0 values, and alpha values per d0
+LEVEL_TOL = 1e-9  # slack between a bound's levels and its d0
 
 
 def _exp_or_inf(ln_value: float) -> float:
@@ -62,9 +65,7 @@ class BoundParams:
     strategy: str = "manual"
 
     def as_dict(self):
-        return {"alpha": self.alpha, "d0": self.d0, "epsilon": self.epsilon,
-                "admissible": self.admissible, "strategy": self.strategy,
-                "admissibility_report": self.admissibility_report}
+        return asdict(self)
 
 
 @dataclass
@@ -124,7 +125,7 @@ def Phi_of(profile: CurvatureProfile, l):
 # ---------------------------------------------------------------------------
 
 class _AtD0(NamedTuple):
-    """The alpha-free terms of every (alpha, d0) quantity at one d0."""
+    """The alpha-free terms of every (alpha, d0) quantity, at a d0 or an array of them."""
 
     kd0: float          # K(d0)
     fd0: float          # F(d0)
@@ -135,52 +136,55 @@ class _AtD0(NamedTuple):
     d0_ge_2eps: bool
 
 
-def _at_d0(profile: CurvatureProfile, d0: float) -> _AtD0:
-    kd0 = float(profile.envelope(d0))
+# Past the float range these helpers give inf or nan, as float arithmetic does.
+@np.errstate(all="ignore")
+def _at_d0(profile: CurvatureProfile, d0) -> _AtD0:
+    kd0 = profile.envelope(d0)
     s2K = profile.s2 * kd0
     fd0 = F_of(profile, d0)
     phi_d0 = phi_of(profile, d0)
     lo, hi = d0 - fd0, profile.j0 + profile.epsilon
-    rate = 0.0
-    if hi > lo:
-        # the C' integrand is max(F(d0), F(u)) on [lo, hi]; F is
-        # non-decreasing, so it is F(d0) up to u = d0 and F(u) beyond
-        rate = fd0 * max(0.0, min(hi, d0) - lo)
-        if hi > d0:
-            rate += phi_of(profile, hi) - phi_d0
-    return _AtD0(kd0, fd0, phi_d0, rate, s2K, 1.0 / s2K if s2K > 0 else math.inf,
+    # the C' integrand is max(F(d0), F(u)) on [lo, hi]; F is
+    # non-decreasing, so it is F(d0) up to u = d0 and F(u) beyond
+    span = np.where(hi > d0, d0, hi) - lo
+    rate = fd0 * np.where(span > 0.0, span, 0.0)
+    rate = np.where(hi > d0, rate + (phi_of(profile, hi) - phi_d0), rate)
+    return _AtD0(kd0, fd0, phi_d0, np.where(hi > lo, rate, 0.0)[()], s2K,
+                 np.where(s2K > 0, np.divide(1.0, s2K), math.inf)[()],
                  d0 >= 2 * profile.epsilon - DIST_TOL)
 
 
-def _ln_C(profile: CurvatureProfile, at: _AtD0, alpha: float) -> float:
-    s2 = profile.s2
-    t = alpha * s2 * at.kd0
-    if not t < 1.0:
+@np.errstate(all="ignore")
+def _ln_C(profile: CurvatureProfile, at: _AtD0, alpha):
+    t = alpha * profile.s2 * at.kd0
+    if not np.all(t < 1.0):
         raise InadmissibleParamsError(
-            f"alpha*s^2*K(d0) = {t:.6g} >= 1: C is undefined there")
+            f"alpha*s^2*K(d0) = {np.max(t):.6g} >= 1: C is undefined there")
     f = at.fd0
-    return (-alpha * f * f * (1.0 - alpha * s2 / (2.0 * (1.0 - t)))
-            - 0.5 * math.log1p(-t))
+    return (-alpha * f * f * (1.0 - alpha * profile.s2 / (2.0 * (1.0 - t)))
+            - 0.5 * np.vectorize(math.log1p, otypes=[float])(-t))
 
 
-def _ln_prefactor(profile: CurvatureProfile, at: _AtD0, alpha: float) -> float:
-    ln_c = _ln_C(profile, at, alpha)
-    if ln_c >= 0:
-        return math.inf
-    return alpha * at.rate + ln_c - _ln_one_minus_exp(ln_c)
+@np.errstate(all="ignore")
+def _ln_prefactor(profile: CurvatureProfile, at: _AtD0, alpha):
+    """ln(C' C/(1-C)); +inf where C >= 1 or is undefined."""
+    ln_c = _conditions(profile, at, alpha)[1]
+    undefined = ln_c >= 0
+    tail = np.vectorize(_ln_one_minus_exp, otypes=[float])(np.where(undefined, -1.0, ln_c))
+    return np.where(undefined, math.inf, alpha * at.rate + ln_c - tail)[()]
 
 
-def _ln_bound(profile: CurvatureProfile, at: _AtD0, alpha: float, phi_l):
-    """ln of the general bound C' C/(1-C) exp(-alpha (phi(l) - phi(d0))); phi_l may be an array."""
+@np.errstate(all="ignore")
+def _ln_bound(profile: CurvatureProfile, at: _AtD0, alpha, phi_l):
+    """ln of the general bound C' C/(1-C) exp(-alpha (phi(l) - phi(d0)))."""
     return _ln_prefactor(profile, at, alpha) - alpha * (phi_l - at.phi_d0)
 
 
-def _conditions(profile: CurvatureProfile, at: _AtD0, alpha: float):
+@np.errstate(all="ignore")
+def _conditions(profile: CurvatureProfile, at: _AtD0, alpha):
     """The four admissibility conditions, and ln C (+inf where C is undefined)."""
-    try:
-        ln_c, c3 = _ln_C(profile, at, alpha), True
-    except InadmissibleParamsError:
-        ln_c, c3 = math.inf, False
+    c3 = alpha * profile.s2 * at.kd0 < 1.0
+    ln_c = np.where(c3, _ln_C(profile, at, np.where(c3, alpha, 0.0)), math.inf)[()]
     return (at.d0_ge_2eps, at.fd0 > at.s2K / 2.0, c3, ln_c < 0.0), ln_c
 
 
@@ -192,7 +196,7 @@ def admissibility(profile: CurvatureProfile, alpha: float, d0: float,
     report = {
         "d0_ge_2eps": {"holds": bool(c1), "d0": d0, "two_eps": 2 * profile.epsilon},
         "F_exceeds_half_s2K": {"holds": bool(c2), "F_d0": at.fd0, "s2K_half": at.s2K / 2.0},
-        "alpha_below_inverse_s2K": {"holds": c3, "alpha": alpha, "limit": at.limit},
+        "alpha_below_inverse_s2K": {"holds": bool(c3), "alpha": alpha, "limit": at.limit},
         "C_below_one": {"holds": bool(c4), "C": _exp_or_inf(ln_c)},
     }
     return BoundParams(alpha=alpha, d0=d0, epsilon=profile.epsilon,
@@ -216,11 +220,13 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
             "bound requested with inadmissible (alpha, d0)",
             report=params.admissibility_report)
     levels = np.asarray(levels, dtype=float)
-    if levels.size and float(levels.min()) < params.d0 - 1e-9:
+    if levels.size and float(levels.min()) < params.d0 - LEVEL_TOL:
         raise ValueError(f"levels must be >= d0 = {params.d0}")
     ln_vals = _ln_bound(profile, _at_d0(profile, params.d0), params.alpha,
                         phi_of(profile, levels))
-    return TailCurve(levels=levels, values=np.exp(ln_vals), kind="theorem_princ")
+    with np.errstate(over="ignore"):  # past the float range the bound is +inf
+        values = np.exp(ln_vals)
+    return TailCurve(levels=levels, values=values, kind="theorem_princ")
 
 
 def paper_default_d0(profile: CurvatureProfile) -> float:
@@ -260,7 +266,7 @@ def bound_theorem1(profile: CurvatureProfile, levels: Sequence[float]) -> TailCu
     """
     d0 = paper_default_d0(profile)
     levels = np.asarray(levels, dtype=float)
-    if levels.size and float(levels.min()) <= d0 - 1e-9:
+    if levels.size and float(levels.min()) <= d0 - LEVEL_TOL:
         raise ValueError(f"levels must be > d0 = {d0}")
     ln_c0 = ln_C0_of(profile)
     s2 = profile.s2
@@ -301,15 +307,15 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
         lo, hi = 0.0, min(at.limit, 2.0 / profile.s2) * (1.0 - 1e-9)
         objective = functools.partial(_ln_prefactor, profile, at)
         probe = np.linspace(lo + (hi - lo) * 1e-4, hi * (1 - 1e-9), 64)
-        finite = [a for a in probe if objective(a) < math.inf]
-        if not finite:
+        finite = probe[objective(probe) < math.inf]
+        if not finite.size:
             params = admissibility(profile, probe[len(probe) // 2], default_d0,
                                    strategy="alpha_convexity")
             raise InfeasibleSearchError(
                 f"no alpha makes C < 1 at d0 = {default_d0:.6g} (the drift F(d0) is "
                 "too weak against s^2 K(d0))",
                 report=[params.admissibility_report])
-        a_lo, a_hi = min(finite), max(finite)
+        a_lo, a_hi = finite[0], finite[-1]
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         x1 = a_hi - invphi * (a_hi - a_lo)
         x2 = a_lo + invphi * (a_hi - a_lo)
@@ -339,39 +345,32 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
     if reference_level is None:
         reference_level = 2.0 * default_d0
     eps2 = 2.0 * profile.epsilon
-    d0_values = np.linspace(eps2, eps2 + 10.0 * (profile.rho + profile.s2 / profile.rho),
-                            GRID_POINTS).tolist() + [default_d0]
-    # (d0, its terms, its alpha grid); d0 beyond the reference level has neither
-    lattice = []
-    for d0 in d0_values:
-        if d0 > reference_level:
-            lattice.append((d0, None, []))
-            continue
-        at = _at_d0(profile, d0)
-        cap = min(at.limit, 2.0 / profile.s2)
-        lattice.append((d0, at, np.geomspace(cap / 1000.0, cap * (1.0 - 1e-9),
-                                             GRID_POINTS).tolist()))
-    phi_ref = phi_of(profile, reference_level)
-    best = None
-    for d0, at, alphas in lattice:
-        for alpha in alphas:
-            if all(_conditions(profile, at, alpha)[0]):
-                val = _ln_bound(profile, at, alpha, phi_ref)
-                if best is None or val < best[0]:
-                    best = (val, alpha, d0)
-    if best is None:
-        def failures():
-            for d0, at, alphas in lattice:
-                if at is None:
-                    yield {"d0": d0, "reason": "d0 beyond reference level"}
-                for alpha in alphas:
-                    yield admissibility(profile, alpha, d0, strategy="grid").admissibility_report
-        raise InfeasibleSearchError(
-            "no admissible (alpha, d0) pair on the search lattice "
-            "(on every candidate either C >= 1 or the drift condition fails); "
-            "the bound gives nothing here",
-            report=list(itertools.islice(failures(), 64)))
-    return admissibility(profile, best[1], best[2], strategy="grid")
+    d0 = np.append(np.linspace(eps2, eps2 + 10.0 * (profile.rho + profile.s2 / profile.rho),
+                               GRID_POINTS), default_d0)
+    at = _at_d0(profile, d0[:, None])  # one row per d0, one column per alpha
+    cap = np.minimum(at.limit, 2.0 / profile.s2)[:, 0]
+    alpha = np.geomspace(cap / 1000.0, cap * (1.0 - 1e-9), GRID_POINTS, axis=1)
+    (c1, c2, c3, c4), _ = _conditions(profile, at, alpha)
+    ok = ~(d0[:, None] > reference_level) & c1 & c2 & c3 & c4
+    vals = _ln_bound(profile, at, alpha, phi_of(profile, reference_level))[ok]
+    if vals.size:
+        # the first least value in scan order, as a strict-< scan keeps it
+        # (a leading nan stays)
+        row, col = np.argwhere(ok)[0 if np.isnan(vals[0]) else np.nanargmin(vals)]
+        return admissibility(profile, float(alpha[row, col]), float(d0[row]), strategy="grid")
+
+    def failures():
+        for d0_i, alphas in zip(d0.tolist(), alpha.tolist()):
+            if d0_i > reference_level:
+                yield {"d0": d0_i, "reason": "d0 beyond reference level"}
+            else:
+                for a in alphas:
+                    yield admissibility(profile, a, d0_i, strategy="grid").admissibility_report
+    raise InfeasibleSearchError(
+        "no admissible (alpha, d0) pair on the search lattice "
+        "(on every candidate either C >= 1 or the drift condition fails); "
+        "the bound gives nothing here",
+        report=list(itertools.islice(failures(), 64)))
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def _default_levels(cfg, profile, chain, d0: float) -> np.ndarray:
         raise InadmissibleParamsError(
             f"d0 = {d0:.6g} is beyond the chain's radius {lmax:.6g}; "
             "nothing to bound")
-    return np.linspace(d0 + 1e-9, lmax, 80)
+    return np.linspace(d0 + bounds_mod.LEVEL_TOL, lmax, 80)
 
 
 def _bound_curves(cfg, profile, chain):
@@ -186,26 +186,17 @@ def _bound_curves(cfg, profile, chain):
 
 def _write_tail_curves(path: Path, curves) -> None:
     """TailCurve export: long format, one row per (level, curve)."""
-    rows = []
-    for c in curves:
-        for l, v, clamped in zip(c.levels, c.values, c.clamped()):
-            rows.append([l, v, clamped, c.kind])
+    rows = [[l, v, clamped, c.kind] for c in curves
+            for l, v, clamped in zip(c.levels, c.values, c.clamped())]
     _write_csv(path, ["l", "bound_raw", "bound_clamped", "kind"], rows)
 
 
 def _comparison_rows(curves, tail):
-    header = ["l"]
+    header, columns = ["l"], [curves[0].levels]
     for c in curves:
         header += [f"{c.kind}_raw", f"{c.kind}_clamped"]
-    header.append("empirical")
-    clamped = [c.clamped() for c in curves]
-    rows = []
-    for i, l in enumerate(curves[0].levels):
-        row = [l]
-        for c, cl in zip(curves, clamped):
-            row += [c.values[i], cl[i]]
-        rows.append(row + [tail.values[i]])
-    return header, rows
+        columns += [c.values, c.clamped()]
+    return header + ["empirical"], np.column_stack(columns + [tail.values]).tolist()
 
 
 def cmd_curvature(cfg: argparse.Namespace) -> int:

@@ -13,9 +13,9 @@ from ricci_bounds import (CurvatureProfile, F_of, Phi_of, StepFunction, bound_pr
                           epsilon_sweep, phi_of, search_params,
                           stationary_birth_death, empirical_tail,
                           theorem1_params)
-from ricci_bounds.bounds import (_at_d0, _exp_or_inf, _ln_C, _ln_one_minus_exp,
-                                 _ln_prefactor, admissibility, ln_C0_of,
-                                 paper_default_d0)
+from ricci_bounds.bounds import (_at_d0, _conditions, _exp_or_inf, _ln_bound, _ln_C,
+                                 _ln_one_minus_exp, _ln_prefactor, admissibility,
+                                 ln_C0_of, paper_default_d0)
 from ricci_bounds.chain_model import build_discrete_ou_chain
 from ricci_bounds.errors import (InadmissibleParamsError, InfeasibleSearchError,
                                  NoAttractivePointError)
@@ -264,6 +264,13 @@ def test_Cprime_past_float_range_is_inf():
     assert _exp_or_inf(2.0 * _at_d0(prof, 2.0).rate) == math.inf
 
 
+def test_princ_past_float_range_is_inf():
+    # ln C' = 1139.6 at (1.9, 2.0): the bound overflows to +inf, with no warning
+    prof = synthetic_profile(rho=0.3, j0=2000.0)
+    curve = bound_princ(prof, admissibility(prof, 1.9, 2.0), [2.0, 3.0])
+    assert curve.values.tolist() == [math.inf, math.inf]
+
+
 def test_C0_past_float_range_is_inf():
     prof = synthetic_profile(rho=1e-3)
     assert ln_C0_of(prof) > 1000.0
@@ -490,6 +497,48 @@ def test_search_grid_calls_admissibility_once_for_the_winner(prof_5_10, monkeypa
     assert calls == [(params.alpha, params.d0)]
 
 
+def test_search_grid_builds_the_d0_terms_in_one_call(prof_5_10, monkeypatch):
+    # every d0 of the lattice lies below 200; the second call is the winner's
+    # admissibility report
+    _, prof = prof_5_10
+    calls = []
+    real = bounds_mod._at_d0
+
+    def counted(profile, d0):
+        calls.append(d0)
+        return real(profile, d0)
+
+    monkeypatch.setattr(bounds_mod, "_at_d0", counted)
+    params = search_params(prof, "grid", reference_level=200.0)
+    assert len(calls) == 2
+    assert np.size(calls[0]) == bounds_mod.GRID_POINTS + 1 and calls[1] == params.d0
+
+
+def test_search_grid_keeps_a_leading_nan_as_a_strict_scan_does(prof_5_10, monkeypatch):
+    # `val < best` never replaces a nan that comes first, so a nan at the
+    # first admissible point of the lattice wins over every later value
+    _, prof = prof_5_10
+    unpatched = search_params(prof, "grid", reference_level=200.0)
+    real = bounds_mod._ln_bound
+    first = []
+
+    def leading_nan(profile, at, alpha, phi_l):
+        vals = real(profile, at, alpha, phi_l)
+        ok = np.logical_and.reduce(np.broadcast_arrays(*_conditions(profile, at, alpha)[0]))
+        i, j = np.argwhere(ok)[0]
+        vals[i, j] = math.nan
+        first.append((float(alpha[i, j]), i))
+        return vals
+
+    monkeypatch.setattr(bounds_mod, "_ln_bound", leading_nan)
+    params = search_params(prof, "grid", reference_level=200.0)
+    eps2 = 2 * prof.epsilon
+    d0s = np.linspace(eps2, eps2 + 10 * (prof.rho + prof.s2 / prof.rho), bounds_mod.GRID_POINTS)
+    (alpha, i), = first
+    assert (params.alpha, params.d0) == (alpha, d0s[i])
+    assert (params.alpha, params.d0) != (unpatched.alpha, unpatched.d0)
+
+
 def _outcome(search):
     """as_dict() of a successful search, or the message and report of a failed one."""
     try:
@@ -555,6 +604,55 @@ def test_search_oracle_examples_cover_infeasible_and_tied_lattices():
     assert phi_of(tied, 1e300) == math.inf
     params = search_params(tied, "grid", reference_level=1e300)
     assert (params.alpha, params.d0) == (2.0 / 1000.0, 2.0)
+
+
+def _bits(x):
+    """The bits of x, with one nan: where two nans meet, the sign of the
+    result follows operand order, which the compiler may swap."""
+    return np.where(np.isnan(x), math.nan, x).view(np.int64)
+
+
+_SPECIALS = [math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_step_profiles(), d0s=st.lists(st.floats(0.0, 60.0), max_size=6),
+       alphas=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6))
+def test_lattice_helpers_match_their_scalar_calls(case, d0s, alphas):
+    # one call on a (d0, alpha) lattice keeps every bit of the per-point calls,
+    # where C is undefined (alpha s^2 K(d0) >= 1) and at inf and nan entries too
+    prof, ref = case
+    phi_l = phi_of(prof, 2 * prof.epsilon + 1.0 if ref is None else ref)
+    d0 = np.array(d0s + [prof.epsilon, 2 * prof.epsilon] + _SPECIALS)
+    alpha = np.array(alphas + _SPECIALS) / prof.s2
+    at = _at_d0(prof, d0[:, None])
+    ats = [_at_d0(prof, float(d)) for d in d0]
+    for field, column in zip(at, zip(*ats)):
+        assert _bits(field).ravel().tolist() == _bits(column).tolist()
+
+    conds, ln_c = _conditions(prof, at, alpha)
+    prefactor = _ln_prefactor(prof, at, alpha)
+    ln_bound = _ln_bound(prof, at, alpha, phi_l)
+    defined = np.broadcast_to(conds[2], ln_c.shape)
+    assert not defined.all()  # the nan alpha
+    with pytest.raises(InadmissibleParamsError):
+        _ln_C(prof, at, alpha)
+    at_defined = bounds_mod._AtD0(*(np.broadcast_to(f, ln_c.shape)[defined] for f in at))
+    ln_c_defined = _ln_C(prof, at_defined, np.broadcast_to(alpha, ln_c.shape)[defined])
+    assert _bits(ln_c_defined).tolist() == _bits(ln_c[defined]).tolist()
+    for (i, j), c_ij in np.ndenumerate(ln_c):
+        a = float(alpha[j])
+        conds_ij, ln_c_ij = _conditions(prof, ats[i], a)
+        assert [bool(c) for c in conds_ij] == \
+            [bool(np.broadcast_to(c, ln_c.shape)[i, j]) for c in conds]
+        assert _bits(ln_c_ij) == _bits(c_ij)
+        if defined[i, j]:
+            assert _bits(_ln_C(prof, ats[i], a)) == _bits(c_ij)
+        else:
+            with pytest.raises(InadmissibleParamsError):
+                _ln_C(prof, ats[i], a)
+        assert _bits(_ln_prefactor(prof, ats[i], a)) == _bits(prefactor[i, j])
+        assert _bits(_ln_bound(prof, ats[i], a, phi_l)) == _bits(ln_bound[i, j])
 
 
 def test_ln_C_convex_in_alpha(prof_5_10):
