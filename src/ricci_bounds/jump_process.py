@@ -15,14 +15,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import betaincinv
 
 from .bounds import _exp_or_inf
 
 _CHUNK = 200_000
 # The default horizon where it forgets X_0.  A chunk holds about
-# _CHUNK * _HORIZON jump times (80 MB with their path indices): past this
-# horizon a chunk simulates proportionally fewer paths.
+# _CHUNK * _HORIZON jump times (40 MB of terms plus 20 MB of int32 column
+# indices): past this horizon a chunk simulates proportionally fewer paths.
 _HORIZON = 25
 MAX_PATHS = 10_000_000  # simulate_paths holds one float64 per path: 80 MB here
 START_TOL = 1e-8        # exp(-alpha T) below this: the start X_0 = 0 is forgotten
@@ -66,23 +67,37 @@ def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
 
     Deterministic for a fixed seed (fixed chunking keeps the stream stable).
     Each chunk holds about _CHUNK * _HORIZON jump times: _CHUNK paths
-    up to that horizon, proportionally fewer past it.
+    up to that horizon, proportionally fewer past it.  Each path is one row
+    of a one-column CSR matrix times 1.0, which adds its terms left to right
+    from 0.0 (the product by 1.0 is exact).  The terms reuse one buffer.
     """
     rng = np.random.default_rng(config.seed)
     alpha, horizon = config.drift_alpha, config.horizon_T
     chunk = min(_CHUNK, int(_CHUNK * _HORIZON // horizon))
     out = np.empty(config.n_paths)
+    ones = np.ones(1)
+    terms, cols = np.empty(0), np.empty(0, dtype=np.int32)
     done = 0
     while done < config.n_paths:
         size = min(chunk, config.n_paths - done)
-        counts = rng.poisson(horizon, size=size)
-        # the jump times, turned into their terms exp(-alpha (T - t)) in place
-        terms = rng.uniform(0.0, horizon, size=int(counts.sum()))
-        np.subtract(horizon, terms, out=terms)
-        terms *= -alpha
-        np.exp(terms, out=terms)
-        out[done:done + size] = np.bincount(np.repeat(np.arange(size), counts),
-                                            weights=terms, minlength=size)
+        # int32 row pointers and column indices, so scipy copies neither: the
+        # horizon budget keeps chunk * horizon <= _CHUNK * _HORIZON = 5e6, so
+        # a chunk's Poisson jump count stays far below 2**31 - 1
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(rng.poisson(horizon, size=size), dtype=np.int32, out=indptr[1:])
+        m = int(indptr[-1])
+        if m > terms.size:
+            terms = cols = t = None   # release the old buffers before the larger ones
+            terms, cols = np.empty(m), np.zeros(m, dtype=np.int32)
+        # the jump times, the draws and bits of rng.uniform(0.0, T, m), turned
+        # into their terms exp(-alpha (T - t)) in place
+        t = terms[:m]
+        rng.random(out=t)
+        t *= horizon
+        np.subtract(horizon, t, out=t)
+        t *= -alpha
+        np.exp(t, out=t)
+        out[done:done + size] = csr_array((t, cols[:m], indptr), shape=(size, 1)) @ ones
         done += size
     return out
 

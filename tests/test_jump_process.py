@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +66,83 @@ def test_chunk_is_fixed_up_to_horizon_25(monkeypatch, horizon):
     cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=horizon, n_paths=4500, seed=7)
     expected = simulate_paths_terms_copied(cfg, chunk=1000)
     assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
+
+
+def _chunk_jump_counts(cfg, chunk):
+    # each chunk's per-path jump counts, replayed from the simulation's stream
+    rng = np.random.default_rng(cfg.seed)
+    counts = []
+    for done in range(0, cfg.n_paths, chunk):
+        counts.append(rng.poisson(cfg.horizon_T, size=min(chunk, cfg.n_paths - done)))
+        rng.random(int(counts[-1].sum()))
+    return counts
+
+
+def test_reused_terms_buffer_keeps_the_copied_bits(monkeypatch):
+    # six chunks of 1000 paths whose jump counts grow past the kept buffer
+    # (chunks 3 and 5) and fall below it (chunks 2, 4 and 6)
+    monkeypatch.setattr(jump_process, "_CHUNK", 1000)
+    cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=25.0, n_paths=6000, seed=3)
+    sizes = [int(c.sum()) for c in _chunk_jump_counts(cfg, 1000)]
+    capacity = np.maximum.accumulate(sizes)
+    assert list(np.flatnonzero(np.diff(capacity) > 0) + 1) == [2, 4]
+    assert list(np.flatnonzero(sizes < capacity)) == [1, 3, 5]
+    expected = simulate_paths_terms_copied(cfg, chunk=1000)
+    assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
+
+
+def test_chunk_without_jumps_is_exact_zeros_and_keeps_the_stream(monkeypatch):
+    # ten chunks of 10 paths with jump counts 0, 1, 0, ..., 0: the first
+    # chunk sums nothing from the empty buffer, the second grows it to one term
+    monkeypatch.setattr(jump_process, "_CHUNK", 10)
+    cfg = JumpProcessConfig(drift_alpha=1e5, horizon_T=1e-3, n_paths=100, seed=34)
+    counts = np.concatenate(_chunk_jump_counts(cfg, 10))
+    assert [int(c.sum()) for c in counts.reshape(10, 10)] == [0, 1] + [0] * 8
+    x = simulate_paths(cfg)
+    assert np.array_equal(x.view(np.int64),
+                          simulate_paths_terms_copied(cfg, chunk=10).view(np.int64))
+    assert np.all(x[counts == 0] == 0.0) and np.all(x[counts > 0] > 0.0)
+
+
+def test_readme_jump_samples_keep_their_bits():
+    # the seeded samples behind example-jump's default run
+    x = simulate_paths(JumpProcessConfig(1.0, None, 1_000_000, 7))
+    assert x.sum().hex() == "0x1.e8830a2b6f26dp+19"
+    assert hashlib.sha256(x.tobytes()).hexdigest() == (
+        "2889f3466295c824dd96f0cb7794622bf2417c589f05c734b6d601801cf2adcc")
+
+
+def test_simulation_peak_memory_is_one_terms_buffer():
+    # 8 MB of samples, about 40 MB of terms and 20 MB of int32 column indices
+    # for a chunk's 5e6 jump times; an int64 path index per chunk, or a
+    # second live terms array, would pass 75 MB
+    cfg = JumpProcessConfig(1.0, None, 1_000_000, 7)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_paths(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 75e6, peak
+
+
+def test_chunk_jump_counts_fit_int32():
+    # simulate_paths holds row pointers as int32.  The horizon budget keeps
+    # chunk * horizon, a chunk's mean Poisson jump count, at or below
+    # _CHUNK * _HORIZON; ten standard deviations past it stay below 2**31 - 1.
+    budget = jump_process._CHUNK * jump_process._HORIZON
+    for horizon in (1e-3, 1.0, 24.5, 25.0, 26.0, 37.0, 1e3, 12_345.6, budget / 3, budget):
+        JumpProcessConfig(20.0 / horizon, horizon, 1, 0)   # exp(-20) < START_TOL
+        chunk = min(jump_process._CHUNK, int(budget // horizon))
+        assert chunk >= 1 and chunk * horizon <= budget
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        JumpProcessConfig(1.0, math.nextafter(budget, math.inf), 1, 0)
+    assert budget + 10 * math.sqrt(budget) < np.iinfo(np.int32).max
 
 
 def test_zero_jump_paths_are_exactly_zero():
