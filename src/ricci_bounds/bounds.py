@@ -74,7 +74,7 @@ class TailCurve:
 
     levels: np.ndarray
     values: np.ndarray
-    kind: str  # theorem1 | theorem_princ | empirical | poissonian
+    kind: str  # theorem1 | theorem_princ | empirical
 
     def clamped(self) -> np.ndarray:
         """Values clamped into [0, 1] for plotting; raw values stay in `values`."""

@@ -130,14 +130,13 @@ def _build_chain(cfg: argparse.Namespace) -> MetricChain:
 
 
 def _default_epsilon(cfg: argparse.Namespace, chain: MetricChain) -> float:
+    """--epsilon, else the one default eps of the chain's source."""
     if cfg.epsilon is not None:
         return cfg.epsilon
     if cfg.n0 is not None:
         return float(max(1, min(round(np.sqrt(cfg.n0)), cfg.k - cfg.n0)))
-    if chain.gaussian_variance is not None and cfg.alpha is not None:
-        # scale that balances rho against d0 for the Gaussian autoregression
-        return float((np.sqrt(2 * np.log(2) * cfg.alpha) + np.sqrt(8 / np.pi))
-                     / cfg.alpha)
+    if chain.gaussian_variance is not None:
+        return 3.0
     return float(np.min(chain.dist[chain.dist > 0]))
 
 
@@ -274,8 +273,6 @@ def cmd_example_mmk(cfg: argparse.Namespace) -> int:
 def cmd_example_ou(cfg: argparse.Namespace) -> int:
     if cfg.alpha is None:
         cfg.alpha = 0.5
-    if cfg.epsilon is None:
-        cfg.epsilon = 3.0
     return cmd_verify(cfg)
 
 

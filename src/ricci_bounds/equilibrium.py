@@ -66,7 +66,7 @@ def stationary_power(chain: MetricChain) -> StationaryResult:
     """Iterate v <- vP from the uniform vector until TV(v, vP) <= POWER_TOL.
 
     A periodic chain can oscillate forever; after POWER_MAX_ITERS steps the
-    error reports the last residual.
+    error message reports the last residual.
     """
     v = np.full(chain.n, 1.0 / chain.n)
     kernel = chain.kernel
@@ -81,8 +81,7 @@ def stationary_power(chain: MetricChain) -> StationaryResult:
         v = nxt
     raise PowerIterationError(
         f"power iteration hit max_iters={POWER_MAX_ITERS} with residual "
-        f"{residual:.3e} > tol={POWER_TOL:.3e}; a periodic chain never settles",
-        residual=residual)
+        f"{residual:.3e} > tol={POWER_TOL:.3e}; a periodic chain never settles")
 
 
 def stationary_law(chain: MetricChain) -> StationaryResult:

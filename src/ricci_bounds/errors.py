@@ -43,7 +43,3 @@ class InfeasibleSearchError(InapplicableError):
 
 class PowerIterationError(RuntimeError):
     """Power iteration did not reach the requested tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

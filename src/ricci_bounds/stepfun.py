@@ -71,8 +71,8 @@ class StepFunction:
     def support_end(self):
         """Largest breakpoint with a positive value (0.0 if none).
 
-        The function is zero on [support_end_radius, inf) only when the value
-        at that breakpoint is zero; callers use this to locate where a
+        The function is zero on [support_end(), inf) only when the value at
+        that breakpoint is zero; callers use this to locate where a
         nonnegative envelope dies.
         """
         pos = np.nonzero(self.values > 0)[0]

@@ -472,6 +472,20 @@ def test_search_infeasible_fixed_d0_reports():
     assert not drift["holds"] and drift["s2K_half"] == 10.0
 
 
+def test_search_infeasible_paper_default_reports():
+    # the paper default d0 = 2 + ln(2) 20 / 5 leaves the same drift too weak
+    prof = synthetic_profile(rho=5.0, s2=20.0, k_const=1.0)
+    with pytest.raises(InfeasibleSearchError) as err:
+        search_params(prof, "paper_default")
+    drift = err.value.report[0]["F_exceeds_half_s2K"]
+    assert not drift["holds"] and drift["s2K_half"] == 10.0
+
+
+def test_search_unknown_strategy_raises():
+    with pytest.raises(ValueError, match="^unknown strategy 'fastest'$"):
+        search_params(synthetic_profile(), "fastest")
+
+
 def test_search_infeasible_grid_range_reports():
     # below the reference level 3 the drift is too weak: C >= 1 on every point
     chain = build_mmk_chain(25, 30, 160)

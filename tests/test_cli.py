@@ -18,6 +18,7 @@ from ricci_bounds import jump_process as jp
 from ricci_bounds import equilibrium as eq
 from ricci_bounds.chain_model import build_mmk_chain
 from ricci_bounds.cli import main
+from ricci_bounds.errors import TransportError
 
 from conftest import (biased_reflecting_walk, cube_chain, irregular_line_chain,
                       line_chain, random_graph_chain, star_chain, write_chain_json)
@@ -726,3 +727,83 @@ def test_auto_truncation_matches_the_closed_form_law(n0, extra):
                         "--out", str(out)]) == 0
         _, rows = read_csv(out / "stationary.csv")
     assert len(rows) == _closed_form_truncation(n0, n0 + extra) + 1
+
+
+def test_alpha_without_epsilon_takes_example_ou_eps(tmp_path, capsys):
+    # d0 = 15.2 lay past the radius 10 under the old alpha-dependent default eps
+    verify, example = tmp_path / "verify", tmp_path / "example"
+    assert run_cli(["verify", "--alpha", "0.3", "--out", str(verify)]) == 0
+    assert run_cli(["example-ou", "--alpha", "0.3", "--out", str(example)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == out[1] == "verdict: PASS (dominated=True, truncation_audit=True)"
+    names = sorted(p.name for p in verify.iterdir())
+    assert names == sorted(p.name for p in example.iterdir())
+    assert all((verify / n).read_bytes() == (example / n).read_bytes() for n in names)
+
+
+def test_curvature_on_the_autoregression_defaults_to_eps_3(tmp_path):
+    out = tmp_path / "c"
+    assert run_cli(["curvature", "--alpha", "0.5", "--out", str(out)]) == 0
+    assert json.loads((out / "profile.json").read_text())["epsilon"] == 3.0
+
+
+_WALK3 = biased_reflecting_walk(3, 1 / 3)
+_WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
+              "kernel": _WALK3.kernel.tolist()}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["verify", "--n0", "5", "--k", "10", "--epsilon", "abc"], None,
+     "ricci-bounds: error: argument --epsilon: invalid float value: 'abc'"),
+    (["bound", "--n0", "5", "--k", "10", "--epsilon", "2", "--levels", "1:2"], None,
+     "error: bad range '1:2', expected a:b:step"),
+    (["verify", "--n0", "5"], None, "error: --n0 requires --k"),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1"], _WALK3_DOC,
+     "error: chain has no origin hint; pass --origin"),
+    (["example-mmk", "--alpha", "0.5"], None, "error: example-mmk needs --n0 and --k"),
+    (["sweep", "--n0", "5", "--k", "10"], None, "error: sweep needs --epsilons a:b:step"),
+    (["example-ou", "--grid-width", "0.01"], None, "error: grid too small"),
+    (["example-jump", "--paths", "0"], None, "error: n_paths must be positive"),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"], [_WALK3_DOC],
+     "error: {chain}: top-level value must be an object"),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
+     dict(_WALK3_DOC, kernel=[["x"] * 3] * 3), "error: {chain}: dist/kernel must be numeric"),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1"], dict(_WALK3_DOC, origin="z"),
+     "error: {chain}: origin label 'z' not among points"),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
+     dict(_WALK3_DOC, dist=[[0, -1, 2], [-1, 0, 1], [2, 1, 0]]),
+     "error: {chain}: negative distance entry"),
+], ids=["epsilon_not_a_number", "range_without_step", "n0_without_k", "no_origin",
+        "example_mmk_without_n0", "sweep_without_epsilons", "grid_too_small", "no_paths",
+        "chain_file_list", "chain_file_strings", "chain_file_unknown_origin",
+        "chain_file_negative_dist"])
+def test_every_refusal_exits_3_with_its_message(argv, doc, message, tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    if doc is not None:
+        chain.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "r"
+    assert run_cli([a.format(chain=chain) for a in argv] + ["--out", str(out)]) == 3
+    # a rejected chain file is named at the head of the message
+    assert capsys.readouterr().err.splitlines()[-1].startswith(message.format(chain=chain))
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_nonzero_lp_status_is_a_transport_error_and_exits_4(monkeypatch, tmp_path, capsys):
+    chain = cube_chain(3, 0.2)
+    path = write_chain_json(tmp_path / "cube3.json", chain.points, chain.dist,
+                            chain.kernel, origin=0)
+    real = transport.linprog
+
+    def failed(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.status, res.message = 4, "numerical difficulties"
+        return res
+
+    monkeypatch.setattr(transport, "linprog", failed)
+    with pytest.raises(TransportError, match="^transport LP failed for pairs 0..0: "):
+        transport.w1_flow_batch(chain, [0], [1])
+    code = run_cli(["curvature", "--chain", str(path), "--epsilon", "1",
+                    "--out", str(tmp_path / "c")])
+    assert code == 4
+    assert capsys.readouterr().err.rstrip().splitlines()[-1].startswith(
+        "internal error: TransportError: transport LP failed for pairs ")

@@ -103,10 +103,9 @@ def test_power_matches_birth_death(mmk_5_10):
 def test_power_oscillates_on_periodic_chain():
     # a periodic star: the centre moves to a uniform leaf, each leaf moves back;
     # from the uniform start the iterates alternate with (3/4, 1/12, 1/12, 1/12)
-    # forever, and the error carries the residual
-    with pytest.raises(PowerIterationError) as err:
+    # forever, and the error's message reports the residual
+    with pytest.raises(PowerIterationError, match=r" with residual 5\.000e-01 > tol="):
         stationary_power(star_chain())
-    assert err.value.residual == pytest.approx(0.5)
 
 
 def test_power_uniform_start_is_already_stationary_on_swap():
