@@ -7,7 +7,8 @@ from .bounds import (BoundParams, F_of, Phi_of, TailCurve, bound_princ,
 from .chain_model import (MetricChain, build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain)
 from .curvature import (CurvatureProfile, attraction_rho, curvature_envelope,
-                        curvature_profile, local_curvature, subgaussian_s2)
+                        curvature_profile, curvature_profiles, local_curvature,
+                        subgaussian_s2)
 from .equilibrium import (StationaryResult, empirical_tail,
                           stationary_birth_death, stationary_power,
                           truncation_audit, tv_distance)
@@ -23,7 +24,7 @@ __all__ = [
     "MetricChain", "Phi_of", "StationaryResult", "StepFunction", "TailCurve",
     "attraction_rho", "bound_princ", "bound_theorem1",
     "build_discrete_ou_chain", "build_mmk_chain", "check_epsilon_geodesic",
-    "curvature_envelope", "curvature_profile", "empirical_tail",
+    "curvature_envelope", "curvature_profile", "curvature_profiles", "empirical_tail",
     "epsilon_sweep", "load_chain", "local_curvature", "phi_of",
     "poissonian_tail_bound", "search_params", "simulate_paths",
     "stationary_birth_death", "stationary_power", "subgaussian_s2",

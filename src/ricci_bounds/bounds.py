@@ -22,8 +22,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chain_model import DIST_TOL, MetricChain, check_epsilon_geodesic, check_origin
-from .curvature import CurvatureProfile, curvature_profile
+from .chain_model import DIST_TOL, MetricChain, check_epsilon_geodesic
+from .curvature import CurvatureProfile, curvature_profiles
+# not called here: kept only as the trace target bench/tracing.py patches
+from .curvature import curvature_profile  # noqa: F401
 from .errors import (EmptyAnnulusError, InadmissibleParamsError,
                      InfeasibleSearchError, NoAttractivePointError)
 
@@ -384,17 +386,21 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
 
     The bound is the best one the chosen strategy finds.  A non-geodesic eps
     or an empty annulus is found from distances alone, before any transport;
-    its row holds eps, NaN, an infinite bound and the note.  Where the search
-    finds nothing (rho <= 0 included), the note is the search's message.
+    its row holds eps, NaN, an infinite bound and the note.  Every other eps
+    reads its profile from one curvature pass (`curvature_profiles`).  Where
+    the search finds nothing (rho <= 0 included), the note is the search's
+    message.
     """
-    check_origin(chain, origin)
+    epsilons = list(epsilons)
+    geodesic = [check_epsilon_geodesic(chain, eps) is None for eps in epsilons]
+    profiles = iter(curvature_profiles(chain, list(itertools.compress(epsilons, geodesic)),
+                                       origin))
 
-    def one(eps: float) -> list:
-        if check_epsilon_geodesic(chain, eps) is not None:
+    def one(eps: float, is_geodesic: bool) -> list:
+        if not is_geodesic:
             return [eps] + [math.nan] * 5 + [math.inf, "not eps-geodesic"]
-        try:
-            profile = curvature_profile(chain, eps, origin=origin)
-        except EmptyAnnulusError:
+        profile = next(profiles)
+        if isinstance(profile, EmptyAnnulusError):
             return [eps] + [math.nan] * 5 + [math.inf, "empty annulus"]
         row = [eps, profile.rho, float(profile.envelope.values.max()),
                profile.envelope.support_end()]
@@ -409,4 +415,4 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
                            phi_of(profile, reference_level))
         return row + [params.alpha, params.d0, _exp_or_inf(ln_val), ""]
 
-    return [one(eps) for eps in epsilons]
+    return [one(eps, ok) for eps, ok in zip(epsilons, geodesic)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -77,7 +78,8 @@ def _pair_curvature_lp(chain: MetricChain, epsilon: float):
     return xs, ys, 1.0 - w1_flow_batch(chain, xs, ys)[0] / d[xs, ys]
 
 
-def local_curvature(chain: MetricChain, epsilon: float) -> np.ndarray:
+def local_curvature(chain: MetricChain, epsilon: float,
+                    radii: Optional[Sequence[float]] = None) -> np.ndarray:
     """K_eps(x) = inf over 0 < d(x,y) <= eps of kappa(x, y), per point.
 
     Points whose eps-ball is empty get +inf (the infimum over an empty set)
@@ -89,21 +91,29 @@ def local_curvature(chain: MetricChain, epsilon: float) -> np.ndarray:
     certified LP in the test suite; every other chain sends its pairs through
     the certified solver in block-diagonal batches (`w1_flow_batch`), each
     pair with its own duality certificate.
+
+    Given `radii` (none above eps), the result has one row K_r per radius r,
+    each folded over the pairs at d <= r of the same pass: kappa(x, y)
+    belongs to the pair, not to the radius.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     route = _pair_curvature_line if chain.coords is not None else _pair_curvature_lp
     xs, ys, kap = route(chain, epsilon)
-    kloc = np.full(chain.n, np.inf)
-    np.minimum.at(kloc, xs, kap)
-    np.minimum.at(kloc, ys, kap)
-    isolated = np.isinf(kloc)
-    if np.any(isolated):
-        warnings.warn(
-            f"{int(isolated.sum())} point(s) have no neighbour within "
-            f"eps={epsilon}; K_eps is vacuous (+inf) there",
-            stacklevel=2)
-    return kloc
+    d = chain.dist[xs, ys]
+    rows = [epsilon] if radii is None else radii
+    kloc = np.full((len(rows), chain.n), np.inf)
+    for k, r in zip(kloc, rows):
+        near = d <= r + DIST_TOL
+        np.minimum.at(k, xs[near], kap[near])
+        np.minimum.at(k, ys[near], kap[near])
+        isolated = np.isinf(k)
+        if np.any(isolated):
+            warnings.warn(
+                f"{int(isolated.sum())} point(s) have no neighbour within "
+                f"eps={r}; K_eps is vacuous (+inf) there",
+                stacklevel=2)
+    return kloc[0] if radii is None else kloc
 
 
 def curvature_envelope(chain: MetricChain, origin: int,
@@ -173,17 +183,45 @@ def subgaussian_s2(chain: MetricChain) -> float:
     return s2
 
 
-def curvature_profile(chain: MetricChain, epsilon: float, origin: int) -> CurvatureProfile:
-    """Assemble the full curvature profile at one (eps, origin) choice.
+def curvature_profiles(chain: MetricChain, epsilons: Sequence[float], origin: int) -> list:
+    """The curvature profile at each eps in `epsilons`, in order; an eps whose
+    annulus is empty gets its EmptyAnnulusError in place of a profile.
 
-    rho comes first: it reads one row of dist, so an empty annulus costs no LP.
+    Every rho comes first: it reads one row of dist, so an empty annulus
+    costs no transport, and the one pair pass runs at the largest eps that
+    has a profile.  Every K_eps is folded from that pass; j0 and s^2 do not
+    depend on eps and are computed once.
     """
     check_origin(chain, origin)
-    rho = attraction_rho(chain, epsilon, origin)
-    kappa_local = local_curvature(chain, epsilon)
-    envelope = curvature_envelope(chain, origin, kappa_local)
+    rhos = []
+    for eps in epsilons:
+        try:
+            rhos.append(attraction_rho(chain, eps, origin))
+        except EmptyAnnulusError as exc:
+            rhos.append(exc)
+    radii = [eps for eps, rho in zip(epsilons, rhos) if not isinstance(rho, EmptyAnnulusError)]
+    if not radii:
+        return rhos
+    kappa_local = iter(local_curvature(chain, max(radii), radii))
     j0 = w1_to_point(chain, origin, origin)
     s2 = subgaussian_s2(chain)
-    return CurvatureProfile(epsilon=float(epsilon), origin=int(origin),
-                            kappa_local=kappa_local, envelope=envelope,
-                            rho=rho, j0=j0, s2=s2)
+    profiles = []
+    for eps, rho in zip(epsilons, rhos):
+        if isinstance(rho, EmptyAnnulusError):
+            profiles.append(rho)
+            continue
+        kloc = next(kappa_local)
+        profiles.append(CurvatureProfile(epsilon=float(eps), origin=int(origin),
+                                         kappa_local=kloc,
+                                         envelope=curvature_envelope(chain, origin, kloc),
+                                         rho=rho, j0=j0, s2=s2))
+    return profiles
+
+
+def curvature_profile(chain: MetricChain, epsilon: float, origin: int) -> CurvatureProfile:
+    """The full curvature profile at one (eps, origin) choice: `curvature_profiles`
+    of the one eps, whose empty annulus is raised."""
+    (profile,) = curvature_profiles(chain, [epsilon], origin)
+    if isinstance(profile, EmptyAnnulusError):
+        raise profile
+    return profile

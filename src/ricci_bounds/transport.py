@@ -19,7 +19,6 @@ feasibility on the others, as in Schmitzer, J. Math. Imaging Vis. 2016).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.sparse import csc_array, csr_array
 
 from .chain_model import DIST_TOL, ROW_SUM_TOL, MetricChain
@@ -187,6 +186,9 @@ def _solve_lp(chain, points, mass, starts, sizes, n_src, batch, local, n_col):
     a_eq = csc_array((np.ones(2 * local.size), rows, np.arange(0, 2 * local.size + 1, 2)),
                      shape=(pts.size, local.size))
     b_eq = np.abs(rhs)
+    # imported here: scipy.optimize takes about a quarter of the CLI's import
+    # time, and line chains never solve an LP
+    from scipy.optimize import linprog
     # presolve only adds time on these LPs (about 2x on {0,1}^9 batches)
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs", options={"presolve": False})

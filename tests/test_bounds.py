@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import search_oracle
 from ricci_bounds import bounds as bounds_mod
+from ricci_bounds import curvature
 from ricci_bounds import (CurvatureProfile, F_of, Phi_of, StepFunction, bound_princ,
                           bound_theorem1, build_mmk_chain, curvature_profile,
                           epsilon_sweep, phi_of, search_params,
@@ -20,7 +22,7 @@ from ricci_bounds.chain_model import build_discrete_ou_chain
 from ricci_bounds.errors import (InadmissibleParamsError, InfeasibleSearchError,
                                  NoAttractivePointError)
 
-from conftest import biased_reflecting_walk
+from conftest import biased_reflecting_walk, cube_chain
 
 
 def ln_C(prof, alpha, d0):
@@ -725,13 +727,55 @@ def test_sweep_row_with_rho_at_most_zero_carries_the_search_message(strategy):
 
 def test_sweep_optimal_eps_scales_like_sqrt_n0():
     # regime with k - n0 at the sqrt(n0) scale: best eps tracks sqrt(n0)
-    for n0, k, trunc, ref in ((25, 30, 160, 45), (100, 110, 220, 60)):
+    # 920 is the CLI's automatic truncation for (400, 420): it passes the audit
+    for n0, k, trunc, ref in ((25, 30, 160, 45), (100, 110, 220, 60), (400, 420, 920, 150)):
         chain = build_mmk_chain(n0, k, trunc)
         best = _argmin_epsilon(epsilon_sweep(
             chain, n0, range(1, int(3 * math.sqrt(n0)) + 1), ref, strategy="grid"))
         assert best is not None
         ratio = best / math.sqrt(n0)
         assert 1 / 3 <= ratio <= 3.0
+
+
+def _count_calls(monkeypatch, module, name):
+    """The arguments of every call made to `module.name` from here on."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("route, make, epsilons, pass_eps", [
+    ("_pair_curvature_line", lambda: build_mmk_chain(25, 30, 160), range(1, 16), 15),
+    ("_pair_curvature_lp", lambda: cube_chain(6, 0.2), [1.0, 2.0, 50.0], 2.0),
+], ids=["line", "lp"])
+def test_sweep_makes_one_pair_pass_at_its_largest_usable_eps(monkeypatch, route, make,
+                                                             epsilons, pass_eps):
+    chain = make()
+    origin = chain.origin_hint
+    passes = _count_calls(monkeypatch, curvature, route)
+    s2_calls = _count_calls(monkeypatch, curvature, "subgaussian_s2")
+    j0_calls = _count_calls(monkeypatch, curvature, "w1_to_point")
+    rows = epsilon_sweep(chain, origin, epsilons, 30.0, strategy="grid")
+    assert [args[1] for args in passes] == [pass_eps]
+    assert len(s2_calls) == len(j0_calls) == 1
+    assert [row[0] for row in rows] == list(epsilons)
+
+
+def test_sweep_empty_annulus_eps_solves_no_lp(monkeypatch):
+    # eps 50 is past every distance on cube6: it is geodesic, its annulus is
+    # empty, and it must not widen the pass beyond eps 2
+    chain = cube_chain(6, 0.2)
+    lps = _count_calls(monkeypatch, scipy.optimize, "linprog")
+    curvature.local_curvature(chain, 2.0)
+    alone = len(lps)
+    rows = epsilon_sweep(chain, 0, [1.0, 2.0, 50.0], 30.0, strategy="grid")
+    assert len(lps) - alone == alone > 0
+    assert rows[2][7] == "empty annulus"
 
 
 def test_sweep_optimal_eps_scales_like_gap_when_narrow():

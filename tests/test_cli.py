@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -148,7 +149,7 @@ def test_epsilon_past_the_radius_is_refused_before_any_transport(monkeypatch, tm
     def no_lp(*args, **kwargs):
         raise AssertionError("a transport LP was solved")
 
-    monkeypatch.setattr(transport, "linprog", no_lp)
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
     code = run_cli(["curvature", "--chain", str(path), "--epsilon", "10",
                     "--out", str(tmp_path / "c")])
     assert code == 2
@@ -378,14 +379,14 @@ def test_failed_transport_certificate_exit_4(monkeypatch, tmp_path, capsys):
     chain = cube_chain(3, 0.2)
     path = write_chain_json(tmp_path / "cube3.json", chain.points, chain.dist,
                             chain.kernel, origin=0)
-    real = transport.linprog
+    real = scipy.optimize.linprog
 
     def corrupted(*args, **kwargs):
         res = real(*args, **kwargs)
         res.x = np.zeros_like(res.x)
         return res
 
-    monkeypatch.setattr(transport, "linprog", corrupted)
+    monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     code = run_cli(["curvature", "--chain", str(path), "--epsilon", "1",
                     "--out", str(tmp_path / "c")])
     assert code == 4
@@ -792,14 +793,14 @@ def test_nonzero_lp_status_is_a_transport_error_and_exits_4(monkeypatch, tmp_pat
     chain = cube_chain(3, 0.2)
     path = write_chain_json(tmp_path / "cube3.json", chain.points, chain.dist,
                             chain.kernel, origin=0)
-    real = transport.linprog
+    real = scipy.optimize.linprog
 
     def failed(*args, **kwargs):
         res = real(*args, **kwargs)
         res.status, res.message = 4, "numerical difficulties"
         return res
 
-    monkeypatch.setattr(transport, "linprog", failed)
+    monkeypatch.setattr(scipy.optimize, "linprog", failed)
     with pytest.raises(TransportError, match="^transport LP failed for pairs 0..0: "):
         transport.w1_flow_batch(chain, [0], [1])
     code = run_cli(["curvature", "--chain", str(path), "--epsilon", "1",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from scipy.special import erf
 
 from ricci_bounds import (MetricChain, attraction_rho, build_discrete_ou_chain,
                           build_mmk_chain, curvature_envelope,
-                          curvature_profile, epsilon_sweep, load_chain,
+                          curvature_profile, curvature_profiles, epsilon_sweep,
+                          load_chain,
                           local_curvature, subgaussian_s2, w1_to_point)
 from ricci_bounds import curvature, transport
 from ricci_bounds.errors import DegenerateKernelError, EmptyAnnulusError
@@ -287,6 +290,55 @@ def test_profile_assembles_consistently(mmk_2_4):
     assert profile.s2 == 1.0
     # j0 is recomputable from transport
     assert profile.j0 == pytest.approx(w1_to_point(mmk_2_4, 2, 2), abs=1e-9)
+
+
+def _assert_profiles_match(chain, epsilons, origin, check):
+    """Each eps's profile from one multi-eps pass against its own one-eps pass."""
+    for eps, profile in zip(epsilons, curvature_profiles(chain, epsilons, origin)):
+        if isinstance(profile, EmptyAnnulusError):
+            with pytest.raises(EmptyAnnulusError, match=re.escape(str(profile))):
+                curvature_profile(chain, eps, origin)
+            continue
+        alone = curvature_profile(chain, eps, origin)
+        assert (profile.epsilon, profile.origin) == (alone.epsilon, alone.origin)
+        assert (profile.rho, profile.j0, profile.s2) == (alone.rho, alone.j0, alone.s2)
+        np.testing.assert_array_equal(profile.envelope.breakpoints,
+                                      alone.envelope.breakpoints)
+        check(profile.kappa_local, alone.kappa_local)
+        check(profile.envelope.values, alone.envelope.values)
+
+
+def _bitwise(a, b):
+    np.testing.assert_array_equal(a, b)
+
+
+def _within_1e_12(a, b):
+    np.testing.assert_array_equal(np.isinf(a), np.isinf(b))
+    np.testing.assert_allclose(a[np.isfinite(a)], b[np.isfinite(b)], rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:.*no neighbour within")
+@pytest.mark.parametrize("make, epsilons", [
+    (lambda: build_mmk_chain(5, 10, 60), [1.0, 2.0, 3.0, 5.0, 8.0]),
+    (lambda: build_mmk_chain(25, 30, 160), [4.0, 1.0, 5.0, 15.0, 9.0, 200.0]),
+    (lambda: build_discrete_ou_chain(0.5, 10.0, 0.05), [0.5, 3.0, 1.5, 2.0]),
+    (lambda: irregular_line_chain(np.random.default_rng(8)), [0.5, 1.0, 2.5, 4.0, 7.0]),
+], ids=["mmk_5_10", "mmk_25_30", "ou", "irregular_line"])
+def test_line_profiles_from_one_pass_equal_one_eps_profiles_bit_for_bit(make, epsilons):
+    chain = make()
+    _assert_profiles_match(chain, epsilons, chain.origin_hint or 0, _bitwise)
+
+
+@pytest.mark.filterwarnings("ignore:.*no neighbour within")
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_profiles_from_one_pass_equal_one_eps_profiles(seed):
+    chain = random_graph_chain(np.random.default_rng(seed), n_points=14)
+    _assert_profiles_match(chain, [3.0, 1.0, 2.0, 4.0], 0, _within_1e_12)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3])
+def test_cube_profiles_from_one_pass_equal_one_eps_profiles(p):
+    _assert_profiles_match(cube_chain(6, p), [1.0, 2.0, 3.0], 0, _within_1e_12)
 
 
 def test_library_rejects_an_origin_outside_the_chain():

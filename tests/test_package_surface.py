@@ -12,6 +12,9 @@ one-argument `mean` method alive.  Reference implementations that only
 tests compare against live under `tests/`.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ricci_bounds
@@ -90,3 +93,12 @@ def test_every_exported_name_resolves():
     assert len(set(ricci_bounds.__all__)) == len(ricci_bounds.__all__)
     for name in ricci_bounds.__all__:
         assert hasattr(ricci_bounds, name), name
+
+
+def test_importing_the_cli_loads_no_scipy_optimize():
+    # the transport LP imports it when it first solves; line chains never do
+    code = "import sys, ricci_bounds.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

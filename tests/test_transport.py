@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.optimize
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance as scipy_w1
 
@@ -43,14 +44,14 @@ def flow(chain, mu, nu):
 
 def record_lps(monkeypatch):
     """A list that gets (cost, A_eq, b_eq, result) of every transport LP solved."""
-    real = transport.linprog
+    real = scipy.optimize.linprog
     solved = []
 
     def keep(cost, **kwargs):
         solved.append((cost, kwargs["A_eq"], kwargs["b_eq"], real(cost, **kwargs)))
         return solved[-1][-1]
 
-    monkeypatch.setattr(transport, "linprog", keep)
+    monkeypatch.setattr(scipy.optimize, "linprog", keep)
     return solved
 
 
@@ -351,7 +352,7 @@ def test_batch_matches_per_pair_solves():
 def test_batch_of_nothing_solves_nothing(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("no LP expected")
-    monkeypatch.setattr(transport, "linprog", no_solve)
+    monkeypatch.setattr(scipy.optimize, "linprog", no_solve)
     chain = random_graph_chain(np.random.default_rng(1))
     mu = measure(chain.n, [0, 2], [0.5, 0.5])
     assert [a.size for a in w1_flow_batch(chain, [], [])] == [0, 0, 0]
@@ -445,7 +446,7 @@ def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
     chain, xs, ys = four_cycle_pairs()
     assert w1_flow_batch(chain, xs, ys)[0] == pytest.approx([1.0, 1.0, 1.5])
     sink_a = [4, 1]
-    real = transport.linprog
+    real = scipy.optimize.linprog
     calls = []
 
     def corrupted(*args, **kwargs):
@@ -454,7 +455,7 @@ def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
         calls.append(res.x.size)
         return res
 
-    monkeypatch.setattr(transport, "linprog", corrupted)
+    monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 1: duality certificate failed"):
         w1_flow_batch(chain, xs, ys)
     assert calls == [6, 2]
@@ -466,7 +467,7 @@ def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
     # as pair 2, its index in the caller's list
     chain, xs, ys = four_cycle_pairs()
     monkeypatch.setattr(transport, "LP_GROUP_VARS", 1)
-    real = transport.linprog
+    real = scipy.optimize.linprog
     calls = []
 
     def corrupted(*args, **kwargs):
@@ -476,7 +477,7 @@ def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
             res.x = np.zeros_like(res.x)
         return res
 
-    monkeypatch.setattr(transport, "linprog", corrupted)
+    monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 2: duality certificate failed"):
         w1_flow_batch(chain, xs, ys)
     assert calls == [2, 2, 2, 2]
@@ -489,7 +490,7 @@ def test_certificate_rejects_a_plan_that_misses_a_marginal(monkeypatch):
     # the plan's row sums no longer give the difference.  Both arcs are the
     # first and the last column of the first pass and of the full re-solve.
     chain = build_mmk_chain(2, 4, 10)
-    real = transport.linprog
+    real = scipy.optimize.linprog
     costs = []
 
     def corrupted(*args, **kwargs):
@@ -499,7 +500,7 @@ def test_certificate_rejects_a_plan_that_misses_a_marginal(monkeypatch):
         res.x[-1] -= 1e-3
         return res
 
-    monkeypatch.setattr(transport, "linprog", corrupted)
+    monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     with pytest.raises(TransportError,
                        match=r"^pair 0: duality certificate failed: .*primal defect=1\.000e-03"):
         w1_flow_batch(chain, [3], [4])
