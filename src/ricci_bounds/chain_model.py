@@ -9,7 +9,7 @@ transport used by the curvature sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,6 +45,8 @@ class MetricChain:
     coords : real-line coordinates realizing dist within GEODESIC_TOL when the
         metric is a line metric (inferred from a given dist), else None
     gaussian_variance : kernel variance declared by a Gaussian builder, else None
+    geodesic_at : a distance t whose graph of the pairs at d <= t realizes
+        every distance within GEODESIC_TOL, once the triangle check found it
     """
 
     points: Tuple[str, ...]
@@ -53,6 +55,7 @@ class MetricChain:
     origin_hint: Optional[int] = None
     coords: Optional[np.ndarray] = None
     gaussian_variance: Optional[float] = None
+    geodesic_at: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.dist is None) == (self.coords is None):
@@ -139,6 +142,8 @@ class MetricChain:
                     f"triangle inequality violated by {slack[k, j]:.3e}: "
                     f"d({i},{j}) > d({i},{k}) + d({k},{j})")
             if np.all(excess >= -GEODESIC_TOL):
+                # |sp - d| <= GEODESIC_TOL: check_epsilon_geodesic's answer on this graph
+                object.__setattr__(self, "geodesic_at", float(t))
                 return
 
 
@@ -205,7 +210,7 @@ def build_discrete_ou_chain(alpha: float, grid_half_width: float,
             "dominate the curvature signal")
     m = int(round(grid_half_width / grid_step))
     if m < 1:
-        raise ValueError("grid too small; increase grid_half_width")
+        raise ValueError("grid too small; increase grid_half_width (--grid-width)")
     _check_dense_size(2 * m + 1)
     coords = np.arange(-m, m + 1) * grid_step
     size = coords.size
@@ -310,7 +315,9 @@ def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> Optional[Tuple
     edges are point pairs at distance <= epsilon (edge weight = distance)
     equals d(x, y) within 1e-9, else the pair of largest defect.  On a line
     metric that holds iff no gap between coordinate-order neighbours exceeds
-    epsilon, and the witness is the pair across the largest gap.
+    epsilon, and the witness is the pair across the largest gap.  When the
+    triangle check has shown the same graph (the same pairs) to realize the
+    metric, that answer is reused.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -322,6 +329,10 @@ def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> Optional[Tuple
             return None
         k = int(np.argmax(gaps))
         return int(order[k]), int(order[k + 1])
+    t = chain.geodesic_at
+    # the pairs at d <= t and at d <= epsilon nest, so equal counts are equal sets
+    if t is not None and np.count_nonzero(d <= epsilon + DIST_TOL) == np.count_nonzero(d <= t):
+        return None
     defect = np.abs(_shortest_paths(d, epsilon + DIST_TOL) - d)
     i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
     return None if defect[i, j] <= GEODESIC_TOL else (int(i), int(j))

@@ -42,7 +42,7 @@ class JumpProcessConfig:
         if self.drift_alpha <= 0:
             raise ValueError("drift_alpha must be positive")
         if self.n_paths <= 0:
-            raise ValueError("n_paths must be positive")
+            raise ValueError("n_paths (--paths) must be positive")
         if self.n_paths > MAX_PATHS:
             raise ValueError(f"{self.n_paths} paths exceed the budget "
                              f"MAX_PATHS = {MAX_PATHS}")

@@ -15,6 +15,12 @@ certificate, which checks the potential on every point, accepts it only
 where it is optimal over all columns, and the group's pairs it rejects are
 solved again on all of theirs (a sparse arc set proved optimal by dual
 feasibility on the others, as in Schmitzer, J. Math. Imaging Vis. 2016).
+
+Pairs whose LPs are bit-identical (same signed masses in row order, same
+distances among the block's points) are solved once: on {0,1}^9 at eps = 1
+the 2304 neighbouring pairs pose 21 to 43 distinct LPs, by the symmetry that
+gives Ollivier's kappa = 1/N.  The certificate reads nothing else, so the
+one that proves the first copy optimal proves every copy optimal.
 """
 from __future__ import annotations
 
@@ -60,14 +66,19 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
     the block's points, so its dual value bounds W1 from below over every
     plan, and a gap within CERT_TOL proves the sparse plan optimal among all
     plans.  Pairs that fail are solved once more on all their columns, and
-    that result is final.  Consecutive pairs form groups of about
-    LP_GROUP_VARS full columns; each group is scanned once for its sparse
-    columns, solved on them as one block-diagonal LP (one HiGHS call), and
-    its rejected pairs as one more.  Each block's slice of
-    the solution and of the duals is an optimum of its pair's own LP.  Each
-    LP is certified in one vectorized pass that still checks every pair on
-    its own, and a pair whose final primal defect, gap or Lipschitz defect
-    exceeds CERT_TOL raises TransportError naming its index in the call.
+    that result is final.
+
+    Only the first pair of each set of bit-identical LPs is solved (see
+    `_first_copies`); its copies take its W1, gap and defects, since the
+    certificate depends on nothing but the LP and its duals.  The solved
+    pairs form consecutive groups of about LP_GROUP_VARS full columns; each
+    group is scanned once for its sparse columns, solved on them as one
+    block-diagonal LP (one HiGHS call), and its rejected pairs as one more.
+    Each block's slice of the solution and of the duals is an optimum of its
+    pair's own LP.  Each LP is certified in one vectorized pass that still
+    checks every pair on its own, and a pair whose final primal defect, gap
+    or Lipschitz defect exceeds CERT_TOL raises TransportError naming its
+    index in the call (of a set of copies, the first).
     """
     xs, ys = np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp)
     outside = (np.minimum(xs, ys) < 0) | (np.maximum(xs, ys) >= chain.n)
@@ -91,10 +102,12 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
     no_lp = (n_var == 0)[row]
     np.maximum.at(primal, row[no_lp], np.abs(mass[no_lp]))
     lp = np.flatnonzero(n_var)
+    first = lp[_first_copies(chain, points, mass, starts[lp], sizes[lp], n_var[lp])]
+    solve = lp[first == lp]
     # a pair joins the group in which its running column count ends
-    group = np.cumsum(n_var[lp]) // LP_GROUP_VARS
+    group = np.cumsum(n_var[solve]) // LP_GROUP_VARS
     for g in np.unique(group):
-        k = lp[group == g]
+        k = solve[group == g]
         w1[k], gap[k], lip[k], primal[k] = _solve_lp(
             chain, points, mass, starts[k], sizes[k], n_src[k], k,
             *_sparse_columns(chain, points, mass, starts[k], n_src[k], sizes[k] - n_src[k]))
@@ -103,6 +116,7 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
             w1[redo], gap[redo], lip[redo], primal[redo] = _solve_lp(
                 chain, points, mass, starts[redo], sizes[redo], n_src[redo], redo,
                 _ragged(n_var[redo]), n_var[redo])
+    w1[lp], gap[lp], lip[lp], primal[lp] = w1[first], gap[first], lip[first], primal[first]
     bad = np.flatnonzero(~_certified(gap, lip, primal))
     if bad.size:
         k = bad[0]
@@ -110,6 +124,79 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
             f"pair {k}: duality certificate failed: gap={gap[k]:.3e}, "
             f"lipschitz defect={lip[k]:.3e}, primal defect={primal[k]:.3e}")
     return w1, gap, lip
+
+
+def _first_copies(chain, points, mass, starts, sizes, n_var):
+    """For each block, the index of the first block in the list that poses
+    the same LP bit for bit: the same size, the same signed masses in row
+    order and the same distances among its points, all s x s of them.
+
+    Blocks are classed by size and mass bytes first, in O(nnz).  Only
+    classes of two or more gather distances, one group's worth of blocks at
+    a time, as the certificate does, and each block's s x s distances are
+    hashed to one uint64.  A block is taken as a copy only after its
+    distances have been compared with its first block's bit for bit, so a
+    hash collision costs a solve, never a wrong W1.
+    """
+    first = np.arange(starts.size)
+    for s in np.unique(sizes):
+        k = np.flatnonzero(sizes == s)
+        first[k] = k[_first_equal_rows(mass[starts[k][:, None] + np.arange(s)].view(np.uint64))]
+    shared = np.flatnonzero(np.bincount(first)[first] > 1)
+    key = np.empty((shared.size, 2), dtype=np.uint64)
+    key[:, 0] = first[shared]
+    for s, j in _chunks(sizes[shared], n_var[shared]):
+        d = _block_distances(chain, points, starts[shared[j]], s)
+        key[j, 1] = _hash_rows(d.reshape(j.size, -1).view(np.uint64))
+    first[shared] = shared[_first_equal_rows(key)]
+    copy = shared[first[shared] != shared]
+    for s, j in _chunks(sizes[copy], n_var[copy]):
+        k = copy[j]
+        heads, at = np.unique(first[k], return_inverse=True)
+        same = (_block_distances(chain, points, starts[k], s).view(np.uint64)
+                == _block_distances(chain, points, starts[heads], s).view(np.uint64)[at])
+        alone = k[~same.all(axis=(1, 2))]
+        first[alone] = alone
+    return first
+
+
+def _first_equal_rows(rows):
+    """For each row of a 2-d array, the index of the first row equal to it."""
+    order = np.lexsort(rows.T[::-1])            # stable: equal rows keep their order
+    head = np.ones(order.size, dtype=bool)
+    head[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+    first = np.empty_like(order)
+    first[order] = order[head][np.cumsum(head) - 1]
+    return first
+
+
+def _chunks(sizes, n_var):
+    """(s, j): the blocks j of size s in one group's worth of blocks, cut
+    by the running column count as the groups are."""
+    chunk = np.cumsum(n_var) // LP_GROUP_VARS
+    for c in np.unique(chunk):
+        here = chunk == c
+        for s in np.unique(sizes[here]):
+            yield s, np.flatnonzero(here & (sizes == s))
+
+
+def _block_distances(chain, points, starts, s):
+    """The s x s distances among the points of each block of size s that
+    starts at `starts` in `points`."""
+    p = points[starts[:, None] + np.arange(s)]
+    return chain.dist[p[:, :, None], p[:, None, :]]
+
+
+def _hash_rows(words):
+    """One uint64 per row of `words`: the wrapping sum of splitmix64 of each
+    word plus its column times the golden ratio (Steele et al., OOPSLA 2014)."""
+    x = words + np.arange(words.shape[1], dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x.sum(axis=1, dtype=np.uint64)
 
 
 def _certified(gap, lip, primal):
@@ -207,8 +294,7 @@ def _solve_lp(chain, points, mass, starts, sizes, n_src, batch, local, n_col):
     for s in np.unique(sizes):
         group = np.flatnonzero(sizes == s)
         at = r0[group][:, None] + np.arange(s)
-        p = pts[at]
-        d = chain.dist[p[:, :, None], p[:, None, :]]
+        d = _block_distances(chain, pts, r0[group], s)
         phi_s = np.min(d + neg_dual[at][:, None, :], axis=2)
         np.subtract(phi_s[:, :, None], d, out=d)
         d -= phi_s[:, None, :]

@@ -328,6 +328,23 @@ def test_geodesic_check_matches_floyd_warshall(kind, seed, frac):
         assert defect[witness] > 1e-9
 
 
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["graph", "euclid"]), seed=st.integers(0, 2**32 - 1),
+       step=st.integers(0, 3))
+def test_geodesic_check_after_the_triangle_check_matches_a_fresh_solve(kind, seed, step):
+    # eps at one of the smallest distances, just under and just past it, and
+    # midway to the diameter: a chain that recorded its triangle check must
+    # answer as a chain without the record solves
+    chain = _audit_chain(kind, seed)
+    chain.check_triangle_inequality()
+    fresh = MetricChain(points=chain.points, dist=chain.dist, kernel=chain.kernel)
+    assert chain.geodesic_at is not None and fresh.geodesic_at is None
+    values = np.unique(chain.dist[chain.dist > 0])
+    eps = values[min(step, values.size - 1)]
+    for e in (eps, eps + 1e-13, np.nextafter(eps, 0.0), (eps + values[-1]) / 2):
+        assert check_epsilon_geodesic(chain, e) == check_epsilon_geodesic(fresh, e)
+
+
 def test_geodesic_monotone_in_epsilon():
     rng = np.random.default_rng(5)
     coords = np.sort(rng.uniform(0, 10, size=12))

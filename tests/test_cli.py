@@ -156,6 +156,25 @@ def test_epsilon_past_the_radius_is_refused_before_any_transport(monkeypatch, tm
     assert "use a smaller epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps, solves", [("1", 1), ("2", 2)])
+def test_a_loaded_chain_solves_the_graph_of_its_smallest_distance_once(
+        monkeypatch, tmp_path, eps, solves):
+    # the triangle check on load proves that the pairs at distance 1 realize
+    # the Hamming metric; eps = 1 has the same pairs and reuses that, eps = 2
+    # has more and is solved on its own
+    chain = cube_chain(6, 0.05)
+    path = write_chain_json(tmp_path / "cube6.json", chain.points, chain.dist,
+                            chain.kernel, origin=0)
+    thresholds = []
+    shortest_paths = chain_model._shortest_paths
+    monkeypatch.setattr(chain_model, "_shortest_paths",
+                        lambda d, t: thresholds.append(t) or shortest_paths(d, t))
+    code = run_cli(["curvature", "--chain", str(path), "--epsilon", eps,
+                    "--out", str(tmp_path / "c")])
+    assert code == 0
+    assert len(thresholds) == solves and thresholds[0] == 1.0
+
+
 def test_non_geodesic_epsilon_exits_2_asking_for_a_larger_one(tmp_path, capsys):
     # M/M/k states are 1 apart, so no chain of steps <= 0.5 joins two of them
     code = run_cli(["verify", "--n0", "5", "--k", "10", "--epsilon", "0.5",
@@ -763,8 +782,9 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
      "error: chain has no origin hint; pass --origin"),
     (["example-mmk", "--alpha", "0.5"], None, "error: example-mmk needs --n0 and --k"),
     (["sweep", "--n0", "5", "--k", "10"], None, "error: sweep needs --epsilons a:b:step"),
-    (["example-ou", "--grid-width", "0.01"], None, "error: grid too small"),
-    (["example-jump", "--paths", "0"], None, "error: n_paths must be positive"),
+    (["example-ou", "--grid-width", "0.01"], None,
+     "error: grid too small; increase grid_half_width (--grid-width)"),
+    (["example-jump", "--paths", "0"], None, "error: n_paths (--paths) must be positive"),
     (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"], [_WALK3_DOC],
      "error: {chain}: top-level value must be an object"),
     (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],

@@ -55,9 +55,25 @@ def record_lps(monkeypatch):
     return solved
 
 
-def signed_entries(chain, xs, ys):
-    """The number of LP rows that solving each pair exactly once would pass."""
-    return int(np.count_nonzero(chain.kernel[xs] != chain.kernel[ys]))
+def distinct_blocks(chain, xs, ys):
+    """(sources, sinks) of each distinct LP among the pairs, in the order of
+    its first pair.  Two pairs pose the same LP when their signed masses
+    (sources, then sinks, each in point order) and the distances among their
+    points are the same bytes."""
+    blocks = {}
+    for x, y in zip(xs, ys):
+        diff = chain.kernel[x] - chain.kernel[y]
+        src, snk = np.flatnonzero(diff > 0), np.flatnonzero(diff < 0)
+        if src.size and snk.size:
+            pts = np.concatenate([src, snk])
+            key = (diff[pts].tobytes(), chain.dist[np.ix_(pts, pts)].tobytes())
+            blocks.setdefault(key, (src.size, snk.size))
+    return list(blocks.values())
+
+
+def distinct_rows(chain, xs, ys):
+    """The number of LP rows that solving each distinct LP exactly once would pass."""
+    return sum(src + snk for src, snk in distinct_blocks(chain, xs, ys))
 
 
 # ------------------------------------------------------------ frozen values
@@ -184,9 +200,10 @@ def test_cube_neighbours_have_curvature_one_over_n(monkeypatch, bits, p):
     kappa = 1.0 - w1_flow_batch(chain, xs, ys)[0]
     np.testing.assert_allclose(kappa, 1 / bits, rtol=0, atol=transport.CERT_TOL)
     # the optimal coupling moves x -> y and x+e_i -> y+e_i, all
-    # nearest-neighbour arcs, so every pair certifies in the first pass and
-    # no difference's rows are solved twice
-    assert sum(b_eq.size for _, _, b_eq, _ in solved) == signed_entries(chain, xs, ys)
+    # nearest-neighbour arcs, so every pair certifies in the first pass; the
+    # cube's symmetry makes most pairs copies of another's LP, and each
+    # distinct LP's rows are solved once
+    assert sum(b_eq.size for _, _, b_eq, _ in solved) == distinct_rows(chain, xs, ys)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.37])
@@ -194,12 +211,15 @@ def test_cube_first_pass_is_the_matching_of_each_pair(monkeypatch, p):
     # P_x - P_y of neighbours on {0,1}^6 has 6 sources, each 1 from its
     # matched sink and of equal share up to rounding: the nearest-neighbour
     # arcs are that matching, and the staircase adds no arc across the
-    # slivers where matched shares differ in their last bits
+    # slivers where matched shares differ in their last bits.  Each distinct
+    # LP among the 192 pairs is solved once.
     chain = cube_chain(6, p)
     xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
     solved = record_lps(monkeypatch)
     w1_flow_batch(chain, xs, ys)
-    assert [cost.size for cost, *_ in solved] == [6 * xs.size] == [1152]
+    blocks = distinct_blocks(chain, xs, ys)
+    assert set(blocks) == {(6, 6)} and len(blocks) < xs.size == 192
+    assert [cost.size for cost, *_ in solved] == [6 * len(blocks)]
 
 
 def crossing_union(base, p, q):
@@ -242,7 +262,7 @@ def test_second_pass_matches_the_whole_row_lp(seed, p, q):
         solved = record_lps(patch)
         w1, gap, lip = w1_flow_batch(chain, xs, ys)
     assert len(solved) == 2
-    assert sum(b_eq.size for _, _, b_eq, _ in solved) > signed_entries(chain, xs, ys)
+    assert sum(b_eq.size for _, _, b_eq, _ in solved) > distinct_rows(chain, xs, ys)
     for x, y, value in zip(xs, ys, w1):
         assert value == pytest.approx(w1_rows_lp(chain, x, y), abs=1e-9)
     assert np.all(gap <= transport.CERT_TOL) and np.all(lip <= transport.CERT_TOL)
@@ -259,14 +279,14 @@ def test_second_pass_matches_the_whole_row_lp(seed, p, q):
 @given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.55, 0.95), q=st.floats(0.05, 0.45),
        group=st.integers(1, 80))
 def test_each_group_is_one_lp_and_its_rejected_pairs_one_more(seed, p, q, group):
-    # small groups cut by the running count of full columns: each is solved
-    # once on its sparse columns and, when the certificate rejects any of its
-    # pairs (the crossing pair always), once more on all of theirs
+    # small groups of the distinct LPs, cut by the running count of full
+    # columns: each is solved once on its sparse columns and, when the
+    # certificate rejects any of its pairs (the crossing pair always), once
+    # more on all of theirs
     chain, _, _ = crossing_union(random_graph_chain(np.random.default_rng(seed)), p, q)
     xs, ys = np.nonzero(np.triu(~np.eye(chain.n, dtype=bool)))
-    diff = chain.kernel[xs] - chain.kernel[ys]
-    n_var = np.count_nonzero(diff > 0, axis=1) * np.count_nonzero(diff < 0, axis=1)
-    groups = np.unique(np.cumsum(n_var[n_var > 0]) // group).size
+    n_var = [src * snk for src, snk in distinct_blocks(chain, xs, ys)]
+    groups = np.unique(np.cumsum(n_var) // group).size
     real = transport._certified
     verdicts = []
 
@@ -349,6 +369,86 @@ def test_batch_matches_per_pair_solves():
         assert 0.0 <= l <= transport.CERT_TOL
 
 
+def mirrored(base):
+    """`base`'s metric twice: point i + base.n is the copy of point i, and
+    every point is max(dist) from every point of the other copy, which keeps
+    a metric.  A pair of measures and its copy pose the same LP."""
+    n = base.n
+    dist = np.full((2 * n, 2 * n), base.dist.max())
+    dist[:n, :n] = dist[n:, n:] = base.dist
+    np.fill_diagonal(dist, 0.0)
+    return MetricChain(points=base.points + tuple(f"{p}'" for p in base.points),
+                       dist=dist, kernel=np.eye(2 * n))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cube=st.sampled_from([None, 5, 6]),
+       p=st.floats(0.05, 0.95))
+def test_copies_take_the_certified_w1_of_their_first(seed, cube, p):
+    # the cube's neighbours and next-neighbours, or measures on a random
+    # graph with copies planted on its mirror image and as repeats, in a
+    # shuffled order: every W1 matches the whole-row LP, every certificate
+    # holds, and each distinct LP is solved once
+    rng = np.random.default_rng(seed)
+    if cube:
+        chain = cube_chain(cube, p)
+        xs, ys = np.nonzero(np.triu((chain.dist > 0) & (chain.dist <= 2)))
+    else:
+        base = random_graph_chain(rng)
+        pairs = random_pairs(rng, base.n, 4)
+        vectors = [vec for mu, nu in pairs for vec in (mu, nu)]
+        vectors += [np.concatenate([np.zeros(base.n), vec]) for vec in vectors]
+        chain = rows_chain(mirrored(base), [np.pad(vec, (0, 2 * base.n - vec.size))
+                                            for vec in vectors])
+        xs = rng.permutation(np.r_[0:16:2, 0:16:2])
+        ys = xs + 1
+    with pytest.MonkeyPatch.context() as patch:
+        solved = record_lps(patch)
+        w1, gap, lip = w1_flow_batch(chain, xs, ys)
+    # all in one group, whose first LP holds each distinct LP once
+    assert len(distinct_blocks(chain, xs, ys)) < len(xs)
+    assert solved[0][2].size == distinct_rows(chain, xs, ys)
+    for x, y, value in zip(xs, ys, w1):
+        assert value == pytest.approx(w1_rows_lp(chain, x, y), abs=1e-9)
+    assert np.all(gap <= transport.CERT_TOL) and np.all(lip <= transport.CERT_TOL)
+
+
+def test_a_mass_one_ulp_away_is_its_own_lp(monkeypatch):
+    # rows 0/1 and 2/3 are the same pair of measures, one LP; rows 4/5 differ
+    # from them only in one mass, moved to the next float: one more LP
+    base = random_graph_chain(np.random.default_rng(2))
+    mu = measure(base.n, [0, 3], [0.3, 0.7])
+    nu = measure(base.n, [5, 6, 9], [0.2, 0.5, 0.3])
+    near = mu.copy()
+    near[0] = np.nextafter(near[0], 1.0)
+    chain = rows_chain(base, [mu, nu, mu, nu, near, nu])
+    xs, ys = [0, 2, 4], [1, 3, 5]
+    assert distinct_blocks(chain, xs, ys) == [(2, 3), (2, 3)]
+    solved = record_lps(monkeypatch)
+    w1 = w1_flow_batch(chain, xs, ys)[0]
+    assert [b_eq.size for _, _, b_eq, _ in solved] == [10]
+    assert w1[0] == w1[1]
+    for x, y, value in zip(xs, ys, w1):
+        assert value == pytest.approx(w1_rows_lp(chain, x, y), abs=1e-9)
+
+
+def test_colliding_hashes_are_told_apart_by_their_bits(monkeypatch):
+    # two pairs of the same masses on points at other distances: with every
+    # hash equal, only the bitwise comparison keeps them two LPs
+    base = random_graph_chain(np.random.default_rng(4))
+    pairs = [(measure(base.n, [0, 1], [0.4, 0.6]), measure(base.n, [2], [1.0])),
+             (measure(base.n, [7, 8], [0.4, 0.6]), measure(base.n, [11], [1.0]))]
+    chain = rows_chain(base, [vec for pair in pairs for vec in pair])
+    xs, ys = [0, 2], [1, 3]
+    assert len(distinct_blocks(chain, xs, ys)) == 2
+    monkeypatch.setattr(transport, "_hash_rows",
+                        lambda words: np.zeros(len(words), dtype=np.uint64))
+    solved = record_lps(monkeypatch)
+    w1 = w1_flow_batch(chain, xs, ys)[0]
+    assert [b_eq.size for _, _, b_eq, _ in solved] == [6]
+    assert w1 == pytest.approx([w1_rows_lp(chain, 0, 1), w1_rows_lp(chain, 2, 3)], abs=1e-9)
+
+
 def test_batch_of_nothing_solves_nothing(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("no LP expected")
@@ -368,7 +468,7 @@ def test_lp_columns_are_the_signed_differences(monkeypatch):
     # on {0,1}^6 each kernel row has 7 points, and the difference of two
     # neighbouring rows moves 6 sources onto 6 sinks: 36 signed columns, not
     # the 49 of the full rows.  The first pass needs fewer still, and every
-    # pair certifies there, so each difference's rows are solved once.
+    # pair certifies there, so each distinct LP's rows are solved once.
     chain = cube_chain(6, 0.2)
     xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
     solved = record_lps(monkeypatch)
@@ -378,7 +478,7 @@ def test_lp_columns_are_the_signed_differences(monkeypatch):
     full = np.count_nonzero(chain.kernel[xs], axis=1) * np.count_nonzero(chain.kernel[ys], axis=1)
     assert np.all(signed == 36) and np.all(signed < full)
     assert sum(cost.size for cost, *_ in solved) < signed.sum()
-    assert sum(b_eq.size for _, _, b_eq, _ in solved) == signed_entries(chain, xs, ys)
+    assert sum(b_eq.size for _, _, b_eq, _ in solved) == distinct_rows(chain, xs, ys)
 
 
 def test_skinny_pair_certifies_in_two_square_arrays():
@@ -423,7 +523,8 @@ def test_a_batch_converts_only_the_rows_it_reads():
 
 def four_cycle_pairs():
     """The 4-cycle a-b-c-d as rows 0-5 and three row pairs with W1 = 1, 1 and
-    1.5, whose signed differences have two LP variables each."""
+    1.5, whose signed differences have two LP variables each.  The first two
+    pose the same LP: a source 1 from two sinks of mass 1/2 that are 2 apart."""
     dist = np.array([[0, 1, 2, 1],
                      [1, 0, 1, 2],
                      [2, 1, 0, 1],
@@ -437,16 +538,39 @@ def four_cycle_pairs():
 
 
 def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
-    # a 4-cycle: pair 1 moves b's mass half to a and half to c (W1 = 1);
-    # shifting the dual of its sink a by 5 leaves a potential with
-    # phi(b) = phi(a) + 1 = phi(c) - 1, so its dual value drops to 0 while its
-    # neighbours stay exact.  The shift is made in both solves of pair 1: the
-    # batch (block 0 holds rows 0-2, block 1's source b is row 3) and the
-    # second pass, which solves pair 1 alone.
+    # a 4-cycle: pair 0 moves a's mass half to b and half to d (W1 = 1);
+    # shifting the dual of its sink b by 5 leaves a potential with
+    # phi(a) = phi(b) + 1 = phi(d) - 1, so its dual value drops to 0 while
+    # pair 2 stays exact.  Pair 1 poses the same LP, so only pairs 0 and 2 are
+    # solved: the batch holds pair 0's block in rows 0-2 and pair 2's in rows
+    # 3-5.  The shift is made in both solves of pair 0: the batch and the
+    # second pass, which solves pair 0 alone.
     chain, xs, ys = four_cycle_pairs()
     assert w1_flow_batch(chain, xs, ys)[0] == pytest.approx([1.0, 1.0, 1.5])
-    sink_a = [4, 1]
+    sink_b = [1, 1]
     real = scipy.optimize.linprog
+    calls = []
+
+    def corrupted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.eqlin.marginals[sink_b[len(calls)]] += 5.0
+        calls.append(res.x.size)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
+    with pytest.raises(TransportError, match=r"^pair 0: duality certificate failed"):
+        w1_flow_batch(chain, xs, ys)
+    assert calls == [4, 2]
+
+
+def test_a_corrupted_shared_block_names_its_first_copy(monkeypatch):
+    # the pairs of `four_cycle_pairs` in reverse order: pairs 1 and 2 share
+    # one LP, solved once as pair 1's block (rows 3-5, sink a in row 4) and,
+    # in the second pass, alone (sink a in row 1).  Shifting that dual fails
+    # the certificate of both copies, and the first is named.
+    chain, xs, ys = four_cycle_pairs()
+    real = scipy.optimize.linprog
+    sink_a = [4, 1]
     calls = []
 
     def corrupted(*args, **kwargs):
@@ -457,14 +581,15 @@ def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 1: duality certificate failed"):
-        w1_flow_batch(chain, xs, ys)
-    assert calls == [6, 2]
+        w1_flow_batch(chain, xs[::-1], ys[::-1])
+    assert calls == [4, 2]
 
 
 def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
-    # 1-column groups give every pair its own LP; a zeroed primal in the
-    # third LP and in the second pass's re-solve of its pair must be reported
-    # as pair 2, its index in the caller's list
+    # 1-column groups give every distinct LP its own: pairs 0 and 1 share
+    # the first, and pair 2 has the second.  A zeroed primal in the second LP
+    # and in the second pass's re-solve of its pair must be reported as
+    # pair 2, its index in the caller's list
     chain, xs, ys = four_cycle_pairs()
     monkeypatch.setattr(transport, "LP_GROUP_VARS", 1)
     real = scipy.optimize.linprog
@@ -473,14 +598,14 @@ def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
     def corrupted(*args, **kwargs):
         res = real(*args, **kwargs)
         calls.append(res.x.size)
-        if len(calls) >= 3:
+        if len(calls) >= 2:
             res.x = np.zeros_like(res.x)
         return res
 
     monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 2: duality certificate failed"):
         w1_flow_batch(chain, xs, ys)
-    assert calls == [2, 2, 2, 2]
+    assert calls == [2, 2, 2]
 
 
 def test_certificate_rejects_a_plan_that_misses_a_marginal(monkeypatch):
