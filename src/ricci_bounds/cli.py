@@ -287,7 +287,7 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
                ["l", "empirical", "empirical_CI_high", "bound"], rows)
     if cfg.dump_samples:
         _write_csv(cfg.out_dir / "jump_samples.csv", ["X_T"],
-                   [[v] for v in samples])
+                   ([v] for v in samples))   # streamed: no list of one row per path
     mean = float(samples.mean())
     print(f"mean={mean:.6g} (stationary mean 1/alpha = {1 / alpha:.6g})")
     dominated = not any(empirical > bound for _, empirical, _, bound in rows)

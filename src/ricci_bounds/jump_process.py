@@ -10,6 +10,7 @@ exp(I(ln l)/alpha - l ln l): Poissonian decay, demonstrably not Gaussian.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,10 +21,16 @@ from scipy.special import betaincinv
 
 from .bounds import _exp_or_inf
 
+# Paths per chunk.  A chunk draws its Poisson jump counts at once, so the
+# chunk fixes how the draws group in the seeded stream.
 _CHUNK = 200_000
-# The default horizon where it forgets X_0.  A chunk holds about
-# _CHUNK * _HORIZON jump times (40 MB of terms plus 20 MB of int32 column
-# indices): past this horizon a chunk simulates proportionally fewer paths.
+# Jump terms per row block.  A chunk's jump times are drawn and summed one
+# block at a time, so one block's terms and int32 zero column index (about
+# 1.5 MB, cache-sized) are all the memory they take.
+_BLOCK = 2 ** 17
+# The default horizon where it forgets X_0.  A chunk's int32 row pointers
+# count about _CHUNK * _HORIZON jump times: past this horizon a chunk
+# simulates proportionally fewer paths, so the count stays far below 2**31 - 1.
 _HORIZON = 25
 MAX_PATHS = 10_000_000  # simulate_paths holds one float64 per path: 80 MB here
 START_TOL = 1e-8        # exp(-alpha T) below this: the start X_0 = 0 is forgotten
@@ -65,11 +72,16 @@ class JumpProcessConfig:
 def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
     """One X_T sample per path, exact given the jump-count/uniform-times law.
 
-    Deterministic for a fixed seed (fixed chunking keeps the stream stable).
-    Each chunk holds about _CHUNK * _HORIZON jump times: _CHUNK paths
-    up to that horizon, proportionally fewer past it.  Each path is one row
-    of a one-column CSR matrix times 1.0, which adds its terms left to right
-    from 0.0 (the product by 1.0 is exact).  The terms reuse one buffer.
+    Deterministic for a fixed seed: each chunk of up to _CHUNK paths (fewer
+    past horizon _HORIZON) draws its Poisson jump counts, then its jump times,
+    so the chunk fixes how the draws group in the stream.  The jump times are
+    drawn and summed in row blocks cut on row boundaries: a block holds fewer
+    than _BLOCK terms plus those of its last path, which may be longer than
+    _BLOCK on its own.  Consecutive draws give the same doubles as one draw
+    of the chunk's jump count, so the blocks keep the bits.  Each path
+    is one row of a one-column CSR matrix times 1.0, which adds its terms left
+    to right from 0.0 (the product by 1.0 is exact).  The blocks reuse one
+    terms buffer and one zero column index.
     """
     rng = np.random.default_rng(config.seed)
     alpha, horizon = config.drift_alpha, config.horizon_T
@@ -85,19 +97,23 @@ def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
         # a chunk's Poisson jump count stays far below 2**31 - 1
         indptr = np.zeros(size + 1, dtype=np.int32)
         np.cumsum(rng.poisson(horizon, size=size), dtype=np.int32, out=indptr[1:])
-        m = int(indptr[-1])
-        if m > terms.size:
-            terms = cols = t = None   # release the old buffers before the larger ones
-            terms, cols = np.empty(m), np.zeros(m, dtype=np.int32)
-        # the jump times, the draws and bits of rng.uniform(0.0, T, m), turned
-        # into their terms exp(-alpha (T - t)) in place
-        t = terms[:m]
-        rng.random(out=t)
-        t *= horizon
-        np.subtract(horizon, t, out=t)
-        t *= -alpha
-        np.exp(t, out=t)
-        out[done:done + size] = csr_array((t, cols[:m], indptr), shape=(size, 1)) @ ones
+        # the first row starting at or past each multiple of _BLOCK terms
+        cuts = np.searchsorted(indptr, np.arange(_BLOCK, int(indptr[-1]), _BLOCK))
+        for a, b in itertools.pairwise(np.unique([0, *cuts, size]).tolist()):
+            m = int(indptr[b] - indptr[a])
+            if m > terms.size:
+                terms = cols = t = None   # release the old buffers before the larger ones
+                terms, cols = np.empty(m), np.zeros(m, dtype=np.int32)
+            # the jump times, the draws and bits of rng.uniform(0.0, T, m), turned
+            # into their terms exp(-alpha (T - t)) in place
+            t = terms[:m]
+            rng.random(out=t)
+            t *= horizon
+            np.subtract(horizon, t, out=t)
+            t *= -alpha
+            np.exp(t, out=t)
+            rows = csr_array((t, cols[:m], indptr[a:b + 1] - indptr[a]), shape=(b - a, 1))
+            out[done + a:done + b] = rows @ ones
         done += size
     return out
 

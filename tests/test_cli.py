@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import unittest.mock
 from pathlib import Path
 
@@ -284,6 +285,26 @@ def test_dump_samples_writes_the_samples_behind_the_empirical_tail(tmp_path):
     _, tail = read_csv(out / "jump_tail.csv")
     for row in tail:
         assert float(row[1]) == np.mean(samples >= float(row[0])), row[0]
+
+
+def test_dump_samples_streams_its_rows(tmp_path):
+    # 200,000 samples: 1.6 MB of them, 1.6 MB of Poisson counts and a block
+    # of the simulation; a list of one-element rows, one per sample, is
+    # about 20 MB on its own
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert run_cli(["example-jump", "--paths", "200000", "--seed", "7",
+                        "--dump-samples", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 12e6, peak
+    assert len((tmp_path / "jump_samples.csv").read_text().splitlines()) == 200_001
 
 
 def test_csv_fields_holding_a_comma_are_quoted(tmp_path):

@@ -1,9 +1,12 @@
 import hashlib
 import math
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_bounds import (JumpProcessConfig, poissonian_tail_bound,
                           simulate_paths, tail_comparison, transform_I)
@@ -104,6 +107,52 @@ def test_chunk_without_jumps_is_exact_zeros_and_keeps_the_stream(monkeypatch):
     assert np.all(x[counts == 0] == 0.0) and np.all(x[counts > 0] > 0.0)
 
 
+# (alpha, horizon, paths, seed): six chunks of 833 paths with about 30 jumps
+# each, the last chunk short; and five chunks of 1000 paths with about one
+# jump each, so that the zero-jump paths after a jump start a block
+_BLOCK_CASES = [(0.7, 30.0, 4500, 7), (1e5, 1e-3, 5000, 34)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 10 ** 6])
+@pytest.mark.parametrize("alpha, horizon, n_paths, seed", _BLOCK_CASES)
+def test_row_blocks_keep_the_copied_bits(monkeypatch, alpha, horizon, n_paths, seed, block):
+    monkeypatch.setattr(jump_process, "_CHUNK", 1000)
+    monkeypatch.setattr(jump_process, "_BLOCK", block)
+    cfg = JumpProcessConfig(alpha, horizon, n_paths, seed)
+    chunk = min(1000, int(1000 * 25 // horizon))
+    expected = simulate_paths_terms_copied(cfg, chunk=chunk)
+    assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
+
+
+def test_row_block_cases_hold_long_paths_and_zero_jump_paths_at_a_cut():
+    # what test_row_blocks_keep_the_copied_bits relies on its cases to hold
+    long_run = _chunk_jump_counts(JumpProcessConfig(*_BLOCK_CASES[0]), 833)
+    assert [c.size for c in long_run] == [833] * 5 + [335]
+    assert max(int(c.max()) for c in long_run) > 7      # past blocks of 1 and 7
+    assert max(int(c.sum()) for c in long_run) < 10 ** 6   # one block holds a chunk
+    zero_jump_at_cut = 0
+    for counts in _chunk_jump_counts(JumpProcessConfig(*_BLOCK_CASES[1]), 1000):
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        cuts = np.searchsorted(indptr, np.arange(1, indptr[-1]))   # block 1
+        zero_jump_at_cut += int(np.count_nonzero(counts[cuts] == 0))
+    assert zero_jump_at_cut > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), alpha_horizon=st.floats(18.5, 60.0),
+       horizon=st.floats(1e-3, 60.0), n_paths=st.integers(1, 2500),
+       block=st.integers(1, 400))
+def test_row_blocks_keep_the_copied_bits_everywhere(seed, alpha_horizon, horizon,
+                                                    n_paths, block):
+    # alpha * horizon past -ln START_TOL = 18.42, so the config accepts it
+    cfg = JumpProcessConfig(alpha_horizon / horizon, horizon, n_paths, seed)
+    with unittest.mock.patch.object(jump_process, "_CHUNK", 1000), \
+            unittest.mock.patch.object(jump_process, "_BLOCK", block):
+        x = simulate_paths(cfg)
+    expected = simulate_paths_terms_copied(cfg, chunk=min(1000, int(1000 * 25 // horizon)))
+    assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+
 def test_readme_jump_samples_keep_their_bits():
     # the seeded samples behind example-jump's default run
     x = simulate_paths(JumpProcessConfig(1.0, None, 1_000_000, 7))
@@ -112,10 +161,11 @@ def test_readme_jump_samples_keep_their_bits():
         "2889f3466295c824dd96f0cb7794622bf2417c589f05c734b6d601801cf2adcc")
 
 
-def test_simulation_peak_memory_is_one_terms_buffer():
-    # 8 MB of samples, about 40 MB of terms and 20 MB of int32 column indices
-    # for a chunk's 5e6 jump times; an int64 path index per chunk, or a
-    # second live terms array, would pass 75 MB
+def test_simulation_peak_memory_is_the_samples_and_one_block():
+    # 8 MB of samples, 1.6 MB of a chunk's Poisson counts, 0.8 MB of its int32
+    # row pointers and about 1.5 MB of one block's terms and zero column
+    # index; a chunk-wide terms buffer for 5e6 jump times (40 MB) would pass
+    # 20 MB
     cfg = JumpProcessConfig(1.0, None, 1_000_000, 7)
     started = not tracemalloc.is_tracing()
     if started:
@@ -128,7 +178,7 @@ def test_simulation_peak_memory_is_one_terms_buffer():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 75e6, peak
+    assert peak <= 20e6, peak
 
 
 def test_chunk_jump_counts_fit_int32():
