@@ -26,6 +26,10 @@ GEODESIC_TOL = 1e-9
 # eps" test share it, so the eps-geodesic check and the curvature ball agree on
 # which pairs are near.
 DIST_TOL = 1e-12
+# Levels the breadth-first search of `_shortest_paths` runs before it hands a
+# graph to Dijkstra: up to 64 levels it does no more word operations than
+# Dijkstra does edge relaxations.
+BFS_LEVELS = 64
 # Most states a builder makes: its dist and kernel are dense n x n float64
 # matrices, 1.02 GB together at 8000 states.
 MAX_DENSE_STATES = 8000
@@ -127,13 +131,19 @@ class MetricChain:
         A path is a sum of real distances: one shorter than d(i, j) exposes a
         failing triangle at endpoint i, and shortest paths equal to d prove the
         inequality.  The graph of the smallest distance settles path metrics;
-        others fall back to the complete graph, whose paths never exceed d.
+        its edges share one weight, so `_shortest_paths` answers it by a
+        word-parallel breadth-first search unless some distance exceeds
+        BFS_LEVELS smallest distances or a search runs past BFS_LEVELS levels.
+        Other metrics fall back to the complete graph, whose paths never
+        exceed d and which goes to Dijkstra.  The excess d - path is computed
+        in place on the path-length matrix.
         """
         d = self.dist
         if self.n < 3:
             return
-        for t in (d[d > 0].min(), d.max()):
-            excess = d - _shortest_paths(d, t)
+        for t in (np.min(d, where=d > 0, initial=np.inf), d.max()):
+            excess = _shortest_paths(d, t)
+            np.subtract(d, excess, out=excess)
             i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
             if excess[i, j] > GEODESIC_TOL:
                 slack = d[i][None, :] - d[i][:, None] - d
@@ -276,8 +286,9 @@ def load_chain(path) -> MetricChain:
     if len(set(points)) != len(points):
         raise ChainFormatError(f"{path}: point labels must be distinct")
     try:
-        dist = np.array(doc["dist"], dtype=float)
-        kernel = np.array(doc["kernel"], dtype=float)
+        # popped: the parsed lists go as soon as they are arrays
+        dist = np.array(doc.pop("dist"), dtype=float)
+        kernel = np.array(doc.pop("kernel"), dtype=float)
     except (TypeError, ValueError) as exc:
         raise ChainFormatError(f"{path}: dist/kernel must be numeric matrices: {exc}") from exc
     origin = doc.get("origin")
@@ -304,8 +315,90 @@ def check_origin(chain: MetricChain, origin: int) -> None:
 
 
 def _shortest_paths(d: np.ndarray, t: float) -> np.ndarray:
-    """All-pairs shortest paths over the pairs with 0 < d <= t (d = 0 only on the diagonal)."""
-    return shortest_path(csr_array(np.where(d <= t, d, 0.0)), directed=False)
+    """All-pairs shortest paths over the pairs with 0 < d <= t, taken in either direction.
+
+    When every such pair has one weight w and d.max() <= BFS_LEVELS * w, a
+    breadth-first search from all points at once (`_hop_lengths`) gives the
+    lengths: Dijkstra's distance for a pair h hops apart is then the float
+    sum w + ... + w of h terms, whatever path it settles on, so the two agree
+    bit for bit.  A search with a frontier left after BFS_LEVELS levels, and
+    every graph with several weights, goes to scipy's Dijkstra.  Unreachable
+    pairs are inf.  The graph is gathered in row blocks: no dense copy of d.
+    """
+    graph = _graph_at(d, t)
+    w = graph.data
+    if w.size and w.min() == w.max() and d.max() <= BFS_LEVELS * w[0]:
+        lengths = _hop_lengths(graph, float(w[0]))
+        if lengths is not None:
+            return lengths
+    return shortest_path(graph, directed=False)
+
+
+def _graph_at(d: np.ndarray, t: float) -> csr_array:
+    """The entries with 0 < d <= t as a CSR matrix, read in row blocks of about 2^19 entries."""
+    n = len(d)
+    rows = max(1, (1 << 19) // n)
+    counts, cols, data = [], [], []
+    for r in range(0, n, rows):
+        block = d[r:r + rows]
+        edge = (block <= t) & (block > 0)
+        counts.append(np.count_nonzero(edge, axis=1))
+        cols.append(np.nonzero(edge)[1].astype(np.int32))
+        data.append(block[edge])
+    counts = np.concatenate(counts)
+    # int32 indices, as scipy's csgraph routines take them, while they fit
+    indptr = np.zeros(n + 1, dtype=np.int32 if counts.sum() < 2**31 else np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return csr_array((np.concatenate(data), np.concatenate(cols), indptr), shape=(n, n))
+
+
+def _hop_lengths(graph: csr_array, w: float) -> Optional[np.ndarray]:
+    """Path lengths on a graph of one edge weight w, or None past BFS_LEVELS levels.
+
+    A word-parallel breadth-first search from all n sources at once, 64 per
+    uint64 word (Then et al., VLDB 2014): bit s of reached[v] says the search
+    from s has reached v.  Each level ORs the frontier words of v's
+    neighbours, in either edge direction, into v's, gathered in edge blocks
+    of about 2^19 words.  hops counts for each pair the levels after which
+    it was still unreached, so it ends as the pair's hop count h, and the
+    length is S(h) = w + ... + w (h terms, summed left to right), inf if
+    never reached.
+    """
+    n = graph.shape[0]
+    both = (graph + graph.T).tocsr()
+    indptr, indices = both.indptr, both.indices
+    words = -(-n // 64)
+    budget = max(1, (1 << 19) // words)
+    blocks = []   # rows with an edge, where each row's edges start, the edges' columns
+    r0 = 0
+    while r0 < n:
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + budget, "right")) - 1)
+        rows = r0 + np.flatnonzero(np.diff(indptr[r0:r1 + 1]))
+        if rows.size:
+            blocks.append((rows, indptr[rows] - indptr[r0], indices[indptr[r0]:indptr[r1]]))
+        r0 = r1
+    reached = np.zeros((n, words), dtype="<u8")
+    points = np.arange(n)
+    reached.view(np.uint8)[points, points // 8] = 1 << (points % 8)
+    frontier = reached.copy()
+    hops = np.ones((n, n), dtype=np.uint8)
+    np.fill_diagonal(hops, 0)
+    lengths = [0.0]
+    for _ in range(BFS_LEVELS):
+        new = np.zeros_like(reached)
+        for rows, starts, cols in blocks:
+            new[rows] = np.bitwise_or.reduceat(frontier[cols], starts, axis=0)
+        new &= ~reached
+        if not new.any():
+            break
+        reached |= new
+        hops += np.unpackbits((~reached).view(np.uint8), axis=1, count=n, bitorder="little")
+        lengths.append(lengths[-1] + w)
+        frontier = new
+    else:
+        return None
+    lengths.append(np.inf)
+    return np.take(np.array(lengths), hops)
 
 
 def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> Optional[Tuple[int, int]]:
@@ -333,6 +426,8 @@ def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> Optional[Tuple
     # the pairs at d <= t and at d <= epsilon nest, so equal counts are equal sets
     if t is not None and np.count_nonzero(d <= epsilon + DIST_TOL) == np.count_nonzero(d <= t):
         return None
-    defect = np.abs(_shortest_paths(d, epsilon + DIST_TOL) - d)
+    defect = _shortest_paths(d, epsilon + DIST_TOL)
+    defect -= d
+    np.abs(defect, out=defect)
     i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
     return None if defect[i, j] <= GEODESIC_TOL else (int(i), int(j))

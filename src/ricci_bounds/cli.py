@@ -286,8 +286,13 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
     _write_csv(cfg.out_dir / "jump_tail.csv",
                ["l", "empirical", "empirical_CI_high", "bound"], rows)
     if cfg.dump_samples:
-        _write_csv(cfg.out_dir / "jump_samples.csv", ["X_T"],
-                   ([v] for v in samples))   # streamed: no list of one row per path
+        # one numeric column in _write_csv's text ("%.17g" is format's ".17g"),
+        # one % per block of 2^16 samples: no list of one row per path
+        with open(cfg.out_dir / "jump_samples.csv", "w", newline="", encoding="utf-8") as fh:
+            fh.write("X_T\n")
+            for r in range(0, samples.size, 1 << 16):
+                block = tuple(samples[r:r + (1 << 16)].tolist())
+                fh.write("%.17g\n" * len(block) % block)
     mean = float(samples.mean())
     print(f"mean={mean:.6g} (stationary mean 1/alpha = {1 / alpha:.6g})")
     dominated = not any(empirical > bound for _, empirical, _, bound in rows)

@@ -1,9 +1,12 @@
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 
 from ricci_bounds import (build_discrete_ou_chain, build_mmk_chain,
                           check_epsilon_geodesic, load_chain, w1_line,
@@ -236,6 +239,102 @@ def test_triangle_violation_along_three_hop_path():
     with pytest.raises(ChainValidationError,
                        match=r"violated by 8\.000e\+00: d\(0,2\) > d\(0,1\) \+ d\(1,2\)"):
         metric_chain(d).check_triangle_inequality()
+
+
+def _dijkstra(d, t):
+    """scipy's undirected Dijkstra over the entries with 0 < d <= t, from a dense copy."""
+    return shortest_path(csr_array(np.where(d <= t, d, 0.0)), directed=False)
+
+
+def _counting_dijkstra():
+    return unittest.mock.patch.object(chain_model, "shortest_path",
+                                      wraps=chain_model.shortest_path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 63, 64, 65, 130]),
+       t=st.sampled_from([0.1, 1 / 3, 1.0, 2.5]),
+       density=st.sampled_from([0.0, 0.03, 0.1, 0.5, 1.0]),
+       one_way=st.sampled_from([0.0, 0.2, 1.0]), split=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_search_matches_dijkstra_bit_for_bit(n, t, density, one_way, split, seed):
+    # edges of one weight t on random pairs; other pairs lie in (t, 64 t], so
+    # every graph with an edge and fewer than 64 hops across is searched.
+    # `split` cuts the points into two halves with no edge between them, and
+    # `one_way` of the edges have the reverse entry just past t
+    rng = np.random.default_rng(seed)
+    d = t * rng.uniform(1.5, 64.0, size=(n, n))
+    d[0, -1] = 64 * t
+    edge = np.triu(rng.random((n, n)) < density, 1)
+    if split:
+        edge[:n // 2, n // 2:] = False
+    i, j = np.nonzero(edge)
+    d[i, j] = d[j, i] = t
+    flip = rng.random(i.size) < 0.5
+    one = rng.random(i.size) < one_way
+    d[np.where(flip, i, j)[one], np.where(flip, j, i)[one]] = np.nextafter(t, np.inf)
+    np.fill_diagonal(d, 0.0)
+    expected = _dijkstra(d, t)
+    with _counting_dijkstra() as dijkstra:
+        lengths = chain_model._shortest_paths(d, t)
+    assert np.array_equal(lengths, expected)
+    hops = np.round(expected[np.isfinite(expected)] / t)
+    searched = i.size > 0 and hops.max() < chain_model.BFS_LEVELS
+    assert dijkstra.call_count == (0 if searched else 1)
+
+
+@pytest.mark.parametrize("bits", [6, 7])
+def test_search_matches_dijkstra_on_hamming_cubes(bits):
+    d = cube_chain(bits, 0.1).dist
+    with _counting_dijkstra() as dijkstra:
+        lengths = chain_model._shortest_paths(d, 1.0)
+    assert dijkstra.call_count == 0
+    assert np.array_equal(lengths, _dijkstra(d, 1.0))
+    assert np.array_equal(lengths, d)
+
+
+def _path_or_two(n):
+    """d = 1 between neighbours on a path of n points, else 2."""
+    idx = np.arange(n)
+    d = np.where(np.abs(np.subtract.outer(idx, idx)) == 1, 1.0, 2.0)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("n, solves", [(64, 0), (65, 1), (100, 1)])
+def test_a_search_with_a_frontier_after_64_levels_goes_to_dijkstra(n, solves):
+    # the graph of distance 1 is n - 1 hops across: at 64 hops the 64th level
+    # still finds pairs, and the graph goes to Dijkstra
+    d = _path_or_two(n)
+    with _counting_dijkstra() as dijkstra:
+        lengths = chain_model._shortest_paths(d, 1.0)
+    assert dijkstra.call_count == solves
+    assert np.array_equal(lengths, _dijkstra(d, 1.0))
+
+
+def test_a_metric_past_the_search_keeps_its_verdict():
+    # the path graph of 100 points goes to Dijkstra, and so does the complete
+    # graph, which has two weights and realizes the metric
+    chain = metric_chain(_path_or_two(100))
+    with _counting_dijkstra() as dijkstra:
+        chain.check_triangle_inequality()
+    assert dijkstra.call_count == 2 and chain.geodesic_at == 2.0
+    assert check_epsilon_geodesic(chain, 1.0) == (0, 99)
+
+
+def test_loading_a_cube_searches_and_a_long_line_solves_once(tmp_path):
+    # the Hamming graph of cube6 is 6 hops across; a unit-gap line of 200
+    # states has a distance of 199 smallest distances, which goes to Dijkstra
+    cube = cube_chain(6, 0.05)
+    cube_path = write_chain_json(tmp_path / "cube6.json", cube.points, cube.dist,
+                                 cube.kernel)
+    line = np.abs(np.subtract.outer(np.arange(200), np.arange(200))).astype(float)
+    line_path = write_chain_json(tmp_path / "line.json", [str(i) for i in range(200)],
+                                 line, np.eye(200))
+    for path, solves in ((cube_path, 0), (line_path, 1)):
+        with _counting_dijkstra() as dijkstra:
+            assert load_chain(path).geodesic_at == 1.0
+        assert dijkstra.call_count == solves, path.name
 
 
 def _audit_chain(kind, seed):
