@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import shortest_path
-from scipy.special import ndtr
 
 from .errors import ChainFormatError, ChainValidationError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 # Masses within this of 1 sum to 1: every kernel row, and so every measure W1 moves.
 ROW_SUM_TOL = 1e-12
@@ -226,6 +226,8 @@ def build_discrete_ou_chain(alpha: float, grid_half_width: float,
     size = coords.size
     cell_edges = (coords[:-1] + coords[1:]) / 2.0
     kernel = np.empty((size, size))
+    # imported here: the queueing commands never build this chain or load scipy.special
+    from scipy.special import ndtr
     for i, x in enumerate(coords):
         cdf = ndtr(cell_edges - (1.0 - alpha) * x)
         kernel[i] = np.diff(np.concatenate([[0.0], cdf, [1.0]]))
@@ -331,6 +333,9 @@ def _shortest_paths(d: np.ndarray, t: float) -> np.ndarray:
         lengths = _hop_lengths(graph, float(w[0]))
         if lengths is not None:
             return lengths
+    # imported here: scipy.sparse.csgraph pulls in scipy.linalg, a tenth of a
+    # second of import that graphs of one weight never need
+    from scipy.sparse.csgraph import shortest_path
     return shortest_path(graph, directed=False)
 
 
@@ -346,6 +351,8 @@ def _graph_at(d: np.ndarray, t: float) -> csr_array:
         cols.append(np.nonzero(edge)[1].astype(np.int32))
         data.append(block[edge])
     counts = np.concatenate(counts)
+    # imported here: line chains never build a graph, so they never load scipy.sparse
+    from scipy.sparse import csr_array
     # int32 indices, as scipy's csgraph routines take them, while they fit
     indptr = np.zeros(n + 1, dtype=np.int32 if counts.sum() < 2**31 else np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -137,7 +137,13 @@ def _default_epsilon(cfg: argparse.Namespace, chain: MetricChain) -> float:
         return float(max(1, min(round(np.sqrt(cfg.n0)), cfg.k - cfg.n0)))
     if chain.gaussian_variance is not None:
         return 3.0
-    return float(np.min(chain.dist[chain.dist > 0]))
+    # the smallest positive distance, read through a mask: no copy of the distances
+    d = chain.dist
+    eps = float(np.min(d, where=d > 0, initial=np.inf))
+    if eps == np.inf:
+        raise ChainFormatError(
+            "no default eps: the chain has no positive distance; pass --epsilon")
+    return eps
 
 
 def _origin(cfg: argparse.Namespace, chain: MetricChain) -> int:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .chain_model import DIST_TOL, MetricChain, check_origin
 from .errors import DegenerateKernelError, EmptyAnnulusError
@@ -23,6 +22,9 @@ from .stepfun import StepFunction
 from .transport import w1_flow_batch, w1_to_point
 # not called here: kept only as the two trace targets bench/tracing.py patches
 from .transport import w1_flow, w1_line  # noqa: F401
+
+# Point pairs per block of `subgaussian_s2`: about 2^19, as the other row blocks.
+_S2_PAIRS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -168,14 +170,27 @@ def subgaussian_s2(chain: MetricChain) -> float:
     the Hoeffding support bound, max over rows of (support diameter)^2 / 4 --
     the range of a 1-Lipschitz function on the support is at most its metric
     diameter, so this is the tightest generic Hoeffding constant on a finite
-    chain.  The largest support diameter is the largest distance between two
-    points that share some row's support: the nonzeros of S^T S, with S the
-    support pattern of the kernel.
+    chain.  The largest support diameter is the largest distance over the
+    pairs (a, b) that share some row's support: the nonzeros of S^T S, with S
+    the support pattern of the kernel, and the same float, since max is
+    exact.  Rows with c support points are gathered together, as an m x c
+    matrix of their supports, in blocks of about _S2_PAIRS pairs; a row with
+    more than _S2_PAIRS pairs spans blocks of its first points.
     """
     if chain.gaussian_variance is not None:
         return float(chain.gaussian_variance)
-    supp = csr_array(chain.kernel > 0)
-    diam = float(chain.dist[(supp.T @ supp).nonzero()].max())
+    rows, cols = np.nonzero(chain.kernel > 0)
+    size = np.bincount(rows, minlength=chain.n)
+    first = np.cumsum(size) - size
+    diam = 0.0
+    for c in np.unique(size).tolist():
+        starts = first[size == c]
+        step, part = max(1, _S2_PAIRS // (c * c)), max(1, _S2_PAIRS // c)
+        for r in range(0, starts.size, step):
+            supp = cols[starts[r:r + step, None] + np.arange(c)]
+            for a in range(0, c, part):
+                pairs = chain.dist[supp[:, a:a + part, None], supp[:, None, :]]
+                diam = max(diam, float(pairs.max()))
     s2 = diam * diam / 4.0
     if s2 <= 0:
         raise DegenerateKernelError(

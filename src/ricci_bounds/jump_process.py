@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.special import betaincinv
 
 from .bounds import _exp_or_inf
 
@@ -83,6 +81,8 @@ def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
     to right from 0.0 (the product by 1.0 is exact).  The blocks reuse one
     terms buffer and one zero column index.
     """
+    # imported here: the other commands never simulate, so they never load scipy.sparse
+    from scipy.sparse import csr_array
     rng = np.random.default_rng(config.seed)
     alpha, horizon = config.drift_alpha, config.horizon_T
     chunk = min(_CHUNK, int(_CHUNK * _HORIZON // horizon))
@@ -150,6 +150,8 @@ def clopper_pearson_upper(successes: int, trials: int) -> float:
     if successes >= trials:
         return 1.0
     tail = (1.0 - CP_CONFIDENCE) / 2.0
+    # imported here: only the drift-jump example draws Clopper-Pearson ends
+    from scipy.special import betaincinv
     return float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
 
 

@@ -25,7 +25,6 @@ one that proves the first copy optimal proves every copy optimal.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
 
 from .chain_model import DIST_TOL, ROW_SUM_TOL, MetricChain
 from .errors import TransportError
@@ -85,6 +84,8 @@ def w1_flow_batch(chain: MetricChain, xs, ys):
     if outside.any():
         raise TransportError(f"pair {int(np.argmax(outside))}: row index outside the chain")
     rows, read = np.unique(np.concatenate([xs, ys]), return_inverse=True)
+    # imported here: line chains never call this, so they never load scipy.sparse
+    from scipy.sparse import csr_array
     kernel = csr_array(chain.kernel[rows] if rows.size < chain.n else chain.kernel)
     diff = kernel[read[:xs.size]] - kernel[read[xs.size:]]
     diff.eliminate_zeros()
@@ -270,12 +271,13 @@ def _solve_lp(chain, points, mass, starts, sizes, n_src, batch, local, n_col):
     cost = chain.dist[pts[src_row], pts[snk_row]]
     # every variable sits in exactly two rows: its source and its sink
     rows = np.column_stack([src_row, snk_row]).ravel()
-    a_eq = csc_array((np.ones(2 * local.size), rows, np.arange(0, 2 * local.size + 1, 2)),
-                     shape=(pts.size, local.size))
-    b_eq = np.abs(rhs)
     # imported here: scipy.optimize takes about a quarter of the CLI's import
     # time, and line chains never solve an LP
     from scipy.optimize import linprog
+    from scipy.sparse import csc_array
+    a_eq = csc_array((np.ones(2 * local.size), rows, np.arange(0, 2 * local.size + 1, 2)),
+                     shape=(pts.size, local.size))
+    b_eq = np.abs(rhs)
     # presolve only adds time on these LPs (about 2x on {0,1}^9 batches)
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs", options={"presolve": False})

@@ -10,7 +10,11 @@
 - `mmk_kernel_loop`: the M/M/k kernel filled one state at a time, the
   oracle for `build_mmk_chain`'s diagonal assembly.
 - `support_s2_loop`: the Hoeffding support bound one kernel row at a time,
-  the oracle for `subgaussian_s2`'s single co-support pass.
+  an oracle for `subgaussian_s2`'s blocks of rows.
+- `support_s2_product`: the same bound from the nonzeros of S^T S, with S
+  the kernel's support pattern as a sparse array: the formula
+  `subgaussian_s2` used before it gathered the pairs itself, its bit-for-bit
+  oracle.
 - `simulate_paths_terms_copied`: the drift-jump simulation with each
   chunk's terms computed as a new array from the jump times, the oracle for
   `simulate_paths`' in-place terms.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from ricci_bounds.chain_model import ROW_SUM_TOL, MetricChain
 from ricci_bounds.equilibrium import StationaryResult, _residual
@@ -94,6 +99,14 @@ def support_s2_loop(chain: MetricChain) -> float:
         diam = float(chain.dist[np.ix_(supp, supp)].max())
         s2 = max(s2, diam * diam / 4.0)
     return s2
+
+
+def support_s2_product(chain: MetricChain) -> float:
+    """(largest distance over the pairs that share a kernel row's support)^2 / 4,
+    the pairs read off the nonzeros of S^T S."""
+    supp = csr_array(chain.kernel > 0)
+    diam = float(chain.dist[(supp.T @ supp).nonzero()].max())
+    return diam * diam / 4.0
 
 
 def simulate_paths_terms_copied(config: JumpProcessConfig, chunk: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import unittest.mock
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
@@ -247,8 +248,9 @@ def _dijkstra(d, t):
 
 
 def _counting_dijkstra():
-    return unittest.mock.patch.object(chain_model, "shortest_path",
-                                      wraps=chain_model.shortest_path)
+    # `_shortest_paths` imports shortest_path when it calls it, so it reads the patch
+    return unittest.mock.patch.object(scipy.sparse.csgraph, "shortest_path",
+                                      wraps=scipy.sparse.csgraph.shortest_path)
 
 
 @settings(max_examples=200, deadline=None)

@@ -815,10 +815,13 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
     (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
      dict(_WALK3_DOC, dist=[[0, -1, 2], [-1, 0, 1], [2, 1, 0]]),
      "error: {chain}: negative distance entry"),
+    (["curvature", "--chain", "{chain}"],
+     {"points": ["a"], "dist": [[0]], "kernel": [[1]], "origin": 0},
+     "error: no default eps: the chain has no positive distance; pass --epsilon"),
 ], ids=["epsilon_not_a_number", "range_without_step", "n0_without_k", "no_origin",
         "example_mmk_without_n0", "sweep_without_epsilons", "grid_too_small", "no_paths",
         "chain_file_list", "chain_file_strings", "chain_file_unknown_origin",
-        "chain_file_negative_dist"])
+        "chain_file_negative_dist", "one_point_chain_without_epsilon"])
 def test_every_refusal_exits_3_with_its_message(argv, doc, message, tmp_path, capsys):
     chain = tmp_path / "chain.json"
     if doc is not None:
@@ -828,6 +831,23 @@ def test_every_refusal_exits_3_with_its_message(argv, doc, message, tmp_path, ca
     # a rejected chain file is named at the head of the message
     assert capsys.readouterr().err.splitlines()[-1].startswith(message.format(chain=chain))
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_default_epsilon_reads_the_distances_through_a_mask():
+    # the mask d > 0 is n^2 bytes; a copy of the positive distances would add
+    # 8 (n^2 - n) more
+    rng = np.random.default_rng(3)
+    n = 1000
+    chain = line_chain(np.cumsum(rng.uniform(0.5, 2.0, n)), np.eye(n))
+    cfg = cli.build_parser().parse_args(["curvature", "--chain", "unused.json"])
+    tracemalloc.start()
+    try:
+        eps = cli._default_epsilon(cfg, chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eps == np.min(chain.dist[chain.dist > 0])
+    assert peak < 2 * n * n, peak
 
 
 def test_nonzero_lp_status_is_a_transport_error_and_exits_4(monkeypatch, tmp_path, capsys):

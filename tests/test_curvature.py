@@ -1,4 +1,5 @@
 import re
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ricci_bounds.errors import DegenerateKernelError, EmptyAnnulusError
 
 from conftest import (cube_chain, irregular_line_chain, line_chain,
                       random_graph_chain, write_chain_json)
-from reference_oracles import kappa_pair, support_s2_loop
+from reference_oracles import kappa_pair, support_s2_loop, support_s2_product
 
 
 def mmk_kappa_closed_form(n0, k, x, y):
@@ -267,6 +268,32 @@ def test_s2_is_the_row_by_row_support_bound(chain):
 def test_s2_is_the_row_by_row_support_bound_on_ragged_supports(kind, seed):
     chain = kind(np.random.default_rng(seed))
     assert subgaussian_s2(chain) == support_s2_loop(chain)
+
+
+def _dense_rows_chain(rng):
+    # supports of up to all 40 points, so small budgets cut rows across blocks
+    return random_graph_chain(rng, n_points=40, max_support=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from([random_graph_chain, irregular_line_chain, _dense_rows_chain]),
+       seed=st.integers(0, 2**32 - 1),
+       budget=st.sampled_from([1, 5, 64, curvature._S2_PAIRS]))
+def test_s2_matches_the_co_support_product_bit_for_bit(kind, seed, budget):
+    # budget 1 cuts every row into blocks of one support point each
+    chain = kind(np.random.default_rng(seed))
+    with unittest.mock.patch.object(curvature, "_S2_PAIRS", budget):
+        assert subgaussian_s2(chain) == support_s2_product(chain)
+
+
+@pytest.mark.parametrize("budget", [1, curvature._S2_PAIRS])
+@pytest.mark.parametrize("chain", [
+    build_mmk_chain(2, 4, 40), build_mmk_chain(25, 27, 300), cube_chain(5, 0.2),
+    cube_chain(6, 0.05),
+], ids=["mmk_2_4", "mmk_25_27", "cube5", "cube6"])
+def test_s2_matches_the_co_support_product_on_fixed_chains(chain, budget):
+    with unittest.mock.patch.object(curvature, "_S2_PAIRS", budget):
+        assert subgaussian_s2(chain) == support_s2_product(chain)
 
 
 def test_s2_gaussian_variance_paths():

@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ricci_bounds
 from conftest import import_from_bench
 
@@ -102,3 +104,49 @@ def test_importing_the_cli_loads_no_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+# Runs in a fresh interpreter: main(argv) with its output silenced, then the
+# names of the scipy modules loaded, one line.
+_LOADED = """
+import contextlib, io, sys
+from ricci_bounds.cli import main
+argv = sys.argv[1:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _scipy_loaded(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", _LOADED, *map(str, argv)],
+                         capture_output=True, text=True, check=True, env=env)
+    return out.stdout.split()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # each scipy module is imported by the function that calls it
+    assert _scipy_loaded() == []
+
+
+@pytest.mark.parametrize("argv, loads, never", [
+    (["verify", "--n0", "5", "--k", "10", "--epsilon", "2", "--strategy", "grid"],
+     [], ["scipy"]),
+    (["example-mmk", "--n0", "25", "--k", "30", "--epsilon", "5"], [], ["scipy"]),
+    (["sweep", "--n0", "25", "--k", "30", "--epsilons", "1:15:1", "--ref-level", "45",
+      "--strategy", "grid"], [], ["scipy"]),
+    (["example-ou", "--alpha", "0.5"],
+     ["scipy.special"], ["scipy.sparse", "scipy.linalg", "scipy.optimize"]),
+    (["example-jump", "--alpha", "1", "--paths", "1000", "--seed", "7"],
+     ["scipy.sparse", "scipy.special"],
+     ["scipy.sparse.csgraph", "scipy.linalg", "scipy.optimize"]),
+], ids=["verify", "example-mmk", "sweep", "example-ou", "example-jump"])
+def test_each_command_loads_only_the_scipy_modules_it_calls(argv, loads, never, tmp_path):
+    loaded = _scipy_loaded(*argv, "--out", tmp_path / "out")
+    assert set(loads) <= set(loaded)
+    assert [m for m in loaded if any(m == p or m.startswith(p + ".") for p in never)] == []
