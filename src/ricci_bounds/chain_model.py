@@ -33,6 +33,10 @@ BFS_LEVELS = 64
 # Most states a builder makes: its dist and kernel are dense n x n float64
 # matrices, 1.02 GB together at 8000 states.
 MAX_DENSE_STATES = 8000
+# Entries per row block of a scan over an n x n matrix (2^19 entries of 8 bytes,
+# 4 MB), so that no scan copies a whole matrix.  A block only reduces or
+# gathers, so its size changes no result.
+_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -85,7 +89,7 @@ class MetricChain:
         # only a failed check searches for its witness.  min/max propagate NaN.
         if not np.all(np.isfinite([dist.min(), dist.max(), kernel.min(), kernel.max()])):
             raise ChainValidationError("dist/kernel entries must be finite")
-        rows = max(1, (1 << 19) // n)
+        rows = max(1, _BLOCK // n)
         for r in range(0, n, rows):
             block = dist[r:r + rows] - dist[:, r:r + rows].T
             if np.abs(block, out=block).max() > DIST_TOL:
@@ -250,7 +254,7 @@ def _infer_line_coords(dist: np.ndarray) -> Optional[np.ndarray]:
     """
     coords = dist[int(np.argmax(dist[0]))].copy()
     n = coords.size
-    rows = max(1, (1 << 19) // n)
+    rows = max(1, _BLOCK // n)
     for r in range(0, n, rows):
         block = np.subtract.outer(coords[r:r + rows], coords)
         np.abs(block, out=block)
@@ -342,7 +346,7 @@ def _shortest_paths(d: np.ndarray, t: float) -> np.ndarray:
 def _graph_at(d: np.ndarray, t: float) -> csr_array:
     """The entries with 0 < d <= t as a CSR matrix, read in row blocks of about 2^19 entries."""
     n = len(d)
-    rows = max(1, (1 << 19) // n)
+    rows = max(1, _BLOCK // n)
     counts, cols, data = [], [], []
     for r in range(0, n, rows):
         block = d[r:r + rows]
@@ -375,7 +379,7 @@ def _hop_lengths(graph: csr_array, w: float) -> Optional[np.ndarray]:
     both = (graph + graph.T).tocsr()
     indptr, indices = both.indptr, both.indices
     words = -(-n // 64)
-    budget = max(1, (1 << 19) // words)
+    budget = max(1, _BLOCK // words)
     blocks = []   # rows with an edge, where each row's edges start, the edges' columns
     r0 = 0
     while r0 < n:

@@ -1,18 +1,9 @@
 """Command-line front end: build/load chain -> profile -> bounds -> ground truth.
 
-Commands
---------
-curvature     write the curvature profile of a chain
-bound         evaluate tail bounds at chosen parameters
-stationary    write the exact/iterated stationary distribution
-verify        full pipeline with a PASS/FAIL dominance verdict
-example-mmk   reproduce the queueing example end to end
-example-ou    reproduce the Gaussian autoregression example end to end
-example-jump  reproduce the drift-jump example end to end
-sweep         epsilon sweep exposing the rho/curvature trade-off
-
-Each command reads its configuration from the parsed argparse namespace;
-the parser's option names and defaults are the only copy of them.  Each
+`COMMANDS` gives each command its function, help line, flags and keywords of
+its own, `FLAGS` each flag's argparse keywords, and `NEEDS` the flags read
+only with another: the only copy of the names and defaults.  A flag that a
+command does not take, or an abbreviated one, is a usage error.  Each
 command decides its verdict and exit code here, from the rows it writes.
 
 Exit status: 0 all requested checks pass, 1 a bound was violated (in
@@ -34,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -112,21 +104,12 @@ def _auto_truncation(n0: int, k: int) -> int:
 
 
 def _build_chain(cfg: argparse.Namespace) -> MetricChain:
-    given = [flag for flag, value in (("--chain", cfg.chain_file), ("--n0", cfg.n0),
-                                      ("--alpha", cfg.alpha)) if value is not None]
-    if len(given) > 1:
-        raise ChainFormatError(f"give one chain source, not {' and '.join(given)}")
     if cfg.chain_file is not None:
         return load_chain(cfg.chain_file)
     if cfg.n0 is not None:
-        if cfg.k is None:
-            raise ChainFormatError("--n0 requires --k")
         trunc = cfg.trunc if cfg.trunc is not None else _auto_truncation(cfg.n0, cfg.k)
         return build_mmk_chain(cfg.n0, cfg.k, trunc)
-    if cfg.alpha is not None:
-        return build_discrete_ou_chain(cfg.alpha, cfg.grid_width, cfg.grid_step)
-    raise ChainFormatError(
-        "no chain source: give --chain FILE, or --n0/--k, or --alpha/--grid-width/--grid-step")
+    return build_discrete_ou_chain(cfg.alpha, cfg.grid_width, cfg.grid_step)
 
 
 def _default_epsilon(cfg: argparse.Namespace, chain: MetricChain) -> float:
@@ -270,25 +253,12 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def cmd_example_mmk(cfg: argparse.Namespace) -> int:
-    if cfg.n0 is None or cfg.k is None:
-        raise ChainFormatError("example-mmk needs --n0 and --k")
-    return cmd_verify(cfg)
-
-
-def cmd_example_ou(cfg: argparse.Namespace) -> int:
-    if cfg.alpha is None:
-        cfg.alpha = 0.5
-    return cmd_verify(cfg)
-
-
 def cmd_example_jump(cfg: argparse.Namespace) -> int:
-    alpha = cfg.alpha if cfg.alpha is not None else 1.0
-    config = jp.JumpProcessConfig(drift_alpha=alpha, horizon_T=cfg.horizon,
+    config = jp.JumpProcessConfig(drift_alpha=cfg.alpha, horizon_T=cfg.horizon,
                                   n_paths=cfg.paths, seed=cfg.seed)
     samples = jp.simulate_paths(config)
     levels = _parse_range(cfg.levels) if cfg.levels else np.array([2.0, 3.0, 5.0, 8.0, 12.0])
-    rows = jp.tail_comparison(samples, levels, alpha)
+    rows = jp.tail_comparison(samples, levels, cfg.alpha)
     _write_csv(cfg.out_dir / "jump_tail.csv",
                ["l", "empirical", "empirical_CI_high", "bound"], rows)
     if cfg.dump_samples:
@@ -300,7 +270,7 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
                 block = tuple(samples[r:r + (1 << 16)].tolist())
                 fh.write("%.17g\n" * len(block) % block)
     mean = float(samples.mean())
-    print(f"mean={mean:.6g} (stationary mean 1/alpha = {1 / alpha:.6g})")
+    print(f"mean={mean:.6g} (stationary mean 1/alpha = {1 / cfg.alpha:.6g})")
     dominated = not any(empirical > bound for _, empirical, _, bound in rows)
     print(f"verdict: {'PASS' if dominated else 'FAIL'} (empirical tail vs bound)")
     return EXIT_PASS if dominated else EXIT_VIOLATION
@@ -309,8 +279,6 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     chain = _build_chain(cfg)
     origin = _origin(cfg, chain)
-    if not cfg.epsilons:
-        raise ChainFormatError("sweep needs --epsilons a:b:step")
     eps_list = _parse_range(cfg.epsilons)
     ref = cfg.reference_level
     if ref is None:
@@ -329,18 +297,6 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-COMMANDS = {
-    "curvature": cmd_curvature,
-    "bound": cmd_bound,
-    "stationary": cmd_stationary,
-    "verify": cmd_verify,
-    "example-mmk": cmd_example_mmk,
-    "example-ou": cmd_example_ou,
-    "example-jump": cmd_example_jump,
-    "sweep": cmd_sweep,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 3 (invalid input), not argparse's 2 (inapplicable here)."""
 
@@ -349,40 +305,80 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+# Each flag once, with its argparse keywords.
+FLAGS = {
+    "--chain": dict(dest="chain_file", help="chain-spec JSON file"),
+    "--n0": dict(type=int),
+    "--k": dict(type=int),
+    "--trunc": dict(type=int),
+    "--alpha": dict(type=_finite_float, help="autoregression rate, or example-jump's drift"),
+    "--grid-step": dict(type=_finite_float, default=0.05),
+    "--grid-width": dict(type=_finite_float, default=10.0),
+    "--epsilon": dict(type=_finite_float),
+    "--origin": dict(type=int),
+    "--strategy": dict(choices=sorted(STRATEGY_MAP), default="paper"),
+    "--levels": dict(help="level grid as a:b:step"),
+    "--epsilons": dict(help="sweep epsilon grid as a:b:step"),
+    "--ref-level": dict(dest="reference_level", type=_finite_float),
+    "--seed": dict(type=int, default=0),
+    "--paths": dict(type=int, default=100_000),
+    "--horizon": dict(type=_finite_float, help="default: 25 or least T with exp(-alpha T) < 1e-8"),
+    "--dump-samples": dict(action="store_true"),
+    "--out": dict(dest="out_dir", type=Path, default=".", help="output directory"),
+}
+SOURCES = ("--chain", "--n0", "--alpha")   # a command taking all three needs one of them
+_CHAIN = (*SOURCES, "--k", "--trunc", "--grid-step", "--grid-width")
+_BOUND = ("--epsilon", "--origin", "--strategy", "--levels", "--ref-level")
+COMMANDS = {
+    "curvature": (cmd_curvature, "write the curvature profile of a chain",
+                  (*_CHAIN, "--epsilon", "--origin"), {}),
+    "bound": (cmd_bound, "evaluate tail bounds at chosen parameters", _CHAIN + _BOUND, {}),
+    "stationary": (cmd_stationary, "write the exact/iterated stationary distribution",
+                   _CHAIN, {}),
+    "verify": (cmd_verify, "full pipeline with a PASS/FAIL dominance verdict",
+               _CHAIN + _BOUND, {}),
+    "example-mmk": (cmd_verify, "reproduce the queueing example end to end",
+                    ("--n0", "--k", "--trunc", *_BOUND),
+                    {"--n0": dict(required=True), "--k": dict(required=True)}),
+    "example-ou": (cmd_verify, "reproduce the Gaussian autoregression example end to end",
+                   ("--alpha", "--grid-step", "--grid-width", *_BOUND),
+                   {"--alpha": dict(default=0.5)}),
+    "example-jump": (cmd_example_jump, "reproduce the drift-jump example end to end",
+                     ("--alpha", "--horizon", "--paths", "--seed", "--levels", "--dump-samples"),
+                     {"--alpha": dict(default=1.0)}),
+    "sweep": (cmd_sweep, "epsilon sweep exposing the rho/curvature trade-off",
+              (*_CHAIN, "--origin", "--strategy", "--epsilons", "--ref-level"),
+              {"--epsilons": dict(required=True)}),
+}
+# A flag read only with another, which the command line then needs.
+NEEDS = {"--n0": "--k", "--k": "--n0", "--trunc": "--n0", "--grid-step": "--alpha",
+         "--grid-width": "--alpha"}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ricci-bounds",
-        description="Coarse Ricci curvature and equilibrium concentration bounds "
-                    "for finite Markov chains.")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--chain", dest="chain_file", help="chain-spec JSON file")
-    parser.add_argument("--n0", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--trunc", type=int)
-    parser.add_argument("--alpha", type=_finite_float,
-                        help="autoregression rate (example-ou) or drift rate (example-jump)")
-    parser.add_argument("--grid-step", type=_finite_float, default=0.05)
-    parser.add_argument("--grid-width", type=_finite_float, default=10.0)
-    parser.add_argument("--epsilon", type=_finite_float)
-    parser.add_argument("--origin", type=int)
-    parser.add_argument("--strategy", choices=sorted(STRATEGY_MAP), default="paper")
-    parser.add_argument("--levels", help="level grid as a:b:step")
-    parser.add_argument("--epsilons", help="sweep epsilon grid as a:b:step")
-    parser.add_argument("--ref-level", dest="reference_level", type=_finite_float)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--paths", type=int, default=100_000)
-    parser.add_argument("--horizon", type=_finite_float,
-                        help="default: 25, or the least integer T with exp(-alpha T) < 1e-8")
-    parser.add_argument("--dump-samples", action="store_true")
-    parser.add_argument("--out", dest="out_dir", type=Path, default=".",
-                        help="output directory")
+    """Built on first use and kept: one process may call `main` many times."""
+    parser = _Parser(prog="ricci-bounds", allow_abbrev=False,
+                     description="Coarse Ricci curvature and equilibrium concentration "
+                                 "bounds for finite Markov chains.")
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    dests = set()
+    for name, (func, summary, flags, own) in COMMANDS.items():
+        sub = subparsers.add_parser(name, allow_abbrev=False, help=summary)
+        sub.set_defaults(func=func)
+        sources = (sub.add_mutually_exclusive_group(required=True)
+                   if set(SOURCES) <= set(flags) else sub)
+        for flag in (*flags, "--out"):
+            into = sources if flag in SOURCES else sub
+            dests.add(into.add_argument(flag, **FLAGS[flag], **own.get(flag, {})).dest)
+    parser.set_defaults(**dict.fromkeys(dests))   # a flag the command does not take is None
     return parser
 
 
 def run(cfg: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[cfg.command](cfg)
+        return cfg.func(cfg)
     except InapplicableError as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         if exc.report:
@@ -399,7 +395,16 @@ def run(cfg: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(build_parser().parse_args(argv)))
+    parser = build_parser()
+    cfg = parser.parse_args(argv)
+    given = {arg.partition("=")[0] for arg in (sys.argv[1:] if argv is None else argv)}
+    for flag, needed in NEEDS.items():
+        if flag in given and getattr(cfg, needed[2:]) is None:
+            parser.error(f"{flag} needs {needed}")
+    # only the grid search reads --ref-level, but sweep reads it with every strategy
+    if "--ref-level" in given and cfg.strategy != "grid" and cfg.command != "sweep":
+        parser.error("--ref-level needs --strategy grid")
+    sys.exit(run(cfg))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -386,19 +387,94 @@ def test_example_jump_default_horizon_follows_alpha(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: horizon too short")
 
 
-@pytest.mark.parametrize("argv", [
-    ["curvature", "--chain", "{chain}", "--n0", "25", "--k", "30"],
-    ["example-ou", "--chain", "{chain}"],
-    ["verify", "--n0", "5", "--k", "10", "--alpha", "0.5"],
+@pytest.mark.parametrize("argv, message", [
+    (["curvature", "--chain", "{chain}", "--n0", "25", "--k", "30"],
+     "ricci-bounds curvature: error: argument --n0: not allowed with argument --chain"),
+    (["example-ou", "--chain", "{chain}"],
+     "ricci-bounds: error: unrecognized arguments: --chain {chain}"),
+    (["verify", "--n0", "5", "--k", "10", "--alpha", "0.5"],
+     "ricci-bounds verify: error: argument --alpha: not allowed with argument --n0"),
 ], ids=["chain_and_n0", "example_ou_chain", "n0_and_alpha"])
-def test_more_than_one_chain_source_exits_3(argv, tmp_path, capsys):
+def test_more_than_one_chain_source_exits_3(argv, message, tmp_path, capsys):
     chain = biased_reflecting_walk(8, 1 / 3)
     path = write_chain_json(tmp_path / "walk8.json", chain.points, chain.dist,
                             chain.kernel, origin=0)
     out = tmp_path / "s"
     assert run_cli([a.format(chain=path) for a in argv] + ["--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("error: give one chain source, not ")
-    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err.splitlines()[-1] == message.format(chain=path)
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def _least_line(command):
+    """The shortest command line of `command` that parses: its required flags."""
+    queue = [] if command in ("example-ou", "example-jump") else ["--n0", "5", "--k", "10"]
+    return [command, *queue, *(["--epsilons", "1:3:1"] if command == "sweep" else [])]
+
+
+_FOREIGN = [(command, flag) for command, (_, _, flags, _) in cli.COMMANDS.items()
+            for flag in cli.FLAGS if flag not in (*flags, "--out")]
+
+
+@pytest.mark.parametrize("command, flag", _FOREIGN, ids=["".join(c) for c in _FOREIGN])
+def test_a_flag_the_command_does_not_take_exits_3(command, flag, tmp_path, capsys):
+    cli.build_parser().parse_args(_least_line(command))   # the line parses without it
+    out = tmp_path / "f"
+    assert run_cli([*_least_line(command), flag, "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"ricci-bounds: error: unrecognized arguments: {flag} 1"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--n0", "5", "--k", "10", "--epsilons", "1:3:1", "--epsilon", "99"],
+     "unrecognized arguments: --epsilon 99"),   # not an abbreviation of --epsilons
+    (["verify", "--n0", "5", "--k", "10", "--strategy", "paper", "--ref-level", "1e9"],
+     "--ref-level needs --strategy grid"),
+    (["stationary", "--n0", "5", "--k", "10", "--epsilon", "2"],
+     "unrecognized arguments: --epsilon 2"),
+    (["example-jump", "--paths", "1000", "--n0", "5", "--strategy", "grid"],
+     "unrecognized arguments: --n0 5 --strategy grid"),
+    (["verify", "--n0", "5", "--k", "10", "--eps", "2"], "unrecognized arguments: --eps 2"),
+    (["verify", "--alpha", "0.5", "--k", "10"], "--k needs --n0"),
+    (["stationary", "--chain", "missing.json", "--trunc", "50"], "--trunc needs --n0"),
+    (["curvature", "--n0", "5", "--k", "10", "--grid-step", "0.1"], "--grid-step needs --alpha"),
+    (["bound", "--chain", "missing.json", "--grid-width", "3"], "--grid-width needs --alpha"),
+    (["stationary", "--n0", "5", "--k", "10", "--grid-width=3"], "--grid-width needs --alpha"),
+    (["verify", "--n0", "5", "--k", "10", "--grid-step", "0.1"], "--grid-step needs --alpha"),
+    (["sweep", "--n0", "5", "--k", "10", "--epsilons", "1:3:1", "--grid-width", "3"],
+     "--grid-width needs --alpha"),
+    (["bound", "--n0", "5", "--k", "10", "--ref-level", "9"], "--ref-level needs --strategy grid"),
+    (["example-mmk", "--n0", "5", "--k", "10", "--strategy", "convex", "--ref-level=9"],
+     "--ref-level needs --strategy grid"),
+    (["example-ou", "--ref-level", "9"], "--ref-level needs --strategy grid"),
+], ids=["sweep_epsilon", "verify_ref_level", "stationary_epsilon", "example_jump_n0",
+        "abbreviated", "k_without_n0", "trunc_without_n0", "curvature_grid_step",
+        "bound_grid_width", "stationary_grid_width", "verify_grid_step", "sweep_grid_width",
+        "bound_ref_level", "example_mmk_ref_level", "example_ou_ref_level"])
+def test_a_flag_the_command_line_does_not_read_exits_3(argv, message, tmp_path, capsys):
+    out = tmp_path / "n"
+    assert run_cli([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == f"ricci-bounds: error: {message}"
+    assert not out.exists()
+
+
+def test_readme_flag_table_is_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Command | Flags it takes |\n|---|---|\n")[1].split("\n\n")[0]
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.+) \|$", table, flags=re.M))
+    assert list(rows) == list(cli.COMMANDS)
+    for command, (_, _, flags, own) in cli.COMMANDS.items():
+        expected = {}
+        for flag in flags:
+            keywords = {**cli.FLAGS[flag], **own.get(flag, {})}
+            expected[flag] = (str(keywords.get("default", "")),
+                              " (required)" if keywords.get("required") else "")
+        documented = re.findall(r"`(--[a-z0-9-]+)(?:=([^`]*))?`( \(required\))?", rows[command])
+        assert {flag: (default, required) for flag, default, required in documented} == \
+            expected, command
+        assert ("`--chain` or `--n0` or `--alpha`" in rows[command]) == \
+            (set(cli.SOURCES) <= set(flags)), command
+    assert f"`--out={cli.FLAGS['--out']['default']}`" in readme
 
 
 def test_unexpected_error_exit_4(tmp_path, capsys):
@@ -612,10 +688,13 @@ def test_exit_code_is_documented_and_bad_origin_is_bad_input(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_chain_json(Path(tmp) / "chain.json", chain.points, chain.dist,
                                 (chain.kernel + np.eye(chain.n)) / 2)
-        eps_args = (["--epsilons", f"{eps!r}:{eps!r}:1"] if command == "sweep"
-                    else ["--epsilon", repr(eps)])
-        code = run_cli([command, "--chain", str(path), *eps_args,
-                        "--strategy", strategy, "--origin", str(origin),
+        # only the flags the command takes, so that a usage error cannot
+        # stand in for the --origin check
+        flags = [("--epsilons", f"{eps!r}:{eps!r}:1"), ("--epsilon", repr(eps)),
+                 ("--strategy", strategy), ("--origin", str(origin))]
+        code = run_cli([command, "--chain", str(path),
+                        *(a for flag, value in flags if flag in cli.COMMANDS[command][2]
+                          for a in (flag, value)),
                         "--out", str(Path(tmp) / "out")])
     assert code in (0, 2, 3)
     if command != "stationary" and not 0 <= origin < chain.n:   # stationary reads no origin
@@ -795,14 +874,18 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
 
 @pytest.mark.parametrize("argv, doc, message", [
     (["verify", "--n0", "5", "--k", "10", "--epsilon", "abc"], None,
-     "ricci-bounds: error: argument --epsilon: invalid float value: 'abc'"),
+     "ricci-bounds verify: error: argument --epsilon: invalid float value: 'abc'"),
     (["bound", "--n0", "5", "--k", "10", "--epsilon", "2", "--levels", "1:2"], None,
      "error: bad range '1:2', expected a:b:step"),
-    (["verify", "--n0", "5"], None, "error: --n0 requires --k"),
+    (["verify", "--n0", "5"], None, "ricci-bounds: error: --n0 needs --k"),
+    (["curvature", "--epsilon", "1"], None,
+     "ricci-bounds curvature: error: one of the arguments --chain --n0 --alpha is required"),
     (["curvature", "--chain", "{chain}", "--epsilon", "1"], _WALK3_DOC,
      "error: chain has no origin hint; pass --origin"),
-    (["example-mmk", "--alpha", "0.5"], None, "error: example-mmk needs --n0 and --k"),
-    (["sweep", "--n0", "5", "--k", "10"], None, "error: sweep needs --epsilons a:b:step"),
+    (["example-mmk", "--alpha", "0.5"], None,
+     "ricci-bounds example-mmk: error: the following arguments are required: --n0, --k"),
+    (["sweep", "--n0", "5", "--k", "10"], None,
+     "ricci-bounds sweep: error: the following arguments are required: --epsilons"),
     (["example-ou", "--grid-width", "0.01"], None,
      "error: grid too small; increase grid_half_width (--grid-width)"),
     (["example-jump", "--paths", "0"], None, "error: n_paths (--paths) must be positive"),
@@ -818,8 +901,9 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
     (["curvature", "--chain", "{chain}"],
      {"points": ["a"], "dist": [[0]], "kernel": [[1]], "origin": 0},
      "error: no default eps: the chain has no positive distance; pass --epsilon"),
-], ids=["epsilon_not_a_number", "range_without_step", "n0_without_k", "no_origin",
-        "example_mmk_without_n0", "sweep_without_epsilons", "grid_too_small", "no_paths",
+], ids=["epsilon_not_a_number", "range_without_step", "n0_without_k", "no_chain_source",
+        "no_origin", "example_mmk_without_n0", "sweep_without_epsilons", "grid_too_small",
+        "no_paths",
         "chain_file_list", "chain_file_strings", "chain_file_unknown_origin",
         "chain_file_negative_dist", "one_point_chain_without_epsilon"])
 def test_every_refusal_exits_3_with_its_message(argv, doc, message, tmp_path, capsys):
