@@ -15,7 +15,7 @@ from .equilibrium import (StationaryResult, empirical_tail,
 from .jump_process import (JumpProcessConfig, poissonian_tail_bound,
                            simulate_paths, tail_comparison, transform_I)
 from .stepfun import StepFunction
-from .transport import w1_flow, w1_flow_batch, w1_line, w1_to_point
+from .transport import w1_flow, w1_line, w1_to_point
 
 __version__ = "0.1.0"
 
@@ -29,5 +29,5 @@ __all__ = [
     "poissonian_tail_bound", "search_params", "simulate_paths",
     "stationary_birth_death", "stationary_power", "subgaussian_s2",
     "tail_comparison", "theorem1_params", "transform_I", "truncation_audit",
-    "tv_distance", "w1_flow", "w1_flow_batch", "w1_line", "w1_to_point",
+    "tv_distance", "w1_flow", "w1_line", "w1_to_point",
 ]

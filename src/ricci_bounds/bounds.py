@@ -27,11 +27,13 @@ from .curvature import CurvatureProfile, curvature_profiles
 # not called here: kept only as the trace target bench/tracing.py patches
 from .curvature import curvature_profile  # noqa: F401
 from .errors import (EmptyAnnulusError, InadmissibleParamsError,
-                     InfeasibleSearchError, NoAttractivePointError)
+                     InfeasibleSearchError, NegativeCurvatureError,
+                     NoAttractivePointError)
 
 LN2 = math.log(2.0)
 GRID_POINTS = 32  # grid search: d0 values, and alpha values per d0
 LEVEL_TOL = 1e-9  # slack between a bound's levels and its d0
+CURVATURE_TOL = 1e-9  # a K_eps this far under 0 still counts as nonnegative
 
 
 def _exp_or_inf(ln_value: float) -> float:
@@ -217,6 +219,7 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
     Raw values are kept even when they exceed 1; the clamped companion is
     available from the curve object.
     """
+    _check_curvature(profile)
     if not params.admissible:
         raise InadmissibleParamsError(
             "bound requested with inadmissible (alpha, d0)",
@@ -231,8 +234,19 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
     return TailCurve(levels=levels, values=values, kind="theorem_princ")
 
 
+def _check_curvature(profile: CurvatureProfile) -> None:
+    """The theorems need K_eps >= 0 at every point: where K_eps(x) < 0 the
+    envelope, clamped at 0, is not at most K_eps(x), and no bound follows."""
+    x = int(np.argmin(profile.kappa_local))
+    if profile.kappa_local[x] < -CURVATURE_TOL:
+        raise NegativeCurvatureError(
+            f"K_eps = {profile.kappa_local[x]:.6g} < 0 at point {x} (eps = "
+            f"{profile.epsilon}): the theorems need nonnegative curvature")
+
+
 def paper_default_d0(profile: CurvatureProfile) -> float:
     """d0 = 2*eps + ln(2) s^2 / rho of the fixed-parameter theorem."""
+    _check_curvature(profile)
     if profile.rho <= 0:
         raise NoAttractivePointError(
             f"rho = {profile.rho:.6g} <= 0: no attractive point at eps = "
@@ -388,8 +402,8 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
     or an empty annulus is found from distances alone, before any transport;
     its row holds eps, NaN, an infinite bound and the note.  Every other eps
     reads its profile from one curvature pass (`curvature_profiles`).  Where
-    the search finds nothing (rho <= 0 included), the note is the search's
-    message.
+    the search finds nothing (rho <= 0 and a negative K_eps included), the
+    note is the search's message.
     """
     epsilons = list(epsilons)
     geodesic = [check_epsilon_geodesic(chain, eps) is None for eps in epsilons]
@@ -407,7 +421,7 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
         try:
             params = search_params(profile, strategy=strategy,
                                    reference_level=reference_level)
-        except (InfeasibleSearchError, NoAttractivePointError) as exc:
+        except (InfeasibleSearchError, NegativeCurvatureError, NoAttractivePointError) as exc:
             return row + [math.nan, math.nan, math.inf, str(exc)]
         if params.d0 > reference_level:
             return row + [params.alpha, params.d0, math.inf, "d0 beyond reference level"]

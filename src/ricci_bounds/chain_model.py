@@ -132,10 +132,13 @@ class MetricChain:
     def check_triangle_inequality(self) -> None:
         """Prove the triangle inequality by shortest paths; raise on a violation.
 
-        A path is a sum of real distances: one shorter than d(i, j) exposes a
-        failing triangle at endpoint i, and shortest paths equal to d prove the
-        inequality.  The graph of the smallest distance settles path metrics;
-        its edges share one weight, so `_shortest_paths` answers it by a
+        A chain with coords needs no search: dist is within GEODESIC_TOL of
+        the line metric |c_i - c_j|, which is a metric, so every triangle
+        holds within 3 GEODESIC_TOL.  Otherwise a path is a sum of real
+        distances: one shorter than d(i, j) exposes a failing triangle at
+        endpoint i, and shortest paths equal to d prove the inequality.  The
+        graph of the smallest distance settles path metrics; its edges share
+        one weight, so `_shortest_paths` answers it by a
         word-parallel breadth-first search unless some distance exceeds
         BFS_LEVELS smallest distances or a search runs past BFS_LEVELS levels.
         Other metrics fall back to the complete graph, whose paths never
@@ -143,7 +146,7 @@ class MetricChain:
         in place on the path-length matrix.
         """
         d = self.dist
-        if self.n < 3:
+        if self.n < 3 or self.coords is not None:
             return
         for t in (np.min(d, where=d > 0, initial=np.inf), d.max()):
             excess = _shortest_paths(d, t)

@@ -9,11 +9,12 @@ command decides its verdict and exit code here, from the rows it writes.
 Exit status: 0 all requested checks pass, 1 a bound was violated (in
 `verify`, a bound under (1 - DOMINANCE_TOL) times an exact birth-death tail
 at some level, or more than DOMINANCE_TOL under a power-iteration tail),
-2 the theorems are inapplicable (no admissible parameters / rho <= 0; an
-eps at which the chain is not eps-geodesic, which asks for a larger eps,
-or one past every distance from the origin, which asks for a smaller one;
-for `sweep`, no eps in the grid gives a finite bound at the reference
-level, and sweep.csv is still written),
+2 the theorems are inapplicable (no admissible parameters / rho <= 0; a
+K_eps < 0 at some point, which `curvature` still writes with exit 0; an eps
+at which the chain is not eps-geodesic, which asks for a larger eps, or one
+past every distance from the origin, which asks for a smaller one; for
+`sweep`, no eps in the grid gives a finite bound at the reference level,
+and sweep.csv is still written),
 3 invalid input (a malformed or non-finite command line, a rejected chain
 file, an --origin outside 0..n-1, a --trunc / --grid-width cut-off that
 leaves mass past the last state, or a size over its budget), 4 internal
@@ -78,16 +79,16 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_range(spec: str) -> np.ndarray:
-    """Parse 'a:b:step' into an inclusive grid."""
+    """argparse type of the range flags: 'a:b:step' as an inclusive grid."""
     try:
         a, b, step = (float(tok) for tok in spec.split(":"))
-    except ValueError as exc:
-        raise ChainFormatError(f"bad range {spec!r}, expected a:b:step") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad range {spec!r}, expected a:b:step") from None
     if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
-        raise ChainFormatError(f"bad range {spec!r}: need finite a <= b and step > 0")
+        raise argparse.ArgumentTypeError(f"bad range {spec!r}: need finite a <= b and step > 0")
     if (b - a) / step >= MAX_RANGE_POINTS:
-        raise ChainFormatError(f"range {spec!r} has more points than the budget "
-                               f"MAX_RANGE_POINTS = {MAX_RANGE_POINTS}")
+        raise argparse.ArgumentTypeError(f"range {spec!r} has more points than the budget "
+                                         f"MAX_RANGE_POINTS = {MAX_RANGE_POINTS}")
     return np.arange(a, b + step * 1e-9, step)
 
 
@@ -150,8 +151,8 @@ def _profile(cfg: argparse.Namespace, chain: MetricChain):
 
 
 def _default_levels(cfg, profile, chain, d0: float) -> np.ndarray:
-    if cfg.levels:
-        return _parse_range(cfg.levels)
+    if cfg.levels is not None:
+        return cfg.levels
     lmax = float(chain.dist[profile.origin].max())
     if lmax <= d0:
         raise InadmissibleParamsError(
@@ -257,8 +258,7 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
     config = jp.JumpProcessConfig(drift_alpha=cfg.alpha, horizon_T=cfg.horizon,
                                   n_paths=cfg.paths, seed=cfg.seed)
     samples = jp.simulate_paths(config)
-    levels = _parse_range(cfg.levels) if cfg.levels else np.array([2.0, 3.0, 5.0, 8.0, 12.0])
-    rows = jp.tail_comparison(samples, levels, cfg.alpha)
+    rows = jp.tail_comparison(samples, cfg.levels, cfg.alpha)
     _write_csv(cfg.out_dir / "jump_tail.csv",
                ["l", "empirical", "empirical_CI_high", "bound"], rows)
     if cfg.dump_samples:
@@ -279,11 +279,10 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     chain = _build_chain(cfg)
     origin = _origin(cfg, chain)
-    eps_list = _parse_range(cfg.epsilons)
     ref = cfg.reference_level
     if ref is None:
-        ref = 3.0 * float(np.median(eps_list)) + 2.0 * float(chain.dist[origin].max()) / 3.0
-    rows = bounds_mod.epsilon_sweep(chain, origin, eps_list, ref,
+        ref = 3.0 * float(np.median(cfg.epsilons)) + 2.0 * float(chain.dist[origin].max()) / 3.0
+    rows = bounds_mod.epsilon_sweep(chain, origin, cfg.epsilons, ref,
                                     strategy=STRATEGY_MAP[cfg.strategy])
     _write_csv(cfg.out_dir / "sweep.csv",
                ["epsilon", "rho", "envelope_max", "envelope_support_end",
@@ -291,8 +290,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     best = min((r for r in rows if math.isfinite(r[6])), key=lambda r: r[6], default=None)
     if best is None:
         raise InapplicableError(
-            f"no eps in --epsilons {cfg.epsilons} gives a finite bound at the "
-            f"reference level {ref:.6g} (sweep.csv notes why)")
+            f"no eps in --epsilons {cfg.epsilons[0]:g}..{cfg.epsilons[-1]:g} gives a finite "
+            f"bound at the reference level {ref:.6g} (sweep.csv notes why)")
     print(f"argmin epsilon: {best[0]} (reference level {ref:.6g})")
     return EXIT_PASS
 
@@ -317,8 +316,8 @@ FLAGS = {
     "--epsilon": dict(type=_finite_float),
     "--origin": dict(type=int),
     "--strategy": dict(choices=sorted(STRATEGY_MAP), default="paper"),
-    "--levels": dict(help="level grid as a:b:step"),
-    "--epsilons": dict(help="sweep epsilon grid as a:b:step"),
+    "--levels": dict(type=_parse_range, help="level grid as a:b:step"),
+    "--epsilons": dict(type=_parse_range, help="sweep epsilon grid as a:b:step"),
     "--ref-level": dict(dest="reference_level", type=_finite_float),
     "--seed": dict(type=int, default=0),
     "--paths": dict(type=int, default=100_000),
@@ -345,7 +344,8 @@ COMMANDS = {
                    {"--alpha": dict(default=0.5)}),
     "example-jump": (cmd_example_jump, "reproduce the drift-jump example end to end",
                      ("--alpha", "--horizon", "--paths", "--seed", "--levels", "--dump-samples"),
-                     {"--alpha": dict(default=1.0)}),
+                     {"--alpha": dict(default=1.0),
+                      "--levels": dict(default=(2, 3, 5, 8, 12))}),
     "sweep": (cmd_sweep, "epsilon sweep exposing the rho/curvature trade-off",
               (*_CHAIN, "--origin", "--strategy", "--epsilons", "--ref-level"),
               {"--epsilons": dict(required=True)}),

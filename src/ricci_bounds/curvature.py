@@ -19,9 +19,9 @@ import numpy as np
 from .chain_model import DIST_TOL, MetricChain, check_origin
 from .errors import DegenerateKernelError, EmptyAnnulusError
 from .stepfun import StepFunction
-from .transport import w1_flow_batch, w1_to_point
-# not called here: kept only as the two trace targets bench/tracing.py patches
-from .transport import w1_flow, w1_line  # noqa: F401
+from .transport import w1_flow, w1_to_point
+# not called here: kept only as the trace target bench/tracing.py patches
+from .transport import w1_line  # noqa: F401
 
 # Point pairs per block of `subgaussian_s2`: about 2^19, as the other row blocks.
 _S2_PAIRS = 1 << 19
@@ -77,7 +77,7 @@ def _pair_curvature_lp(chain: MetricChain, epsilon: float):
     LPs solved in block-diagonal batches."""
     d = chain.dist
     xs, ys = np.nonzero(np.triu((d > 0) & (d <= epsilon + DIST_TOL)))
-    return xs, ys, 1.0 - w1_flow_batch(chain, xs, ys)[0] / d[xs, ys]
+    return xs, ys, 1.0 - w1_flow(chain, xs, ys)[0] / d[xs, ys]
 
 
 def local_curvature(chain: MetricChain, epsilon: float,
@@ -91,7 +91,7 @@ def local_curvature(chain: MetricChain, epsilon: float,
     line metric, built or loaded, uniform or not) takes the exact CDF
     identity over the points in coordinate order, cross-validated against the
     certified LP in the test suite; every other chain sends its pairs through
-    the certified solver in block-diagonal batches (`w1_flow_batch`), each
+    the certified solver in block-diagonal batches (`w1_flow`), each
     pair with its own duality certificate.
 
     Given `radii` (none above eps), the result has one row K_r per radius r,

@@ -33,6 +33,10 @@ class NoAttractivePointError(InapplicableError):
     """rho <= 0: the origin is not attractive at this eps."""
 
 
+class NegativeCurvatureError(InapplicableError):
+    """K_eps(x) < 0 at some point x: the clamped envelope is no minorant there."""
+
+
 class InadmissibleParamsError(InapplicableError):
     """Bound requested with parameters that fail the admissibility conditions."""
 

@@ -2,7 +2,7 @@
 
 Two independent algorithms are kept permanently: the closed-form CDF sum for
 weight vectors on the line (`w1_line`) and an exact min-cost transportation
-LP between kernel rows (`w1_flow_batch`), certified in-process by a
+LP between kernel rows (`w1_flow`), certified in-process by a
 1-Lipschitz Kantorovich potential recovered from the LP duals.  Every
 downstream quantity depends on W1, so the two routes cross-check each other.
 
@@ -32,11 +32,13 @@ from .errors import TransportError
 CERT_TOL = 1e-9
 # Full columns per group of consecutive LP pairs: one scan for their sparse
 # columns, one LP on those and one on all columns of the pairs it leaves
-# uncertified.  {0,1}^9 at eps = 1, median of 7 `_local_curvature_lp` calls
-# (3 processes, 2-core host), and peak ru_maxrss (99 MB after loading):
-#   columns per group       2^13              2^14              2^15
-#   20,736 sparse columns   0.26-0.29 s, 99   0.25-0.29 s, 99   0.23-0.30 s, 102 MB
-#   186,624, all columns    0.77-0.86 s, 103  0.70-0.90 s, 111  0.88-0.95 s, 129 MB
+# uncertified.  It bounds each group's gathers, and so the peak memory; fewer
+# groups pay scipy's per-call overhead fewer times.  {0,1}^9 (p = 0.198) at
+# eps = 3 (462,063 columns; at eps = 1, one group of 243), one
+# `local_curvature` call in each of 3 processes, 2-core Xeon, 95 MB before it:
+#   columns per group       2^13             2^14             2^15
+#   linprog calls, wall     99, 2.93-4.05 s  50, 2.77-3.29 s  25, 2.80-2.87 s
+#   peak ru_maxrss          141 MB           143-144 MB       149-150 MB
 LP_GROUP_VARS = 1 << 14
 
 
@@ -47,7 +49,7 @@ def w1_line(mu, nu, coords) -> float:
     return float(np.abs(cdf_gap[:-1]) @ np.diff(np.asarray(coords, dtype=float)[order]))
 
 
-def w1_flow_batch(chain: MetricChain, xs, ys):
+def w1_flow(chain: MetricChain, xs, ys):
     """Certified exact W1(P_x, P_y) for the row-index pairs (xs[k], ys[k]).
 
     Returns three arrays, one entry per pair: W1, the duality gap and the
@@ -303,11 +305,6 @@ def _solve_lp(chain, points, mass, starts, sizes, n_src, batch, local, n_col):
         phi[at], lip[group] = phi_s, d.max(axis=(1, 2))
     dual = np.add.reduceat(phi * rhs, r0)
     return value, np.abs(value - dual), lip, primal
-
-
-def w1_flow(chain: MetricChain, x: int, y: int) -> float:
-    """Certified exact W1(P_x, P_y): a batch of one."""
-    return float(w1_flow_batch(chain, [x], [y])[0][0])
 
 
 def w1_to_point(chain: MetricChain, row: int, target: int) -> float:

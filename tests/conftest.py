@@ -56,6 +56,24 @@ def biased_reflecting_walk(n_states, p_up):
     return line_chain(np.arange(n_states, dtype=float), kernel, origin=0)
 
 
+def birth_death_chain(up, down, origin=0):
+    """Line chain on 0..n-1 with unit gaps: state i moves up with up[i] and
+    down with down[i - 1], and stays put with the rest of its row."""
+    up, down = np.asarray(up, dtype=float), np.asarray(down, dtype=float)
+    kernel = np.diag(up, 1) + np.diag(down, -1)
+    kernel += np.diag(1.0 - kernel.sum(axis=1))
+    return line_chain(np.arange(up.size + 1, dtype=float), kernel, origin=origin)
+
+
+def reversal_chain():
+    """40 states: inward drift on 0..3 (down 0.5, up 0.1), outward beyond
+    (down 0.1, up 0.5).  rho = 0.4 on the annulus at eps 1, but K_eps = -0.8
+    at states 3 and 4, and nearly all the stationary mass sits at the far end."""
+    up = np.where(np.arange(39) < 4, 0.1, 0.5)
+    down = np.where(np.arange(1, 40) < 4, 0.5, 0.1)
+    return birth_death_chain(up, down)
+
+
 def star_chain():
     """A periodic 4-state star: the centre moves to a uniform leaf, each leaf
     moves back.  Its kernel is not tridiagonal, and power iteration from the

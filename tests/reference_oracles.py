@@ -1,9 +1,11 @@
 """Reference implementations that only the tests compare the package against.
 
+- `w1_pair`: the certified W1 of one pair of kernel rows, a batch of one
+  through `w1_flow`.
 - `kappa_pair`: the curvature of one pair through the certified flow solver,
   the per-pair reference for both `local_curvature` routes.
 - `w1_rows_lp`: W1 between two kernel rows by the bipartite LP between the
-  whole rows, the oracle for the signed-difference LP of `w1_flow_batch`.
+  whole rows, the oracle for the signed-difference LP of `w1_flow`.
 - `stochastic_dominance_check`: a CDF comparison on the line; where it
   holds, W1 equals the difference of the means, a third cross-check on the
   transport routes.
@@ -38,11 +40,16 @@ from ricci_bounds.jump_process import JumpProcessConfig, empirical_tail_probs
 from ricci_bounds.transport import w1_flow
 
 
+def w1_pair(chain: MetricChain, x: int, y: int) -> float:
+    """Certified exact W1(P_x, P_y) of the one pair (x, y)."""
+    return float(w1_flow(chain, [x], [y])[0][0])
+
+
 def kappa_pair(chain: MetricChain, x: int, y: int) -> float:
     """1 - W1(P_x, P_y)/d(x, y), with W1 from the certified flow solver."""
     if x == y:
         raise ValueError("kappa is undefined on the diagonal (d(x,y) = 0)")
-    return 1.0 - w1_flow(chain, x, y) / chain.dist[x, y]
+    return 1.0 - w1_pair(chain, x, y) / chain.dist[x, y]
 
 
 def w1_rows_lp(chain: MetricChain, x: int, y: int) -> float:

@@ -17,7 +17,7 @@ from ricci_bounds import (JumpProcessConfig, attraction_rho,
                           simulate_paths, stationary_birth_death,
                           stationary_power, subgaussian_s2, tail_comparison,
                           theorem1_params, transform_I, truncation_audit,
-                          tv_distance, w1_flow_batch, w1_line, local_curvature)
+                          tv_distance, w1_flow, w1_line, local_curvature)
 from ricci_bounds.bounds import _at_d0, _exp_or_inf, _ln_C
 from ricci_bounds.jump_process import empirical_tail_probs
 
@@ -102,7 +102,7 @@ def test_criterion_2_transport_cross_validation():
     worst_agree, worst_gap = 0.0, 0.0
     for _ in range(500):
         mu, nu = rand_measure(), rand_measure()
-        (value,), (gap,), _ = w1_flow_batch(rows_chain(chain, [mu, nu]), [0], [1])
+        (value,), (gap,), _ = w1_flow(rows_chain(chain, [mu, nu]), [0], [1])
         line = w1_line(mu, nu, coords)
         worst_agree = max(worst_agree, abs(line - value))
         worst_gap = max(worst_gap, gap)

@@ -324,19 +324,30 @@ def test_a_metric_past_the_search_keeps_its_verdict():
     assert check_epsilon_geodesic(chain, 1.0) == (0, 99)
 
 
-def test_loading_a_cube_searches_and_a_long_line_solves_once(tmp_path):
-    # the Hamming graph of cube6 is 6 hops across; a unit-gap line of 200
-    # states has a distance of 199 smallest distances, which goes to Dijkstra
+def test_loading_a_cube_searches_and_a_line_solves_nothing(tmp_path, monkeypatch):
+    # the Hamming graph of cube6 is 6 hops across, so the search proves it with
+    # no Dijkstra; a line metric is proved by its coordinates, with no shortest
+    # paths at all: a unit-gap line of 200 states (199 smallest distances
+    # across) and an irregular line (a complete graph of many weights)
     cube = cube_chain(6, 0.05)
     cube_path = write_chain_json(tmp_path / "cube6.json", cube.points, cube.dist,
                                  cube.kernel)
-    line = np.abs(np.subtract.outer(np.arange(200), np.arange(200))).astype(float)
-    line_path = write_chain_json(tmp_path / "line.json", [str(i) for i in range(200)],
-                                 line, np.eye(200))
-    for path, solves in ((cube_path, 0), (line_path, 1)):
-        with _counting_dijkstra() as dijkstra:
-            assert load_chain(path).geodesic_at == 1.0
-        assert dijkstra.call_count == solves, path.name
+    with _counting_dijkstra() as dijkstra:
+        assert load_chain(cube_path).geodesic_at == 1.0
+    assert dijkstra.call_count == 0
+    searches = []
+    shortest_paths = chain_model._shortest_paths
+    monkeypatch.setattr(chain_model, "_shortest_paths",
+                        lambda d, t: searches.append(t) or shortest_paths(d, t))
+    unit = np.abs(np.subtract.outer(np.arange(200), np.arange(200))).astype(float)
+    irregular = irregular_line_chain(np.random.default_rng(4), n_points=200)
+    for name, dist in (("unit", unit), ("irregular", irregular.dist)):
+        path = write_chain_json(tmp_path / f"{name}.json", [str(i) for i in range(200)],
+                                dist, np.eye(200))
+        chain = load_chain(path)
+        assert chain.coords is not None and chain.geodesic_at is None, name
+        assert check_epsilon_geodesic(chain, 0.1) is not None
+    assert searches == []
 
 
 def _audit_chain(kind, seed):
@@ -435,11 +446,13 @@ def test_geodesic_check_matches_floyd_warshall(kind, seed, frac):
 def test_geodesic_check_after_the_triangle_check_matches_a_fresh_solve(kind, seed, step):
     # eps at one of the smallest distances, just under and just past it, and
     # midway to the diameter: a chain that recorded its triangle check must
-    # answer as a chain without the record solves
+    # answer as a chain without the record solves (a graph that is a line
+    # metric has coords, which prove it with no record)
     chain = _audit_chain(kind, seed)
     chain.check_triangle_inequality()
     fresh = MetricChain(points=chain.points, dist=chain.dist, kernel=chain.kernel)
-    assert chain.geodesic_at is not None and fresh.geodesic_at is None
+    assert (chain.geodesic_at is not None) == (chain.coords is None)
+    assert fresh.geodesic_at is None
     values = np.unique(chain.dist[chain.dist > 0])
     eps = values[min(step, values.size - 1)]
     for e in (eps, eps + 1e-13, np.nextafter(eps, 0.0), (eps + values[-1]) / 2):

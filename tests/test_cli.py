@@ -24,7 +24,8 @@ from ricci_bounds.cli import main
 from ricci_bounds.errors import TransportError
 
 from conftest import (biased_reflecting_walk, cube_chain, irregular_line_chain,
-                      line_chain, random_graph_chain, star_chain, write_chain_json)
+                      line_chain, random_graph_chain, reversal_chain, star_chain,
+                      write_chain_json)
 
 
 def run_cli(args):
@@ -562,6 +563,61 @@ def test_sweep_with_nothing_admissible_exits_2(source, argv, n_eps, tmp_path, ca
     assert {row[-2] for row in rows} == {"inf"}
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--strategy", "grid", "--epsilon", "1"], 2),
+    (["bound", "--epsilon", "1"], 2),
+    (["verify", "--epsilon", "1"], 2),
+    (["verify", "--strategy", "grid", "--epsilon", "1"], 2),
+    (["sweep", "--epsilons", "1:3:1"], 2),
+    (["curvature", "--epsilon", "1"], 0),
+], ids=["bound_grid", "bound_paper", "verify_paper", "verify_grid", "sweep", "curvature"])
+def test_negative_local_curvature_gives_no_bound(argv, code, tmp_path, capsys):
+    # rho = 0.4 > 0, but K_eps = -0.8 at states 3 and 4: the envelope clamped at
+    # 0 is no minorant there, and the grid's "bound" of 9.8e-10 at l = 39 sat
+    # under an exact tail of 0.80
+    chain = reversal_chain()
+    path = write_chain_json(tmp_path / "reversal.json", chain.points, chain.dist,
+                            chain.kernel, origin=0)
+    out = tmp_path / "r"
+    assert run_cli([argv[0], "--chain", str(path), *argv[1:], "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if argv[0] == "curvature":
+        assert min(json.loads((out / "profile.json").read_text())["kappa_local"]) < -0.79
+        return
+    if argv[0] == "sweep":
+        assert err.startswith("inapplicable: no eps in --epsilons ")
+        _, rows = read_csv(out / "sweep.csv")
+        assert [row[-1] for row in rows] == [
+            f"K_eps = -0.8 < 0 at point 3 (eps = {eps}): the theorems need nonnegative "
+            "curvature" for eps in (1.0, 2.0, 3.0)]
+        return
+    assert err == ("inapplicable: K_eps = -0.8 < 0 at point 3 (eps = 1.0): the theorems "
+                   "need nonnegative curvature\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bound", "--n0", "900", "--k", "930", "--epsilon", "30", "--levels", "1:2"],
+     "--levels"),
+    (["example-jump", "--paths", "1000000", "--levels", "1:2"], "--levels"),
+    (["sweep", "--n0", "900", "--k", "930", "--epsilons", "1:2"], "--epsilons"),
+])
+def test_a_bad_range_is_refused_before_any_work(argv, flag, tmp_path, capsys, monkeypatch):
+    # the parser refuses the range: no chain is built, no path is simulated
+    # and no out dir is made
+    def never(*args):
+        raise AssertionError("the command ran past its parser")
+
+    for name in ("build_mmk_chain", "_auto_truncation"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(jp, "simulate_paths", never)
+    out = tmp_path / "r"
+    assert run_cli([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument {flag}: bad range '1:2', expected a:b:step")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tight_level", [None, 2.0, 5.0])
 def test_example_jump_exit_1_means_a_row_breaks_its_bound(tight_level, tmp_path,
                                                           monkeypatch):
@@ -774,12 +830,14 @@ def test_malformed_or_non_finite_command_line_exits_3(argv, code, tmp_path, caps
     (["example-jump", "--paths", "1000000000"], "MAX_PATHS"),
 ])
 def test_over_budget_sizes_exit_3_before_allocating(argv, budget, tmp_path, capsys):
-    # each size is refused from the flags alone, before any array of that size exists
+    # each size is refused from the flags alone, before any array of that size
+    # exists; a range is refused by the parser, before the out dir is made
     out = tmp_path / "b"
     assert run_cli([*argv, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"budget {budget} = " in err
-    assert list(out.iterdir()) == []
+    assert re.match("(ricci-bounds [a-z]+: )?error: ", err.splitlines()[-1])
+    assert f"budget {budget} = " in err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("budget, code", [(537, 0), (536, 3)])
@@ -876,7 +934,7 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
     (["verify", "--n0", "5", "--k", "10", "--epsilon", "abc"], None,
      "ricci-bounds verify: error: argument --epsilon: invalid float value: 'abc'"),
     (["bound", "--n0", "5", "--k", "10", "--epsilon", "2", "--levels", "1:2"], None,
-     "error: bad range '1:2', expected a:b:step"),
+     "ricci-bounds bound: error: argument --levels: bad range '1:2', expected a:b:step"),
     (["verify", "--n0", "5"], None, "ricci-bounds: error: --n0 needs --k"),
     (["curvature", "--epsilon", "1"], None,
      "ricci-bounds curvature: error: one of the arguments --chain --n0 --alpha is required"),
@@ -947,7 +1005,7 @@ def test_nonzero_lp_status_is_a_transport_error_and_exits_4(monkeypatch, tmp_pat
 
     monkeypatch.setattr(scipy.optimize, "linprog", failed)
     with pytest.raises(TransportError, match="^transport LP failed for pairs 0..0: "):
-        transport.w1_flow_batch(chain, [0], [1])
+        transport.w1_flow(chain, [0], [1])
     code = run_cli(["curvature", "--chain", str(path), "--epsilon", "1",
                     "--out", str(tmp_path / "c")])
     assert code == 4

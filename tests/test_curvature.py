@@ -117,6 +117,20 @@ def test_local_curvature_cube_is_one_over_n(p):
     np.testing.assert_allclose(kloc, 1 / 3, rtol=0, atol=1e-9)
 
 
+def test_lp_route_calls_w1_flow_by_the_name_the_tracer_patches(monkeypatch):
+    # bench/tracing.py times the transport layer as ricci_bounds.curvature.w1_flow
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transport.w1_flow(*args)
+
+    monkeypatch.setattr(curvature, "w1_flow", counted)
+    kloc = local_curvature(cube_chain(3, 0.2), 1.0)
+    assert len(calls) == 1
+    np.testing.assert_allclose(kloc, 1 / 3, rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("batch_vars", [None, 7])
 @pytest.mark.parametrize("eps", [3.0, 5.0])
 def test_local_curvature_graph_matches_pair_minimum(monkeypatch, batch_vars, eps):

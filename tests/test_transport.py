@@ -8,13 +8,13 @@ import scipy.optimize
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance as scipy_w1
 
-from ricci_bounds import MetricChain, build_mmk_chain, w1_flow, w1_flow_batch, w1_line
+from ricci_bounds import MetricChain, build_mmk_chain, w1_flow, w1_line
 from ricci_bounds import transport
 from ricci_bounds.errors import ChainValidationError, TransportError
 
 from conftest import (cube_chain, irregular_line_chain, line_chain, random_graph_chain,
                       rows_chain)
-from reference_oracles import stochastic_dominance_check, w1_rows_lp
+from reference_oracles import stochastic_dominance_check, w1_pair, w1_rows_lp
 
 
 def measure(n, support, weights):
@@ -39,7 +39,7 @@ def random_line_instance(rng, n_points=60, max_support=50):
 
 def flow(chain, mu, nu):
     """Certified W1 between two weight vectors on `chain`, as kernel rows 0 and 1."""
-    return w1_flow(rows_chain(chain, [mu, nu]), 0, 1)
+    return w1_pair(rows_chain(chain, [mu, nu]), 0, 1)
 
 
 def record_lps(monkeypatch):
@@ -97,7 +97,7 @@ def test_identical_measures_zero(mmk_2_4):
     mu = measure(mmk_2_4.n, [1, 4, 7], [0.2, 0.5, 0.3])
     assert w1_line(mu, mu, mmk_2_4.coords) == 0.0
     assert flow(mmk_2_4, mu, mu) == 0.0
-    assert w1_flow(rows_chain(mmk_2_4, [mu]), 0, 0) == 0.0
+    assert w1_pair(rows_chain(mmk_2_4, [mu]), 0, 0) == 0.0
 
 
 def test_uniform_pairs_brute_force(mmk_2_4):
@@ -108,7 +108,7 @@ def test_uniform_pairs_brute_force(mmk_2_4):
 
 
 def test_mmk_kernel_rows_w1(mmk_2_4):
-    assert w1_flow(mmk_2_4, 3, 4) == pytest.approx(5 / 6, abs=1e-12)
+    assert w1_pair(mmk_2_4, 3, 4) == pytest.approx(5 / 6, abs=1e-12)
 
 
 # ------------------------------------------------------- route cross-checks
@@ -130,7 +130,7 @@ def test_duality_certificate_fields(monkeypatch):
     mu, nu = rand_measure(), rand_measure()
     pair = rows_chain(chain, [mu, nu])
     solved = record_lps(monkeypatch)
-    (value,), (gap,), (lip,) = w1_flow_batch(pair, [0], [1])
+    (value,), (gap,), (lip,) = w1_flow(pair, [0], [1])
     assert gap <= 1e-9
     assert lip <= 1e-9
     # the plan on the columns the final solve was given, plus the shared mass
@@ -154,9 +154,9 @@ def test_triangle_inequality_random_triples():
     chain, rand_measure = random_line_instance(rng, max_support=20)
     for _ in range(20):
         abc = rows_chain(chain, [rand_measure(), rand_measure(), rand_measure()])
-        ab = w1_flow(abc, 0, 1)
-        bc = w1_flow(abc, 1, 2)
-        ac = w1_flow(abc, 0, 2)
+        ab = w1_pair(abc, 0, 1)
+        bc = w1_pair(abc, 1, 2)
+        ac = w1_pair(abc, 0, 2)
         assert ac <= ab + bc + 1e-9
 
 
@@ -181,7 +181,7 @@ def test_batch_matches_independent_oracles(seed, line):
     rng = np.random.default_rng(seed)
     chain = irregular_line_chain(rng) if line else random_graph_chain(rng)
     xs, ys = np.nonzero(np.triu(~np.eye(chain.n, dtype=bool)))
-    w1, gap, lip = w1_flow_batch(chain, xs, ys)
+    w1, gap, lip = w1_flow(chain, xs, ys)
     for x, y, value in zip(xs, ys, w1):
         if line:
             ref = w1_line(chain.kernel[x], chain.kernel[y], chain.coords)
@@ -197,7 +197,7 @@ def test_cube_neighbours_have_curvature_one_over_n(monkeypatch, bits, p):
     chain = cube_chain(bits, p)
     xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
     solved = record_lps(monkeypatch)
-    kappa = 1.0 - w1_flow_batch(chain, xs, ys)[0]
+    kappa = 1.0 - w1_flow(chain, xs, ys)[0]
     np.testing.assert_allclose(kappa, 1 / bits, rtol=0, atol=transport.CERT_TOL)
     # the optimal coupling moves x -> y and x+e_i -> y+e_i, all
     # nearest-neighbour arcs, so every pair certifies in the first pass; the
@@ -216,7 +216,7 @@ def test_cube_first_pass_is_the_matching_of_each_pair(monkeypatch, p):
     chain = cube_chain(6, p)
     xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
     solved = record_lps(monkeypatch)
-    w1_flow_batch(chain, xs, ys)
+    w1_flow(chain, xs, ys)
     blocks = distinct_blocks(chain, xs, ys)
     assert set(blocks) == {(6, 6)} and len(blocks) < xs.size == 192
     assert [cost.size for cost, *_ in solved] == [6 * len(blocks)]
@@ -260,7 +260,7 @@ def test_second_pass_matches_the_whole_row_lp(seed, p, q):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transport, "LP_GROUP_VARS", 10**9)
         solved = record_lps(patch)
-        w1, gap, lip = w1_flow_batch(chain, xs, ys)
+        w1, gap, lip = w1_flow(chain, xs, ys)
     assert len(solved) == 2
     assert sum(b_eq.size for _, _, b_eq, _ in solved) > distinct_rows(chain, xs, ys)
     for x, y, value in zip(xs, ys, w1):
@@ -269,7 +269,7 @@ def test_second_pass_matches_the_whole_row_lp(seed, p, q):
     # the crossing pair alone: its first pass leaves min(1 - p, q) on the table
     with pytest.MonkeyPatch.context() as patch:
         solved = record_lps(patch)
-        assert w1_flow(chain, a, b) == pytest.approx(w1_rows_lp(chain, a, b), abs=1e-9)
+        assert w1_pair(chain, a, b) == pytest.approx(w1_rows_lp(chain, a, b), abs=1e-9)
     first, full = (res.fun for *_, res in solved)
     assert [cost.size for cost, *_ in solved] == [3, 4]
     assert first - full == pytest.approx(min(1 - p, q), abs=1e-9)
@@ -298,7 +298,7 @@ def test_each_group_is_one_lp_and_its_rejected_pairs_one_more(seed, p, q, group)
         patch.setattr(transport, "LP_GROUP_VARS", group)
         patch.setattr(transport, "_certified", spy)
         solved = record_lps(patch)
-        w1 = w1_flow_batch(chain, xs, ys)[0]
+        w1 = w1_flow(chain, xs, ys)[0]
     first_pass = verdicts[:-1]                  # the last judges the final results
     rejected = sum(not verdict.all() for verdict in first_pass)
     assert len(first_pass) == groups and rejected >= 1
@@ -359,11 +359,11 @@ def test_batch_matches_per_pair_solves():
     assert len(sizes) > 3                               # ragged blocks
     chain = rows_chain(base, [vec for pair in pairs for vec in pair])
     xs, ys = np.arange(0, 2 * len(pairs), 2), np.arange(1, 2 * len(pairs), 2)
-    w1, gap, lip = w1_flow_batch(chain, xs, ys)
+    w1, gap, lip = w1_flow(chain, xs, ys)
     assert len(w1) == len(gap) == len(lip) == len(pairs)
     assert w1[4] == 0.0
     for x, y, value, g, l in zip(xs, ys, w1, gap, lip):
-        single = w1_flow_batch(chain, [x], [y])
+        single = w1_flow(chain, [x], [y])
         assert value == pytest.approx(single[0][0], abs=1e-12)
         assert g <= transport.CERT_TOL
         assert 0.0 <= l <= transport.CERT_TOL
@@ -404,7 +404,7 @@ def test_copies_take_the_certified_w1_of_their_first(seed, cube, p):
         ys = xs + 1
     with pytest.MonkeyPatch.context() as patch:
         solved = record_lps(patch)
-        w1, gap, lip = w1_flow_batch(chain, xs, ys)
+        w1, gap, lip = w1_flow(chain, xs, ys)
     # all in one group, whose first LP holds each distinct LP once
     assert len(distinct_blocks(chain, xs, ys)) < len(xs)
     assert solved[0][2].size == distinct_rows(chain, xs, ys)
@@ -425,7 +425,7 @@ def test_a_mass_one_ulp_away_is_its_own_lp(monkeypatch):
     xs, ys = [0, 2, 4], [1, 3, 5]
     assert distinct_blocks(chain, xs, ys) == [(2, 3), (2, 3)]
     solved = record_lps(monkeypatch)
-    w1 = w1_flow_batch(chain, xs, ys)[0]
+    w1 = w1_flow(chain, xs, ys)[0]
     assert [b_eq.size for _, _, b_eq, _ in solved] == [10]
     assert w1[0] == w1[1]
     for x, y, value in zip(xs, ys, w1):
@@ -444,7 +444,7 @@ def test_colliding_hashes_are_told_apart_by_their_bits(monkeypatch):
     monkeypatch.setattr(transport, "_hash_rows",
                         lambda words: np.zeros(len(words), dtype=np.uint64))
     solved = record_lps(monkeypatch)
-    w1 = w1_flow_batch(chain, xs, ys)[0]
+    w1 = w1_flow(chain, xs, ys)[0]
     assert [b_eq.size for _, _, b_eq, _ in solved] == [6]
     assert w1 == pytest.approx([w1_rows_lp(chain, 0, 1), w1_rows_lp(chain, 2, 3)], abs=1e-9)
 
@@ -455,12 +455,12 @@ def test_batch_of_nothing_solves_nothing(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", no_solve)
     chain = random_graph_chain(np.random.default_rng(1))
     mu = measure(chain.n, [0, 2], [0.5, 0.5])
-    assert [a.size for a in w1_flow_batch(chain, [], [])] == [0, 0, 0]
-    assert w1_flow_batch(rows_chain(chain, [mu, mu]), [0], [1])[0][0] == 0.0
+    assert [a.size for a in w1_flow(chain, [], [])] == [0, 0, 0]
+    assert w1_flow(rows_chain(chain, [mu, mu]), [0], [1])[0][0] == 0.0
     kernel = chain.kernel.copy()
     kernel[5] = kernel[3]
     twins = MetricChain(points=chain.points, dist=chain.dist, kernel=kernel)
-    w1, gap, lip = w1_flow_batch(twins, [3, 5, 7], [5, 3, 7])
+    w1, gap, lip = w1_flow(twins, [3, 5, 7], [5, 3, 7])
     assert w1.tolist() == gap.tolist() == lip.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -472,7 +472,7 @@ def test_lp_columns_are_the_signed_differences(monkeypatch):
     chain = cube_chain(6, 0.2)
     xs, ys = np.nonzero(np.triu(chain.dist == 1.0))
     solved = record_lps(monkeypatch)
-    w1_flow_batch(chain, xs, ys)
+    w1_flow(chain, xs, ys)
     diff = chain.kernel[xs] - chain.kernel[ys]
     signed = np.count_nonzero(diff > 0, axis=1) * np.count_nonzero(diff < 0, axis=1)
     full = np.count_nonzero(chain.kernel[xs], axis=1) * np.count_nonzero(chain.kernel[ys], axis=1)
@@ -489,10 +489,10 @@ def test_skinny_pair_certifies_in_two_square_arrays():
     chain = line_chain(np.arange(n, dtype=float), np.eye(n))
     chain = rows_chain(chain, [measure(n, [0], [1.0]),
                                measure(n, np.arange(1, n), np.full(n - 1, 1 / (n - 1)))])
-    w1_flow_batch(chain, [0], [1])                     # warm the import caches
+    w1_flow(chain, [0], [1])                     # warm the import caches
     tracemalloc.start()
     try:
-        (value,), _, _ = w1_flow_batch(chain, [0], [1])
+        (value,), _, _ = w1_flow(chain, [0], [1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -510,10 +510,10 @@ def test_a_batch_converts_only_the_rows_it_reads():
     peaks = []
     for rows in ([point, spread], [point] + [spread] * (n - 1)):
         chain = rows_chain(line, rows)
-        w1_flow_batch(chain, [0], [1])                 # warm the import caches
+        w1_flow(chain, [0], [1])                 # warm the import caches
         tracemalloc.start()
         try:
-            w1_flow_batch(chain, [0], [1])
+            w1_flow(chain, [0], [1])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -546,7 +546,7 @@ def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
     # 3-5.  The shift is made in both solves of pair 0: the batch and the
     # second pass, which solves pair 0 alone.
     chain, xs, ys = four_cycle_pairs()
-    assert w1_flow_batch(chain, xs, ys)[0] == pytest.approx([1.0, 1.0, 1.5])
+    assert w1_flow(chain, xs, ys)[0] == pytest.approx([1.0, 1.0, 1.5])
     sink_b = [1, 1]
     real = scipy.optimize.linprog
     calls = []
@@ -559,7 +559,7 @@ def test_batch_certificate_names_the_corrupted_pair(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 0: duality certificate failed"):
-        w1_flow_batch(chain, xs, ys)
+        w1_flow(chain, xs, ys)
     assert calls == [4, 2]
 
 
@@ -581,7 +581,7 @@ def test_a_corrupted_shared_block_names_its_first_copy(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 1: duality certificate failed"):
-        w1_flow_batch(chain, xs[::-1], ys[::-1])
+        w1_flow(chain, xs[::-1], ys[::-1])
     assert calls == [4, 2]
 
 
@@ -604,7 +604,7 @@ def test_split_batch_names_the_pair_by_its_index_in_the_call(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     with pytest.raises(TransportError, match=r"^pair 2: duality certificate failed"):
-        w1_flow_batch(chain, xs, ys)
+        w1_flow(chain, xs, ys)
     assert calls == [2, 2, 2]
 
 
@@ -628,7 +628,7 @@ def test_certificate_rejects_a_plan_that_misses_a_marginal(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", corrupted)
     with pytest.raises(TransportError,
                        match=r"^pair 0: duality certificate failed: .*primal defect=1\.000e-03"):
-        w1_flow_batch(chain, [3], [4])
+        w1_flow(chain, [3], [4])
     # first pass: 2->3, 4->3, 4->5; then all of 2->3, 2->5, 4->3, 4->5
     assert costs == [[1.0, 1.0, 1.0], [1.0, 3.0, 1.0, 1.0]]
 
@@ -675,6 +675,6 @@ def test_rejects_duplicate_support():
 
 def test_rejects_out_of_range_support(mmk_2_4):
     with pytest.raises(TransportError):
-        w1_flow(mmk_2_4, 0, 10_000)
+        w1_pair(mmk_2_4, 0, 10_000)
     with pytest.raises(TransportError, match="^pair 1: row index outside the chain"):
-        w1_flow_batch(mmk_2_4, [0, -1], [1, 2])
+        w1_flow(mmk_2_4, [0, -1], [1, 2])
