@@ -44,6 +44,12 @@ def _exp_or_inf(ln_value: float) -> float:
         return math.inf
 
 
+def _libm(f, x):
+    """f from libm on each entry of x, in x's shape (0-d for a float)."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
 def _ln_one_minus_exp(x: float) -> float:
     """ln(1 - e^x) for x <= 0, also where e^x rounds to 1; -inf at x == 0."""
     if x == 0.0:
@@ -166,7 +172,7 @@ def _ln_C(profile: CurvatureProfile, at: _AtD0, alpha):
             f"alpha*s^2*K(d0) = {np.max(t):.6g} >= 1: C is undefined there")
     f = at.fd0
     return (-alpha * f * f * (1.0 - alpha * profile.s2 / (2.0 * (1.0 - t)))
-            - 0.5 * np.vectorize(math.log1p, otypes=[float])(-t))
+            - 0.5 * _libm(math.log1p, -t))
 
 
 @np.errstate(all="ignore")
@@ -174,7 +180,7 @@ def _ln_prefactor(profile: CurvatureProfile, at: _AtD0, alpha):
     """ln(C' C/(1-C)); +inf where C >= 1 or is undefined."""
     ln_c = _conditions(profile, at, alpha)[1]
     undefined = ln_c >= 0
-    tail = np.vectorize(_ln_one_minus_exp, otypes=[float])(np.where(undefined, -1.0, ln_c))
+    tail = _libm(_ln_one_minus_exp, np.where(undefined, -1.0, ln_c))
     return np.where(undefined, math.inf, alpha * at.rate + ln_c - tail)[()]
 
 

@@ -247,6 +247,33 @@ def _reject_constant(token):
     raise ChainFormatError(f"non-finite number {token!r} not accepted")
 
 
+_JSON_KINDS = {str: "a string", bool: "true or false", type(None): "null", dict: "an object"}
+
+
+def _number_matrix(path, key, values, may_hold_bool: bool) -> np.ndarray:
+    """The parsed field `key` as a float array, refused unless every entry
+    is a JSON number.
+
+    numpy's dtype discovery tells numbers from strings, and makes null,
+    objects and integers past 64 bits objects; true and false it takes as
+    numbers, so the entries are scanned for them only where the file may
+    hold them."""
+    head = f"{path}: dist/kernel must be numeric matrices: {key}"
+    try:
+        found = np.array(values)
+    except ValueError as exc:           # rows of unequal length
+        raise ChainFormatError(f"{head}: {exc}") from exc
+    if found.dtype.kind not in "iuf" or may_hold_bool:
+        for v in np.array(values, dtype=object).ravel().tolist():
+            if type(v) not in (int, float):
+                raise ChainFormatError(
+                    f"{head} holds {_JSON_KINDS.get(type(v), repr(v))}, not a JSON number")
+    try:
+        return found.astype(float, copy=False)
+    except OverflowError as exc:        # an integer past the float range
+        raise ChainFormatError(f"{head}: {exc}") from exc
+
+
 def _infer_line_coords(dist: np.ndarray) -> Optional[np.ndarray]:
     """Coordinates realizing dist on the real line within GEODESIC_TOL, or None.
 
@@ -272,18 +299,28 @@ def load_chain(path) -> MetricChain:
     """Load and fully validate a chain-spec JSON file.
 
     Expected fields: `points` (array of distinct labels), `dist` and `kernel`
-    (row-major arrays of arrays), optional `origin` (a label, or an integer
-    index).  NaN/Inf are rejected; all invariants including the triangle
-    inequality are checked on load.
+    (row-major arrays of arrays of JSON numbers), optional `origin` (a label,
+    or an integer index).  NaN/Inf are rejected; all invariants including the
+    triangle inequality are checked on load.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            text = fh.read()
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ChainFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ChainFormatError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from exc
+    except ChainFormatError as exc:
+        raise ChainFormatError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ChainFormatError(f"{path}: cannot read: {exc.strerror}") from exc
+    # JSON's true holds a 'u' and its false an 'a', letters that most chain
+    # files lack (their keys are points, dist, kernel and origin), so the
+    # token search, and the scan for booleans it gates, rarely run
+    may_hold_bool = ("u" in text and "true" in text) or ("a" in text and "false" in text)
+    del text
     if not isinstance(doc, dict):
         raise ChainFormatError(f"{path}: top-level value must be an object")
     for key in ("points", "dist", "kernel"):
@@ -294,12 +331,9 @@ def load_chain(path) -> MetricChain:
     points = tuple(str(p) for p in doc["points"])
     if len(set(points)) != len(points):
         raise ChainFormatError(f"{path}: point labels must be distinct")
-    try:
-        # popped: the parsed lists go as soon as they are arrays
-        dist = np.array(doc.pop("dist"), dtype=float)
-        kernel = np.array(doc.pop("kernel"), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ChainFormatError(f"{path}: dist/kernel must be numeric matrices: {exc}") from exc
+    # popped: the parsed lists go as soon as they are arrays
+    dist = _number_matrix(path, "dist", doc.pop("dist"), may_hold_bool)
+    kernel = _number_matrix(path, "kernel", doc.pop("kernel"), may_hold_bool)
     origin = doc.get("origin")
     if origin is not None:
         if isinstance(origin, str):

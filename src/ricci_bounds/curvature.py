@@ -62,12 +62,16 @@ def _pair_curvature_line(chain: MetricChain, epsilon: float):
     cdf = chain.kernel[np.ix_(order, order)]
     np.cumsum(cdf, axis=1, out=cdf)
     pairs = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
+    # |F_x - F_y| of every pair at one offset, in rows of n as a fresh array
+    # would be, so that the product below makes the same BLAS call
+    buf = np.empty_like(cdf)
     for off in range(1, chain.n):
         d = chain.dist[order[:-off], order[off:]]
         near = d <= epsilon + DIST_TOL
         if not near.any():
             break
-        w1 = np.abs(cdf[:-off] - cdf[off:])[:, :-1] @ gaps
+        gap_cdf = np.subtract(cdf[:-off], cdf[off:], out=buf[:-off])
+        w1 = np.abs(gap_cdf, out=gap_cdf)[:, :-1] @ gaps
         pairs.append((order[:-off][near], order[off:][near], 1.0 - w1[near] / d[near]))
     return tuple(map(np.concatenate, zip(*pairs)))
 

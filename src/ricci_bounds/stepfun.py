@@ -31,6 +31,7 @@ class StepFunction:
         w = np.diff(b)
         self._cum = np.concatenate([[0.0], np.cumsum(w * v[:-1])])
         self._cum2 = np.concatenate([[0.0], np.cumsum(self._cum[:-1] * w + v[:-1] * w * w / 2.0)])
+        self._restarted = {}        # base -> this function restarted at base
 
     def _segment(self, x):
         """(i, x - breakpoints[i]) for the segment i holding each x."""
@@ -61,11 +62,14 @@ class StepFunction:
         sums is one segment's own integral and none cancels; past the float
         range it is +inf.
         """
-        b = self.breakpoints
-        starts = np.concatenate([[base], b[b > base]])
+        restarted = self._restarted.get(base)
+        if restarted is None:
+            b = self.breakpoints
+            starts = np.concatenate([[base], b[b > base]])
+            restarted = self._restarted[base] = StepFunction(starts, self(starts))
         l = np.asarray(l, dtype=float)
         with np.errstate(over="ignore"):
-            out = np.where(l > base, StepFunction(starts, self(starts))._h(l), 0.0)
+            out = np.where(l > base, restarted._h(l), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def support_end(self):

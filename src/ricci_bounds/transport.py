@@ -18,9 +18,13 @@ feasibility on the others, as in Schmitzer, J. Math. Imaging Vis. 2016).
 
 Pairs whose LPs are bit-identical (same signed masses in row order, same
 distances among the block's points) are solved once: on {0,1}^9 at eps = 1
-the 2304 neighbouring pairs pose 21 to 43 distinct LPs, by the symmetry that
+the 2304 neighbouring pairs pose 14 to 52 distinct LPs, by the symmetry that
 gives Ollivier's kappa = 1/N.  The certificate reads nothing else, so the
-one that proves the first copy optimal proves every copy optimal.
+one that proves the first copy optimal proves every copy optimal.  Pairs are
+classed by their masses first, and each pair of a class but its first has
+its distances gathered once and compared bit for bit with the first's; only
+pairs that differ from it are hashed, from those same distances, so on
+{0,1}^9 each pair's distances are gathered once and none are hashed.
 """
 from __future__ import annotations
 
@@ -134,33 +138,65 @@ def _first_copies(chain, points, mass, starts, sizes, n_var):
     the same LP bit for bit: the same size, the same signed masses in row
     order and the same distances among its points, all s x s of them.
 
-    Blocks are classed by size and mass bytes first, in O(nnz).  Only
-    classes of two or more gather distances, one group's worth of blocks at
-    a time, as the certificate does, and each block's s x s distances are
-    hashed to one uint64.  A block is taken as a copy only after its
-    distances have been compared with its first block's bit for bit, so a
-    hash collision costs a solve, never a wrong W1.
+    Blocks are classed by size and mass bytes first, in O(nnz).  Each block
+    of a class of two or more but its first is then gathered once, one
+    group's worth of blocks at a time, and compared bit for bit with its
+    class's first block, gathered once per class (`_match_heads`); a block
+    that matches is a copy, with no hash.  Only the blocks that differ are
+    hashed, from the distances already gathered, to one uint64 each, and
+    re-classed by class and hash; each of those that is not the first of its
+    new class is gathered once more and compared with that first bit for
+    bit.  So a block is gathered once, or twice where its class's masses pose
+    more than one LP, and a hash collision costs a solve, never a wrong W1.
     """
     first = np.arange(starts.size)
     for s in np.unique(sizes):
         k = np.flatnonzero(sizes == s)
         first[k] = k[_first_equal_rows(mass[starts[k][:, None] + np.arange(s)].view(np.uint64))]
-    shared = np.flatnonzero(np.bincount(first)[first] > 1)
-    key = np.empty((shared.size, 2), dtype=np.uint64)
-    key[:, 0] = first[shared]
-    for s, j in _chunks(sizes[shared], n_var[shared]):
-        d = _block_distances(chain, points, starts[shared[j]], s)
-        key[j, 1] = _hash_rows(d.reshape(j.size, -1).view(np.uint64))
-    first[shared] = shared[_first_equal_rows(key)]
-    copy = shared[first[shared] != shared]
-    for s, j in _chunks(sizes[copy], n_var[copy]):
-        k = copy[j]
-        heads, at = np.unique(first[k], return_inverse=True)
-        same = (_block_distances(chain, points, starts[k], s).view(np.uint64)
-                == _block_distances(chain, points, starts[heads], s).view(np.uint64)[at])
-        alone = k[~same.all(axis=(1, 2))]
+    tail = np.flatnonzero(first != np.arange(starts.size))
+    odd, keys = [], []
+    for j, words, same in _match_heads(chain, points, starts, sizes, n_var, tail, first[tail]):
+        if not same.all():
+            odd.append(tail[j[~same]])
+            keys.append(_hash_rows(words[~same]))
+    if not odd:
+        return first
+    # within a class the blocks that differ come in list order, so each new
+    # class's first is its earliest block
+    odd = np.concatenate(odd)
+    first[odd] = odd[_first_equal_rows(
+        np.column_stack([first[odd].astype(np.uint64), np.concatenate(keys)]))]
+    copy = odd[first[odd] != odd]
+    for j, _, same in _match_heads(chain, points, starts, sizes, n_var, copy, first[copy]):
+        alone = copy[j[~same]]
         first[alone] = alone
     return first
+
+
+def _match_heads(chain, points, starts, sizes, n_var, blocks, heads):
+    """(j, words, same) for one group's worth of the blocks, blocks[j] of
+    one size: their s x s distances as uint64 rows and whether each row
+    equals its head block's (heads[j]) bit for bit.
+
+    Blocks go in order of size, then head, then list order, and a head is
+    gathered once for all of its blocks: only the last head of a group can
+    have blocks in the next, and its distances are carried over to it."""
+    order = np.lexsort((heads, sizes[blocks]))
+    carry, carried = -1, None
+    for s, j in _chunks(sizes[blocks[order]], n_var[blocks[order]]):
+        j = order[j]
+        words = _words(_block_distances(chain, points, starts[blocks[j]], s))
+        head, at = np.unique(heads[j], return_inverse=True)
+        head_words = _words(_block_distances(chain, points, starts[head[head != carry]], s))
+        if head[0] == carry:
+            head_words = np.concatenate([carried, head_words])
+        carry, carried = head[-1], head_words[-1:]
+        yield j, words, (words == head_words[at]).all(axis=1)
+
+
+def _words(d):
+    """Each block's s x s distances as one row of uint64 words."""
+    return d.reshape(-1, d.shape[1] * d.shape[2]).view(np.uint64)
 
 
 def _first_equal_rows(rows):

@@ -951,6 +951,17 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
      "error: {chain}: top-level value must be an object"),
     (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
      dict(_WALK3_DOC, kernel=[["x"] * 3] * 3), "error: {chain}: dist/kernel must be numeric"),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
+     dict(_WALK3_DOC, dist=[[0, "1", 2], ["1", 0, 1], [2, 1, 0]]),
+     "error: {chain}: dist/kernel must be numeric matrices: dist holds a string, "
+     "not a JSON number"),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
+     dict(_WALK3_DOC, dist=[[0, True, 2], [True, 0, True], [2, True, 0]]),
+     "error: {chain}: dist/kernel must be numeric matrices: dist holds true or false, "
+     "not a JSON number"),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
+     dict(_WALK3_DOC, kernel=[[float("nan")] * 3] * 3),
+     "error: {chain}: non-finite number 'NaN' not accepted"),
     (["curvature", "--chain", "{chain}", "--epsilon", "1"], dict(_WALK3_DOC, origin="z"),
      "error: {chain}: origin label 'z' not among points"),
     (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
@@ -962,7 +973,8 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
 ], ids=["epsilon_not_a_number", "range_without_step", "n0_without_k", "no_chain_source",
         "no_origin", "example_mmk_without_n0", "sweep_without_epsilons", "grid_too_small",
         "no_paths",
-        "chain_file_list", "chain_file_strings", "chain_file_unknown_origin",
+        "chain_file_list", "chain_file_strings", "chain_file_numeric_strings",
+        "chain_file_booleans", "chain_file_nan", "chain_file_unknown_origin",
         "chain_file_negative_dist", "one_point_chain_without_epsilon"])
 def test_every_refusal_exits_3_with_its_message(argv, doc, message, tmp_path, capsys):
     chain = tmp_path / "chain.json"
@@ -973,6 +985,17 @@ def test_every_refusal_exits_3_with_its_message(argv, doc, message, tmp_path, ca
     # a rejected chain file is named at the head of the message
     assert capsys.readouterr().err.splitlines()[-1].startswith(message.format(chain=chain))
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_a_chain_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    data = json.dumps(_WALK3_DOC).encode().replace(b'"a"', b'"a\xff"')
+    chain.write_bytes(data)
+    at = data.index(b"\xff")
+    assert run_cli(["curvature", "--chain", str(chain), "--epsilon", "1", "--origin", "0",
+                    "--out", str(tmp_path / "r")]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {chain}: not UTF-8: byte {at}: invalid start byte")
 
 
 def test_default_epsilon_reads_the_distances_through_a_mask():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import shortest_path
 from scipy.stats import wasserstein_distance as scipy_w1
 
 from ricci_bounds import MetricChain, build_mmk_chain, w1_flow, w1_line
@@ -55,20 +56,64 @@ def record_lps(monkeypatch):
     return solved
 
 
-def distinct_blocks(chain, xs, ys):
-    """(sources, sinks) of each distinct LP among the pairs, in the order of
-    its first pair.  Two pairs pose the same LP when their signed masses
+def lp_blocks(chain, xs, ys):
+    """(pair, key, (sources, sinks)) of each pair that poses an LP.  Two
+    pairs pose the same LP when their keys are equal: their signed masses
     (sources, then sinks, each in point order) and the distances among their
     points are the same bytes."""
-    blocks = {}
-    for x, y in zip(xs, ys):
+    for k, (x, y) in enumerate(zip(xs, ys)):
         diff = chain.kernel[x] - chain.kernel[y]
         src, snk = np.flatnonzero(diff > 0), np.flatnonzero(diff < 0)
         if src.size and snk.size:
             pts = np.concatenate([src, snk])
             key = (diff[pts].tobytes(), chain.dist[np.ix_(pts, pts)].tobytes())
-            blocks.setdefault(key, (src.size, snk.size))
+            yield k, key, (src.size, snk.size)
+
+
+def distinct_blocks(chain, xs, ys):
+    """(sources, sinks) of each distinct LP among the pairs, in the order of
+    its first pair."""
+    blocks = {}
+    for _, key, shape in lp_blocks(chain, xs, ys):
+        blocks.setdefault(key, shape)
     return list(blocks.values())
+
+
+def first_copies(chain, xs, ys):
+    """For each pair that poses an LP, the first pair that poses the same one."""
+    first = {}
+    return [first.setdefault(key, k) for k, key, _ in lp_blocks(chain, xs, ys)]
+
+
+def watch_dedup(monkeypatch):
+    """A dict that gets, from `w1_flow`'s call of `_first_copies`, its map of
+    each block to its first copy ("first", block indices), the start in
+    `points` of each block ("starts") and of each block whose distances it
+    gathers, once per gather ("gathered"), and the number of blocks it
+    hashes ("hashed")."""
+    real_first, real_gather, real_hash = (transport._first_copies, transport._block_distances,
+                                          transport._hash_rows)
+    seen = {"gathered": [], "hashed": 0}
+
+    def gather(chain, points, starts, s):
+        seen["gathered"] += starts.tolist()
+        return real_gather(chain, points, starts, s)
+
+    def hash_rows(words):
+        seen["hashed"] += len(words)
+        return real_hash(words)
+
+    def first_copies(chain, points, mass, starts, sizes, n_var):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport, "_block_distances", gather)
+            patch.setattr(transport, "_hash_rows", hash_rows)
+            first = real_first(chain, points, mass, starts, sizes, n_var)
+        seen["starts"] = starts.tolist()
+        seen["first"] = first
+        return first
+
+    monkeypatch.setattr(transport, "_first_copies", first_copies)
+    return seen
 
 
 def distinct_rows(chain, xs, ys):
@@ -447,6 +492,72 @@ def test_colliding_hashes_are_told_apart_by_their_bits(monkeypatch):
     w1 = w1_flow(chain, xs, ys)[0]
     assert [b_eq.size for _, _, b_eq, _ in solved] == [6]
     assert w1 == pytest.approx([w1_rows_lp(chain, 0, 1), w1_rows_lp(chain, 2, 3)], abs=1e-9)
+
+
+def test_colliding_hashes_of_blocks_that_differ_from_their_first(monkeypatch):
+    # three pairs of the same masses on points at other distances: the last
+    # two differ from the first, and with every hash equal they are classed
+    # together, so only their bitwise comparison keeps them two LPs
+    base = random_graph_chain(np.random.default_rng(4))
+    pairs = [(measure(base.n, [0, 1], [0.4, 0.6]), measure(base.n, [2], [1.0])),
+             (measure(base.n, [7, 8], [0.4, 0.6]), measure(base.n, [11], [1.0])),
+             (measure(base.n, [3, 4], [0.4, 0.6]), measure(base.n, [9], [1.0]))]
+    chain = rows_chain(base, [vec for pair in pairs for vec in pair])
+    xs, ys = [0, 2, 4], [1, 3, 5]
+    assert len(distinct_blocks(chain, xs, ys)) == 3
+    monkeypatch.setattr(transport, "_hash_rows",
+                        lambda words: np.zeros(len(words), dtype=np.uint64))
+    solved = record_lps(monkeypatch)
+    w1 = w1_flow(chain, xs, ys)[0]
+    assert [b_eq.size for _, _, b_eq, _ in solved] == [9]
+    assert w1 == pytest.approx([w1_rows_lp(chain, x, y) for x, y in zip(xs, ys)], abs=1e-9)
+
+
+@pytest.mark.parametrize("eps", [1, 2])
+def test_a_copy_is_gathered_once_and_never_hashed(monkeypatch, eps):
+    # on {0,1}^6 each class of blocks with the same masses poses one LP: each
+    # block of a class of two or more is gathered once, against its class's
+    # first block, and no block is hashed
+    chain = cube_chain(6, 0.3)
+    xs, ys = np.nonzero(np.triu((chain.dist > 0) & (chain.dist <= eps)))
+    seen = watch_dedup(monkeypatch)
+    w1_flow(chain, xs, ys)
+    pairs = np.array([k for k, _, _ in lp_blocks(chain, xs, ys)])
+    oracle = first_copies(chain, xs, ys)
+    assert pairs[seen["first"]].tolist() == oracle
+    shared = np.bincount(oracle)[oracle] > 1
+    assert sorted(seen["gathered"]) == sorted(np.array(seen["starts"])[shared].tolist())
+    assert seen["hashed"] == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 10, 12, 14]),
+       eps=st.sampled_from([1, 2]))
+def test_blocks_with_the_same_masses_but_other_distances(seed, n, eps):
+    # a lazy walk on a random 3-regular graph: many blocks share their masses
+    # but not the distances among their points; the first copies are the
+    # oracle's and no block is gathered more than twice
+    rng = np.random.default_rng(seed)
+    cycle = rng.permutation(n)
+    at = np.argsort(cycle)      # each point's place on the cycle
+    while True:                 # a Hamiltonian cycle and a perfect matching off its edges
+        match = rng.permutation(n).reshape(-1, 2)
+        step = np.abs(at[match[:, 0]] - at[match[:, 1]])
+        if not np.any((step == 1) | (step == n - 1)):
+            break
+    graph = np.zeros((n, n))
+    graph[cycle, np.roll(cycle, 1)] = graph[match[:, 0], match[:, 1]] = 1.0
+    graph += graph.T
+    chain = MetricChain(points=tuple(map(str, range(n))),
+                        dist=shortest_path(graph, directed=False, unweighted=True),
+                        kernel=0.5 * np.eye(n) + graph / 6)
+    xs, ys = np.nonzero(np.triu((chain.dist > 0) & (chain.dist <= eps)))
+    with pytest.MonkeyPatch.context() as patch:
+        seen = watch_dedup(patch)
+        w1_flow(chain, xs, ys)
+    pairs = np.array([k for k, _, _ in lp_blocks(chain, xs, ys)])
+    assert pairs[seen["first"]].tolist() == first_copies(chain, xs, ys)
+    assert max(np.unique(seen["gathered"], return_counts=True)[1], default=0) <= 2
 
 
 def test_batch_of_nothing_solves_nothing(monkeypatch):
