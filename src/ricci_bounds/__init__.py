@@ -12,7 +12,7 @@ from .curvature import (CurvatureProfile, attraction_rho, curvature_envelope,
 from .equilibrium import (StationaryResult, empirical_tail,
                           stationary_birth_death, stationary_power,
                           truncation_audit, tv_distance)
-from .jump_process import (JumpProcessConfig, poissonian_tail_bound,
+from .jump_process import (JumpProcessConfig, PathTally, poissonian_tail_bound,
                            simulate_paths, tail_comparison, transform_I)
 from .stepfun import StepFunction
 from .transport import w1_flow, w1_line, w1_to_point
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundParams", "CurvatureProfile", "F_of", "JumpProcessConfig",
-    "MetricChain", "Phi_of", "StationaryResult", "StepFunction", "TailCurve",
+    "MetricChain", "PathTally", "Phi_of", "StationaryResult", "StepFunction", "TailCurve",
     "attraction_rho", "bound_princ", "bound_theorem1",
     "build_discrete_ou_chain", "build_mmk_chain", "check_epsilon_geodesic",
     "curvature_envelope", "curvature_profile", "curvature_profiles", "empirical_tail",

@@ -89,16 +89,21 @@ class MetricChain:
         # only a failed check searches for its witness.  min/max propagate NaN.
         if not np.all(np.isfinite([dist.min(), dist.max(), kernel.min(), kernel.max()])):
             raise ChainValidationError("dist/kernel entries must be finite")
-        rows = max(1, _BLOCK // n)
-        for r in range(0, n, rows):
-            block = dist[r:r + rows] - dist[:, r:r + rows].T
-            if np.abs(block, out=block).max() > DIST_TOL:
-                i, j = np.unravel_index(np.argmax(np.abs(dist - dist.T)), dist.shape)
+        # |c_i - c_j| is exactly symmetric with an exact zero diagonal: only a
+        # given dist is scanned for both
+        if coords is None:
+            rows = max(1, _BLOCK // n)
+            for r in range(0, n, rows):
+                block = dist[r:r + rows] - dist[:, r:r + rows].T
+                if np.abs(block, out=block).max() > DIST_TOL:
+                    i, j = np.unravel_index(np.argmax(np.abs(dist - dist.T)), dist.shape)
+                    raise ChainValidationError(
+                        f"dist not symmetric: dist[{i}][{j}]={dist[i, j]!r} != "
+                        f"dist[{j}][{i}]={dist[j, i]!r}")
+            if np.any(np.diag(dist) != 0.0):
+                i = int(np.nonzero(np.diag(dist))[0][0])
                 raise ChainValidationError(
-                    f"dist not symmetric: dist[{i}][{j}]={dist[i, j]!r} != dist[{j}][{i}]={dist[j, i]!r}")
-        if np.any(np.diag(dist) != 0.0):
-            i = int(np.nonzero(np.diag(dist))[0][0])
-            raise ChainValidationError(f"dist diagonal must be exactly 0, dist[{i}][{i}]={dist[i, i]!r}")
+                    f"dist diagonal must be exactly 0, dist[{i}][{i}]={dist[i, i]!r}")
         if dist.min() < 0:
             raise ChainValidationError("negative distance entry")
         # the diagonal is exactly 0, so a zero more means two points coincide

@@ -1,8 +1,9 @@
 """Command-line front end: build/load chain -> profile -> bounds -> ground truth.
 
 `COMMANDS` gives each command its function, help line, flags and keywords of
-its own, `FLAGS` each flag's argparse keywords, and `NEEDS` the flags read
-only with another: the only copy of the names and defaults.  A flag that a
+its own, which take the place of the shared ones, `FLAGS` each flag's
+argparse keywords, and `NEEDS` the flags read only with another: the only
+copy of the names and defaults.  A flag that a
 command does not take, or an abbreviated one, is a usage error.  Each
 command decides its verdict and exit code here, from the rows it writes.
 
@@ -25,6 +26,7 @@ documented CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -90,6 +92,16 @@ def _parse_range(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"range {spec!r} has more points than the budget "
                                          f"MAX_RANGE_POINTS = {MAX_RANGE_POINTS}")
     return np.arange(a, b + step * 1e-9, step)
+
+
+def _jump_levels(spec: str) -> np.ndarray:
+    """argparse type of example-jump's --levels: the Poissonian bound needs l > 1,
+    so a level at or below 1 is refused before any path is simulated."""
+    levels = _parse_range(spec)
+    if levels[0] <= 1:
+        raise argparse.ArgumentTypeError(
+            f"the Poissonian tail bound needs every level > 1, got {levels[0]:g}")
+    return levels
 
 
 def _auto_truncation(n0: int, k: int) -> int:
@@ -257,20 +269,31 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 def cmd_example_jump(cfg: argparse.Namespace) -> int:
     config = jp.JumpProcessConfig(drift_alpha=cfg.alpha, horizon_T=cfg.horizon,
                                   n_paths=cfg.paths, seed=cfg.seed)
-    samples = jp.simulate_paths(config)
-    rows = jp.tail_comparison(samples, cfg.levels, cfg.alpha)
+    samples = cfg.out_dir / "jump_samples.csv"
+    part = samples.with_name(samples.name + ".part")
+    with contextlib.ExitStack() as files:
+        sink = None
+        if cfg.dump_samples:
+            # written under a temporary name, renamed once every path is in:
+            # a run that fails partway leaves no samples file
+            files.callback(part.unlink, missing_ok=True)
+            fh = files.enter_context(open(part, "w", newline="", encoding="utf-8"))
+            fh.write("X_T\n")
+
+            def sink(block):
+                # each block as it is summed, in _write_csv's text ("%.17g" is
+                # format's ".17g"), one % per 2^16 samples: no row list per path
+                for r in range(0, block.size, 1 << 16):
+                    part = tuple(block[r:r + (1 << 16)].tolist())
+                    fh.write("%.17g\n" * len(part) % part)
+        tally = jp.simulate_paths(config, cfg.levels, sink)
+        if cfg.dump_samples:
+            fh.close()
+            part.replace(samples)
+    rows = jp.tail_comparison(tally, cfg.alpha)
     _write_csv(cfg.out_dir / "jump_tail.csv",
                ["l", "empirical", "empirical_CI_high", "bound"], rows)
-    if cfg.dump_samples:
-        # one numeric column in _write_csv's text ("%.17g" is format's ".17g"),
-        # one % per block of 2^16 samples: no list of one row per path
-        with open(cfg.out_dir / "jump_samples.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write("X_T\n")
-            for r in range(0, samples.size, 1 << 16):
-                block = tuple(samples[r:r + (1 << 16)].tolist())
-                fh.write("%.17g\n" * len(block) % block)
-    mean = float(samples.mean())
-    print(f"mean={mean:.6g} (stationary mean 1/alpha = {1 / cfg.alpha:.6g})")
+    print(f"mean={tally.mean:.6g} (stationary mean 1/alpha = {1 / cfg.alpha:.6g})")
     dominated = not any(empirical > bound for _, empirical, _, bound in rows)
     print(f"verdict: {'PASS' if dominated else 'FAIL'} (empirical tail vs bound)")
     return EXIT_PASS if dominated else EXIT_VIOLATION
@@ -345,7 +368,7 @@ COMMANDS = {
     "example-jump": (cmd_example_jump, "reproduce the drift-jump example end to end",
                      ("--alpha", "--horizon", "--paths", "--seed", "--levels", "--dump-samples"),
                      {"--alpha": dict(default=1.0),
-                      "--levels": dict(default=(2, 3, 5, 8, 12))}),
+                      "--levels": dict(type=_jump_levels, default=(2, 3, 5, 8, 12))}),
     "sweep": (cmd_sweep, "epsilon sweep exposing the rho/curvature trade-off",
               (*_CHAIN, "--origin", "--strategy", "--epsilons", "--ref-level"),
               {"--epsilons": dict(required=True)}),
@@ -370,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                    if set(SOURCES) <= set(flags) else sub)
         for flag in (*flags, "--out"):
             into = sources if flag in SOURCES else sub
-            dests.add(into.add_argument(flag, **FLAGS[flag], **own.get(flag, {})).dest)
+            dests.add(into.add_argument(flag, **FLAGS[flag] | own.get(flag, {})).dest)
     parser.set_defaults(**dict.fromkeys(dests))   # a flag the command does not take is None
     return parser
 

@@ -10,6 +10,7 @@ constant s^2.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,6 +26,12 @@ from .transport import w1_line  # noqa: F401
 
 # Point pairs per block of `subgaussian_s2`: about 2^19, as the other row blocks.
 _S2_PAIRS = 1 << 19
+# Entries per window of the line route's CDF scan (about 2^16, 512 KB), cut
+# into whole multiples of _WINDOW_ROWS rows and never under _WINDOW_ROWS rows,
+# so past 1024 states a window is 64 n entries; `_pair_curvature_line` says
+# why 64.
+_WINDOW_ENTRIES = 1 << 16
+_WINDOW_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -54,26 +61,58 @@ class CurvatureProfile:
 def _pair_curvature_line(chain: MetricChain, epsilon: float):
     """(xs, ys, kappa) of every pair at 0 < d <= eps, by the CDF identity.
 
-    One offset at a time in coordinate order, where d grows with the offset,
-    so the scan stops at the first offset whose pairs all lie outside the ball.
+    In coordinate order d grows with the offset between two points, so the
+    in-ball offsets are 1..K, up to the first offset whose pairs all lie
+    outside the ball.  The rows are then scanned in windows of a multiple of
+    _WINDOW_ROWS rows, the larger of _WINDOW_ROWS rows and about
+    _WINDOW_ENTRIES entries (64 n past 1024 states), the last of which takes
+    more than K rows: a window cumulates the kernel rows of its points and of
+    the K points after them, and subtracts the CDFs at each offset into one
+    buffer.  The route so holds O((rows + K) n) floats, not n x n ones.  The
+    pairs come out offset by offset, in row order within each.
+
+    Why windows of a multiple of 64 rows: the product |F_x - F_y| @ gaps is a
+    BLAS gemv, whose kernel sums rows in groups of 4, the rows left over in
+    an order set by how many are left, and whose threads each take an even
+    share of a call's rows.  A window that starts at a multiple of 64 keeps
+    every row in the group it has in one product over all rows on one
+    thread, and its 64 rows split among 2 or 4 threads on group boundaries;
+    the last window, past K rows, never makes a one-row product, which numpy
+    hands to ddot instead.  So every kappa has the bits of that one product
+    (tests/reference_oracles.py keeps it); windows not aligned to 4 move bits.
     """
+    n = chain.n
     order = np.argsort(chain.coords, kind="stable")
     gaps = np.diff(chain.coords[order])
-    cdf = chain.kernel[np.ix_(order, order)]
-    np.cumsum(cdf, axis=1, out=cdf)
-    pairs = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
-    # |F_x - F_y| of every pair at one offset, in rows of n as a fresh array
-    # would be, so that the product below makes the same BLAS call
-    buf = np.empty_like(cdf)
-    for off in range(1, chain.n):
+    ball = []   # per offset: the pairs' distances and which of them lie in the ball
+    for off in range(1, n):
         d = chain.dist[order[:-off], order[off:]]
         near = d <= epsilon + DIST_TOL
         if not near.any():
             break
-        gap_cdf = np.subtract(cdf[:-off], cdf[off:], out=buf[:-off])
-        w1 = np.abs(gap_cdf, out=gap_cdf)[:, :-1] @ gaps
-        pairs.append((order[:-off][near], order[off:][near], 1.0 - w1[near] / d[near]))
-    return tuple(map(np.concatenate, zip(*pairs)))
+        ball.append((d, near))
+    rows = max(1, _WINDOW_ENTRIES // (n * _WINDOW_ROWS)) * _WINDOW_ROWS
+    tops = [0, *(top for top in range(rows, n - 1, rows) if top < n - 1 - len(ball))]
+    ends = tops[1:] + [n - 1]
+    # |F_x - F_y| of a window's pairs at one offset, in rows of n as the
+    # product over all rows has them, so that the product makes the same call
+    buf = np.empty((max(end - top for top, end in zip(tops, ends)), n))
+    found = [[] for _ in ball]
+    for top, end in zip(tops, ends):
+        cdf = chain.kernel[np.ix_(order[top:end + len(ball)], order)]
+        np.cumsum(cdf, axis=1, out=cdf)
+        for off, ((d, near), pairs) in enumerate(zip(ball, found), start=1):
+            # rows of the window with a pair at this offset: the whole window
+            # but in the last, which has more than len(ball) rows, so m > 1
+            # unless the one window holds every row and off = n - 1
+            m = min(end, n - off) - top
+            gap_cdf = np.subtract(cdf[:m], cdf[off:off + m], out=buf[:m])
+            w1 = np.abs(gap_cdf, out=gap_cdf)[:, :-1] @ gaps
+            sel = near[top:top + m]
+            pairs.append((order[top:top + m][sel], order[top + off:top + off + m][sel],
+                          1.0 - w1[sel] / d[top:top + m][sel]))
+    empty = (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
+    return tuple(map(np.concatenate, zip(empty, *itertools.chain(*found))))
 
 
 def _pair_curvature_lp(chain: MetricChain, epsilon: float):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,7 +30,9 @@ _BLOCK = 2 ** 17
 # count about _CHUNK * _HORIZON jump times: past this horizon a chunk
 # simulates proportionally fewer paths, so the count stays far below 2**31 - 1.
 _HORIZON = 25
-MAX_PATHS = 10_000_000  # simulate_paths holds one float64 per path: 80 MB here
+# Most paths one run simulates: a cap on the run time, which grows with the
+# paths, not on memory, since simulate_paths keeps no per-path array.
+MAX_PATHS = 10_000_000
 START_TOL = 1e-8        # exp(-alpha T) below this: the start X_0 = 0 is forgotten
 SERIES_TOL = 1e-12      # relative tolerance of the I(lambda) series
 CP_CONFIDENCE = 0.99    # level of the two-sided Clopper-Pearson interval
@@ -67,8 +69,24 @@ class JumpProcessConfig:
                 "one path's jump times would pass a chunk's")
 
 
-def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
-    """One X_T sample per path, exact given the jump-count/uniform-times law.
+@dataclass(frozen=True)
+class PathTally:
+    """What the drift-jump example reads of its paths, tallied block by block."""
+
+    levels: np.ndarray   # the tail levels, as given
+    counts: np.ndarray   # paths with X_T >= level, per level
+    size: int            # paths simulated
+    total: float         # sum of X_T: each block's sum, added in path order
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.size
+
+
+def simulate_paths(config: JumpProcessConfig, levels=(),
+                   sink: Optional[Callable[[np.ndarray], object]] = None) -> PathTally:
+    """Simulate every path, exact given the jump-count/uniform-times law, and
+    tally each row block of X_T as it is summed: no per-path array is kept.
 
     Deterministic for a fixed seed: each chunk of up to _CHUNK paths (fewer
     past horizon _HORIZON) draws its Poisson jump counts, then its jump times,
@@ -80,13 +98,18 @@ def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
     is one row of a one-column CSR matrix times 1.0, which adds its terms left
     to right from 0.0 (the product by 1.0 is exact).  The blocks reuse one
     terms buffer and one zero column index.
+
+    Each block's X_T, a fresh array in path order, goes to `sink` when one is
+    given, and into exact `>=` counts at `levels` and the running sum.
     """
     # imported here: the other commands never simulate, so they never load scipy.sparse
     from scipy.sparse import csr_array
+    levels = np.asarray(levels, dtype=float)
+    counts = np.zeros(levels.size, dtype=np.int64)
+    total = 0.0
     rng = np.random.default_rng(config.seed)
     alpha, horizon = config.drift_alpha, config.horizon_T
     chunk = min(_CHUNK, int(_CHUNK * _HORIZON // horizon))
-    out = np.empty(config.n_paths)
     ones = np.ones(1)
     terms, cols = np.empty(0), np.empty(0, dtype=np.int32)
     done = 0
@@ -112,10 +135,14 @@ def simulate_paths(config: JumpProcessConfig) -> np.ndarray:
             np.subtract(horizon, t, out=t)
             t *= -alpha
             np.exp(t, out=t)
-            rows = csr_array((t, cols[:m], indptr[a:b + 1] - indptr[a]), shape=(b - a, 1))
-            out[done + a:done + b] = rows @ ones
+            x = csr_array((t, cols[:m], indptr[a:b + 1] - indptr[a]), shape=(b - a, 1)) @ ones
+            counts += np.fromiter((np.count_nonzero(x >= l) for l in levels.tolist()),
+                                  np.int64, levels.size)
+            total += float(x.sum())
+            if sink is not None:
+                sink(x)
         done += size
-    return out
+    return PathTally(levels=levels, counts=counts, size=config.n_paths, total=total)
 
 
 def transform_I(lam: float) -> float:
@@ -155,21 +182,12 @@ def clopper_pearson_upper(successes: int, trials: int) -> float:
     return float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
 
 
-def empirical_tail_probs(samples: np.ndarray, levels) -> tuple:
-    """(probabilities, counts) of samples >= l per level."""
-    samples = np.asarray(samples)
-    levels = np.asarray(levels, dtype=float)
-    counts = np.array([(samples >= l).sum() for l in levels], dtype=int)
-    return counts / samples.size, counts
-
-
-def tail_comparison(samples: np.ndarray, levels, alpha: float) -> list:
-    """One row [level, empirical, CP-upper, bound] per level.
+def tail_comparison(tally: PathTally, alpha: float) -> list:
+    """One row [level, empirical, CP-upper, bound] per tallied level.
 
     The CP upper end can sit below the bound only where the Monte Carlo
     resolution ~ 1/n_paths is finer than the bound itself.
     """
-    probs, counts = empirical_tail_probs(samples, levels)
-    return [[float(l), float(p), clopper_pearson_upper(int(c), samples.size),
+    return [[float(l), int(c) / tally.size, clopper_pearson_upper(int(c), tally.size),
              poissonian_tail_bound(float(l), alpha)]
-            for l, p, c in zip(np.asarray(levels, dtype=float), probs, counts)]
+            for l, c in zip(tally.levels, tally.counts)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
-from ricci_bounds import MetricChain, build_mmk_chain
+from ricci_bounds import MetricChain, build_mmk_chain, simulate_paths
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -22,6 +22,14 @@ def import_from_bench(*names):
     finally:
         sys.dont_write_bytecode = write_bytecode
         sys.path.remove(str(BENCH))
+
+
+def sampled_paths(config, levels=()):
+    """(samples, tally): the X_T blocks `simulate_paths` hands its sink,
+    joined in path order, and the tally of that same pass."""
+    blocks = []
+    tally = simulate_paths(config, levels, blocks.append)
+    return np.concatenate(blocks), tally
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,10 @@
   through `w1_flow`.
 - `kappa_pair`: the curvature of one pair through the certified flow solver,
   the per-pair reference for both `local_curvature` routes.
+- `pair_curvature_line_dense`: every in-ball pair's curvature on a line
+  chain by the CDF identity over two n x n copies, cumulated kernel rows
+  and one scratch buffer: the bit-for-bit oracle for the windows of
+  `curvature._pair_curvature_line`.
 - `w1_rows_lp`: W1 between two kernel rows by the bipartite LP between the
   whole rows, the oracle for the signed-difference LP of `w1_flow`.
 - `stochastic_dominance_check`: a CDF comparison on the line; where it
@@ -20,6 +24,8 @@
 - `simulate_paths_terms_copied`: the drift-jump simulation with each
   chunk's terms computed as a new array from the jump times, the oracle for
   `simulate_paths`' in-place terms.
+- `empirical_tail_probs`: tail probabilities counted over a whole sample,
+  the oracle for the counts `simulate_paths` tallies block by block.
 - `stationary_cesaro`: Cesaro averages of kernel pushforwards of a point
   mass, a third stationary estimator whose residual decays like 1/n.
 - `tail_shape_witness`: the growth of -ln of an empirical tail against l^2
@@ -34,9 +40,9 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
-from ricci_bounds.chain_model import ROW_SUM_TOL, MetricChain
+from ricci_bounds.chain_model import DIST_TOL, ROW_SUM_TOL, MetricChain
 from ricci_bounds.equilibrium import StationaryResult, _residual
-from ricci_bounds.jump_process import JumpProcessConfig, empirical_tail_probs
+from ricci_bounds.jump_process import JumpProcessConfig
 from ricci_bounds.transport import w1_flow
 
 
@@ -50,6 +56,31 @@ def kappa_pair(chain: MetricChain, x: int, y: int) -> float:
     if x == y:
         raise ValueError("kappa is undefined on the diagonal (d(x,y) = 0)")
     return 1.0 - w1_pair(chain, x, y) / chain.dist[x, y]
+
+
+def pair_curvature_line_dense(chain: MetricChain, epsilon: float):
+    """(xs, ys, kappa) of every pair at 0 < d <= eps, by the CDF identity.
+
+    One offset at a time in coordinate order, where d grows with the offset,
+    so the scan stops at the first offset whose pairs all lie outside the ball.
+    """
+    order = np.argsort(chain.coords, kind="stable")
+    gaps = np.diff(chain.coords[order])
+    cdf = chain.kernel[np.ix_(order, order)]
+    np.cumsum(cdf, axis=1, out=cdf)
+    pairs = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
+    # |F_x - F_y| of every pair at one offset, in rows of n as a fresh array
+    # would be, so that the product below makes the same BLAS call
+    buf = np.empty_like(cdf)
+    for off in range(1, chain.n):
+        d = chain.dist[order[:-off], order[off:]]
+        near = d <= epsilon + DIST_TOL
+        if not near.any():
+            break
+        gap_cdf = np.subtract(cdf[:-off], cdf[off:], out=buf[:-off])
+        w1 = np.abs(gap_cdf, out=gap_cdf)[:, :-1] @ gaps
+        pairs.append((order[:-off][near], order[off:][near], 1.0 - w1[near] / d[near]))
+    return tuple(map(np.concatenate, zip(*pairs)))
 
 
 def w1_rows_lp(chain: MetricChain, x: int, y: int) -> float:
@@ -145,6 +176,14 @@ def stationary_cesaro(chain: MetricChain, start: int, n: int) -> StationaryResul
     pi = acc / (n + 1)
     return StationaryResult(distribution=pi, method="cesaro",
                             residual=_residual(chain, pi))
+
+
+def empirical_tail_probs(samples: np.ndarray, levels) -> tuple:
+    """(probabilities, counts) of samples >= l per level, from the whole sample."""
+    samples = np.asarray(samples)
+    levels = np.asarray(levels, dtype=float)
+    counts = np.array([(samples >= l).sum() for l in levels], dtype=int)
+    return counts / samples.size, counts
 
 
 def tail_shape_witness(samples: np.ndarray, levels) -> dict:

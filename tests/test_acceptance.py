@@ -14,16 +14,15 @@ from ricci_bounds import (JumpProcessConfig, attraction_rho,
                           bound_princ, bound_theorem1, build_discrete_ou_chain,
                           build_mmk_chain, check_epsilon_geodesic,
                           curvature_profile, empirical_tail, search_params,
-                          simulate_paths, stationary_birth_death,
+                          stationary_birth_death,
                           stationary_power, subgaussian_s2, tail_comparison,
                           theorem1_params, transform_I, truncation_audit,
                           tv_distance, w1_flow, w1_line, local_curvature)
 from ricci_bounds.bounds import _at_d0, _exp_or_inf, _ln_C
-from ricci_bounds.jump_process import empirical_tail_probs
 
-from conftest import line_chain, rows_chain
+from conftest import line_chain, rows_chain, sampled_paths
 from dickman import dickman_tail, transform_I_quadrature
-from reference_oracles import (kappa_pair, stationary_cesaro,
+from reference_oracles import (empirical_tail_probs, kappa_pair, stationary_cesaro,
                                stochastic_dominance_check, tail_shape_witness)
 
 
@@ -250,17 +249,17 @@ def jump_samples():
     cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=25.0,
                             n_paths=1_000_000, seed=JUMP_SEED)
     start = time.perf_counter()
-    samples = simulate_paths(cfg)
-    return samples, time.perf_counter() - start
+    samples, tally = sampled_paths(cfg, [2.0, 3.0, 5.0, 8.0, 12.0])
+    return samples, tally, time.perf_counter() - start
 
 
 def test_criterion_6_jump_process(jump_samples):
-    samples, sim_time = jump_samples
+    samples, tally, sim_time = jump_samples
     start = time.perf_counter()
     se = samples.std() / math.sqrt(samples.size)
     mean_ok = abs(samples.mean() - 1.0) <= 3 * se
 
-    rows = tail_comparison(samples, [2.0, 3.0, 5.0, 8.0, 12.0], alpha=1.0)
+    rows = tail_comparison(tally, alpha=1.0)
     dominated = all(p <= bound for _, p, _, bound in rows)
     # Monte Carlo resolution (~5e-6 at 99%) certifies the CI-upper comparison
     # only where the bound is larger than that floor: levels 2, 3, 5
@@ -303,7 +302,7 @@ def test_criterion_6_witness_quadratic_drift_as_stated(jump_samples):
     standard errors) of the exact value, and that the matched Gaussian's
     exact drift is positive.
     """
-    samples, _ = jump_samples
+    samples, _, _ = jump_samples
     witness = tail_shape_witness(samples, RESOLVED_LEVELS)
     _, counts = empirical_tail_probs(samples, RESOLVED_LEVELS)
     drift = witness["quadratic_normalized"]["signed_drift"]

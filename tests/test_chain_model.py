@@ -529,6 +529,32 @@ def test_chain_from_coords_fills_dist_in_place():
     assert peak < 1.5 * chain.dist.nbytes
 
 
+def test_chain_from_coords_checks_without_a_matrix_temporary():
+    # at 700 points one row block of the symmetry scan is the whole matrix,
+    # so that scan alone would double the peak of dist itself
+    n = 700
+    coords, kernel = np.arange(n, dtype=float)[::-1].copy(), np.eye(n)
+    points = tuple(map(str, range(n)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        chain = MetricChain(points=points, kernel=kernel, coords=coords)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * chain.dist.nbytes, peak
+
+
+def test_coinciding_coords_name_the_pair_a_loaded_dist_names():
+    # both metrics go through the same check: the first pair in row order
+    coords = np.array([2.0, 0.0, 1.0, -0.0, 2.0])
+    points, kernel = tuple(f"p{i}" for i in range(coords.size)), np.eye(coords.size)
+    for metric in (dict(coords=coords), dict(dist=np.abs(coords[:, None] - coords[None, :]))):
+        with pytest.raises(ChainValidationError, match="'p0' and 'p4' at distance 0"):
+            MetricChain(points=points, kernel=kernel, **metric)
+
+
 def test_chain_validation_rejects_negative_kernel():
     with pytest.raises(ChainValidationError, match="negative kernel"):
         line_chain([0.0, 1.0], [[1.1, -0.1], [0.0, 1.0]])

@@ -290,9 +290,9 @@ def test_dump_samples_writes_the_samples_behind_the_empirical_tail(tmp_path):
 
 
 def test_dump_samples_streams_its_rows(tmp_path):
-    # 200,000 samples: 1.6 MB of them, 1.6 MB of Poisson counts and a block
-    # of the simulation; a list of one-element rows, one per sample, is
-    # about 20 MB on its own
+    # 200,000 samples, written block by block as they are summed: 1.6 MB of
+    # Poisson counts, a block of the simulation and the text of one block; a
+    # list of one-element rows, one per sample, is about 20 MB on its own
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -307,6 +307,19 @@ def test_dump_samples_streams_its_rows(tmp_path):
             tracemalloc.stop()
     assert peak <= 12e6, peak
     assert len((tmp_path / "jump_samples.csv").read_text().splitlines()) == 200_001
+
+
+def test_a_failed_simulation_leaves_no_samples_file(tmp_path):
+    # the samples are written as they are summed, so a run that fails after
+    # its first block must take back what it wrote
+    def half_run(config, levels, sink):
+        sink(np.zeros(3))
+        raise RuntimeError("simulation failed")
+
+    with unittest.mock.patch.object(jp, "simulate_paths", half_run):
+        assert run_cli(["example-jump", "--paths", "2000", "--dump-samples",
+                        "--out", str(tmp_path)]) == cli.EXIT_INTERNAL
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_csv_fields_holding_a_comma_are_quoted(tmp_path):
@@ -601,10 +614,12 @@ def test_negative_local_curvature_gives_no_bound(argv, code, tmp_path, capsys):
      "--levels"),
     (["example-jump", "--paths", "1000000", "--levels", "1:2"], "--levels"),
     (["sweep", "--n0", "900", "--k", "930", "--epsilons", "1:2"], "--epsilons"),
+    (["example-jump", "--paths", "1000000", "--levels", "0.5:3:0.5"], "--levels"),
 ])
 def test_a_bad_range_is_refused_before_any_work(argv, flag, tmp_path, capsys, monkeypatch):
-    # the parser refuses the range: no chain is built, no path is simulated
-    # and no out dir is made
+    # the parser refuses the range, or example-jump's levels at or below 1,
+    # where the Poissonian bound is undefined: no chain is built, no path is
+    # simulated and no out dir is made
     def never(*args):
         raise AssertionError("the command ran past its parser")
 
@@ -613,8 +628,10 @@ def test_a_bad_range_is_refused_before_any_work(argv, flag, tmp_path, capsys, mo
     monkeypatch.setattr(jp, "simulate_paths", never)
     out = tmp_path / "r"
     assert run_cli([*argv, "--out", str(out)]) == 3
+    reason = ("bad range '1:2', expected a:b:step" if argv[-1] == "1:2" else
+              "the Poissonian tail bound needs every level > 1, got 0.5")
     assert capsys.readouterr().err.splitlines()[-1].endswith(
-        f"error: argument {flag}: bad range '1:2', expected a:b:step")
+        f"error: argument {flag}: {reason}")
     assert not out.exists()
 
 

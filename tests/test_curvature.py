@@ -1,5 +1,8 @@
+import os
 import re
+import tracemalloc
 import unittest.mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +15,13 @@ from ricci_bounds import (MetricChain, attraction_rho, build_discrete_ou_chain,
                           curvature_profile, curvature_profiles, epsilon_sweep,
                           load_chain,
                           local_curvature, subgaussian_s2, w1_to_point)
-from ricci_bounds import curvature, transport
+from ricci_bounds import cli, curvature, transport
 from ricci_bounds.errors import DegenerateKernelError, EmptyAnnulusError
 
-from conftest import (cube_chain, irregular_line_chain, line_chain,
+from conftest import (cube_chain, import_from_bench, irregular_line_chain, line_chain,
                       random_graph_chain, write_chain_json)
-from reference_oracles import kappa_pair, support_s2_loop, support_s2_product
+from reference_oracles import (kappa_pair, pair_curvature_line_dense, support_s2_loop,
+                               support_s2_product)
 
 
 def mmk_kappa_closed_form(n0, k, x, y):
@@ -106,6 +110,98 @@ def test_local_curvature_ou_near_alpha():
     chain = build_discrete_ou_chain(0.5, 10.0, 0.05)
     kloc = local_curvature(chain, 0.5)
     assert np.max(np.abs(kloc - 0.5)) <= 2 * 0.05
+
+
+# ------------------------------------------------------- line route windows
+
+(workloads,) = import_from_bench("workloads")
+# the five README line chains, the fine OU grid and M/M/k (900, 930), each
+# with the eps its benchmark command takes
+LINE_COMMANDS = {inv.name: inv.argv for name in ("readme", "ou_fine", "mmk_large")
+                 for inv in workloads.WORKLOADS[name].invocations(0, Path("."))
+                 if inv.argv[0] in ("verify", "example-mmk", "example-ou")}
+
+
+def _command_chain(name):
+    cfg = cli.build_parser().parse_args(LINE_COMMANDS[name])
+    chain = cli._build_chain(cfg)
+    return chain, cli._default_epsilon(cfg, chain)
+
+
+def _assert_windows_are_the_dense_route(chain, eps, pair_bits=True):
+    got = curvature._pair_curvature_line(chain, eps)
+    want = pair_curvature_line_dense(chain, eps)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    if pair_bits:
+        assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
+    kloc = local_curvature(chain, eps)
+    with unittest.mock.patch.object(curvature, "_pair_curvature_line",
+                                    pair_curvature_line_dense):
+        assert np.array_equal(kloc.view(np.int64), local_curvature(chain, eps).view(np.int64))
+
+
+def test_line_commands_are_the_seven_line_chains():
+    assert sorted(LINE_COMMANDS) == ["mmk_large", "ou", "ou_fine", "regime_narrow",
+                                     "regime_sqrt", "regime_wide", "verify"]
+
+
+@pytest.mark.parametrize("name", sorted(LINE_COMMANDS))
+def test_line_windows_give_the_dense_route_bits_on_the_command_chains(name):
+    # Past about 700 rows a whole-matrix product runs on several BLAS threads,
+    # which split its rows off a group of 4 and so move the dense route's own
+    # last bits.  A 64-row window splits on a group, so the windows keep the
+    # one-thread bits: each kappa is compared at one thread, and the pairs
+    # and every K_eps at any thread count.
+    chain, eps = _command_chain(name)
+    one_thread = chain.n < 700 or os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+    _assert_windows_are_the_dense_route(chain, eps, pair_bits=one_thread)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(66, 300).filter(lambda n: n % 64),
+       reach=st.floats(0.0, 1.0), support=st.integers(1, 12))
+def test_line_windows_give_the_dense_route_bits_on_loaded_line_metrics(seed, n, reach,
+                                                                      support):
+    # a loaded line metric on unsorted, irregularly spaced points, scanned in
+    # windows of 64 rows, and eps at least the span of 66 points: the ball
+    # reaches past one window
+    rng = np.random.default_rng(seed)
+    coords = rng.permutation(np.cumsum(rng.uniform(0.01, 3.0, n) ** 2))
+    kernel = np.zeros((n, n))
+    for x in range(n):
+        cols = rng.choice(n, size=support, replace=False)
+        w = rng.random(support) + 0.05
+        kernel[x, cols] = w / w.sum()
+    chain = MetricChain(points=tuple(map(str, range(n))), kernel=kernel,
+                        dist=np.abs(coords[:, None] - coords[None, :]))
+    assert chain.coords is not None
+    ordered = np.sort(chain.coords)
+    span = float((ordered[65:] - ordered[:-65]).min())
+    eps = span + reach * (float(ordered[-1] - ordered[0]) - span)
+    with unittest.mock.patch.object(curvature, "_WINDOW_ENTRIES", 1):
+        _assert_windows_are_the_dense_route(chain, eps)
+
+
+def test_line_route_scratch_is_windows_not_whole_matrices():
+    # M/M/k (900, 930) at eps 30 on the states its command builds: two n x n
+    # copies of the kernel take 60 MB; the windows, the in-ball distances and
+    # the pairs take a few MB
+    chain, eps = _command_chain("mmk_large")
+    assert chain.n ** 2 * 16 > 60e6
+    local_curvature(build_mmk_chain(5, 10, 60), 2.0)   # warm the imports
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        local_curvature(chain, eps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 10e6, peak
 
 
 @pytest.mark.parametrize("p", [0.2, 0.7])

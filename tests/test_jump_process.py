@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from ricci_bounds import (JumpProcessConfig, poissonian_tail_bound,
                           simulate_paths, tail_comparison, transform_I)
 from ricci_bounds import jump_process
-from ricci_bounds.jump_process import MAX_PATHS, clopper_pearson_upper, empirical_tail_probs
+from ricci_bounds.jump_process import MAX_PATHS, clopper_pearson_upper
 
+from conftest import sampled_paths
 from dickman import dickman_tail, transform_I_quadrature
-from reference_oracles import simulate_paths_terms_copied, tail_shape_witness
+from reference_oracles import (empirical_tail_probs, simulate_paths_terms_copied,
+                               tail_shape_witness)
 
 
 # ----------------------------------------------------------------- config
@@ -38,7 +40,8 @@ def test_config_rejects_bad_alpha():
 
 
 def test_config_holds_the_path_budget():
-    # the config allocates nothing; simulate_paths would hold one float per path
+    # the config allocates nothing, and simulate_paths keeps no per-path array:
+    # the budget caps the run time, which grows with the paths
     JumpProcessConfig(drift_alpha=1.0, horizon_T=25.0, n_paths=MAX_PATHS, seed=0)
     with pytest.raises(ValueError, match=f"paths exceed the budget MAX_PATHS = {MAX_PATHS}$"):
         JumpProcessConfig(drift_alpha=1.0, horizon_T=25.0, n_paths=MAX_PATHS + 1, seed=0)
@@ -48,8 +51,8 @@ def test_config_holds_the_path_budget():
 
 def test_simulation_deterministic():
     cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=20.0, n_paths=5000, seed=42)
-    a = simulate_paths(cfg)
-    b = simulate_paths(cfg)
+    a, _ = sampled_paths(cfg)
+    b, _ = sampled_paths(cfg)
     np.testing.assert_array_equal(a, b)
 
 
@@ -59,7 +62,7 @@ def test_simulation_terms_in_place_are_the_copied_terms(monkeypatch):
     monkeypatch.setattr(jump_process, "_CHUNK", 1000)
     cfg = JumpProcessConfig(drift_alpha=0.7, horizon_T=30.0, n_paths=4500, seed=7)
     expected = simulate_paths_terms_copied(cfg, chunk=833)
-    assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
+    assert np.array_equal(sampled_paths(cfg)[0].view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("horizon", [None, 20.0, 25.0])
@@ -68,7 +71,7 @@ def test_chunk_is_fixed_up_to_horizon_25(monkeypatch, horizon):
     monkeypatch.setattr(jump_process, "_CHUNK", 1000)
     cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=horizon, n_paths=4500, seed=7)
     expected = simulate_paths_terms_copied(cfg, chunk=1000)
-    assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
+    assert np.array_equal(sampled_paths(cfg)[0].view(np.int64), expected.view(np.int64))
 
 
 def _chunk_jump_counts(cfg, chunk):
@@ -91,7 +94,7 @@ def test_reused_terms_buffer_keeps_the_copied_bits(monkeypatch):
     assert list(np.flatnonzero(np.diff(capacity) > 0) + 1) == [2, 4]
     assert list(np.flatnonzero(sizes < capacity)) == [1, 3, 5]
     expected = simulate_paths_terms_copied(cfg, chunk=1000)
-    assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
+    assert np.array_equal(sampled_paths(cfg)[0].view(np.int64), expected.view(np.int64))
 
 
 def test_chunk_without_jumps_is_exact_zeros_and_keeps_the_stream(monkeypatch):
@@ -101,7 +104,7 @@ def test_chunk_without_jumps_is_exact_zeros_and_keeps_the_stream(monkeypatch):
     cfg = JumpProcessConfig(drift_alpha=1e5, horizon_T=1e-3, n_paths=100, seed=34)
     counts = np.concatenate(_chunk_jump_counts(cfg, 10))
     assert [int(c.sum()) for c in counts.reshape(10, 10)] == [0, 1] + [0] * 8
-    x = simulate_paths(cfg)
+    x, _ = sampled_paths(cfg)
     assert np.array_equal(x.view(np.int64),
                           simulate_paths_terms_copied(cfg, chunk=10).view(np.int64))
     assert np.all(x[counts == 0] == 0.0) and np.all(x[counts > 0] > 0.0)
@@ -121,7 +124,7 @@ def test_row_blocks_keep_the_copied_bits(monkeypatch, alpha, horizon, n_paths, s
     cfg = JumpProcessConfig(alpha, horizon, n_paths, seed)
     chunk = min(1000, int(1000 * 25 // horizon))
     expected = simulate_paths_terms_copied(cfg, chunk=chunk)
-    assert np.array_equal(simulate_paths(cfg).view(np.int64), expected.view(np.int64))
+    assert np.array_equal(sampled_paths(cfg)[0].view(np.int64), expected.view(np.int64))
 
 
 def test_row_block_cases_hold_long_paths_and_zero_jump_paths_at_a_cut():
@@ -148,24 +151,24 @@ def test_row_blocks_keep_the_copied_bits_everywhere(seed, alpha_horizon, horizon
     cfg = JumpProcessConfig(alpha_horizon / horizon, horizon, n_paths, seed)
     with unittest.mock.patch.object(jump_process, "_CHUNK", 1000), \
             unittest.mock.patch.object(jump_process, "_BLOCK", block):
-        x = simulate_paths(cfg)
+        x, _ = sampled_paths(cfg)
     expected = simulate_paths_terms_copied(cfg, chunk=min(1000, int(1000 * 25 // horizon)))
     assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
 
 def test_readme_jump_samples_keep_their_bits():
-    # the seeded samples behind example-jump's default run
-    x = simulate_paths(JumpProcessConfig(1.0, None, 1_000_000, 7))
+    # the seeded samples behind example-jump's default run, and the mean it prints
+    x, tally = sampled_paths(JumpProcessConfig(1.0, None, 1_000_000, 7))
     assert x.sum().hex() == "0x1.e8830a2b6f26dp+19"
     assert hashlib.sha256(x.tobytes()).hexdigest() == (
         "2889f3466295c824dd96f0cb7794622bf2417c589f05c734b6d601801cf2adcc")
+    assert f"{tally.mean:.6g}" == "1.00047"
 
 
-def test_simulation_peak_memory_is_the_samples_and_one_block():
-    # 8 MB of samples, 1.6 MB of a chunk's Poisson counts, 0.8 MB of its int32
-    # row pointers and about 1.5 MB of one block's terms and zero column
-    # index; a chunk-wide terms buffer for 5e6 jump times (40 MB) would pass
-    # 20 MB
+def test_simulation_peak_memory_is_one_chunk_and_one_block():
+    # 1.6 MB of a chunk's Poisson counts, 0.8 MB of its int32 row pointers and
+    # about 1.5 MB of one block's terms and zero column index; the 8 MB of one
+    # float64 per path, which the samples took when they were kept, would pass 6 MB
     cfg = JumpProcessConfig(1.0, None, 1_000_000, 7)
     started = not tracemalloc.is_tracing()
     if started:
@@ -173,12 +176,32 @@ def test_simulation_peak_memory_is_the_samples_and_one_block():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        simulate_paths(cfg)
+        tally = simulate_paths(cfg, [2.0, 3.0, 5.0, 8.0, 12.0])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 20e6, peak
+    assert tally.size == 1_000_000
+    assert peak <= 6e6, peak
+
+
+@pytest.mark.parametrize("n_paths", [1, 999, 4500])
+def test_streamed_counts_and_mean_are_those_of_the_joined_samples(monkeypatch, n_paths):
+    # chunks of 833 paths, the last one short; the levels are unsorted and
+    # repeat, one of them is a sample value and one is 0.0, which the exact
+    # zeros of the zero-jump paths reach
+    monkeypatch.setattr(jump_process, "_CHUNK", 1000)
+    cfg = JumpProcessConfig(0.7, 30.0, n_paths, 7)
+    x, _ = sampled_paths(cfg)
+    levels = [3.0, float(x[n_paths // 2]), 0.5, 0.0, 3.0, 1e3]
+    _, tally = sampled_paths(cfg, levels)
+    assert tally.size == n_paths
+    assert tally.levels.tolist() == levels
+    assert tally.counts.tolist() == [int(np.count_nonzero(x >= l)) for l in levels]
+    assert tally.counts[1] >= 1
+    # the running sum adds each block's sum in path order: the same value up
+    # to the rounding of the block sums
+    assert tally.mean == pytest.approx(math.fsum(x.tolist()) / n_paths, rel=1e-14, abs=0)
 
 
 def test_chunk_jump_counts_fit_int32():
@@ -197,21 +220,21 @@ def test_chunk_jump_counts_fit_int32():
 
 def test_zero_jump_paths_are_exactly_zero():
     cfg = JumpProcessConfig(drift_alpha=50.0, horizon_T=1.0, n_paths=20_000, seed=3)
-    x = simulate_paths(cfg)
+    x, _ = sampled_paths(cfg)
     frac_zero = float((x == 0.0).mean())
     assert frac_zero == pytest.approx(math.exp(-1.0), abs=0.01)
 
 
 def test_strong_drift_kills_the_mean():
     cfg = JumpProcessConfig(drift_alpha=50.0, horizon_T=1.0, n_paths=50_000, seed=5)
-    x = simulate_paths(cfg)
+    x, _ = sampled_paths(cfg)
     # E[X_T] = (1 - exp(-alpha T)) / alpha = 0.02
     assert x.mean() <= 0.05
 
 
 def test_mean_matches_stationary_value():
     cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=20.0, n_paths=100_000, seed=9)
-    x = simulate_paths(cfg)
+    x, _ = sampled_paths(cfg)
     se = x.std() / math.sqrt(x.size)
     assert abs(x.mean() - 1.0) <= 3 * se
 
@@ -250,7 +273,7 @@ def test_G_moments_match_monte_carlo():
     alpha = 1.0
     cfg = JumpProcessConfig(drift_alpha=alpha, horizon_T=20.0,
                             n_paths=200_000, seed=11)
-    x = simulate_paths(cfg)
+    x, _ = sampled_paths(cfg)
     h = 1e-5
     log_g = [transform_I(lam) / alpha for lam in (-h, 0.0, h)]
     mean = (log_g[2] - log_g[0]) / (2 * h)
@@ -308,8 +331,7 @@ def test_clopper_pearson_zero_counts():
 def test_tail_comparison_dominated():
     cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=20.0,
                             n_paths=200_000, seed=13)
-    x = simulate_paths(cfg)
-    rows = tail_comparison(x, [2.0, 3.0, 5.0], alpha=1.0)
+    rows = tail_comparison(simulate_paths(cfg, [2.0, 3.0, 5.0]), alpha=1.0)
     assert all(p <= bound for _, p, _, bound in rows)
     for _, _, upper, bound in rows[:2]:
         # plenty of counts at low levels: even the CI upper end is dominated
@@ -319,7 +341,7 @@ def test_tail_comparison_dominated():
 def test_witness_drops_empty_levels_and_reports_shapes():
     cfg = JumpProcessConfig(drift_alpha=1.0, horizon_T=20.0,
                             n_paths=50_000, seed=17)
-    x = simulate_paths(cfg)
+    x, _ = sampled_paths(cfg)
     report = tail_shape_witness(x, [2.0, 3.0, 4.0, 30.0])
     assert report["dropped_levels"] == [30.0]
     assert len(report["levels"]) == 3
