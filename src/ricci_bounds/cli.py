@@ -284,8 +284,8 @@ def cmd_example_jump(cfg: argparse.Namespace) -> int:
                 # each block as it is summed, in _write_csv's text ("%.17g" is
                 # format's ".17g"), one % per 2^16 samples: no row list per path
                 for r in range(0, block.size, 1 << 16):
-                    part = tuple(block[r:r + (1 << 16)].tolist())
-                    fh.write("%.17g\n" * len(part) % part)
+                    rows = tuple(block[r:r + (1 << 16)].tolist())
+                    fh.write("%.17g\n" * len(rows) % rows)
         tally = jp.simulate_paths(config, cfg.levels, sink)
         if cfg.dump_samples:
             fh.close()

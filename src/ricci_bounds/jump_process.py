@@ -83,6 +83,132 @@ class PathTally:
         return self.total / self.size
 
 
+# Most uniforms one piece of the Poisson draws reads: its scratch stays
+# under 1.5 MB.
+_PIECE = 2 ** 15
+# Where the two sides of the PTRS log test, its left side taken with np.log,
+# lie within this of each other, the pair is settled again with libm's log
+# (math.log), which numpy's C code calls.  The right side has numpy's bits;
+# the left one's two log terms are below 2**7 in magnitude, and the margin
+# covers 2**10 ulps of error in each, far past the 1 ulp measured.
+_LOG_MARGIN = 2.0 ** -30
+# numpy's random_loggam: its Stirling series coefficients and ln(2 pi)
+_LOGGAM_COEFFS = (8.333333333333333e-02, -2.777777777777778e-03,
+                  7.936507936507937e-04, -5.952380952380952e-04,
+                  8.417508417508418e-04, -1.917526917526918e-03,
+                  6.410256410256410e-03, -2.955065359477124e-02,
+                  1.796443723688307e-01, -1.39243221690590e+00)
+_LN_2PI = 1.8378770664093453e+00
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """ln x through math.log, which is libm's log, as numpy's C code takes it
+    (np.log may differ from it by an ulp); ln 0 = -inf."""
+    return np.fromiter((math.log(v) if v else -math.inf for v in x.tolist()), float, x.size)
+
+
+def _loggam(x: np.ndarray) -> np.ndarray:
+    """numpy's random_loggam at integers x >= 1, in its order of operations."""
+    n = np.where(x < 7.0, 7.0 - x, 0.0)   # integer x: (int)(7 - x) is 7 - x
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = np.full(x.size, _LOGGAM_COEFFS[9])
+    for c in _LOGGAM_COEFFS[8::-1]:
+        gl0 = gl0 * x2 + c
+    gl = gl0 / x0 + 0.5 * _LN_2PI + (x0 - 0.5) * _libm_log(x0) - x0
+    for j in range(1, 7):   # below 7, x0 = 7 steps down: gl -= log(x0 - 1); x0 -= 1
+        gl[n >= j] -= math.log(7.0 - j)
+    gl[(x == 1.0) | (x == 2.0)] = 0.0
+    return gl
+
+
+class _PoissonPTRS:
+    """numpy's Poisson draws for lam >= 10 -- Hörmann's PTRS (transformed
+    rejection, Insurance: Math. Econ. 12, 1993) -- one attempt per pair of
+    uniforms, every pair of a piece of the stream at once.
+
+    Each attempt reads exactly two doubles, so the j-th count is the k of the
+    j-th accepted pair, and the stream position after n counts is known.
+    """
+
+    def __init__(self, lam: float):
+        self.lam = lam
+        self.loglam = math.log(lam)
+        self.b = 0.931 + 2.53 * math.sqrt(lam)
+        self.a = -0.059 + 0.02483 * self.b
+        self.log_invalpha = math.log(1.1239 + 1.1328 / (self.b - 3.4))
+        self.vr = 0.9277 - 3.6224 / (self.b - 2)
+        # the log test's right side -lam + k ln lam - loggam(k + 1) over the k
+        # that a pair with us >= 0.013 (so |U| <= 0.487) can reach; the rare
+        # pair past the table (us < 0.013 and V <= us) is settled on its own
+        reach = (2 * self.a / 0.013 + self.b) * 0.487
+        self.lo = max(0, math.floor(lam + 0.43 - reach) - 1)
+        self.rhs = self._rhs(np.arange(self.lo, math.floor(lam + 0.43 + reach) + 2.0))
+
+    def _rhs(self, k: np.ndarray) -> np.ndarray:
+        return -self.lam + k * self.loglam - _loggam(k + 1)
+
+    def _lhs(self, v: np.ndarray, us: np.ndarray, log) -> np.ndarray:
+        return log(v) + self.log_invalpha - log(self.a / (us * us) + self.b)
+
+    def step(self, u: np.ndarray):
+        """(k, accepted): one attempt of numpy's PTRS loop on each pair
+        U = u[2i] - 0.5, V = u[2i + 1], in the C code's order of operations."""
+        U = u[0::2] - 0.5
+        V = u[1::2]
+        us = np.abs(U)
+        np.subtract(0.5, us, out=us)
+        with np.errstate(divide="ignore"):   # u = 0.0: us = 0, k = -inf, rejected
+            k = np.divide(2 * self.a, us)
+        k += self.b
+        k *= U
+        k += self.lam
+        k += 0.43
+        np.floor(k, out=k)
+        accepted = us >= 0.07
+        accepted &= V <= self.vr
+        tested = V <= us
+        tested |= us >= 0.013
+        tested &= k >= 0
+        tested &= ~accepted
+        idx = np.flatnonzero(tested)
+        at = k[idx].astype(np.intp)
+        at -= self.lo
+        outside = (at < 0) | (at >= self.rhs.size)
+        with np.errstate(divide="ignore"):   # V = 0: log V = -inf, accepted
+            gap = self._lhs(V[idx], us[idx], np.log)
+        gap -= self.rhs.take(at, mode="clip")   # <= 0 exactly where lhs <= rhs
+        accepted[idx] = gap <= 0.0
+        # settled again with libm's log: a k past the table, or a gap within the margin
+        redo = idx[outside | (np.abs(gap) <= _LOG_MARGIN)]
+        if redo.size:
+            accepted[redo] = self._lhs(V[redo], us[redo], _libm_log) <= self._rhs(k[redo])
+        return k, accepted
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Write the counts of rng.poisson(lam, out.size) into out and leave the
+        stream of rng, a PCG64 generator, where that call leaves it."""
+        bg = rng.bit_generator
+        got = 0
+        while got < out.size:
+            need = out.size - got
+            saved = bg.state
+            # 1.12 (lam = 5e6) to 1.33 (lam = 10) attempts a count: a last piece
+            # of 1.5 attempts a count plus 16 nearly always suffices
+            u = rng.random(min(_PIECE, 2 * (need + need // 2 + 16)))
+            k, accepted = self.step(u)
+            taken = np.flatnonzero(accepted)[:need]
+            out[got:got + taken.size] = k[taken]
+            got += taken.size
+            used = 2 * (int(taken[-1]) + 1) if got == out.size else u.size
+            if used < u.size:   # the last piece: hand back the doubles past its last count
+                bg.state = saved
+                bg.advance(used)
+                # advance drops the half of a 64-bit draw a uint32 draw may have buffered
+                bg.state = {**bg.state, "has_uint32": saved["has_uint32"],
+                            "uinteger": saved["uinteger"]}
+
+
 def simulate_paths(config: JumpProcessConfig, levels=(),
                    sink: Optional[Callable[[np.ndarray], object]] = None) -> PathTally:
     """Simulate every path, exact given the jump-count/uniform-times law, and
@@ -90,7 +216,14 @@ def simulate_paths(config: JumpProcessConfig, levels=(),
 
     Deterministic for a fixed seed: each chunk of up to _CHUNK paths (fewer
     past horizon _HORIZON) draws its Poisson jump counts, then its jump times,
-    so the chunk fixes how the draws group in the stream.  The jump times are
+    so the chunk fixes how the draws group in the stream.  The jump counts are
+    those of rng.poisson(T, size), which leaves the stream where they leave
+    it: from T = 10 on, numpy's PTRS loop runs over pieces of up to _PIECE
+    uniforms at once (_PoissonPTRS), and below 10, where numpy multiplies
+    uniforms instead, rng.poisson draws them.  The tests compare the counts
+    and the stream with rng.poisson's and pin the README samples' sha256, so
+    a numpy whose Poisson method changes fails them rather than silently
+    changing the output.  The jump times are
     drawn and summed in row blocks cut on row boundaries: a block holds fewer
     than _BLOCK terms plus those of its last path, which may be longer than
     _BLOCK on its own.  Consecutive draws give the same doubles as one draw
@@ -110,6 +243,7 @@ def simulate_paths(config: JumpProcessConfig, levels=(),
     rng = np.random.default_rng(config.seed)
     alpha, horizon = config.drift_alpha, config.horizon_T
     chunk = min(_CHUNK, int(_CHUNK * _HORIZON // horizon))
+    ptrs = _PoissonPTRS(horizon) if horizon >= 10.0 else None
     ones = np.ones(1)
     terms, cols = np.empty(0), np.empty(0, dtype=np.int32)
     done = 0
@@ -117,9 +251,14 @@ def simulate_paths(config: JumpProcessConfig, levels=(),
         size = min(chunk, config.n_paths - done)
         # int32 row pointers and column indices, so scipy copies neither: the
         # horizon budget keeps chunk * horizon <= _CHUNK * _HORIZON = 5e6, so
-        # a chunk's Poisson jump count stays far below 2**31 - 1
+        # a chunk's Poisson jump count stays far below 2**31 - 1.  The counts
+        # are drawn into the pointers and summed in place.
         indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(rng.poisson(horizon, size=size), dtype=np.int32, out=indptr[1:])
+        if ptrs is None:
+            indptr[1:] = rng.poisson(horizon, size=size)
+        else:
+            ptrs.fill(rng, indptr[1:])
+        np.cumsum(indptr, out=indptr)
         # the first row starting at or past each multiple of _BLOCK terms
         cuts = np.searchsorted(indptr, np.arange(_BLOCK, int(indptr[-1]), _BLOCK))
         for a, b in itertools.pairwise(np.unique([0, *cuts, size]).tolist()):

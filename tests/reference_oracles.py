@@ -22,8 +22,14 @@
   `subgaussian_s2` used before it gathered the pairs itself, its bit-for-bit
   oracle.
 - `simulate_paths_terms_copied`: the drift-jump simulation with each
-  chunk's terms computed as a new array from the jump times, the oracle for
-  `simulate_paths`' in-place terms.
+  chunk's terms computed as a new array from the jump times and its jump
+  counts from `rng.poisson`, the oracle for `simulate_paths`' in-place terms
+  and bulk Poisson draws.
+- `ptrs_attempt`: one pass of numpy's C Poisson loop for lam >= 10 (PTRS) on
+  one pair of uniforms, in scalar Python, the oracle for
+  `jump_process._PoissonPTRS.step`; `generator_reading` makes a Generator
+  whose next doubles are chosen ones, so numpy's own C code can be fed the
+  same pairs.
 - `empirical_tail_probs`: tail probabilities counted over a whole sample,
   the oracle for the counts `simulate_paths` tallies block by block.
 - `stationary_cesaro`: Cesaro averages of kernel pushforwards of a point
@@ -35,6 +41,8 @@ The package's CLI reaches none of them, so they live here, beside
 `dickman.py` and `search_oracle.py`.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -161,6 +169,101 @@ def simulate_paths_terms_copied(config: JumpProcessConfig, chunk: int) -> np.nda
         out[done:done + size] = np.bincount(np.repeat(np.arange(size), counts),
                                             weights=terms, minlength=size)
     return out
+
+
+_LOGGAM_COEFFS = (8.333333333333333e-02, -2.777777777777778e-03,
+                  7.936507936507937e-04, -5.952380952380952e-04,
+                  8.417508417508418e-04, -1.917526917526918e-03,
+                  6.410256410256410e-03, -2.955065359477124e-02,
+                  1.796443723688307e-01, -1.39243221690590e+00)
+
+
+def random_loggam(x: float) -> float:
+    """numpy's C random_loggam, statement by statement."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    lg2pi = 1.8378770664093453e+00
+    gl0 = _LOGGAM_COEFFS[9]
+    for k in range(8, -1, -1):
+        gl0 *= x2
+        gl0 += _LOGGAM_COEFFS[k]
+    gl = gl0 / x0 + 0.5 * lg2pi + (x0 - 0.5) * math.log(x0) - x0
+    if x < 7.0:
+        for _ in range(n):
+            gl -= math.log(x0 - 1.0)
+            x0 -= 1.0
+    return gl
+
+
+def ptrs_attempt(lam: float, u: float, v: float):
+    """One pass of the loop of numpy's C random_poisson_ptrs (lam >= 10) on
+    the uniforms u, v: the k it returns, or None where it draws again."""
+    slam = math.sqrt(lam)
+    loglam = math.log(lam)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+    vr = 0.9277 - 3.6224 / (b - 2)
+    U = u - 0.5
+    V = v
+    us = 0.5 - abs(U)
+    if us == 0.0:   # 2a/us = inf, so k = floor(-inf) < 0
+        return None
+    k = math.floor((2 * a / us + b) * U + lam + 0.43)
+    if us >= 0.07 and V <= vr:
+        return k
+    if k < 0 or (us < 0.013 and V > us):
+        return None
+    log_v = math.log(V) if V > 0.0 else -math.inf
+    if (log_v + math.log(invalpha) - math.log(a / (us * us) + b)
+            <= -lam + k * loglam - random_loggam(k + 1)):
+        return k
+    return None
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 key word whose tempered output is y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(4):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(2):
+        x = y ^ (x >> 11)
+    return x
+
+
+def generator_reading(uniforms) -> np.random.Generator:
+    """A Generator whose next doubles are `uniforms` (multiples of 2**-53 in
+    [0, 1), at most 312): MT19937 makes a double of the top 27 bits of one
+    output and the top 26 of the next, and the key holds outputs untempered."""
+    words = []
+    for u in uniforms:
+        m = int(u * 2.0 ** 53)
+        if not (0 <= m < 2 ** 53 and m == u * 2.0 ** 53):
+            raise ValueError(f"{u!r} is no double the generator draws")
+        words += [(m >> 26) << 5, (m & (2 ** 26 - 1)) << 6]
+    key = np.zeros(624, dtype=np.uint32)
+    key[:len(words)] = [_untemper(w) for w in words]
+    bit_generator = np.random.MT19937(0)
+    bit_generator.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bit_generator)
+
+
+def numpy_ptrs_attempt(lam: float, u: float, v: float):
+    """numpy's own answer to ptrs_attempt: rng.poisson fed the pair, then a
+    pair that its fast test accepts; the doubles it read tell which pair won."""
+    rng = generator_reading([u, v, 0.5, 0.0])
+    k = int(rng.poisson(lam))
+    words = rng.bit_generator.state["state"]["pos"]
+    if words not in (4, 8):
+        raise AssertionError(f"rng.poisson read {words} words, not 4 or 8")
+    return k if words == 4 else None
 
 
 def stationary_cesaro(chain: MetricChain, start: int, n: int) -> StationaryResult:

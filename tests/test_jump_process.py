@@ -15,7 +15,8 @@ from ricci_bounds.jump_process import MAX_PATHS, clopper_pearson_upper
 
 from conftest import sampled_paths
 from dickman import dickman_tail, transform_I_quadrature
-from reference_oracles import (empirical_tail_probs, simulate_paths_terms_copied,
+from reference_oracles import (empirical_tail_probs, numpy_ptrs_attempt, ptrs_attempt,
+                               random_loggam, simulate_paths_terms_copied,
                                tail_shape_witness)
 
 
@@ -156,6 +157,114 @@ def test_row_blocks_keep_the_copied_bits_everywhere(seed, alpha_horizon, horizon
     assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
 
+# ------------------------------------------------------- Poisson draws
+
+def _draw(x: float) -> float:
+    """The double a generator draws nearest x: a multiple of 2**-53."""
+    return round(x * 2.0 ** 53) / 2.0 ** 53
+
+
+# Pairs whose log test np.log decides the other way than libm's log (numpy
+# 2.4.6's AVX-512 log on a Xeon: an ulp apart), one accepted and one refused
+# per lam; where the two logs agree, they are margin pairs like any other
+_NP_LOG_FLIPS = {
+    10.0: [(0.9525248041340223, 0.7795558476509671), (0.19247734622437074, 0.9033849218788463)],
+    25.0: [(0.0908811635272545, 0.8697045871905638), (0.9201159859976663, 0.7378055110263164)],
+    1234.5: [(0.07485882647107855, 0.9782151012993462),
+             (0.09292037006167697, 0.9826063364026262)],
+    5e6: [(0.11229283213868979, 0.9796751369277886), (0.8628725454242374, 0.9532260241058204)],
+}
+
+
+def _chosen_pairs(lam):
+    """Pairs (u, v) on the edges of numpy's PTRS loop at lam."""
+    p = jump_process._PoissonPTRS(lam)
+    tiny = 2.0 ** -53
+    pairs = [(0.0, 0.0), (0.0, 0.5),                       # us = 0, k = -inf
+             (1 - tiny, 0.0), (1 - tiny, tiny), (1 - tiny, 0.5), (tiny, 0.0),
+             (_draw(0.01), _draw(0.005)), (_draw(0.99), _draw(0.005)),   # V <= us < 0.013
+             (_draw(0.01), _draw(0.0125)), (_draw(0.99), _draw(0.0125)),
+             (_draw(0.013), 0.5), (_draw(0.07), 0.25), (_draw(0.93), 0.25)]
+    # V at vr (on the draw grid from lam = 15 on) and the draws around it
+    for v in (_draw(p.vr - tiny), _draw(p.vr), _draw(p.vr + tiny)):
+        pairs += [(0.5, v), (0.75, v), (_draw(0.06), v)]
+    # V within the log-test margin of its boundary, on both sides of it
+    margin = []
+    for u in map(_draw, (0.02, 0.05, 0.95, 0.98)):
+        us = 0.5 - abs(u - 0.5)
+        k = math.floor((2 * p.a / us + p.b) * (u - 0.5) + lam + 0.43)
+        if k < 0:
+            continue
+        log_v = (-lam + k * p.loglam - random_loggam(k + 1) - p.log_invalpha
+                 + math.log(p.a / (us * us) + p.b))
+        if log_v < 0.0:
+            m = round(math.exp(log_v) * 2.0 ** 53)
+            margin += [(u, (m + d) / 2.0 ** 53) for d in range(-3, 4)]
+    return pairs, margin + _NP_LOG_FLIPS[lam]
+
+
+@pytest.mark.parametrize("lam", [10.0, 25.0, 1234.5, 5e6])
+def test_ptrs_step_is_numpys_loop_on_chosen_pairs(lam):
+    pairs, margin = _chosen_pairs(lam)
+    # what the cases rely on: margin pairs that the log test settles both ways
+    p = jump_process._PoissonPTRS(lam)
+    gaps = [math.log(v) + p.log_invalpha - math.log(p.a / (us * us) + p.b)
+            - (-lam + k * p.loglam - random_loggam(k + 1))
+            for u, v in margin
+            for us in [0.5 - abs(u - 0.5)]
+            for k in [math.floor((2 * p.a / us + p.b) * (u - 0.5) + lam + 0.43)]]
+    assert all(abs(g) <= jump_process._LOG_MARGIN for g in gaps)
+    assert min(gaps) <= 0.0 < max(gaps)
+    pairs += margin
+    k, accepted = p.step(np.array(pairs).ravel())
+    for (u, v), kj, ok in zip(pairs, k.tolist(), accepted.tolist()):
+        want = ptrs_attempt(lam, u, v)
+        assert want == numpy_ptrs_attempt(lam, u, v), (u, v)
+        assert (int(kj) if ok else None) == want, (u, v)
+
+
+@pytest.mark.parametrize("lam", [25.0, 1234.5, 5e6])
+def test_ptrs_fast_test_takes_v_at_vr(monkeypatch, lam):
+    # numpy's fast test is V <= vr.  Its log test accepts V = vr too (vr bounds
+    # a square inside the acceptance region), so the edge shows only with the
+    # log test refusing every pair.
+    p = jump_process._PoissonPTRS(lam)
+    assert _draw(p.vr) == p.vr
+    monkeypatch.setattr(jump_process._PoissonPTRS, "_lhs",
+                        lambda self, v, us, log: np.full(v.size, np.inf))
+    above = math.nextafter(p.vr, 1.0)
+    _, accepted = p.step(np.array([0.5, p.vr, 0.75, p.vr, 0.5, above, 0.75, above]))
+    assert accepted.tolist() == [True, True, False, False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.one_of(st.sampled_from([10.0, 25.0]), st.floats(10.0, 5e6)),
+       size=st.integers(1, 40_000), seed=st.integers(0, 2 ** 64 - 1),
+       half_draw=st.booleans())
+def test_ptrs_fill_draws_what_rng_poisson_draws(lam, size, seed, half_draw):
+    # up to three pieces of the stream; a uint32 draw first leaves half of a
+    # 64-bit draw buffered, which the return of the unread doubles keeps
+    want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half_draw:
+        for r in (want_rng, rng):
+            r.integers(0, 2 ** 32, dtype=np.uint32)
+    want = want_rng.poisson(lam, size)
+    got = np.empty(size, dtype=np.int32)
+    jump_process._PoissonPTRS(lam).fill(rng, got)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("horizon", [9.99, 10.0, 25.0])
+def test_simulation_draws_rng_poissons_counts_on_both_sides_of_10(monkeypatch, horizon):
+    # numpy multiplies uniforms below lam = 10, and simulate_paths leaves it to
+    # rng.poisson there; from 10 on, the bulk PTRS draws give its bits
+    monkeypatch.setattr(jump_process, "_CHUNK", 1000)
+    cfg = JumpProcessConfig(2.0, horizon, 3500, 11)
+    expected = simulate_paths_terms_copied(cfg, chunk=1000)
+    assert np.array_equal(sampled_paths(cfg)[0].view(np.int64), expected.view(np.int64))
+
+
 def test_readme_jump_samples_keep_their_bits():
     # the seeded samples behind example-jump's default run, and the mean it prints
     x, tally = sampled_paths(JumpProcessConfig(1.0, None, 1_000_000, 7))
@@ -166,8 +275,10 @@ def test_readme_jump_samples_keep_their_bits():
 
 
 def test_simulation_peak_memory_is_one_chunk_and_one_block():
-    # 1.6 MB of a chunk's Poisson counts, 0.8 MB of its int32 row pointers and
-    # about 1.5 MB of one block's terms and zero column index; the 8 MB of one
+    # 0.8 MB of a chunk's int32 row pointers, into which its Poisson counts are
+    # drawn and summed in place (rng.poisson's int64 counts took 1.6 MB more),
+    # about 1.5 MB of one block's terms and zero column index, and about 1.4 MB
+    # of one piece of the Poisson draws: 4.0 MB measured.  The 8 MB of one
     # float64 per path, which the samples took when they were kept, would pass 6 MB
     cfg = JumpProcessConfig(1.0, None, 1_000_000, 7)
     started = not tracemalloc.is_tracing()
