@@ -94,14 +94,15 @@ def _parse_range(spec: str) -> np.ndarray:
     return np.arange(a, b + step * 1e-9, step)
 
 
-def _jump_levels(spec: str) -> np.ndarray:
-    """argparse type of example-jump's --levels: the Poissonian bound needs l > 1,
-    so a level at or below 1 is refused before any path is simulated."""
-    levels = _parse_range(spec)
-    if levels[0] <= 1:
-        raise argparse.ArgumentTypeError(
-            f"the Poissonian tail bound needs every level > 1, got {levels[0]:g}")
-    return levels
+def _above(parse, low: float, need: str):
+    """argparse type: `parse`, then every value above `low`, so a value the
+    command cannot take is refused before any chain is built or path simulated."""
+    def check(text: str):
+        value = parse(text)
+        if np.min(value) <= low:
+            raise argparse.ArgumentTypeError(f"{need} > {low:g}, got {np.min(value):g}")
+        return value
+    return check
 
 
 def _auto_truncation(n0: int, k: int) -> int:
@@ -336,15 +337,17 @@ FLAGS = {
     "--alpha": dict(type=_finite_float, help="autoregression rate, or example-jump's drift"),
     "--grid-step": dict(type=_finite_float, default=0.05),
     "--grid-width": dict(type=_finite_float, default=10.0),
-    "--epsilon": dict(type=_finite_float),
+    "--epsilon": dict(type=_above(_finite_float, 0, "epsilon must be")),
     "--origin": dict(type=int),
     "--strategy": dict(choices=sorted(STRATEGY_MAP), default="paper"),
     "--levels": dict(type=_parse_range, help="level grid as a:b:step"),
-    "--epsilons": dict(type=_parse_range, help="sweep epsilon grid as a:b:step"),
+    "--epsilons": dict(type=_above(_parse_range, 0, "every epsilon must be"),
+                       help="sweep epsilon grid as a:b:step"),
     "--ref-level": dict(dest="reference_level", type=_finite_float),
     "--seed": dict(type=int, default=0),
     "--paths": dict(type=int, default=100_000),
-    "--horizon": dict(type=_finite_float, help="default: 25 or least T with exp(-alpha T) < 1e-8"),
+    "--horizon": dict(type=_finite_float,
+                      help="default: the least integer T >= 25 with exp(-alpha T) < 1e-8"),
     "--dump-samples": dict(action="store_true"),
     "--out": dict(dest="out_dir", type=Path, default=".", help="output directory"),
 }
@@ -368,7 +371,9 @@ COMMANDS = {
     "example-jump": (cmd_example_jump, "reproduce the drift-jump example end to end",
                      ("--alpha", "--horizon", "--paths", "--seed", "--levels", "--dump-samples"),
                      {"--alpha": dict(default=1.0),
-                      "--levels": dict(type=_jump_levels, default=(2, 3, 5, 8, 12))}),
+                      "--levels": dict(type=_above(_parse_range, 1, "the Poissonian tail "
+                                                   "bound needs every level"),
+                                       default=(2, 3, 5, 8, 12))}),
     "sweep": (cmd_sweep, "epsilon sweep exposing the rho/curvature trade-off",
               (*_CHAIN, "--origin", "--strategy", "--epsilons", "--ref-level"),
               {"--epsilons": dict(required=True)}),

@@ -128,7 +128,9 @@ class _PoissonPTRS:
     uniforms, every pair of a piece of the stream at once.
 
     Each attempt reads exactly two doubles, so the j-th count is the k of the
-    j-th accepted pair, and the stream position after n counts is known.
+    j-th accepted pair.  A piece of at most twice the missing counts holds at
+    most that many attempts, so it never reads past the last count, and the
+    stream ends where rng.poisson leaves it, on any bit generator.
     """
 
     def __init__(self, lam: float):
@@ -187,26 +189,16 @@ class _PoissonPTRS:
 
     def fill(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Write the counts of rng.poisson(lam, out.size) into out and leave the
-        stream of rng, a PCG64 generator, where that call leaves it."""
-        bg = rng.bit_generator
+        stream of rng where that call leaves it.
+
+        An attempt reads two doubles and gives at most one count, so a piece of
+        at most twice the missing counts cannot read past the last one."""
         got = 0
         while got < out.size:
-            need = out.size - got
-            saved = bg.state
-            # 1.12 (lam = 5e6) to 1.33 (lam = 10) attempts a count: a last piece
-            # of 1.5 attempts a count plus 16 nearly always suffices
-            u = rng.random(min(_PIECE, 2 * (need + need // 2 + 16)))
-            k, accepted = self.step(u)
-            taken = np.flatnonzero(accepted)[:need]
-            out[got:got + taken.size] = k[taken]
-            got += taken.size
-            used = 2 * (int(taken[-1]) + 1) if got == out.size else u.size
-            if used < u.size:   # the last piece: hand back the doubles past its last count
-                bg.state = saved
-                bg.advance(used)
-                # advance drops the half of a 64-bit draw a uint32 draw may have buffered
-                bg.state = {**bg.state, "has_uint32": saved["has_uint32"],
-                            "uinteger": saved["uinteger"]}
+            k, accepted = self.step(rng.random(min(_PIECE, 2 * (out.size - got))))
+            k = k[accepted]
+            out[got:got + k.size] = k
+            got += k.size
 
 
 def simulate_paths(config: JumpProcessConfig, levels=(),
@@ -219,13 +211,14 @@ def simulate_paths(config: JumpProcessConfig, levels=(),
     so the chunk fixes how the draws group in the stream.  The jump counts are
     those of rng.poisson(T, size), which leaves the stream where they leave
     it: from T = 10 on, numpy's PTRS loop runs over pieces of up to _PIECE
-    uniforms at once (_PoissonPTRS), and below 10, where numpy multiplies
-    uniforms instead, rng.poisson draws them.  The tests compare the counts
-    and the stream with rng.poisson's and pin the README samples' sha256, so
-    a numpy whose Poisson method changes fails them rather than silently
-    changing the output.  The jump times are
-    drawn and summed in row blocks cut on row boundaries: a block holds fewer
-    than _BLOCK terms plus those of its last path, which may be longer than
+    uniforms at once (_PoissonPTRS), each at most two uniforms (one attempt)
+    per missing count, so no piece reads past the last count; below 10, where
+    numpy multiplies uniforms instead, rng.poisson draws them.  The tests
+    compare the counts and the stream with rng.poisson's and pin the README
+    samples' sha256, so a numpy whose Poisson method changes fails them
+    rather than silently changing the output.  The jump times are drawn and
+    summed in row blocks cut on row boundaries: a block holds fewer than
+    _BLOCK terms plus those of its last path, which may be longer than
     _BLOCK on its own.  Consecutive draws give the same doubles as one draw
     of the chunk's jump count, so the blocks keep the bits.  Each path
     is one row of a one-column CSR matrix times 1.0, which adds its terms left

@@ -615,11 +615,13 @@ def test_negative_local_curvature_gives_no_bound(argv, code, tmp_path, capsys):
     (["example-jump", "--paths", "1000000", "--levels", "1:2"], "--levels"),
     (["sweep", "--n0", "900", "--k", "930", "--epsilons", "1:2"], "--epsilons"),
     (["example-jump", "--paths", "1000000", "--levels", "0.5:3:0.5"], "--levels"),
+    (["sweep", "--n0", "5", "--k", "10", "--epsilons", "0:2:1"], "--epsilons"),
+    (["curvature", "--n0", "5", "--k", "10", "--epsilon", "0"], "--epsilon"),
 ])
 def test_a_bad_range_is_refused_before_any_work(argv, flag, tmp_path, capsys, monkeypatch):
-    # the parser refuses the range, or example-jump's levels at or below 1,
-    # where the Poissonian bound is undefined: no chain is built, no path is
-    # simulated and no out dir is made
+    # the parser refuses the range, example-jump's levels at or below 1,
+    # where the Poissonian bound is undefined, or an eps at or below 0: no
+    # chain is built, no path is simulated and no out dir is made
     def never(*args):
         raise AssertionError("the command ran past its parser")
 
@@ -628,8 +630,10 @@ def test_a_bad_range_is_refused_before_any_work(argv, flag, tmp_path, capsys, mo
     monkeypatch.setattr(jp, "simulate_paths", never)
     out = tmp_path / "r"
     assert run_cli([*argv, "--out", str(out)]) == 3
-    reason = ("bad range '1:2', expected a:b:step" if argv[-1] == "1:2" else
-              "the Poissonian tail bound needs every level > 1, got 0.5")
+    reason = {"1:2": "bad range '1:2', expected a:b:step",
+              "0.5:3:0.5": "the Poissonian tail bound needs every level > 1, got 0.5",
+              "0:2:1": "every epsilon must be > 0, got 0",
+              "0": "epsilon must be > 0, got 0"}[argv[-1]]
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         f"error: argument {flag}: {reason}")
     assert not out.exists()
