@@ -252,31 +252,134 @@ def _reject_constant(token):
     raise ChainFormatError(f"non-finite number {token!r} not accepted")
 
 
-_JSON_KINDS = {str: "a string", bool: "true or false", type(None): "null", dict: "an object"}
+_JSON_KINDS = {str: "a string", bool: "true or false", type(None): "null", dict: "an object",
+               list: "an array", int: "a number", float: "a number"}
 
 
-def _number_matrix(path, key, values, may_hold_bool: bool) -> np.ndarray:
-    """The parsed field `key` as a float array, refused unless every entry
-    is a JSON number.
+class _MatrixRows:
+    """A dist or kernel field, written row by row into one n x n float array,
+    n the length of its first row.
 
     numpy's dtype discovery tells numbers from strings, and makes null,
     objects and integers past 64 bits objects; true and false it takes as
-    numbers, so the entries are scanned for them only where the file may
-    hold them."""
-    head = f"{path}: dist/kernel must be numeric matrices: {key}"
-    try:
-        found = np.array(values)
-    except ValueError as exc:           # rows of unequal length
-        raise ChainFormatError(f"{head}: {exc}") from exc
-    if found.dtype.kind not in "iuf" or may_hold_bool:
-        for v in np.array(values, dtype=object).ravel().tolist():
-            if type(v) not in (int, float):
-                raise ChainFormatError(
-                    f"{head} holds {_JSON_KINDS.get(type(v), repr(v))}, not a JSON number")
-    try:
-        return found.astype(float, copy=False)
-    except OverflowError as exc:        # an integer past the float range
-        raise ChainFormatError(f"{head}: {exc}") from exc
+    numbers, so a row is scanned for them only where the file may hold them.
+    The first refused row keeps its error for `matrix`, and the rows after it
+    are only counted."""
+
+    def __init__(self, head: str, may_hold_bool: bool):
+        self.head, self.may_hold_bool = head, may_hold_bool
+        self.rows, self.array, self.error = 0, None, None
+
+    def add(self, row) -> None:
+        if self.error is None:
+            try:
+                self._put(row)
+            except ChainFormatError as exc:
+                self.error = exc
+        self.rows += 1
+
+    def _put(self, row) -> None:
+        if type(row) is not list:
+            raise ChainFormatError(f"{self.head} holds {_JSON_KINDS[type(row)]} in place of a row")
+        try:
+            found = np.array(row)
+        except ValueError:                  # arrays of unequal length in the row
+            found = None
+        if found is None or found.ndim != 1 or found.dtype.kind not in "iuf" or self.may_hold_bool:
+            for v in row:
+                if type(v) not in (int, float):
+                    raise ChainFormatError(
+                        f"{self.head} holds {_JSON_KINDS[type(v)]}, not a JSON number")
+        if self.array is None:
+            self.array = np.empty((found.size, found.size))
+        if found.size != self.array.shape[1]:
+            raise ChainFormatError(f"{self.head} has rows of unequal length")
+        if self.rows < found.size:
+            try:
+                self.array[self.rows] = found
+            except OverflowError as exc:    # an integer past the float range
+                raise ChainFormatError(f"{self.head}: {exc}") from exc
+
+    def matrix(self) -> np.ndarray:
+        if self.error is not None:
+            raise self.error
+        if self.array is None:
+            raise ChainFormatError(f"{self.head} has no rows")
+        if self.rows != len(self.array):
+            raise ChainFormatError(
+                f"{self.head} is {self.rows} x {len(self.array)}, not square")
+        return self.array
+
+
+def _read_document(path, text: str, may_hold_bool: bool):
+    """The JSON value of `text` as json.loads reads it, except that the dist
+    and kernel fields of a top-level object become _MatrixRows, read one row
+    at a time.
+
+    Every value is parsed by json's own scanner, and the walk around it
+    follows json's C object and array parsers, so malformed text raises
+    JSONDecodeError with json's message at json's position.  A refused
+    matrix raises only from `matrix`, after the parse, so json's own errors
+    still come first."""
+    decode_error = json.JSONDecodeError
+    ws = json.decoder.WHITESPACE.match
+    scan = json.JSONDecoder(parse_constant=_reject_constant).scan_once
+    doc = {}
+
+    def value(idx):
+        try:
+            return scan(text, idx)
+        except StopIteration as err:
+            raise decode_error("Expecting value", text, err.value) from None
+
+    def members(idx, close, read):
+        # the members of an object or array from text[idx], just past its
+        # opening bracket, each through read(idx) -> end; the end past close
+        idx = ws(text, idx).end()
+        if not text.startswith(close, idx):
+            while True:
+                idx = ws(text, read(idx)).end()
+                if text.startswith(close, idx):
+                    break
+                if not text.startswith(",", idx):
+                    raise decode_error("Expecting ',' delimiter", text, idx)
+                idx = ws(text, idx + 1).end()
+        return idx + 1
+
+    def field(idx):
+        if not text.startswith('"', idx):
+            raise decode_error("Expecting property name enclosed in double quotes", text, idx)
+        key, idx = json.decoder.scanstring(text, idx + 1)
+        idx = ws(text, idx).end()
+        if not text.startswith(":", idx):
+            raise decode_error("Expecting ':' delimiter", text, idx)
+        idx = ws(text, idx + 1).end()
+        if key in ("dist", "kernel"):
+            doc[key] = rows = _MatrixRows(
+                f"{path}: dist/kernel must be numeric matrices: {key}", may_hold_bool)
+            if not text.startswith("[", idx):
+                rows.error = ChainFormatError(f"{rows.head} is not an array of rows")
+                return value(idx)[1]
+
+            def row(at):
+                found, end = value(at)
+                rows.add(found)
+                return end
+            return members(idx + 1, "]", row)
+        doc[key], idx = value(idx)
+        return idx
+
+    if text.startswith("\ufeff"):
+        raise decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    idx = ws(text, 0).end()
+    if text.startswith("{", idx):
+        idx = members(idx + 1, "}", field)
+    else:
+        doc, idx = value(idx)
+    idx = ws(text, idx).end()
+    if idx != len(text):
+        raise decode_error("Extra data", text, idx)
+    return doc
 
 
 def _infer_line_coords(dist: np.ndarray) -> Optional[np.ndarray]:
@@ -306,12 +409,18 @@ def load_chain(path) -> MetricChain:
     Expected fields: `points` (array of distinct labels), `dist` and `kernel`
     (row-major arrays of arrays of JSON numbers), optional `origin` (a label,
     or an integer index).  NaN/Inf are rejected; all invariants including the
-    triangle inequality are checked on load.
+    triangle inequality are checked on load.  The matrices are read one row at
+    a time into their float arrays, so a load peaks at about the file text
+    plus the two arrays.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        doc = json.loads(text, parse_constant=_reject_constant)
+        # JSON's true holds a 'u' and its false an 'a', letters that most chain
+        # files lack (their keys are points, dist, kernel and origin), so the
+        # token search, and the scan for booleans it gates, rarely run
+        may_hold_bool = ("u" in text and "true" in text) or ("a" in text and "false" in text)
+        doc = _read_document(path, text, may_hold_bool)
     except json.JSONDecodeError as exc:
         raise ChainFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -321,10 +430,6 @@ def load_chain(path) -> MetricChain:
         raise ChainFormatError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ChainFormatError(f"{path}: cannot read: {exc.strerror}") from exc
-    # JSON's true holds a 'u' and its false an 'a', letters that most chain
-    # files lack (their keys are points, dist, kernel and origin), so the
-    # token search, and the scan for booleans it gates, rarely run
-    may_hold_bool = ("u" in text and "true" in text) or ("a" in text and "false" in text)
     del text
     if not isinstance(doc, dict):
         raise ChainFormatError(f"{path}: top-level value must be an object")
@@ -336,9 +441,8 @@ def load_chain(path) -> MetricChain:
     points = tuple(str(p) for p in doc["points"])
     if len(set(points)) != len(points):
         raise ChainFormatError(f"{path}: point labels must be distinct")
-    # popped: the parsed lists go as soon as they are arrays
-    dist = _number_matrix(path, "dist", doc.pop("dist"), may_hold_bool)
-    kernel = _number_matrix(path, "kernel", doc.pop("kernel"), may_hold_bool)
+    dist = doc["dist"].matrix()
+    kernel = doc["kernel"].matrix()
     origin = doc.get("origin")
     if origin is not None:
         if isinstance(origin, str):

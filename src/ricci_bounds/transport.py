@@ -316,9 +316,13 @@ def _solve_lp(chain, points, mass, starts, sizes, n_src, batch, local, n_col):
     a_eq = csc_array((np.ones(2 * local.size), rows, np.arange(0, 2 * local.size + 1, 2)),
                      shape=(pts.size, local.size))
     b_eq = np.abs(rhs)
-    # presolve only adds time on these LPs (about 2x on {0,1}^9 batches)
+    # presolve only adds time on these LPs (about 2x on {0,1}^9 batches); at
+    # HiGHS's default feasibility tolerances of 1e-7 a plan can miss its
+    # marginals by more than CERT_TOL, so they are set a tenth of it
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs", options={"presolve": False})
+                  method="highs", options={"presolve": False,
+                                           "primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise TransportError(
             f"transport LP failed for pairs {batch[0]}..{batch[-1]}: {res.message}")

@@ -1,5 +1,8 @@
+import json
+import tempfile
 import tracemalloc
 import unittest.mock
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -396,6 +399,109 @@ def test_load_chain_parse_error_has_location(tmp_path):
     path.write_text('{"points": [,]}')
     with pytest.raises(ChainFormatError, match="line 1"):
         load_chain(path)
+    # every truncation of a chain file, and the file after a byte order mark or
+    # before more text, fails where json.loads fails, with its message
+    doc = {"points": ["a", "\u00e9\"b"], "origin": None,
+           "dist": [[0, 1.5], [15e-1, -0.0]], "kernel": [[0.25, 0.75], [1e-1, 0.9]]}
+    text = json.dumps(doc, indent="\t")
+    for broken in [text[:end] for end in range(len(text))] + ["\ufeff" + text, text + " x"]:
+        path.write_text(broken, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(path.read_text(encoding="utf-8"))
+        with pytest.raises(ChainFormatError) as got:
+            load_chain(path)
+        e = want.value
+        assert str(got.value) == f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
+
+
+_GAPS = st.sampled_from(["", " ", "\t", "\n", "\r\n", " \n\t "])
+
+
+@st.composite
+def spelled_number(draw, value):
+    """`value`, an int or a float, as one of the JSON spellings of its decimal:
+    its own text, or its digits with the point moved into an exponent."""
+    text = str(value) if isinstance(value, int) else repr(value)
+    if draw(st.booleans()):
+        return text
+    sign, digits, exp = Decimal(text).as_tuple()
+    mantissa = "".join(map(str, digits))
+    point = draw(st.integers(1, len(mantissa)))
+    frac = "." + mantissa[point:] if point < len(mantissa) else ""
+    power = exp + len(mantissa) - point
+    return (("-" if sign else "") + mantissa[:point] + frac + draw(st.sampled_from("eE"))
+            + ("+" if power >= 0 and draw(st.booleans()) else "") + str(power))
+
+
+@st.composite
+def spelled_chains(draw):
+    """The text of a valid chain file whose matrices are spelled in many ways:
+    exponents, -0.0 on the diagonal, integers past 2^53 and 2^64, any key
+    order, tabs and newlines, and refused matrices under keys that a later
+    duplicate overrides."""
+    n = draw(st.integers(1, 4))
+    # off-diagonal distances in [lo, 2 lo] satisfy every triangle inequality
+    lo = draw(st.sampled_from([1, 2 ** 53 + 1, 2 ** 64 + 1, 0.75, 3e-7, 4e21]))
+    side = st.integers(lo, 2 * lo) if isinstance(lo, int) else st.floats(lo, 2 * lo)
+    upper = {(i, j): draw(side) for i in range(n) for j in range(i + 1, n)}
+    zero = st.sampled_from(["0", "-0", "0.0", "-0.0", "0e5", "-0E-3"])
+
+    def matrix(spell):
+        rows = ["[" + draw(_GAPS) + ("," + draw(_GAPS)).join(spell(i, j) for j in range(n))
+                + draw(_GAPS) + "]" for i in range(n)]
+        return "[" + draw(_GAPS) + ("," + draw(_GAPS)).join(rows) + draw(_GAPS) + "]"
+
+    def distance(i, j):
+        return draw(zero) if i == j else draw(spelled_number(upper[min(i, j), max(i, j)]))
+
+    counts = [draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+              for _ in range(n)]
+
+    def mass(i, j):
+        value = counts[i][j] / sum(counts[i])
+        return draw(zero) if value == 0 else draw(spelled_number(value))
+
+    fields = [("points", json.dumps([f"p{i}" for i in range(n)])),
+              ("dist", matrix(distance)), ("kernel", matrix(mass))]
+    if draw(st.booleans()):
+        fields.append(("origin", str(draw(st.integers(0, n - 1)))))
+    fields = draw(st.permutations(fields))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(fields) - 1))
+        if fields[at][0] in ("dist", "kernel"):
+            decoy = draw(st.sampled_from(['[[1, "x"]]', "[[true]]", "[]", "[[0], [1, 2]]", "7"]))
+            fields.insert(at, (fields[at][0], decoy))
+    return "{" + draw(_GAPS) + ("," + draw(_GAPS)).join(
+        f'"{key}"{draw(_GAPS)}:{draw(_GAPS)}{value}' for key, value in fields) + draw(_GAPS) + "}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(spelled_chains())
+def test_load_chain_reads_the_numbers_json_reads(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/chain.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        chain = load_chain(path)
+    doc = json.loads(text)
+    for key, got in (("dist", chain.dist), ("kernel", chain.kernel)):
+        assert got.tobytes() == np.array(doc[key], dtype=float).tobytes()
+
+
+def test_a_second_load_of_cube9_peaks_under_10_mb(tmp_path):
+    # the 2.2 MB file text, the two 2 MB matrices and the checks' row blocks;
+    # parsing the whole document into Python lists first peaked near 15 MB
+    cube = cube_chain(9, 0.3)
+    path = write_chain_json(tmp_path / "cube9.json", cube.points, cube.dist.astype(int),
+                            cube.kernel, origin=0)
+    load_chain(path)                              # warm the import caches
+    tracemalloc.start()
+    try:
+        load_chain(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_load_chain_missing_field(tmp_path):

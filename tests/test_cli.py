@@ -362,10 +362,11 @@ def test_bad_input_exit_3(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("origin", [1]), ("origin", {"x": 1}), ("origin", 1.7), ("origin", True),
     ("origin", 7), ("points", 3), ("points", "abc"), ("points", ["a", "a", "c"]),
-    ("dist", [[0, 1], [1, 0], [2, 1]]),
+    ("dist", [[0, 1], [1, 0], [2, 1]]), ("dist", []), ("dist", [[0, 1, 2], [1, 0], [2, 1, 0]]),
+    ("kernel", 1),
 ], ids=["origin_list", "origin_object", "origin_float", "origin_bool",
         "origin_out_of_range", "points_number", "points_string", "points_duplicate",
-        "dist_3x2"])
+        "dist_3x2", "dist_empty", "dist_ragged", "kernel_number"])
 def test_malformed_points_or_origin_exit_3(field, value, tmp_path, capsys):
     chain = biased_reflecting_walk(3, 1 / 3)
     path = write_chain_json(tmp_path / "walk3.json", ["a", "b", "c"], chain.dist,

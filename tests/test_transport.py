@@ -746,6 +746,44 @@ def test_certificate_rejects_a_plan_that_misses_a_marginal(monkeypatch):
 
 # ------------------------------------------------------------- dominance
 
+def curie_weiss_pair():
+    """Heat-bath Glauber rows of the Curie-Weiss model on {0,1}^32, whose law
+    is proportional to exp(beta S^2 / 2N + h S) with S = sum(2 s_i - 1),
+    beta = 0.8 and h = -2: the rows at x (18 ones, then zeros) and at y (x
+    with bit 18 set), on the 64 points of their supports sorted by label,
+    under the Hamming metric.  The other rows stay put.  Returns the chain
+    and the indices of x and y."""
+    n_bits, beta, h = 32, 0.8, -2.0
+    x, y = np.arange(n_bits) < 18, np.arange(n_bits) <= 18
+    flips = np.eye(n_bits, dtype=bool)
+    states = np.unique(np.concatenate([x ^ flips, y ^ flips]), axis=0)
+    index = {s.tobytes(): k for k, s in enumerate(states)}
+    kernel = np.eye(len(states))
+    for s in (x, y):
+        spins = 2 * s - 1
+        up = 1 / (1 + np.exp(-(2 * beta * (spins.sum() - spins) / n_bits + 2 * h)))
+        flip = np.where(s, 1 - up, up) / n_bits      # the redrawn bit changes
+        row = kernel[index[s.tobytes()]]
+        row[index[s.tobytes()]] = 1 - flip.sum()
+        for i in range(n_bits):
+            row[index[(s ^ flips[i]).tobytes()]] = flip[i]
+    dist = (states[:, None, :] != states[None, :, :]).sum(axis=2).astype(float)
+    labels = tuple("".join("01"[int(b)] for b in s) for s in states)
+    return (MetricChain(points=labels, dist=dist, kernel=kernel),
+            index[x.tobytes()], index[y.tobytes()])
+
+
+def test_a_certified_w1_does_not_depend_on_the_order_of_the_pair():
+    # at HiGHS's default feasibility tolerance of 1e-7 the plan of (x, y)
+    # missed a marginal by 6.4e-8, past CERT_TOL, while (y, x) certified
+    chain, x, y = curie_weiss_pair()
+    assert chain.kernel[chain.kernel > 0].min() == pytest.approx(7.18e-4, rel=1e-3)
+    (forward,), _, _ = w1_flow(chain, [x], [y])
+    (backward,), _, _ = w1_flow(chain, [y], [x])
+    assert forward == pytest.approx(0.97091118, abs=1e-8)
+    assert backward == pytest.approx(forward, abs=transport.CERT_TOL)
+
+
 def test_dominance_mmk_rows(mmk_2_4):
     p3, p4 = mmk_2_4.kernel[3], mmk_2_4.kernel[4]
     assert stochastic_dominance_check(p3, p4, mmk_2_4.coords)
