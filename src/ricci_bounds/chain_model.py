@@ -262,30 +262,30 @@ class _MatrixRows:
 
     numpy's dtype discovery tells numbers from strings, and makes null,
     objects and integers past 64 bits objects; true and false it takes as
-    numbers, so a row is scanned for them only where the file may hold them.
-    The first refused row keeps its error for `matrix`, and the rows after it
-    are only counted."""
+    numbers, so a row whose text holds a 't' or an 'f', letters that no JSON
+    number holds, has each value's type checked.  The first refused row keeps
+    its error for `matrix`, and the rows after it are only counted."""
 
-    def __init__(self, head: str, may_hold_bool: bool):
-        self.head, self.may_hold_bool = head, may_hold_bool
+    def __init__(self, head: str):
+        self.head = head
         self.rows, self.array, self.error = 0, None, None
 
-    def add(self, row) -> None:
+    def add(self, row, lettered: bool) -> None:
         if self.error is None:
             try:
-                self._put(row)
+                self._put(row, lettered)
             except ChainFormatError as exc:
                 self.error = exc
         self.rows += 1
 
-    def _put(self, row) -> None:
+    def _put(self, row, lettered: bool) -> None:
         if type(row) is not list:
             raise ChainFormatError(f"{self.head} holds {_JSON_KINDS[type(row)]} in place of a row")
         try:
             found = np.array(row)
         except ValueError:                  # arrays of unequal length in the row
             found = None
-        if found is None or found.ndim != 1 or found.dtype.kind not in "iuf" or self.may_hold_bool:
+        if found is None or found.ndim != 1 or found.dtype.kind not in "iuf" or lettered:
             for v in row:
                 if type(v) not in (int, float):
                     raise ChainFormatError(
@@ -311,75 +311,54 @@ class _MatrixRows:
         return self.array
 
 
-def _read_document(path, text: str, may_hold_bool: bool):
+class _LastKey(dict):
+    """A memo for json's parse_object, which interns each key through
+    `memo.setdefault` just before it scans that key's value: `key` is the
+    field whose value comes next."""
+
+    def setdefault(self, key, default=None):
+        self.key = key
+        return key
+
+
+def _read_document(path, text: str):
     """The JSON value of `text` as json.loads reads it, except that the dist
     and kernel fields of a top-level object become _MatrixRows, read one row
     at a time.
 
-    Every value is parsed by json's own scanner, and the walk around it
-    follows json's C object and array parsers, so malformed text raises
-    JSONDecodeError with json's message at json's position.  A refused
-    matrix raises only from `matrix`, after the parse, so json's own errors
-    still come first."""
-    decode_error = json.JSONDecodeError
-    ws = json.decoder.WHITESPACE.match
-    scan = json.JSONDecoder(parse_constant=_reject_constant).scan_once
-    doc = {}
-
-    def value(idx):
-        try:
-            return scan(text, idx)
-        except StopIteration as err:
-            raise decode_error("Expecting value", text, err.value) from None
-
-    def members(idx, close, read):
-        # the members of an object or array from text[idx], just past its
-        # opening bracket, each through read(idx) -> end; the end past close
-        idx = ws(text, idx).end()
-        if not text.startswith(close, idx):
-            while True:
-                idx = ws(text, read(idx)).end()
-                if text.startswith(close, idx):
-                    break
-                if not text.startswith(",", idx):
-                    raise decode_error("Expecting ',' delimiter", text, idx)
-                idx = ws(text, idx + 1).end()
-        return idx + 1
-
-    def field(idx):
-        if not text.startswith('"', idx):
-            raise decode_error("Expecting property name enclosed in double quotes", text, idx)
-        key, idx = json.decoder.scanstring(text, idx + 1)
-        idx = ws(text, idx).end()
-        if not text.startswith(":", idx):
-            raise decode_error("Expecting ':' delimiter", text, idx)
-        idx = ws(text, idx + 1).end()
-        if key in ("dist", "kernel"):
-            doc[key] = rows = _MatrixRows(
-                f"{path}: dist/kernel must be numeric matrices: {key}", may_hold_bool)
-            if not text.startswith("[", idx):
-                rows.error = ChainFormatError(f"{rows.head} is not an array of rows")
-                return value(idx)[1]
-
-            def row(at):
-                found, end = value(at)
-                rows.add(found)
-                return end
-            return members(idx + 1, "]", row)
-        doc[key], idx = value(idx)
-        return idx
-
+    json parses the structure: its parse_object walks a top-level object,
+    its parse_array each matrix's array of rows, its C scan_once reads every
+    value, and its decode the whitespace around them, so malformed text
+    raises JSONDecodeError with json's message at json's position on every
+    Python.  The _LastKey memo tells the value hook when it is at dist or
+    kernel.  A refused matrix raises only from `matrix`, after the parse,
+    so json's own errors still come first."""
     if text.startswith("\ufeff"):
-        raise decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    idx = ws(text, 0).end()
-    if text.startswith("{", idx):
-        idx = members(idx + 1, "}", field)
-    else:
-        doc, idx = value(idx)
-    idx = ws(text, idx).end()
-    if idx != len(text):
-        raise decode_error("Extra data", text, idx)
-    return doc
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    decoder = json.JSONDecoder(parse_constant=_reject_constant)
+    scan, memo = decoder.scan_once, _LastKey()
+
+    def value(s, idx):
+        if memo.key not in ("dist", "kernel"):
+            return scan(s, idx)
+        rows = _MatrixRows(f"{path}: dist/kernel must be numeric matrices: {memo.key}")
+        if not s.startswith("[", idx):
+            rows.error = ChainFormatError(f"{rows.head} is not an array of rows")
+            return rows, scan(s, idx)[1]
+
+        def row(s, at):
+            found, end = scan(s, at)
+            rows.add(found, s.find("t", at, end) >= 0 or s.find("f", at, end) >= 0)
+            return None, end
+        return rows, decoder.parse_array((s, idx + 1), row)[1]
+
+    def document(s, idx):
+        if s.startswith("{", idx):
+            return decoder.parse_object((s, idx + 1), decoder.strict, value, None, None, memo)
+        return scan(s, idx)
+
+    decoder.scan_once = document
+    return decoder.decode(text)
 
 
 def _infer_line_coords(dist: np.ndarray) -> Optional[np.ndarray]:
@@ -409,18 +388,16 @@ def load_chain(path) -> MetricChain:
     Expected fields: `points` (array of distinct labels), `dist` and `kernel`
     (row-major arrays of arrays of JSON numbers), optional `origin` (a label,
     or an integer index).  NaN/Inf are rejected; all invariants including the
-    triangle inequality are checked on load.  The matrices are read one row at
-    a time into their float arrays, so a load peaks at about the file text
-    plus the two arrays.
+    triangle inequality are checked on load.  json's own parse_object and
+    parse_array walk the file (the memo hook of `_read_document` finds dist
+    and kernel), and its C scan_once reads each row into the matrix's float
+    array; only a row whose text holds a 't' or an 'f' has each value's type
+    checked.  So no Python object tree of the matrices is built.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        # JSON's true holds a 'u' and its false an 'a', letters that most chain
-        # files lack (their keys are points, dist, kernel and origin), so the
-        # token search, and the scan for booleans it gates, rarely run
-        may_hold_bool = ("u" in text and "true" in text) or ("a" in text and "false" in text)
-        doc = _read_document(path, text, may_hold_bool)
+        doc = _read_document(path, text)
     except json.JSONDecodeError as exc:
         raise ChainFormatError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc

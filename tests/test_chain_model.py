@@ -414,6 +414,46 @@ def test_load_chain_parse_error_has_location(tmp_path):
         assert str(got.value) == f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
 
 
+def test_load_chain_parse_errors_match_json_after_one_edit(tmp_path):
+    # trailing commas, which Python 3.13 names in messages of its own: in the
+    # top-level object, in dist's rows and inside a row; then the doc above with
+    # one character dropped, or with a comma put before it
+    path = tmp_path / "broken.json"
+    doc = {"points": ["a", "é\"b"], "origin": None,
+           "dist": [[0, 1.5], [15e-1, -0.0]], "kernel": [[0.25, 0.75], [1e-1, 0.9]]}
+    text = json.dumps(doc, indent=1)
+    edits = (['{"points": ["a"],}', '{"points": ["a"], "dist": [[0],]}',
+              '{"points": ["a"], "dist": [[0] , ] }', '{"points": ["a"], "dist": [[0,]]}',
+              '{"points": ["a"], "kernel": [[1], [0 ,\n]]}']
+             + [text[:at] + text[at + 1:] for at in range(len(text))]
+             + [text[:at] + "," + text[at:] for at in range(len(text))])
+    checked = 0
+    for broken in edits:
+        try:
+            json.loads(broken)
+            continue                       # an edit to a blank or a string: still JSON
+        except json.JSONDecodeError as e:
+            want = f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
+        path.write_text(broken, encoding="utf-8")
+        with pytest.raises(ChainFormatError) as got:
+            load_chain(path)
+        assert str(got.value) == want, broken
+        checked += 1
+    assert checked > len(text)
+
+
+def test_load_chain_keeps_labels_that_spell_json_values(tmp_path):
+    # labels are str() of the points' JSON values; "true" and "false" are
+    # strings, which leave the rows' own booleans check alone
+    path = tmp_path / "labels.json"
+    for labels, want in (([[0, 0], [0, 1]], ("[0, 0]", "[0, 1]")),
+                         (["true", "false"], ("true", "false"))):
+        write_chain_json(path, labels, [[0, 1], [1, 0]], [[0.5, 0.5], [0.25, 0.75]])
+        chain = load_chain(path)
+        assert chain.points == want
+        assert chain.kernel.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+
+
 _GAPS = st.sampled_from(["", " ", "\t", "\n", "\r\n", " \n\t "])
 
 

@@ -982,6 +982,10 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
      "error: {chain}: dist/kernel must be numeric matrices: dist holds true or false, "
      "not a JSON number"),
     (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
+     dict(_WALK3_DOC, dist=[[0, 1, 2], [1, 0, 1], [2, False, 0]]),
+     "error: {chain}: dist/kernel must be numeric matrices: dist holds true or false, "
+     "not a JSON number"),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1", "--origin", "0"],
      dict(_WALK3_DOC, kernel=[[float("nan")] * 3] * 3),
      "error: {chain}: non-finite number 'NaN' not accepted"),
     (["curvature", "--chain", "{chain}", "--epsilon", "1"], dict(_WALK3_DOC, origin="z"),
@@ -996,7 +1000,7 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
         "no_origin", "example_mmk_without_n0", "sweep_without_epsilons", "grid_too_small",
         "no_paths",
         "chain_file_list", "chain_file_strings", "chain_file_numeric_strings",
-        "chain_file_booleans", "chain_file_nan", "chain_file_unknown_origin",
+        "chain_file_booleans", "chain_file_false", "chain_file_nan", "chain_file_unknown_origin",
         "chain_file_negative_dist", "one_point_chain_without_epsilon"])
 def test_every_refusal_exits_3_with_its_message(argv, doc, message, tmp_path, capsys):
     chain = tmp_path / "chain.json"
