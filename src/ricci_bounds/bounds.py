@@ -8,13 +8,13 @@ convexity line search in alpha), and the epsilon sweep exposing the
 rho-versus-curvature trade-off.
 
 All integrals of the piecewise-constant envelope are evaluated in closed
-form; quadrature exists only as a test-side oracle.  The (alpha, d0)
-helpers take floats or broadcasting arrays, and take log1p and ln(1 - e^x)
+form; quadrature exists only as a test-side oracle.  `_conditions` is the
+one (alpha, d0) evaluator: the four admissibility conditions, ln C and
+ln(C' C/(1-C)), on floats or broadcasting arrays, with log1p and ln(1 - e^x)
 from libm entry by entry, as numpy's differ from it in the last bit.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -165,44 +165,31 @@ def _at_d0(profile: CurvatureProfile, d0) -> _AtD0:
 
 
 @np.errstate(all="ignore")
-def _ln_C(profile: CurvatureProfile, at: _AtD0, alpha):
-    t = alpha * profile.s2 * at.kd0
-    if not np.all(t < 1.0):
-        raise InadmissibleParamsError(
-            f"alpha*s^2*K(d0) = {np.max(t):.6g} >= 1: C is undefined there")
-    f = at.fd0
-    return (-alpha * f * f * (1.0 - alpha * profile.s2 / (2.0 * (1.0 - t)))
-            - 0.5 * _libm(math.log1p, -t))
-
-
-@np.errstate(all="ignore")
-def _ln_prefactor(profile: CurvatureProfile, at: _AtD0, alpha):
-    """ln(C' C/(1-C)); +inf where C >= 1 or is undefined."""
-    ln_c = _conditions(profile, at, alpha)[1]
+def _conditions(profile: CurvatureProfile, at: _AtD0, alpha):
+    """The four admissibility conditions, ln C and ln(C' C/(1-C)); each log
+    is +inf where C is undefined (alpha s^2 K(d0) >= 1), the last also where C >= 1."""
+    c3 = alpha * profile.s2 * at.kd0 < 1.0
+    a = np.where(c3, alpha, 0.0)
+    t = a * profile.s2 * at.kd0
+    ln_c = np.where(c3, -a * at.fd0 * at.fd0 * (1.0 - a * profile.s2 / (2.0 * (1.0 - t)))
+                    - 0.5 * _libm(math.log1p, -t), math.inf)[()]
     undefined = ln_c >= 0
     tail = _libm(_ln_one_minus_exp, np.where(undefined, -1.0, ln_c))
-    return np.where(undefined, math.inf, alpha * at.rate + ln_c - tail)[()]
+    ln_prefactor = np.where(undefined, math.inf, alpha * at.rate + ln_c - tail)[()]
+    return (at.d0_ge_2eps, at.fd0 > at.s2K / 2.0, c3, ln_c < 0.0), ln_c, ln_prefactor
 
 
 @np.errstate(all="ignore")
-def _ln_bound(profile: CurvatureProfile, at: _AtD0, alpha, phi_l):
+def _ln_bound(at: _AtD0, alpha, ln_prefactor, phi_l):
     """ln of the general bound C' C/(1-C) exp(-alpha (phi(l) - phi(d0)))."""
-    return _ln_prefactor(profile, at, alpha) - alpha * (phi_l - at.phi_d0)
-
-
-@np.errstate(all="ignore")
-def _conditions(profile: CurvatureProfile, at: _AtD0, alpha):
-    """The four admissibility conditions, and ln C (+inf where C is undefined)."""
-    c3 = alpha * profile.s2 * at.kd0 < 1.0
-    ln_c = np.where(c3, _ln_C(profile, at, np.where(c3, alpha, 0.0)), math.inf)[()]
-    return (at.d0_ge_2eps, at.fd0 > at.s2K / 2.0, c3, ln_c < 0.0), ln_c
+    return ln_prefactor - alpha * (phi_l - at.phi_d0)
 
 
 def admissibility(profile: CurvatureProfile, alpha: float, d0: float,
                   strategy: str = "manual") -> BoundParams:
     """Evaluate the four admissibility conditions for an (alpha, d0) pair."""
     at = _at_d0(profile, d0)
-    (c1, c2, c3, c4), ln_c = _conditions(profile, at, alpha)
+    (c1, c2, c3, c4), ln_c, _ = _conditions(profile, at, alpha)
     report = {
         "d0_ge_2eps": {"holds": bool(c1), "d0": d0, "two_eps": 2 * profile.epsilon},
         "F_exceeds_half_s2K": {"holds": bool(c2), "F_d0": at.fd0, "s2K_half": at.s2K / 2.0},
@@ -233,7 +220,8 @@ def bound_princ(profile: CurvatureProfile, params: BoundParams,
     levels = np.asarray(levels, dtype=float)
     if levels.size and float(levels.min()) < params.d0 - LEVEL_TOL:
         raise ValueError(f"levels must be >= d0 = {params.d0}")
-    ln_vals = _ln_bound(profile, _at_d0(profile, params.d0), params.alpha,
+    at = _at_d0(profile, params.d0)
+    ln_vals = _ln_bound(at, params.alpha, _conditions(profile, at, params.alpha)[2],
                         phi_of(profile, levels))
     with np.errstate(over="ignore"):  # past the float range the bound is +inf
         values = np.exp(ln_vals)
@@ -327,7 +315,8 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
     if strategy == "alpha_convexity":
         at = _at_d0(profile, default_d0)
         lo, hi = 0.0, min(at.limit, 2.0 / profile.s2) * (1.0 - 1e-9)
-        objective = functools.partial(_ln_prefactor, profile, at)
+        def objective(alpha):
+            return _conditions(profile, at, alpha)[2]
         probe = np.linspace(lo + (hi - lo) * 1e-4, hi * (1 - 1e-9), 64)
         finite = probe[objective(probe) < math.inf]
         if not finite.size:
@@ -372,9 +361,9 @@ def search_params(profile: CurvatureProfile, strategy: str = "paper_default",
     at = _at_d0(profile, d0[:, None])  # one row per d0, one column per alpha
     cap = np.minimum(at.limit, 2.0 / profile.s2)[:, 0]
     alpha = np.geomspace(cap / 1000.0, cap * (1.0 - 1e-9), GRID_POINTS, axis=1)
-    (c1, c2, c3, c4), _ = _conditions(profile, at, alpha)
+    (c1, c2, c3, c4), _, ln_prefactor = _conditions(profile, at, alpha)
     ok = ~(d0[:, None] > reference_level) & c1 & c2 & c3 & c4
-    vals = _ln_bound(profile, at, alpha, phi_of(profile, reference_level))[ok]
+    vals = _ln_bound(at, alpha, ln_prefactor, phi_of(profile, reference_level))[ok]
     if vals.size:
         # the first least value in scan order, as a strict-< scan keeps it
         # (a leading nan stays)
@@ -431,7 +420,8 @@ def epsilon_sweep(chain: MetricChain, origin: int, epsilons: Sequence[float],
             return row + [math.nan, math.nan, math.inf, str(exc)]
         if params.d0 > reference_level:
             return row + [params.alpha, params.d0, math.inf, "d0 beyond reference level"]
-        ln_val = _ln_bound(profile, _at_d0(profile, params.d0), params.alpha,
+        at = _at_d0(profile, params.d0)
+        ln_val = _ln_bound(at, params.alpha, _conditions(profile, at, params.alpha)[2],
                            phi_of(profile, reference_level))
         return row + [params.alpha, params.d0, _exp_or_inf(ln_val), ""]
 

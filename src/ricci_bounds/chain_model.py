@@ -163,7 +163,7 @@ class MetricChain:
                 raise ChainValidationError(
                     f"triangle inequality violated by {slack[k, j]:.3e}: "
                     f"d({i},{j}) > d({i},{k}) + d({k},{j})")
-            if np.all(excess >= -GEODESIC_TOL):
+            if excess.min() >= -GEODESIC_TOL:
                 # |sp - d| <= GEODESIC_TOL: check_epsilon_geodesic's answer on this graph
                 object.__setattr__(self, "geodesic_at", float(t))
                 return
@@ -532,7 +532,7 @@ def _hop_lengths(graph: csr_array, w: float) -> Optional[np.ndarray]:
     else:
         return None
     lengths.append(np.inf)
-    return np.take(np.array(lengths), hops)
+    return np.array(lengths)[hops]
 
 
 def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> Optional[Tuple[int, int]]:

@@ -18,7 +18,7 @@ from ricci_bounds import (JumpProcessConfig, attraction_rho,
                           stationary_power, subgaussian_s2, tail_comparison,
                           theorem1_params, transform_I, truncation_audit,
                           tv_distance, w1_flow, w1_line, local_curvature)
-from ricci_bounds.bounds import _at_d0, _exp_or_inf, _ln_C
+from ricci_bounds.bounds import _at_d0, _conditions, _exp_or_inf
 
 from conftest import line_chain, rows_chain, sampled_paths
 from dickman import dickman_tail, transform_I_quadrature
@@ -362,9 +362,9 @@ def test_criterion_8_structural_properties(mmk_2_4, mmk_5_10):
                 2.0 / prof.s2, 0.98 / (prof.s2 * kd0))
             grid = np.linspace(upper / 64, upper, 64)
             at = _at_d0(prof, d0)
-            vals = np.array([_ln_C(prof, at, a) for a in grid])
+            vals = np.array([_conditions(prof, at, a)[1] for a in grid])
             worst_second_diff = min(worst_second_diff, float(np.diff(vals, 2).min()))
-            if _exp_or_inf(_ln_C(prof, at, 0.0)) != 1.0:
+            if _exp_or_inf(_conditions(prof, at, 0.0)[1]) != 1.0:
                 ok = False
                 details.append(f"C(0, {d0}) != 1")
     convex_ok = worst_second_diff >= -1e-9

@@ -15,9 +15,9 @@ from ricci_bounds import (CurvatureProfile, F_of, Phi_of, StepFunction, bound_pr
                           epsilon_sweep, phi_of, search_params,
                           stationary_birth_death, empirical_tail,
                           theorem1_params)
-from ricci_bounds.bounds import (_at_d0, _conditions, _exp_or_inf, _ln_bound, _ln_C,
-                                 _ln_one_minus_exp, _ln_prefactor, admissibility,
-                                 ln_C0_of, paper_default_d0)
+from ricci_bounds.bounds import (_at_d0, _conditions, _exp_or_inf, _ln_bound,
+                                 _ln_one_minus_exp, admissibility, ln_C0_of,
+                                 paper_default_d0)
 from ricci_bounds.chain_model import build_discrete_ou_chain
 from ricci_bounds.errors import (InadmissibleParamsError, InfeasibleSearchError,
                                  NoAttractivePointError)
@@ -26,8 +26,8 @@ from conftest import biased_reflecting_walk, cube_chain
 
 
 def ln_C(prof, alpha, d0):
-    """ln C_{alpha,d0}, from the package's terms at d0."""
-    return _ln_C(prof, _at_d0(prof, d0), alpha)
+    """ln C_{alpha,d0}, from the package's terms at d0 (+inf where C is undefined)."""
+    return _conditions(prof, _at_d0(prof, d0), alpha)[1]
 
 
 def synthetic_profile(eps=1.0, rho=0.3, j0=0.0, s2=1.0, k_const=0.0, k_until=np.inf):
@@ -230,9 +230,16 @@ def test_C_paper_default_bound(prof_5_10):
 
 
 def test_C_domain_error():
+    # alpha*s2*K = 1.25 >= 1: C is undefined, the report says so, and no
+    # bound is given at these parameters
     prof = synthetic_profile(rho=0.2, k_const=0.5)
+    params = admissibility(prof, 2.5, 3.0)
+    report = params.admissibility_report
+    assert not report["alpha_below_inverse_s2K"]["holds"]
+    assert report["C_below_one"] == {"holds": False, "C": math.inf}
+    assert not params.admissible
     with pytest.raises(InadmissibleParamsError):
-        ln_C(prof, 2.5, 3.0)  # alpha*s2*K = 1.25 >= 1
+        bound_princ(prof, params, [3.0])
 
 
 def test_Cprime_trivial_cases():
@@ -297,7 +304,7 @@ def test_C0_is_inf_where_rho_squared_underflows():
 def test_ln_prefactor_is_inf_where_C_is_at_least_one():
     prof = synthetic_profile(rho=0.01, k_const=0.5)
     assert ln_C(prof, 1.0, 2.0) >= 0
-    assert _ln_prefactor(prof, _at_d0(prof, 2.0), 1.0) == math.inf
+    assert _conditions(prof, _at_d0(prof, 2.0), 1.0)[2] == math.inf
 
 
 def test_paper_default_d0():
@@ -530,23 +537,41 @@ def test_search_grid_builds_the_d0_terms_in_one_call(prof_5_10, monkeypatch):
     assert np.size(calls[0]) == bounds_mod.GRID_POINTS + 1 and calls[1] == params.d0
 
 
+def test_search_grid_evaluates_its_lattice_once(prof_5_10, monkeypatch):
+    # one conditions call gives the lattice both its mask and its values; the
+    # one entry more of each is the winner's admissibility report
+    _, prof = prof_5_10
+    entries = {}
+    real = bounds_mod._libm
+
+    def counted(f, x):
+        entries[f.__name__] = entries.get(f.__name__, 0) + np.size(x)
+        return real(f, x)
+
+    monkeypatch.setattr(bounds_mod, "_libm", counted)
+    search_params(prof, "grid", reference_level=200.0)
+    lattice = (bounds_mod.GRID_POINTS + 1) * bounds_mod.GRID_POINTS
+    assert entries == {"log1p": lattice + 1, "_ln_one_minus_exp": lattice + 1}
+
+
 def test_search_grid_keeps_a_leading_nan_as_a_strict_scan_does(prof_5_10, monkeypatch):
     # `val < best` never replaces a nan that comes first, so a nan at the
     # first admissible point of the lattice wins over every later value
     _, prof = prof_5_10
     unpatched = search_params(prof, "grid", reference_level=200.0)
-    real = bounds_mod._ln_bound
+    real = bounds_mod._conditions
     first = []
 
-    def leading_nan(profile, at, alpha, phi_l):
-        vals = real(profile, at, alpha, phi_l)
-        ok = np.logical_and.reduce(np.broadcast_arrays(*_conditions(profile, at, alpha)[0]))
-        i, j = np.argwhere(ok)[0]
-        vals[i, j] = math.nan
-        first.append((float(alpha[i, j]), i))
-        return vals
+    def leading_nan(profile, at, alpha):
+        conds, ln_c, prefactor = real(profile, at, alpha)
+        if np.ndim(alpha) == 2:   # the lattice, not the winner's report
+            ok = np.logical_and.reduce(np.broadcast_arrays(*conds))
+            i, j = np.argwhere(ok)[0]
+            prefactor[i, j] = math.nan
+            first.append((float(alpha[i, j]), i))
+        return conds, ln_c, prefactor
 
-    monkeypatch.setattr(bounds_mod, "_ln_bound", leading_nan)
+    monkeypatch.setattr(bounds_mod, "_conditions", leading_nan)
     params = search_params(prof, "grid", reference_level=200.0)
     eps2 = 2 * prof.epsilon
     d0s = np.linspace(eps2, eps2 + 10 * (prof.rho + prof.s2 / prof.rho), bounds_mod.GRID_POINTS)
@@ -646,29 +671,24 @@ def test_lattice_helpers_match_their_scalar_calls(case, d0s, alphas):
     for field, column in zip(at, zip(*ats)):
         assert _bits(field).ravel().tolist() == _bits(column).tolist()
 
-    conds, ln_c = _conditions(prof, at, alpha)
-    prefactor = _ln_prefactor(prof, at, alpha)
-    ln_bound = _ln_bound(prof, at, alpha, phi_l)
+    conds, ln_c, prefactor = _conditions(prof, at, alpha)
+    ln_bound = _ln_bound(at, alpha, prefactor, phi_l)
     defined = np.broadcast_to(conds[2], ln_c.shape)
     assert not defined.all()  # the nan alpha
-    with pytest.raises(InadmissibleParamsError):
-        _ln_C(prof, at, alpha)
+    # a call on the entries where C is defined, and on them alone, gives the same bits
     at_defined = bounds_mod._AtD0(*(np.broadcast_to(f, ln_c.shape)[defined] for f in at))
-    ln_c_defined = _ln_C(prof, at_defined, np.broadcast_to(alpha, ln_c.shape)[defined])
+    _, ln_c_defined, prefactor_defined = _conditions(
+        prof, at_defined, np.broadcast_to(alpha, ln_c.shape)[defined])
     assert _bits(ln_c_defined).tolist() == _bits(ln_c[defined]).tolist()
+    assert _bits(prefactor_defined).tolist() == _bits(prefactor[defined]).tolist()
     for (i, j), c_ij in np.ndenumerate(ln_c):
         a = float(alpha[j])
-        conds_ij, ln_c_ij = _conditions(prof, ats[i], a)
+        conds_ij, ln_c_ij, prefactor_ij = _conditions(prof, ats[i], a)
         assert [bool(c) for c in conds_ij] == \
             [bool(np.broadcast_to(c, ln_c.shape)[i, j]) for c in conds]
         assert _bits(ln_c_ij) == _bits(c_ij)
-        if defined[i, j]:
-            assert _bits(_ln_C(prof, ats[i], a)) == _bits(c_ij)
-        else:
-            with pytest.raises(InadmissibleParamsError):
-                _ln_C(prof, ats[i], a)
-        assert _bits(_ln_prefactor(prof, ats[i], a)) == _bits(prefactor[i, j])
-        assert _bits(_ln_bound(prof, ats[i], a, phi_l)) == _bits(ln_bound[i, j])
+        assert _bits(prefactor_ij) == _bits(prefactor[i, j])
+        assert _bits(_ln_bound(ats[i], a, prefactor_ij, phi_l)) == _bits(ln_bound[i, j])
 
 
 def test_ln_C_convex_in_alpha(prof_5_10):

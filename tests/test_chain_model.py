@@ -298,6 +298,23 @@ def test_search_matches_dijkstra_on_hamming_cubes(bits):
     assert np.array_equal(lengths, d)
 
 
+def test_a_cube9_search_makes_no_index_copy_of_its_hop_counts():
+    # the 512 x 512 float64 lengths take 2.1 MB; casting the uint8 hop counts
+    # to an 8-byte index before the lookup cost another 2.1 MB
+    states = np.arange(512)
+    flips = states[:, None] ^ states[None, :]
+    d = sum((flips >> b) & 1 for b in range(9)).astype(float)
+    chain_model._shortest_paths(d, 1.0)           # warm the import caches
+    tracemalloc.start()
+    try:
+        lengths = chain_model._shortest_paths(d, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(lengths, d)
+    assert peak < 3.5e6, peak
+
+
 def _path_or_two(n):
     """d = 1 between neighbours on a path of n points, else 2."""
     idx = np.arange(n)

@@ -15,12 +15,14 @@ import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ricci_bounds import MetricChain
 from ricci_bounds import bounds as bounds_mod
 from ricci_bounds import chain_model, cli, transport
 from ricci_bounds import jump_process as jp
 from ricci_bounds import equilibrium as eq
 from ricci_bounds.chain_model import build_mmk_chain
 from ricci_bounds.cli import main
+from ricci_bounds.curvature import local_curvature
 from ricci_bounds.errors import TransportError
 
 from conftest import (biased_reflecting_walk, cube_chain, irregular_line_chain,
@@ -777,6 +779,36 @@ def test_exit_code_is_documented_and_bad_origin_is_bad_input(case):
     assert code in (0, 2, 3)
     if command != "stationary" and not 0 <= origin < chain.n:   # stationary reads no origin
         assert code == 3
+
+
+@pytest.mark.filterwarnings("ignore:.*no neighbour within")
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_relabelling_the_points_moves_no_curvature_and_no_exit_code(seed, data):
+    # a permutation of the points reorders every pair, every transport block
+    # and the classes that the transport dedup groups by their bytes; one
+    # kernel row copied onto another point gives that dedup copies to find
+    rng = np.random.default_rng(seed)
+    base = random_graph_chain(rng)
+    kernel = base.kernel.copy()
+    a, b = rng.choice(base.n, size=2, replace=False)
+    kernel[b] = kernel[a]
+    chain = MetricChain(points=base.points, dist=base.dist, kernel=kernel)
+    perm = rng.permutation(chain.n)          # point i of the relabelled chain is point perm[i]
+    relabelled = MetricChain(points=tuple(chain.points[p] for p in perm),
+                             dist=chain.dist[np.ix_(perm, perm)], kernel=kernel[np.ix_(perm, perm)])
+    eps = data.draw(st.sampled_from(sorted(set(chain.dist[chain.dist > 0].tolist()))[:4]))
+    origin = data.draw(st.integers(0, chain.n - 1))
+    back = np.argsort(perm)
+    np.testing.assert_allclose(local_curvature(relabelled, eps)[back],
+                               local_curvature(chain, eps), rtol=0, atol=transport.CERT_TOL)
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, c, o in (("chain", chain, origin), ("relabelled", relabelled, back[origin])):
+            path = write_chain_json(Path(tmp) / f"{name}.json", c.points, c.dist, c.kernel)
+            codes.append(run_cli(["curvature", "--chain", str(path), "--epsilon", repr(eps),
+                                  "--origin", str(o), "--out", str(Path(tmp) / name)]))
+    assert codes[0] == codes[1]
 
 
 @st.composite
