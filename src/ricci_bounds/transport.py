@@ -22,9 +22,10 @@ the 2304 neighbouring pairs pose 14 to 52 distinct LPs, by the symmetry that
 gives Ollivier's kappa = 1/N.  The certificate reads nothing else, so the
 one that proves the first copy optimal proves every copy optimal.  Pairs are
 classed by their masses first, and each pair of a class but its first has
-its distances gathered once and compared bit for bit with the first's; only
-pairs that differ from it are hashed, from those same distances, so on
-{0,1}^9 each pair's distances are gathered once and none are hashed.
+its distances gathered once and compared bit for bit with the first's; a
+pair that differs from it is keyed in a dict by its class and the bytes of
+those same distances, so no pair's distances are gathered twice.  On
+{0,1}^9 every pair matches its class's first, and none is keyed.
 """
 from __future__ import annotations
 
@@ -141,57 +142,37 @@ def _first_copies(chain, points, mass, starts, sizes, n_var):
     Blocks are classed by size and mass bytes first, in O(nnz).  Each block
     of a class of two or more but its first is then gathered once, one
     group's worth of blocks at a time, and compared bit for bit with its
-    class's first block, gathered once per class (`_match_heads`); a block
-    that matches is a copy, with no hash.  Only the blocks that differ are
-    hashed, from the distances already gathered, to one uint64 each, and
-    re-classed by class and hash; each of those that is not the first of its
-    new class is gathered once more and compared with that first bit for
-    bit.  So a block is gathered once, or twice where its class's masses pose
-    more than one LP, and a hash collision costs a solve, never a wrong W1.
+    class's first block, gathered once per class; a block that matches is a
+    copy.  A block that differs is keyed in one dict by its class's first
+    and its distances' bytes, and its first copy is the earliest block with
+    an equal key; the dict compares the bytes on every hash match, so no
+    two LPs are ever merged.  No block is gathered twice, and the dict holds
+    8 s^2 bytes for each distinct block that differs from its class's first.
+
+    The blocks go in order of size, then class, then list order, so the
+    first block to set a key is its earliest, and a class's first is
+    gathered once for all of its blocks: only the last class of a group can
+    have blocks in the next, and its first's distances are carried over.
     """
     first = np.arange(starts.size)
     for s in np.unique(sizes):
         k = np.flatnonzero(sizes == s)
         first[k] = k[_first_equal_rows(mass[starts[k][:, None] + np.arange(s)].view(np.uint64))]
     tail = np.flatnonzero(first != np.arange(starts.size))
-    odd, keys = [], []
-    for j, words, same in _match_heads(chain, points, starts, sizes, n_var, tail, first[tail]):
-        if not same.all():
-            odd.append(tail[j[~same]])
-            keys.append(_hash_rows(words[~same]))
-    if not odd:
-        return first
-    # within a class the blocks that differ come in list order, so each new
-    # class's first is its earliest block
-    odd = np.concatenate(odd)
-    first[odd] = odd[_first_equal_rows(
-        np.column_stack([first[odd].astype(np.uint64), np.concatenate(keys)]))]
-    copy = odd[first[odd] != odd]
-    for j, _, same in _match_heads(chain, points, starts, sizes, n_var, copy, first[copy]):
-        alone = copy[j[~same]]
-        first[alone] = alone
-    return first
-
-
-def _match_heads(chain, points, starts, sizes, n_var, blocks, heads):
-    """(j, words, same) for one group's worth of the blocks, blocks[j] of
-    one size: their s x s distances as uint64 rows and whether each row
-    equals its head block's (heads[j]) bit for bit.
-
-    Blocks go in order of size, then head, then list order, and a head is
-    gathered once for all of its blocks: only the last head of a group can
-    have blocks in the next, and its distances are carried over to it."""
-    order = np.lexsort((heads, sizes[blocks]))
-    carry, carried = -1, None
-    for s, j in _chunks(sizes[blocks[order]], n_var[blocks[order]]):
-        j = order[j]
-        words = _words(_block_distances(chain, points, starts[blocks[j]], s))
-        head, at = np.unique(heads[j], return_inverse=True)
+    tail = tail[np.lexsort((first[tail], sizes[tail]))]
+    carry, carried, keyed = -1, None, {}
+    for s, j in _chunks(sizes[tail], n_var[tail]):
+        blocks = tail[j]
+        words = _words(_block_distances(chain, points, starts[blocks], s))
+        head, at = np.unique(first[blocks], return_inverse=True)
         head_words = _words(_block_distances(chain, points, starts[head[head != carry]], s))
         if head[0] == carry:
             head_words = np.concatenate([carried, head_words])
         carry, carried = head[-1], head_words[-1:]
-        yield j, words, (words == head_words[at]).all(axis=1)
+        differ = ~(words == head_words[at]).all(axis=1)
+        for b, row in zip(blocks[differ], words[differ]):
+            first[b] = keyed.setdefault((first[b], row.tobytes()), b)
+    return first
 
 
 def _words(d):
@@ -224,18 +205,6 @@ def _block_distances(chain, points, starts, s):
     starts at `starts` in `points`."""
     p = points[starts[:, None] + np.arange(s)]
     return chain.dist[p[:, :, None], p[:, None, :]]
-
-
-def _hash_rows(words):
-    """One uint64 per row of `words`: the wrapping sum of splitmix64 of each
-    word plus its column times the golden ratio (Steele et al., OOPSLA 2014)."""
-    x = words + np.arange(words.shape[1], dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x.sum(axis=1, dtype=np.uint64)
 
 
 def _certified(gap, lip, primal):

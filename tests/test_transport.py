@@ -89,24 +89,17 @@ def watch_dedup(monkeypatch):
     """A dict that gets, from `w1_flow`'s call of `_first_copies`, its map of
     each block to its first copy ("first", block indices), the start in
     `points` of each block ("starts") and of each block whose distances it
-    gathers, once per gather ("gathered"), and the number of blocks it
-    hashes ("hashed")."""
-    real_first, real_gather, real_hash = (transport._first_copies, transport._block_distances,
-                                          transport._hash_rows)
-    seen = {"gathered": [], "hashed": 0}
+    gathers, once per gather ("gathered")."""
+    real_first, real_gather = transport._first_copies, transport._block_distances
+    seen = {"gathered": []}
 
     def gather(chain, points, starts, s):
         seen["gathered"] += starts.tolist()
         return real_gather(chain, points, starts, s)
 
-    def hash_rows(words):
-        seen["hashed"] += len(words)
-        return real_hash(words)
-
     def first_copies(chain, points, mass, starts, sizes, n_var):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(transport, "_block_distances", gather)
-            patch.setattr(transport, "_hash_rows", hash_rows)
             first = real_first(chain, points, mass, starts, sizes, n_var)
         seen["starts"] = starts.tolist()
         seen["first"] = first
@@ -477,27 +470,24 @@ def test_a_mass_one_ulp_away_is_its_own_lp(monkeypatch):
         assert value == pytest.approx(w1_rows_lp(chain, x, y), abs=1e-9)
 
 
-def test_colliding_hashes_are_told_apart_by_their_bits(monkeypatch):
-    # two pairs of the same masses on points at other distances: with every
-    # hash equal, only the bitwise comparison keeps them two LPs
+def test_equal_masses_on_other_distances_stay_two_lps(monkeypatch):
+    # two pairs of the same masses on points at other distances: the second
+    # differs from its class's first, so they stay two LPs
     base = random_graph_chain(np.random.default_rng(4))
     pairs = [(measure(base.n, [0, 1], [0.4, 0.6]), measure(base.n, [2], [1.0])),
              (measure(base.n, [7, 8], [0.4, 0.6]), measure(base.n, [11], [1.0]))]
     chain = rows_chain(base, [vec for pair in pairs for vec in pair])
     xs, ys = [0, 2], [1, 3]
     assert len(distinct_blocks(chain, xs, ys)) == 2
-    monkeypatch.setattr(transport, "_hash_rows",
-                        lambda words: np.zeros(len(words), dtype=np.uint64))
     solved = record_lps(monkeypatch)
     w1 = w1_flow(chain, xs, ys)[0]
     assert [b_eq.size for _, _, b_eq, _ in solved] == [6]
     assert w1 == pytest.approx([w1_rows_lp(chain, 0, 1), w1_rows_lp(chain, 2, 3)], abs=1e-9)
 
 
-def test_colliding_hashes_of_blocks_that_differ_from_their_first(monkeypatch):
+def test_equal_masses_on_three_sets_of_distances_stay_three_lps(monkeypatch):
     # three pairs of the same masses on points at other distances: the last
-    # two differ from the first, and with every hash equal they are classed
-    # together, so only their bitwise comparison keeps them two LPs
+    # two differ from the first and from each other, so they stay three LPs
     base = random_graph_chain(np.random.default_rng(4))
     pairs = [(measure(base.n, [0, 1], [0.4, 0.6]), measure(base.n, [2], [1.0])),
              (measure(base.n, [7, 8], [0.4, 0.6]), measure(base.n, [11], [1.0])),
@@ -505,19 +495,42 @@ def test_colliding_hashes_of_blocks_that_differ_from_their_first(monkeypatch):
     chain = rows_chain(base, [vec for pair in pairs for vec in pair])
     xs, ys = [0, 2, 4], [1, 3, 5]
     assert len(distinct_blocks(chain, xs, ys)) == 3
-    monkeypatch.setattr(transport, "_hash_rows",
-                        lambda words: np.zeros(len(words), dtype=np.uint64))
     solved = record_lps(monkeypatch)
     w1 = w1_flow(chain, xs, ys)[0]
     assert [b_eq.size for _, _, b_eq, _ in solved] == [9]
     assert w1 == pytest.approx([w1_rows_lp(chain, x, y) for x, y in zip(xs, ys)], abs=1e-9)
 
 
+@pytest.mark.parametrize("group", [None, 1])
+def test_two_classes_on_the_same_distances_stay_two_lps(monkeypatch, group):
+    # two mass classes whose second blocks each differ from their class's
+    # first and sit on the same points: only their class keeps them two
+    # LPs, each with its own W1 (0.4 * 4 + 0.6 * 5 and 0.3 * 4 + 0.7 * 5).
+    # A copy of the first class's second block takes its W1 and no solve,
+    # also when 1-column groups put every block of a class in its own
+    if group is not None:
+        monkeypatch.setattr(transport, "LP_GROUP_VARS", group)
+    base = random_graph_chain(np.random.default_rng(4))
+    pairs = [(measure(base.n, [0, 1], [0.4, 0.6]), measure(base.n, [2], [1.0])),
+             (measure(base.n, [3, 4], [0.3, 0.7]), measure(base.n, [9], [1.0])),
+             (measure(base.n, [7, 8], [0.4, 0.6]), measure(base.n, [11], [1.0])),
+             (measure(base.n, [7, 8], [0.3, 0.7]), measure(base.n, [11], [1.0])),
+             (measure(base.n, [7, 8], [0.4, 0.6]), measure(base.n, [11], [1.0]))]
+    chain = rows_chain(base, [vec for pair in pairs for vec in pair])
+    xs, ys = [0, 2, 4, 6, 8], [1, 3, 5, 7, 9]
+    assert len(distinct_blocks(chain, xs, ys)) == 4
+    solved = record_lps(monkeypatch)
+    w1 = w1_flow(chain, xs, ys)[0]
+    assert [b_eq.size for _, _, b_eq, _ in solved] == ([12] if group is None else [3] * 4)
+    assert w1[2:] == pytest.approx([4.6, 4.7, 4.6], abs=1e-9)
+    assert w1 == pytest.approx([w1_rows_lp(chain, x, y) for x, y in zip(xs, ys)], abs=1e-9)
+
+
 @pytest.mark.parametrize("eps", [1, 2])
-def test_a_copy_is_gathered_once_and_never_hashed(monkeypatch, eps):
+def test_a_copy_is_gathered_once(monkeypatch, eps):
     # on {0,1}^6 each class of blocks with the same masses poses one LP: each
     # block of a class of two or more is gathered once, against its class's
-    # first block, and no block is hashed
+    # first block
     chain = cube_chain(6, 0.3)
     xs, ys = np.nonzero(np.triu((chain.dist > 0) & (chain.dist <= eps)))
     seen = watch_dedup(monkeypatch)
@@ -527,7 +540,6 @@ def test_a_copy_is_gathered_once_and_never_hashed(monkeypatch, eps):
     assert pairs[seen["first"]].tolist() == oracle
     shared = np.bincount(oracle)[oracle] > 1
     assert sorted(seen["gathered"]) == sorted(np.array(seen["starts"])[shared].tolist())
-    assert seen["hashed"] == 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -536,7 +548,7 @@ def test_a_copy_is_gathered_once_and_never_hashed(monkeypatch, eps):
 def test_blocks_with_the_same_masses_but_other_distances(seed, n, eps):
     # a lazy walk on a random 3-regular graph: many blocks share their masses
     # but not the distances among their points; the first copies are the
-    # oracle's and no block is gathered more than twice
+    # oracle's and no block is gathered more than once
     rng = np.random.default_rng(seed)
     cycle = rng.permutation(n)
     at = np.argsort(cycle)      # each point's place on the cycle
@@ -557,7 +569,7 @@ def test_blocks_with_the_same_masses_but_other_distances(seed, n, eps):
         w1_flow(chain, xs, ys)
     pairs = np.array([k for k, _, _ in lp_blocks(chain, xs, ys)])
     assert pairs[seen["first"]].tolist() == first_copies(chain, xs, ys)
-    assert max(np.unique(seen["gathered"], return_counts=True)[1], default=0) <= 2
+    assert max(np.unique(seen["gathered"], return_counts=True)[1], default=0) <= 1
 
 
 def test_batch_of_nothing_solves_nothing(monkeypatch):
