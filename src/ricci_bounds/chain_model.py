@@ -54,7 +54,8 @@ class MetricChain:
         metric is a line metric (inferred from a given dist), else None
     gaussian_variance : kernel variance declared by a Gaussian builder, else None
     geodesic_at : a distance t whose graph of the pairs at d <= t realizes
-        every distance within GEODESIC_TOL, once the triangle check found it
+        every distance within GEODESIC_TOL, once the triangle check found it;
+        the chain is then eps-geodesic at every eps >= t
     """
 
     points: Tuple[str, ...]
@@ -164,16 +165,16 @@ class MetricChain:
                     f"triangle inequality violated by {slack[k, j]:.3e}: "
                     f"d({i},{j}) > d({i},{k}) + d({k},{j})")
             if excess.min() >= -GEODESIC_TOL:
-                # |sp - d| <= GEODESIC_TOL: check_epsilon_geodesic's answer on this graph
+                # |sp - d| <= GEODESIC_TOL: eps-geodesic at every eps >= t
                 object.__setattr__(self, "geodesic_at", float(t))
                 return
 
 
-def _check_dense_size(size: int) -> None:
+def _check_dense_size(size: float) -> None:
     if size > MAX_DENSE_STATES:
         raise ValueError(
-            f"{size} states exceed the dense-chain budget MAX_DENSE_STATES = "
-            f"{MAX_DENSE_STATES} (two {size} x {size} float64 matrices would "
+            f"{size:.15g} states exceed the dense-chain budget MAX_DENSE_STATES = "
+            f"{MAX_DENSE_STATES} (two {size:.15g} x {size:.15g} float64 matrices would "
             f"take {16 * size * size / 1e9:.3g} GB)")
 
 
@@ -230,10 +231,12 @@ def build_discrete_ou_chain(alpha: float, grid_half_width: float,
         raise ValueError(
             f"grid_step {grid_step} > 1 (kernel sd): discretization would "
             "dominate the curvature signal")
-    m = int(round(grid_half_width / grid_step))
+    # rounded as a float: an infinite ratio meets the budget check, where int() would raise
+    m = round(grid_half_width / grid_step, 0)
     if m < 1:
         raise ValueError("grid too small; increase grid_half_width (--grid-width)")
     _check_dense_size(2 * m + 1)
+    m = int(m)
     coords = np.arange(-m, m + 1) * grid_step
     size = coords.size
     cell_edges = (coords[:-1] + coords[1:]) / 2.0
@@ -258,7 +261,8 @@ _JSON_KINDS = {str: "a string", bool: "true or false", type(None): "null", dict:
 
 class _MatrixRows:
     """A dist or kernel field, written row by row into one n x n float array,
-    n the length of its first row.
+    n the length of its first row, refused past MAX_DENSE_STATES before the
+    array exists.
 
     numpy's dtype discovery tells numbers from strings, and makes null,
     objects and integers past 64 bits objects; true and false it takes as
@@ -291,6 +295,10 @@ class _MatrixRows:
                     raise ChainFormatError(
                         f"{self.head} holds {_JSON_KINDS[type(v)]}, not a JSON number")
         if self.array is None:
+            try:
+                _check_dense_size(found.size)
+            except ValueError as exc:
+                raise ChainFormatError(f"{self.head}: {exc}") from exc
             self.array = np.empty((found.size, found.size))
         if found.size != self.array.shape[1]:
             raise ChainFormatError(f"{self.head} has rows of unequal length")
@@ -405,6 +413,8 @@ def load_chain(path) -> MetricChain:
         raise ChainFormatError(f"{path}: not UTF-8: byte {exc.start}: {exc.reason}") from exc
     except ChainFormatError as exc:
         raise ChainFormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ChainFormatError(f"{path}: nested too deeply to parse: {exc}") from exc
     except OSError as exc:
         raise ChainFormatError(f"{path}: cannot read: {exc.strerror}") from exc
     del text
@@ -542,9 +552,9 @@ def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> Optional[Tuple
     edges are point pairs at distance <= epsilon (edge weight = distance)
     equals d(x, y) within 1e-9, else the pair of largest defect.  On a line
     metric that holds iff no gap between coordinate-order neighbours exceeds
-    epsilon, and the witness is the pair across the largest gap.  When the
-    triangle check has shown the same graph (the same pairs) to realize the
-    metric, that answer is reused.
+    epsilon, and the witness is the pair across the largest gap.  At epsilon >=
+    `geodesic_at` the triangle check's graph realizes every distance within
+    GEODESIC_TOL by steps <= epsilon, the line branch's rule: None, no solve.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -556,9 +566,7 @@ def check_epsilon_geodesic(chain: MetricChain, epsilon: float) -> Optional[Tuple
             return None
         k = int(np.argmax(gaps))
         return int(order[k]), int(order[k + 1])
-    t = chain.geodesic_at
-    # the pairs at d <= t and at d <= epsilon nest, so equal counts are equal sets
-    if t is not None and np.count_nonzero(d <= epsilon + DIST_TOL) == np.count_nonzero(d <= t):
+    if chain.geodesic_at is not None and epsilon + DIST_TOL >= chain.geodesic_at:
         return None
     defect = _shortest_paths(d, epsilon + DIST_TOL)
     defect -= d

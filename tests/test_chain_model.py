@@ -561,6 +561,21 @@ def test_a_second_load_of_cube9_peaks_under_10_mb(tmp_path):
     assert peak < 10e6
 
 
+def test_a_first_row_past_the_budget_is_refused_before_allocating(tmp_path):
+    # its 8001 x 8001 float array would take 512 MB
+    path = tmp_path / "wide.json"
+    path.write_text('{"points": ["a"], "dist": [[' + ",".join(["0"] * 8001) + ']], '
+                    '"kernel": [[1]]}')
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChainFormatError, match="8001 states exceed the dense-chain budget"):
+            load_chain(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_load_chain_missing_field(tmp_path):
     path = tmp_path / "missing.json"
     path.write_text('{"points": ["a"], "dist": [[0]]}')
@@ -607,10 +622,11 @@ def test_geodesic_check_matches_floyd_warshall(kind, seed, frac):
 @given(kind=st.sampled_from(["graph", "euclid"]), seed=st.integers(0, 2**32 - 1),
        step=st.integers(0, 3))
 def test_geodesic_check_after_the_triangle_check_matches_a_fresh_solve(kind, seed, step):
-    # eps at one of the smallest distances, just under and just past it, and
-    # midway to the diameter: a chain that recorded its triangle check must
-    # answer as a chain without the record solves (a graph that is a line
-    # metric has coords, which prove it with no record)
+    # eps at one of the smallest distances, just under and just past it,
+    # midway to the diameter, at the diameter and at the recorded step: a
+    # chain that recorded its triangle check must answer as a chain without
+    # the record solves (a graph that is a line metric has coords, which
+    # prove it with no record)
     chain = _audit_chain(kind, seed)
     chain.check_triangle_inequality()
     fresh = MetricChain(points=chain.points, dist=chain.dist, kernel=chain.kernel)
@@ -618,7 +634,8 @@ def test_geodesic_check_after_the_triangle_check_matches_a_fresh_solve(kind, see
     assert fresh.geodesic_at is None
     values = np.unique(chain.dist[chain.dist > 0])
     eps = values[min(step, values.size - 1)]
-    for e in (eps, eps + 1e-13, np.nextafter(eps, 0.0), (eps + values[-1]) / 2):
+    for e in (eps, eps + 1e-13, np.nextafter(eps, 0.0), (eps + values[-1]) / 2, values[-1],
+              chain.geodesic_at or eps):
         assert check_epsilon_geodesic(chain, e) == check_epsilon_geodesic(fresh, e)
 
 

@@ -161,12 +161,12 @@ def test_epsilon_past_the_radius_is_refused_before_any_transport(monkeypatch, tm
     assert "use a smaller epsilon" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eps, solves", [("1", 1), ("2", 2)])
+@pytest.mark.parametrize("eps, solves", [("1", 1), ("2", 1), ("3", 1)])
 def test_a_loaded_chain_solves_the_graph_of_its_smallest_distance_once(
         monkeypatch, tmp_path, eps, solves):
     # the triangle check on load proves that the pairs at distance 1 realize
-    # the Hamming metric; eps = 1 has the same pairs and reuses that, eps = 2
-    # has more and is solved on its own
+    # the Hamming metric, so the cube is eps-geodesic at every eps >= 1 with
+    # no second solve
     chain = cube_chain(6, 0.05)
     path = write_chain_json(tmp_path / "cube6.json", chain.points, chain.dist,
                             chain.kernel, origin=0)
@@ -882,10 +882,13 @@ def test_malformed_or_non_finite_command_line_exits_3(argv, code, tmp_path, caps
     (["example-ou", "--alpha", "0.5", "--grid-width", "1e6"], "MAX_DENSE_STATES"),
     (["verify", "--n0", "100000", "--k", "100001"], "MAX_DENSE_STATES"),
     (["example-jump", "--paths", "1000000000"], "MAX_PATHS"),
+    (["example-ou", "--grid-step", "1e-320"], "MAX_DENSE_STATES"),
+    (["example-ou", "--grid-width", "1e308", "--grid-step", "0.5"], "MAX_DENSE_STATES"),
 ])
 def test_over_budget_sizes_exit_3_before_allocating(argv, budget, tmp_path, capsys):
     # each size is refused from the flags alone, before any array of that size
-    # exists; a range is refused by the parser, before the out dir is made
+    # exists; a range is refused by the parser, before the out dir is made; a
+    # grid ratio past the float range is refused as an infinite size
     out = tmp_path / "b"
     assert run_cli([*argv, "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -982,6 +985,8 @@ def test_curvature_on_the_autoregression_defaults_to_eps_3(tmp_path):
 _WALK3 = biased_reflecting_walk(3, 1 / 3)
 _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
               "kernel": _WALK3.kernel.tolist()}
+# a chain file whose first dist row is one entry past the dense-chain budget
+_WIDE_ROW = '{"points": ["a"], "dist": [[' + ",".join(["0"] * 8001) + ']], "kernel": [[1]]'
 
 
 @pytest.mark.parametrize("argv, doc, message", [
@@ -1028,16 +1033,30 @@ _WALK3_DOC = {"points": ["a", "b", "c"], "dist": _WALK3.dist.tolist(),
     (["curvature", "--chain", "{chain}"],
      {"points": ["a"], "dist": [[0]], "kernel": [[1]], "origin": 0},
      "error: no default eps: the chain has no positive distance; pass --epsilon"),
+    # the budget is checked at the first row, before its n x n array exists,
+    # and json's own errors later in the text still come first
+    (["curvature", "--chain", "{chain}", "--epsilon", "1"], _WIDE_ROW + "}",
+     "error: {chain}: dist/kernel must be numeric matrices: dist: 8001 states exceed the "
+     "dense-chain budget MAX_DENSE_STATES = 8000 "),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1"], _WIDE_ROW + " 1}",
+     "error: {chain}: parse error at line 1, column "),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1"], '{"points": ' + "[" * 100000 + "]}",
+     "error: {chain}: nested too deeply to parse: "),
+    (["curvature", "--chain", "{chain}", "--epsilon", "1"],
+     '{"points": ["a"], "dist": [' + "[" * 100000 + "]}",
+     "error: {chain}: nested too deeply to parse: "),
 ], ids=["epsilon_not_a_number", "range_without_step", "n0_without_k", "no_chain_source",
         "no_origin", "example_mmk_without_n0", "sweep_without_epsilons", "grid_too_small",
         "no_paths",
         "chain_file_list", "chain_file_strings", "chain_file_numeric_strings",
         "chain_file_booleans", "chain_file_false", "chain_file_nan", "chain_file_unknown_origin",
-        "chain_file_negative_dist", "one_point_chain_without_epsilon"])
+        "chain_file_negative_dist", "one_point_chain_without_epsilon",
+        "chain_file_wide_first_row", "chain_file_wide_first_row_then_bad_json",
+        "chain_file_nested_points", "chain_file_nested_dist"])
 def test_every_refusal_exits_3_with_its_message(argv, doc, message, tmp_path, capsys):
     chain = tmp_path / "chain.json"
     if doc is not None:
-        chain.write_text(json.dumps(doc), encoding="utf-8")
+        chain.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     out = tmp_path / "r"
     assert run_cli([a.format(chain=chain) for a in argv] + ["--out", str(out)]) == 3
     # a rejected chain file is named at the head of the message
